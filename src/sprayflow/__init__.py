@@ -12,7 +12,6 @@ from .fuzzy import (
     fuzzify,
     infer_deltas,
     quantize,
-    rule_lookup,
     scale_deltas,
 )
 from .harness import (

@@ -10,15 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .fuzzy import (
-    DEFAULT_RULE_TABLE,
-    GainDeltas,
-    RuleTable,
-    ScalingFactors,
-    infer_deltas,
-    quantize,
-    scale_deltas,
-)
+from .fuzzy import DEFAULT_RULE_TABLE, RuleTable, ScalingFactors, infer, quantize
 from .pid import NO_LIMITS, PidGains, PidLimits, PidState, pid_step
 
 
@@ -40,14 +32,19 @@ def reset(ctrl: FuzzyPidController) -> FuzzyPidController:
     return replace(ctrl, state=PidState(), prev_error=0.0, first_step=True)
 
 
-def gain_deltas_for(ctrl: FuzzyPidController, e: float, ec: float) -> GainDeltas:
-    """Engineering-unit gain deltas for one (error, error-rate) pair."""
-    dp, di, dd = infer_deltas(
-        quantize(e, ctrl.factors.ke),
-        quantize(ec, ctrl.factors.kec),
-        ctrl.table,
+def adapted_gains(ctrl: FuzzyPidController, e: float, ec: float) -> tuple[float, float, float]:
+    """Gain-update kernel: the effective (kp, ki, kd) for one (error, error-rate) pair.
+
+    Base gains plus the scaled fuzzy deltas, each floored at zero.
+    """
+    f = ctrl.factors
+    dp, di, dd = infer(quantize(e, f.ke), quantize(ec, f.kec), ctrl.table.consequent_index)
+    base = ctrl.base
+    return (
+        max(0.0, base.kp + f.kup * dp),
+        max(0.0, base.ki + f.kui * di),
+        max(0.0, base.kd + f.kud * dd),
     )
-    return scale_deltas((dp, di, dd), ctrl.factors)
 
 
 def fuzzy_pid_step(
@@ -65,11 +62,6 @@ def fuzzy_pid_step(
         raise ValueError(f"setpoint and measurement must be finite, got {r!r}, {y!r}")
     e = r - y
     ec = 0.0 if ctrl.first_step else (e - ctrl.prev_error) / dt
-    deltas = gain_deltas_for(ctrl, e, ec)
-    effective = PidGains(
-        kp=max(0.0, ctrl.base.kp + deltas.d_kp),
-        ki=max(0.0, ctrl.base.ki + deltas.d_ki),
-        kd=max(0.0, ctrl.base.kd + deltas.d_kd),
-    )
+    effective = PidGains(*adapted_gains(ctrl, e, ec))
     u, state = pid_step(ctrl.state, effective, e, dt, ctrl.limits)
     return u, effective, replace(ctrl, state=state, prev_error=e, first_step=False)

@@ -70,16 +70,30 @@ def _fmt9(value: float) -> str:
     return f"{value + 0.0:.9f}"
 
 
+# One CSV row in the _fmt9 format; "%.9f" and "{:.9f}" format floats alike.
+_ROW_FORMAT = ",".join(["%.9f"] * 8) + "\n"
+# Rows formatted per write, which bounds the memory the writer adds.
+_CSV_CHUNK_ROWS = 1024
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write a trajectory in the canonical byte-reproducible CSV format."""
+    columns = (traj.t, traj.r, traj.e, traj.u, traj.y, traj.kp, traj.ki, traj.kd)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in zip(traj.t, traj.r, traj.e, traj.u, traj.y, traj.kp, traj.ki, traj.kd):
-            fh.write(",".join(_fmt9(v) for v in row) + "\n")
+        for start in range(0, len(traj), _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            # Adding positive zero folds -0.0 into 0.0, as _fmt9 does.
+            rows = (np.column_stack([col[start:stop] for col in columns]) + 0.0).tolist()
+            fh.write("".join([_ROW_FORMAT % tuple(row) for row in rows]))
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
-    """Read a trajectory CSV produced by write_trajectory_csv."""
+    """Read a trajectory CSV produced by write_trajectory_csv.
+
+    The file needs at least two data rows and a uniform, increasing time
+    axis; dt is taken from its end points.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -87,16 +101,22 @@ def read_trajectory_csv(path: str) -> Trajectory:
         raise ConfigError(f"cannot read trajectory file: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"trajectory file must start with header {CSV_HEADER!r}")
-    if len(lines) < 2:
-        raise ConfigError("trajectory file has no data rows")
+    if len(lines) < 3:
+        raise ConfigError("trajectory file needs at least two data rows to define dt")
     try:
-        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"malformed trajectory row: {exc}") from exc
-    if data.shape[1] != 8:
-        raise ConfigError("trajectory rows must have 8 fields")
+    # loadtxt skips blank lines; count them as malformed rows.
+    if data.shape != (len(lines) - 1, 8):
+        raise ConfigError("trajectory rows must have 8 fields, with no blank lines")
     t = data[:, 0]
-    dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
+    dt = float(t[-1] - t[0]) / (len(t) - 1)
+    # Nine decimals round each t by up to 5e-10 and parsing adds half an ulp,
+    # so an interval of a uniform axis reads up to 1e-9 + 1 ulp off dt.
+    tol = 2e-9 + 4.0 * np.spacing(np.max(np.abs(t)))
+    if not (dt > 0 and np.all(np.abs(np.diff(t) - dt) <= tol)):
+        raise ConfigError("trajectory time axis t is not uniform and increasing")
     return Trajectory(
         t=t,
         r=data[:, 1],
@@ -235,15 +255,6 @@ def resolve_config(file_values: dict[str, str], overrides: dict[str, str]) -> Sc
     elif "disturbance_port" in merged:
         raise ConfigError("disturbance_port given without disturbance_time/magnitude")
 
-    table = DEFAULT_RULE_TABLE
-    if "rules_file" in merged:
-        try:
-            table = RuleTable.load(merged["rules_file"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read rules file: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"bad rules file: {exc}") from None
-
     return ScenarioConfig(
         setpoint=_parse_float("setpoint", merged["setpoint"]),
         duration=_parse_float("duration", merged["duration"]),
@@ -251,11 +262,23 @@ def resolve_config(file_values: dict[str, str], overrides: dict[str, str]) -> Sc
         controller=controller,
         gains=gains,
         factors=factors,
-        table=table,
+        table=_load_rules(merged.get("rules_file")),
         plant=plant,
         disturbances=disturbances,
         output=merged["output"],
     )
+
+
+def _load_rules(path: str | None) -> RuleTable:
+    """The rule table of an override file, or the built-in one for None."""
+    if path is None:
+        return DEFAULT_RULE_TABLE
+    try:
+        return RuleTable.load(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read rules file: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad rules file: {exc}") from None
 
 
 def _scenario(config: ScenarioConfig, controller) -> SimScenario:
@@ -317,7 +340,6 @@ def cmd_simulate(config: ScenarioConfig) -> int:
 
 
 def cmd_compare(config: ScenarioConfig) -> int:
-    scenario = _scenario(config, _pid_config(config))
     trajectories = {}
     for name, controller in (("pid", _pid_config(config)), ("fuzzy-pid", _fuzzy_config(config))):
         traj = run_closed_loop(_scenario(config, controller))
@@ -334,23 +356,15 @@ def cmd_compare(config: ScenarioConfig) -> int:
         out.write(f"{label:<16}{cells[0]:<20}{cells[1]:<20}\n")
     flags = ["yes" if metrics[name].settled else "no" for name in ("pid", "fuzzy-pid")]
     out.write(f"{'settled':<16}{flags[0]:<20}{flags[1]:<20}\n")
-    if scenario.disturbances:
-        t0 = min(d.time for d in scenario.disturbances)
+    if config.disturbances:
+        t0 = min(d.time for d in config.disturbances)
         cells = [_fmt9(peak_deviation(trajectories[name], t0)) for name in ("pid", "fuzzy-pid")]
         out.write(f"{'peak deviation':<16}{cells[0]:<20}{cells[1]:<20}\n")
     return EXIT_OK
 
 
 def cmd_rules(rules_file: str | None) -> int:
-    table = DEFAULT_RULE_TABLE
-    if rules_file is not None:
-        try:
-            table = RuleTable.load(rules_file)
-        except OSError as exc:
-            raise ConfigError(f"cannot read rules file: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"bad rules file: {exc}") from None
-    sys.stdout.write(table.dump())
+    sys.stdout.write(_load_rules(rules_file).dump())
     return EXIT_OK
 
 
@@ -362,12 +376,7 @@ def cmd_metrics(csv_path: str) -> int:
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="path to a key = value config file")
-    for key in _SCALAR_KEYS:
-        flags = [f"--{key}"]
-        if "_" in key:
-            flags.append(f"--{key.replace('_', '-')}")
-        parser.add_argument(*flags, dest=key, default=None, help=f"override {key}")
-    for key in ("controller", "plant_num", "plant_den", "disturbance_port", "rules_file", "output"):
+    for key in _SCALAR_KEYS + _STRING_KEYS:
         flags = [f"--{key}"]
         if "_" in key:
             flags.append(f"--{key.replace('_', '-')}")

@@ -4,16 +4,24 @@ Maps a control error and its rate of change onto a quantized universe,
 fires a 7x7 rule table, and defuzzifies the result into crisp PID gain
 corrections. Inference is Mamdani-style: rule firing strength by min,
 consequent clipping by min, aggregation by max, and defuzzification by
-discrete centroid on a uniform grid over the universe.
+the discrete centroid over the 1201-point grid of step 0.01 on [-6, 6].
+
+The inputs are located by index arithmetic (at most two adjacent labels
+are active), so at most four rules fire. The centroid is computed in
+closed form rather than on the grid: adjacent output triangles overlap
+only in pairs, so the aggregate is the sum of the clipped triangles less,
+on each segment between two centers, the pointwise minimum of the two
+neighbours, min(h_k, h_k+1, t, 1 - t). Each of these sampled shapes is a
+constant run plus an arithmetic ramp, whose sum and first moment over the
+grid points are finite series with closed forms.
 
 Everything here is immutable after construction; all operations are pure
 functions and safe to call concurrently.
 """
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -21,7 +29,8 @@ import numpy as np
 UNIVERSE_MIN = -6.0
 UNIVERSE_MAX = 6.0
 LABEL_SPACING = 2.0
-DEFAULT_GRID_STEP = 0.01
+# Defuzzification grid intervals per label spacing (grid step 0.01).
+GRID_INTERVALS = 200
 
 
 class Label(IntEnum):
@@ -43,10 +52,6 @@ class Label(IntEnum):
 
 Triple = tuple[Label, Label, Label]
 
-# Centers of all seven sets, index-aligned with Label.
-LABEL_CENTERS = tuple(label.center for label in Label)
-
-
 def quantize(crisp: float, factor: float) -> float:
     """Scale a physical error (or error rate) into the universe.
 
@@ -60,17 +65,15 @@ def quantize(crisp: float, factor: float) -> float:
     return min(max(crisp * factor, UNIVERSE_MIN), UNIVERSE_MAX)
 
 
-def membership(label: Label, x: float) -> float:
-    """Degree of x in one triangular set.
+def locate(x: float) -> tuple[int, float]:
+    """Active labels of a universe value x in [-6, 6], by index arithmetic.
 
-    The outermost sets saturate at 1 beyond their centers, so NB and PB
-    behave as shoulders if x ever lands outside [-6, 6].
+    Returns (i, w): label i has degree 1 - w and label i + 1 degree w;
+    every other label has degree 0.
     """
-    if label is Label.NB and x <= UNIVERSE_MIN:
-        return 1.0
-    if label is Label.PB and x >= UNIVERSE_MAX:
-        return 1.0
-    return max(0.0, 1.0 - abs(x - label.center) / LABEL_SPACING)
+    s = (x - UNIVERSE_MIN) / LABEL_SPACING
+    i = min(int(s), 5)
+    return i, s - i
 
 
 def fuzzify(x: float) -> np.ndarray:
@@ -83,7 +86,11 @@ def fuzzify(x: float) -> np.ndarray:
     """
     if not (UNIVERSE_MIN <= x <= UNIVERSE_MAX):
         raise ValueError(f"universe value out of range [-6, 6]: {x!r}")
-    return np.array([membership(label, x) for label in Label])
+    i, w = locate(x)
+    degrees = np.zeros(7)
+    degrees[i] = 1.0 - w
+    degrees[i + 1] = w
+    return degrees
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,11 @@ class RuleTable:
 
     cells: tuple[tuple[Triple, ...], ...]
     suspect: frozenset[tuple[Label, Label]] = frozenset()
+    # Per cell 7 * e + ec, the consequents as indices into the flat 3 x 7
+    # clip-height list that `infer` fills: (p, 7 + i, 14 + d).
+    consequent_index: tuple[tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.cells) != 7 or any(len(row) != 7 for row in self.cells):
@@ -109,6 +121,10 @@ class RuleTable:
         for e, ec in self.suspect:
             if not (isinstance(e, Label) and isinstance(ec, Label)):
                 raise ValueError(f"invalid suspect cell key ({e!r}, {ec!r})")
+        index = tuple(
+            (int(p), 7 + int(i), 14 + int(d)) for row in self.cells for p, i, d in row
+        )
+        object.__setattr__(self, "consequent_index", index)
 
     def lookup(self, e_label: Label, ec_label: Label) -> Triple:
         """The (dKp, dKi, dKd) consequent for one rule; pure lookup."""
@@ -201,11 +217,6 @@ ZO/ZO/PS,NS/ZO/ZO,NS/PS/ZO,NM/PM/ZO,NM/PB/ZO,NB/PB/PB,NB/PB/PB
 DEFAULT_RULE_TABLE = RuleTable.parse(_DEFAULT_TABLE_TEXT)
 
 
-def rule_lookup(e_label: Label, ec_label: Label, table: RuleTable | None = None) -> Triple:
-    """Consequent labels for one (E, EC) pair from the given table."""
-    return (table or DEFAULT_RULE_TABLE).lookup(e_label, ec_label)
-
-
 @dataclass(frozen=True)
 class ScalingFactors:
     """Quantization factors for the inputs and scale factors for the outputs.
@@ -240,65 +251,99 @@ class GainDeltas:
     d_kd: float
 
 
-class _InferenceEngine:
-    """Precomputed defuzzification grid for one rule table.
+def infer(
+    e_scaled: float, ec_scaled: float, consequent_index: tuple[tuple[int, int, int], ...]
+) -> tuple[float, float, float]:
+    """Inference kernel: crisp (dKp, dKi, dKd) for inputs already in [-6, 6].
 
-    Holds the universe grid and the membership of every output label on it,
-    so the per-call work is just firing strengths, clipping, aggregation
-    and one centroid per output channel.
+    Fires the (at most four) rules of the two active labels per input;
+    each output label is clipped at the largest strength of the rules
+    that name it.
     """
-
-    def __init__(self, table: RuleTable, grid_step: float):
-        if not (0 < grid_step <= LABEL_SPACING):
-            raise ValueError(f"grid step out of range: {grid_step!r}")
-        self.table = table
-        n = round((UNIVERSE_MAX - UNIVERSE_MIN) / grid_step) + 1
-        self.grid = np.linspace(UNIVERSE_MIN, UNIVERSE_MAX, n)
-        centers = np.array(LABEL_CENTERS)
-        mf = 1.0 - np.abs(self.grid[None, :] - centers[:, None]) / LABEL_SPACING
-        np.clip(mf, 0.0, 1.0, out=mf)
-        # Shoulder saturation only matters at the clamped endpoints, where the
-        # triangles already evaluate to 1; kept for clarity.
-        mf[Label.NB, self.grid <= UNIVERSE_MIN] = 1.0
-        mf[Label.PB, self.grid >= UNIVERSE_MAX] = 1.0
-        self.output_mf = mf
-
-    def infer(self, e_scaled: float, ec_scaled: float) -> tuple[float, float, float]:
-        mu_e = fuzzify(e_scaled).tolist()
-        mu_ec = fuzzify(ec_scaled).tolist()
-        # Per output channel, the clip height of each output label is the max
-        # firing strength over the (at most four) rules that name it.
-        heights = np.zeros((3, 7))
-        cells = self.table.cells
-        for ie, deg_e in enumerate(mu_e):
-            if deg_e <= 0.0:
-                continue
-            row = cells[ie]
-            for iec, deg_ec in enumerate(mu_ec):
-                if deg_ec <= 0.0:
-                    continue
-                strength = deg_e if deg_e < deg_ec else deg_ec
-                for channel, label in enumerate(row[iec]):
-                    if strength > heights[channel, label]:
-                        heights[channel, label] = strength
-        clipped = np.minimum(heights[:, :, None], self.output_mf[None, :, :])
-        agg = clipped.max(axis=1)
-        mass = agg.sum(axis=1)
-        moment = agg @ self.grid
-        dp, di, dd = moment / mass
-        return float(dp), float(di), float(dd)
+    i, w = locate(e_scaled)
+    j, v = locate(ec_scaled)
+    a, b = 1.0 - w, w
+    c, d = 1.0 - v, v
+    cell = 7 * i + j
+    heights = [0.0] * 21
+    for rule, strength in (
+        (cell, a if a < c else c),
+        (cell + 1, a if a < d else d),
+        (cell + 7, b if b < c else c),
+        (cell + 8, b if b < d else d),
+    ):
+        if strength > 0.0:
+            for k in consequent_index[rule]:
+                if strength > heights[k]:
+                    heights[k] = strength
+    return _centroid(heights[0:7]), _centroid(heights[7:14]), _centroid(heights[14:21])
 
 
-@functools.lru_cache(maxsize=16)
-def _engine(table: RuleTable, grid_step: float) -> _InferenceEngine:
-    return _InferenceEngine(table, grid_step)
+# Closed-form sums over the grid, for one label spacing of N = GRID_INTERVALS
+# points. A clipped triangle of height h, seen from its center, sits on the
+# plateau h at offsets m = 0 .. p-1 and on the ramp 1 - m/N at m = p .. N-1,
+# where p = min(floor(N (1 - h)) + 1, N); the q = N - p ramp values are j/N
+# for j = 1 .. q. Indexed by q (ramp) or p (plateau):
+_N = GRID_INTERVALS
+_HALF = GRID_INTERVALS // 2
+_STEP = LABEL_SPACING / GRID_INTERVALS
+_CENTERS = tuple(UNIVERSE_MIN + LABEL_SPACING * k for k in range(7))
+# sum of j/N over j = 1 .. q
+_RAMP_SUM = tuple((q * (q + 1) // 2) / _N for q in range(_N + 1))
+# sum of m * (1 - m/N) over the ramp offsets m = N-q .. N-1
+_RAMP_MOMENT = tuple(
+    q * (q + 1) // 2 - (q * (q + 1) * (2 * q + 1) // 6) / _N for q in range(_N + 1)
+)
+# sum of m over the plateau offsets m = 0 .. p-1
+_PLATEAU_MOMENT = tuple(p * (p - 1) // 2 for p in range(_N + 1))
+# Overlap of two neighbours: the tent min(t, 1 - t), t = m/N for m = 1 .. N-1,
+# clipped at g. Its r = min(floor(N g), N/2 - 1) lowest points on each side
+# lie under the clip; this is their sum, both sides.
+_TENT_SUM = tuple(2.0 * (r * (r + 1) // 2) / _N for r in range(_HALF))
+
+
+def _centroid(heights: list[float]) -> float:
+    """Discrete centroid of the max-aggregate of seven clipped triangles.
+
+    Equal, up to rounding, to sum(x * agg(x)) / sum(agg(x)) over the grid
+    x = -6 + m * 0.01, m = 0 .. 1200: the clipped triangles are summed in
+    closed form and, for each pair of nonzero neighbours, their pointwise
+    minimum min(h_k, h_k+1, t, 1 - t) is subtracted.
+    """
+    mass = 0.0
+    moment = 0.0
+    prev = 0.0
+    for k, h in enumerate(heights):
+        if h > 0.0:
+            p = int(_N - _N * h) + 1
+            if p > _N:
+                p = _N
+            side = p * h + _RAMP_SUM[_N - p]
+            if k == 0 or k == 6:
+                # Cut at the universe edge: only the inner side remains.
+                side_moment = h * _PLATEAU_MOMENT[p] + _RAMP_MOMENT[_N - p]
+                mass += side
+                moment += _CENTERS[k] * side + (_STEP if k == 0 else -_STEP) * side_moment
+            else:
+                full = side + side - h  # both sides share the center point
+                mass += full
+                moment += _CENTERS[k] * full
+            if prev > 0.0:
+                g = prev if prev < h else h
+                r = int(_N * g)
+                if r > _HALF - 1:
+                    r = _HALF - 1
+                overlap = _TENT_SUM[r] + 2 * (_HALF - 1 - r) * g + (g if g < 0.5 else 0.5)
+                mass -= overlap
+                moment -= (_CENTERS[k] - 0.5 * LABEL_SPACING) * overlap
+        prev = h
+    return moment / mass
 
 
 def infer_deltas(
     e_scaled: float,
     ec_scaled: float,
     table: RuleTable | None = None,
-    grid_step: float = DEFAULT_GRID_STEP,
 ) -> tuple[float, float, float]:
     """Crisp (dKp, dKi, dKd) universe values for scaled error and error rate.
 
@@ -306,7 +351,10 @@ def infer_deltas(
     guarantees at least one rule fires, so the centroid always exists, and
     every result lies in [-6, 6].
     """
-    return _engine(table or DEFAULT_RULE_TABLE, grid_step).infer(e_scaled, ec_scaled)
+    for x in (e_scaled, ec_scaled):
+        if not (UNIVERSE_MIN <= x <= UNIVERSE_MAX):
+            raise ValueError(f"universe value out of range [-6, 6]: {x!r}")
+    return infer(e_scaled, ec_scaled, (table or DEFAULT_RULE_TABLE).consequent_index)
 
 
 def scale_deltas(crisp: tuple[float, float, float], factors: ScalingFactors) -> GainDeltas:

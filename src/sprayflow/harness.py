@@ -6,6 +6,10 @@ sample (no extra computational delay is modeled), disturbances are added
 at their ports, and the plant advances by one RK4 step. The logged u
 column is the effective plant input and the y column the measured output,
 both including any active disturbances, so e = r - y holds row-wise.
+
+The loop runs on plain floats through the same kernels that the public
+single-step functions wrap (`pid.pid_law`, `adaptive.adapted_gains`,
+`plant.advance`), so a run equals stepping those functions by hand.
 """
 from __future__ import annotations
 
@@ -14,17 +18,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adaptive import FuzzyPidController, fuzzy_pid_step
-from .adaptive import reset as reset_fuzzy
-from .pid import NO_LIMITS, PidGains, PidLimits, PidState, pid_step
+from .adaptive import FuzzyPidController, adapted_gains
+from .pid import NO_LIMITS, PidGains, PidLimits, pid_law
 from .plant import (
     PIPELINE_TF,
+    PLANT_INPUT,
     Disturbance,
     NumericalBlowUp,
     TransferFunction,
-    apply_disturbances,
+    advance,
     initial_state,
-    plant_step,
+    rk4_zoh,
     tf_to_ss,
 )
 
@@ -66,8 +70,9 @@ class SimScenario:
 
     @property
     def steps(self) -> int:
-        # Tiny epsilon so an exact multiple is not floored away by roundoff.
-        return int(math.floor(self.duration / self.dt + 1e-9))
+        # A relative tolerance, so an exact multiple is not floored away by
+        # roundoff at any step count up to MAX_STEPS.
+        return int(math.floor(self.duration / self.dt * (1.0 + 1e-12)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +120,17 @@ class StepMetrics:
     settled: bool
 
 
-def _resting_gains(controller: PidConfig | FuzzyPidController) -> PidGains:
-    if isinstance(controller, PidConfig):
-        return controller.gains
-    return controller.base
+def _activation_step(time: float, dt: float, n_rows: int) -> int:
+    """First step k with k * dt >= time (the apply_disturbances test), or
+    n_rows when no logged step qualifies."""
+    if not time <= (n_rows - 1) * dt:
+        return n_rows
+    k = int(time / dt)
+    while k > 0 and (k - 1) * dt >= time:
+        k -= 1
+    while k * dt < time:
+        k += 1
+    return k
 
 
 def run_closed_loop(scenario: SimScenario) -> Trajectory:
@@ -129,67 +141,80 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     returned with blown_up set.
     """
     model = tf_to_ss(scenario.plant)
-    n_steps = scenario.steps
-    n_rows = n_steps + 1
+    n_rows = scenario.steps + 1
     dt = scenario.dt
-    r = scenario.setpoint
-    dists = scenario.disturbances
+    r = float(scenario.setpoint)
+    rows = rk4_zoh(model, dt)
+    c = tuple(model.c.tolist())
+    # (first step, magnitude) per port, in declaration order. An input
+    # disturbance acts on step k when t_prev = (k-1) * dt reaches its time,
+    # an output one when t = k * dt does.
+    u_dists = []
+    y_dists = []
+    for d in scenario.disturbances:
+        start = _activation_step(d.time, dt, n_rows)
+        if d.port == PLANT_INPUT:
+            u_dists.append((start + 1, d.magnitude))
+        else:
+            y_dists.append((start, d.magnitude))
 
-    t = np.arange(n_rows) * dt
+    controller = scenario.controller
+    fuzzy = isinstance(controller, FuzzyPidController)
+    rest = controller.base if fuzzy else controller.gains
+    kp, ki, kd = rest.kp, rest.ki, rest.kd
+    limits = controller.limits
+
     u_log = np.zeros(n_rows)
     y_log = np.zeros(n_rows)
     kp_log = np.zeros(n_rows)
     ki_log = np.zeros(n_rows)
     kd_log = np.zeros(n_rows)
+    kp_log[:], ki_log[:], kd_log[:] = kp, ki, kd
 
     state = initial_state(model, scenario.initial)
-    _, y_meas = apply_disturbances(0.0, state.y, dists, 0.0)
-    y_log[0] = y_meas
-    rest = _resting_gains(scenario.controller)
-    kp_log[0], ki_log[0], kd_log[0] = rest.kp, rest.ki, rest.kd
+    x = state.x.tolist()
+    y = state.y
+    for start, m in y_dists:
+        if start == 0:
+            y += m
+    y_log[0] = y
 
-    controller = scenario.controller
-    if isinstance(controller, PidConfig):
-        gains, limits = controller.gains, controller.limits
-        pid_state = PidState()
-
-        def control(y: float) -> tuple[float, PidGains]:
-            nonlocal pid_state
-            u, pid_state = pid_step(pid_state, gains, r - y, dt, limits)
-            return u, gains
-
-    else:
-        # Runs always start from a fresh controller state.
-        fuzzy_ctrl = reset_fuzzy(controller)
-
-        def control(y: float) -> tuple[float, PidGains]:
-            nonlocal fuzzy_ctrl
-            u, effective, fuzzy_ctrl = fuzzy_pid_step(fuzzy_ctrl, r, y, dt)
-            return u, effective
-
+    # Runs always start from a fresh controller state.
+    integral = 0.0
+    e_prev = 0.0
     blown_up = False
-    rows = n_rows
+    n_logged = n_rows
     for k in range(1, n_rows):
-        t_prev = t[k - 1]
-        u, effective = control(y_meas)
-        u_eff, _ = apply_disturbances(u, 0.0, dists, t_prev)
+        e = r - y
+        derivative = 0.0 if k == 1 else (e - e_prev) / dt
+        e_prev = e
+        if fuzzy:
+            kp, ki, kd = adapted_gains(controller, e, derivative)
+            kp_log[k] = kp
+            ki_log[k] = ki
+            kd_log[k] = kd
+        u, integral = pid_law(kp, ki, kd, e, derivative, integral, dt, limits)
+        for start, m in u_dists:
+            if k >= start:
+                u += m
         try:
-            state = plant_step(model, state, u_eff, dt)
+            x, y = advance(rows, c, x, u)
         except NumericalBlowUp:
             blown_up = True
-            rows = k
+            n_logged = k
             break
-        _, y_meas = apply_disturbances(0.0, state.y, dists, t[k])
-        u_log[k] = u_eff
-        y_log[k] = y_meas
-        kp_log[k], ki_log[k], kd_log[k] = effective.kp, effective.ki, effective.kd
+        for start, m in y_dists:
+            if k >= start:
+                y += m
+        u_log[k] = u
+        y_log[k] = y
 
-    sl = slice(0, rows)
+    sl = slice(0, n_logged)
     y_out = y_log[sl]
     return Trajectory(
-        t=t[sl].copy(),
-        r=np.full(rows, float(r)),
-        e=float(r) - y_out,
+        t=np.arange(n_logged) * dt,
+        r=np.full(n_logged, r),
+        e=r - y_out,
         u=u_log[sl],
         y=y_out,
         kp=kp_log[sl],

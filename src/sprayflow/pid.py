@@ -69,7 +69,7 @@ class PidState:
     first_step: bool = True
 
 
-def reset(state: PidState | None = None) -> PidState:
+def reset() -> PidState:
     """Fresh state: zero accumulator, first-step flag set. Idempotent."""
     return PidState()
 
@@ -85,6 +85,29 @@ def _clamp(value: float, bounds: tuple[float, float] | None) -> float:
     return min(max(value, bounds[0]), bounds[1])
 
 
+def pid_law(
+    kp: float,
+    ki: float,
+    kd: float,
+    e: float,
+    derivative: float,
+    integral: float,
+    dt: float,
+    limits: PidLimits,
+) -> tuple[float, float]:
+    """The PID law on plain floats: control value and the new integral.
+
+    The integral is clamped before the output is, which keeps the
+    accumulator inside the anti-windup band no matter what the output
+    clamp does.
+    """
+    if not math.isfinite(e):
+        raise ValueError(f"error must be finite, got {e!r}")
+    integral = _clamp(integral + e * dt, limits.integral)
+    u = _clamp(kp * e + ki * integral + kd * derivative, limits.output)
+    return u, integral
+
+
 def pid_step(
     state: PidState,
     gains: PidGains,
@@ -94,18 +117,12 @@ def pid_step(
 ) -> tuple[float, PidState]:
     """Advance the controller one sample.
 
-    Returns the control value and the updated state. The integral is
-    clamped before the output is, which keeps the accumulator inside the
-    anti-windup band no matter what the output clamp does.
+    Returns the control value and the updated state; see pid_law.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    if not math.isfinite(e):
-        raise ValueError(f"error must be finite, got {e!r}")
-    integral = _clamp(state.integral + e * dt, limits.integral)
-    if state.first_step:
-        derivative = 0.0
-    else:
-        derivative = (e - state.prev_error) / dt
-    u = _clamp(gains.kp * e + gains.ki * integral + gains.kd * derivative, limits.output)
+    derivative = 0.0 if state.first_step else (e - state.prev_error) / dt
+    u, integral = pid_law(
+        gains.kp, gains.ki, gains.kd, e, derivative, state.integral, dt, limits
+    )
     return u, PidState(integral=integral, prev_error=e, first_step=False)

@@ -1,13 +1,18 @@
 """LTI plant realization and fixed-step integration.
 
 A strictly proper SISO transfer function is realized in controllable
-canonical form and time-marched with classical RK4 under a zero-order
-hold on the input. The shipped pipeline model has a pure integrator and
-a 3.7 ms lag, so the default step of 1e-4 s resolves its fast pole.
+canonical form and time-marched with RK4 under a zero-order hold on the
+input. For a linear plant one classical four-stage RK4 step is the linear
+map x+ = Phi x + Gamma u, where Phi is the degree-4 Taylor polynomial of
+exp(hA) and Gamma = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) B. Both are
+computed once per (model, dt) by `rk4_zoh`; `advance` then steps plain
+floats. The shipped pipeline model has a pure integrator and a 3.7 ms
+lag, so the default step of 1e-4 s resolves its fast pole.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +62,11 @@ PIPELINE_TF = TransferFunction(num=(43956.0,), den=(0.0037, 1.0, 0.0))
 
 @dataclass(frozen=True, eq=False)
 class StateSpaceModel:
-    """State-space realization x' = Ax + Bu, y = Cx + Du (D is 0 here)."""
+    """State-space realization x' = Ax + Bu, y = Cx (strictly proper, no feedthrough)."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    d: float
 
     def __post_init__(self) -> None:
         n = self.a.shape[0]
@@ -97,7 +101,7 @@ def tf_to_ss(tf: TransferFunction) -> StateSpaceModel:
     # c[j] is the numerator coefficient of s^j.
     for j, coeff in enumerate(num[::-1]):
         c[j] = coeff
-    return StateSpaceModel(a=a, b=b, c=c, d=0.0)
+    return StateSpaceModel(a=a, b=b, c=c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,25 +126,52 @@ def initial_state(model: StateSpaceModel, x0=None) -> PlantState:
     return PlantState(x=x, y=float(model.c @ x))
 
 
-def plant_step(model: StateSpaceModel, state: PlantState, u: float, dt: float) -> PlantState:
-    """One classical RK4 step with the input held constant (zero-order hold)."""
+def rk4_zoh(model: StateSpaceModel, dt: float) -> tuple[tuple[float, ...], ...]:
+    """One RK4 step under zero-order hold, as rows of plain floats.
+
+    Row i holds (Phi[i, 0], ..., Phi[i, n-1], Gamma[i]), so the next state
+    is x+[i] = sum(row[j] * (x + [u])[j]). Expanding the four RK4 stages of
+    x' = Ax + Bu with u held gives exactly these series in hA.
+    """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    a = model.a
-    bu = model.b * u
-    x = state.x
-    k1 = a @ x + bu
-    k2 = a @ (x + (0.5 * dt) * k1) + bu
-    k3 = a @ (x + (0.5 * dt) * k2) + bu
-    k4 = a @ (x + dt * k3) + bu
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x_next)):
-        raise NumericalBlowUp(f"non-finite plant state after step with u={u!r}, dt={dt!r}")
-    y = float(model.c @ x_next)
+    n = model.order
+    ha = dt * model.a
+    term = np.eye(n)
+    phi = np.eye(n)
+    gamma_series = np.eye(n)
+    for k in range(1, 5):
+        term = term @ ha / k  # (hA)^k / k!
+        phi = phi + term
+        if k < 4:
+            gamma_series = gamma_series + term / (k + 1)  # (hA)^k / (k+1)!
+    gamma = dt * (gamma_series @ model.b)
+    return tuple(tuple(phi[i].tolist()) + (float(gamma[i]),) for i in range(n))
+
+
+def advance(
+    rows: tuple[tuple[float, ...], ...], c: tuple[float, ...], x: list[float], u: float
+) -> tuple[list[float], float]:
+    """Next state and output of one precomputed RK4 step (see rk4_zoh).
+
+    Raises NumericalBlowUp when the state or the output is not finite.
+    """
+    xu = [*x, u]
+    mul = operator.mul
+    x_next = [sum(map(mul, row, xu)) for row in rows]
+    if not all(map(math.isfinite, x_next)):
+        raise NumericalBlowUp(f"non-finite plant state after step with u={u!r}")
+    y = sum(map(mul, c, x_next))
     # The output can overflow before the state does when C carries a large gain.
     if not math.isfinite(y):
-        raise NumericalBlowUp(f"non-finite plant output after step with u={u!r}, dt={dt!r}")
-    return PlantState(x=x_next, y=y)
+        raise NumericalBlowUp(f"non-finite plant output after step with u={u!r}")
+    return x_next, y
+
+
+def plant_step(model: StateSpaceModel, state: PlantState, u: float, dt: float) -> PlantState:
+    """One RK4 step with the input held constant (zero-order hold)."""
+    x, y = advance(rk4_zoh(model, dt), tuple(model.c.tolist()), state.x.tolist(), u)
+    return PlantState(x=np.array(x), y=y)
 
 
 @dataclass(frozen=True)
@@ -150,7 +181,6 @@ class Disturbance:
     time: float
     magnitude: float
     port: str = PLANT_INPUT
-    shape: str = "step"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.time) or self.time < 0:
@@ -159,8 +189,6 @@ class Disturbance:
             raise ValueError(f"magnitude must be finite, got {self.magnitude!r}")
         if self.port not in (PLANT_INPUT, PLANT_OUTPUT):
             raise ValueError(f"unknown disturbance port {self.port!r}")
-        if self.shape != "step":
-            raise ValueError(f"unsupported disturbance shape {self.shape!r}")
 
 
 def apply_disturbances(

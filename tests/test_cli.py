@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from sprayflow.cli import (
+    _CSV_CHUNK_ROWS,
     CSV_HEADER,
     ConfigError,
+    _fmt9,
     load_config_file,
     main,
     read_trajectory_csv,
@@ -15,6 +17,7 @@ from sprayflow.cli import (
     write_trajectory_csv,
 )
 from sprayflow.fuzzy import DEFAULT_RULE_TABLE, RuleTable
+from sprayflow.harness import Trajectory
 
 ROW_PATTERN = re.compile(r"^-?\d+\.\d{9}(,-?\d+\.\d{9}){7}$")
 
@@ -152,6 +155,33 @@ class TestMetricsCommand:
         path.write_text("time,out\n1,2\n", encoding="ascii")
         assert run_cli(["metrics", str(path)]) == 1
 
+    def test_single_row_rejected(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        row = ",".join(["0.000000000"] * 8) + "\n"
+        path.write_text(CSV_HEADER + "\n" + row, "ascii")
+        with pytest.raises(ConfigError):
+            read_trajectory_csv(str(path))
+        assert run_cli(["metrics", str(path)]) == 1
+        assert "two data rows" in capsys.readouterr().err
+        # A blank line does not count as a second row.
+        path.write_text(CSV_HEADER + "\n" + row + "\n", "ascii")
+        with pytest.raises(ConfigError):
+            read_trajectory_csv(str(path))
+
+    def test_non_uniform_time_axis_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.csv"
+        assert run_cli(["simulate", "--duration", "0.01", "--output", str(path)]) == 0
+        lines = path.read_text("ascii").splitlines()
+        fields = lines[50].split(",")
+        fields[0] = f"{float(fields[0]) + 1e-8:.9f}"  # well past the 9-decimal rounding
+        lines[50] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", "ascii")
+        with pytest.raises(ConfigError):
+            read_trajectory_csv(str(path))
+        capsys.readouterr()
+        assert run_cli(["metrics", str(path)]) == 1
+        assert "not uniform" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_values_and_flag_precedence(self, tmp_path, capsys):
@@ -233,6 +263,21 @@ class TestTrajectoryCsvIO:
         assert np.allclose(again.y, traj.y, atol=5e-10)
         assert np.allclose(again.t, traj.t, atol=5e-10)
         assert again.dt == pytest.approx(traj.dt, abs=1e-9)
+
+    def test_writer_bytes_equal_per_value_format(self, tmp_path):
+        # Negative zero, negatives, values above 1e4 and below 1e-9 in size,
+        # over more rows than one write chunk.
+        values = np.array([-0.0, 0.0, -1.5, 12345.678901234, 3e-10, -4e-10, 1e-12,
+                           -2.5e-9, 98765.4321, -7.0000000004, 0.1234567895])
+        n = _CSV_CHUNK_ROWS + 3
+        columns = [np.resize(np.roll(values, shift), n) for shift in range(8)]
+        traj = Trajectory(*columns, dt=1.0)
+        path = tmp_path / "w.csv"
+        write_trajectory_csv(traj, str(path))
+        expected = CSV_HEADER + "\n" + "".join(
+            ",".join(_fmt9(float(v)) for v in row) + "\n" for row in zip(*columns)
+        )
+        assert path.read_bytes() == expected.encode("ascii")
 
 
 def test_console_entry_point_runs():

@@ -14,7 +14,6 @@ from sprayflow.fuzzy import (
     fuzzify,
     infer_deltas,
     quantize,
-    rule_lookup,
     scale_deltas,
 )
 
@@ -24,6 +23,22 @@ SUSPECT_CELLS = {(Label[e], Label[ec]) for e, ec in GOLDEN_SUSPECT_CELLS}
 
 CENTROID_TOL = 0.02
 PB_SHOULDER_CENTROID = 16.0 / 3.0
+
+# The closed-form centroid reproduces the discrete centroid on the grid of
+# step 0.01; against that grid it may differ by rounding only.
+GRID_STEP = 0.01
+CLOSED_FORM_TOL = 1e-12
+# Quarter points of the universe: label centers (segment boundaries, +-6
+# saturation), segment midpoints and quarters, so firing strengths and clip
+# heights of exactly 0, 0.25, 0.5, 0.75 and 1.
+QUARTER_LATTICE = [-6.0 + 0.25 * k for k in range(49)]
+
+
+def assert_equals_grid_centroid(e_scaled, ec_scaled):
+    got = infer_deltas(e_scaled, ec_scaled)
+    want = brute_force_deltas(e_scaled, ec_scaled, DEFAULT_RULE_TABLE.cells, GRID_STEP)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= CLOSED_FORM_TOL, (e_scaled, ec_scaled, got, want)
 
 
 class TestQuantize:
@@ -105,11 +120,6 @@ class TestRuleTable:
 
     def test_suspect_cells_flagged(self):
         assert DEFAULT_RULE_TABLE.suspect == frozenset(SUSPECT_CELLS)
-
-    def test_lookup_corner_and_center_cells(self):
-        assert rule_lookup(Label.NB, Label.NB) == (Label.PB, Label.NB, Label.PS)
-        assert rule_lookup(Label.PS, Label.NS) == (Label.ZO, Label.ZO, Label.ZO)
-        assert rule_lookup(Label.PB, Label.PB) == (Label.NB, Label.PB, Label.PB)
 
     def test_dump_parse_round_trip(self):
         text = DEFAULT_RULE_TABLE.dump()
@@ -198,6 +208,20 @@ class TestInference:
                     else:
                         expected = out_label.center
                     assert got == pytest.approx(expected, abs=CENTROID_TOL)
+
+    def test_closed_form_equals_grid_centroid_on_quarter_lattice(self):
+        # Covers all 49 label-center pairs among the 49 x 49 lattice pairs.
+        for e in QUARTER_LATTICE:
+            for ec in QUARTER_LATTICE:
+                assert_equals_grid_centroid(e, ec)
+
+    @given(
+        e=st.one_of(st.floats(min_value=-6.0, max_value=6.0), st.sampled_from(QUARTER_LATTICE)),
+        ec=st.one_of(st.floats(min_value=-6.0, max_value=6.0), st.sampled_from(QUARTER_LATTICE)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_equals_grid_centroid(self, e, ec):
+        assert_equals_grid_centroid(e, ec)
 
     def test_outputs_stay_in_universe(self):
         rng = np.random.default_rng(7)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sprayflow.adaptive import FuzzyPidController
+from sprayflow.adaptive import FuzzyPidController, fuzzy_pid_step
+from sprayflow.adaptive import reset as reset_fuzzy
 from sprayflow.fuzzy import ScalingFactors
 from sprayflow.harness import (
     PidConfig,
@@ -14,8 +15,18 @@ from sprayflow.harness import (
     peak_deviation,
     run_closed_loop,
 )
-from sprayflow.pid import PidGains
-from sprayflow.plant import PIPELINE_TF, PLANT_INPUT, Disturbance, TransferFunction
+from sprayflow.pid import PidGains, PidLimits, PidState, pid_step
+from sprayflow.plant import (
+    PIPELINE_TF,
+    PLANT_INPUT,
+    PLANT_OUTPUT,
+    Disturbance,
+    TransferFunction,
+    apply_disturbances,
+    initial_state,
+    plant_step,
+    tf_to_ss,
+)
 
 from _oracles import p_gain_for_damping, second_order_overshoot_pct, second_order_peak_time
 
@@ -35,7 +46,82 @@ def synthetic_trajectory(y_values, dt=1.0, r=None):
     )
 
 
+def hand_stepped(scenario):
+    """The closed loop stepped with the public single-step functions.
+
+    Returns the u, y, kp, ki and kd columns as lists.
+    """
+    model = tf_to_ss(scenario.plant)
+    dt, r, dists = scenario.dt, scenario.setpoint, scenario.disturbances
+    ctrl = scenario.controller
+    fuzzy = isinstance(ctrl, FuzzyPidController)
+    gains = ctrl.base if fuzzy else ctrl.gains
+    if fuzzy:
+        ctrl = reset_fuzzy(ctrl)
+    pid_state = PidState()
+    state = initial_state(model, scenario.initial)
+    _, y = apply_disturbances(0.0, state.y, dists, 0.0)
+    columns = [[0.0], [y], [gains.kp], [gains.ki], [gains.kd]]
+    for k in range(1, scenario.steps + 1):
+        if fuzzy:
+            u, gains, ctrl = fuzzy_pid_step(ctrl, r, y, dt)
+        else:
+            u, pid_state = pid_step(pid_state, gains, r - y, dt, ctrl.limits)
+        u, _ = apply_disturbances(u, 0.0, dists, (k - 1) * dt)
+        state = plant_step(model, state, u, dt)
+        _, y = apply_disturbances(0.0, state.y, dists, k * dt)
+        for column, value in zip(columns, (u, y, gains.kp, gains.ki, gains.kd)):
+            column.append(value)
+    return columns
+
+
 class TestRunClosedLoop:
+    @pytest.mark.parametrize(
+        "controller, disturbances",
+        [
+            (
+                PidConfig(
+                    gains=PidGains(0.0045, 0.05, 5e-6),
+                    # e starts at 5, so the integral (5e-4 a step) reaches its
+                    # clamp within three steps and u its upper clamp at once.
+                    limits=PidLimits(output=(-0.01, 0.015), integral=(-1e-3, 1e-3)),
+                ),
+                (),
+            ),
+            (
+                FuzzyPidController(
+                    base=PidGains(0.0045, 0.05, 5e-6),
+                    factors=ScalingFactors(ke=5.0, kec=0.8, kup=1e-4, kui=1e-3, kud=2e-6),
+                ),
+                (
+                    Disturbance(time=0.02, magnitude=2e-3, port=PLANT_INPUT),
+                    Disturbance(time=0.0301, magnitude=-0.3, port=PLANT_OUTPUT),
+                ),
+            ),
+        ],
+        ids=["pid-limits", "fuzzy-disturbances"],
+    )
+    def test_equals_hand_stepping_bitwise(self, controller, disturbances):
+        scenario = SimScenario(
+            setpoint=5.0, duration=0.05, dt=1e-4,
+            controller=controller, disturbances=disturbances,
+        )
+        traj = run_closed_loop(scenario)
+        want = hand_stepped(scenario)
+        for name, column in zip(("u", "y", "kp", "ki", "kd"), want):
+            assert np.array_equal(getattr(traj, name), column), name
+        if isinstance(controller, PidConfig):
+            assert np.any(traj.u == 0.015)
+
+    def test_step_count_tolerance_is_relative(self):
+        # 4999.8052 / 1e-4 is 49998051.99999999 in floating point; an absolute
+        # epsilon below one ulp there would lose the last step.
+        scenario = SimScenario(
+            setpoint=1.0, duration=4999.8052, dt=1e-4,
+            controller=PidConfig(gains=PidGains(0.001, 0.0, 0.0)),
+        )
+        assert scenario.steps == 49998052
+
     def test_zero_setpoint_zero_state_stays_zero(self):
         for controller in (
             PidConfig(gains=PidGains(0.01, 0.1, 1e-5)),

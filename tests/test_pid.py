@@ -108,16 +108,13 @@ class TestPidStep:
 
 class TestReset:
     def test_zeroes_state(self):
-        state = PidState(integral=3.0, prev_error=-1.0, first_step=False)
-        fresh = reset(state)
-        assert fresh == PidState(integral=0.0, prev_error=0.0, first_step=True)
+        assert reset() == PidState(integral=0.0, prev_error=0.0, first_step=True)
 
     def test_idempotent(self):
-        state = PidState(integral=3.0, prev_error=-1.0, first_step=False)
-        assert reset(reset(state)) == reset(state)
+        assert reset() == reset()
 
     def test_zero_error_after_reset_gives_zero_output(self):
-        u, _ = pid_step(reset(None), PidGains(2.0, 2.0, 2.0), 0.0, 0.1)
+        u, _ = pid_step(reset(), PidGains(2.0, 2.0, 2.0), 0.0, 0.1)
         assert u == 0.0
 
 

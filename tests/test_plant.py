@@ -10,9 +10,11 @@ from sprayflow.plant import (
     Disturbance,
     NumericalBlowUp,
     TransferFunction,
+    advance,
     apply_disturbances,
     initial_state,
     plant_step,
+    rk4_zoh,
     tf_to_ss,
 )
 
@@ -50,7 +52,6 @@ class TestTfToSs:
         assert np.array_equal(model.b, [0.0, 1.0])
         assert model.c[0] == pytest.approx(43956.0 / 0.0037, rel=1e-13)
         assert model.c[1] == 0.0
-        assert model.d == 0.0
         # Cross-check the normalized gain path.
         assert 0.0037 * model.c[0] == pytest.approx(43956.0, rel=1e-13)
 
@@ -59,7 +60,6 @@ class TestTfToSs:
         assert np.array_equal(model.a, [[0.0]])
         assert np.array_equal(model.b, [1.0])
         assert np.array_equal(model.c, [1.0])
-        assert model.d == 0.0
 
     def test_first_order_lag(self):
         k, a = 3.5, 2.0
@@ -157,6 +157,54 @@ class TestPlantStep:
                 plant_step(model, initial_state(model), math.inf, 0.1)
 
 
+def classical_rk4_step(a, b, x, u, dt):
+    """One four-stage RK4 step of x' = Ax + Bu with u held over the step."""
+    def f(state):
+        return a @ state + b * u
+
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestRk4Zoh:
+    @pytest.mark.parametrize(
+        "tf, dt",
+        [
+            (PIPELINE_TF, 1e-4),
+            # (s + 1.5) / ((s + 1)(s + 2)(s + 3)), a third-order plant.
+            (TransferFunction(num=(1.0, 1.5), den=(1.0, 6.0, 11.0, 6.0)), 0.05),
+        ],
+    )
+    def test_phi_gamma_equal_one_four_stage_step(self, tf, dt):
+        model = tf_to_ss(tf)
+        n = model.order
+        rows = np.array(rk4_zoh(model, dt))
+        phi, gamma = rows[:, :n], rows[:, n]
+        # The step is linear in (x, u): its columns are the unit responses.
+        phi_ref = np.column_stack(
+            [classical_rk4_step(model.a, model.b, np.eye(n)[j], 0.0, dt) for j in range(n)]
+        )
+        gamma_ref = classical_rk4_step(model.a, model.b, np.zeros(n), 1.0, dt)
+        for got, want in ((phi, phi_ref), (gamma, gamma_ref)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        rng = np.random.default_rng(17)
+        c = tuple(model.c.tolist())
+        for _ in range(20):
+            x = rng.uniform(-1.0, 1.0, size=n)
+            u = float(rng.uniform(-1.0, 1.0))
+            x_next, y = advance(rows.tolist(), c, x.tolist(), u)
+            want = classical_rk4_step(model.a, model.b, x, u, dt)
+            assert np.max(np.abs(np.array(x_next) - want)) <= 1e-14 * np.max(np.abs(want))
+            assert y == pytest.approx(float(model.c @ want), rel=1e-13)
+
+    def test_rejects_non_positive_dt(self):
+        with pytest.raises(ValueError):
+            rk4_zoh(tf_to_ss(PIPELINE_TF), 0.0)
+
+
 class TestDisturbances:
     def test_no_disturbances_is_identity(self):
         assert apply_disturbances(1.5, -2.5, (), 10.0) == (1.5, -2.5)
@@ -182,5 +230,3 @@ class TestDisturbances:
             Disturbance(time=-1.0, magnitude=1.0)
         with pytest.raises(ValueError):
             Disturbance(time=0.0, magnitude=1.0, port="actuator")
-        with pytest.raises(ValueError):
-            Disturbance(time=0.0, magnitude=1.0, shape="ramp")
