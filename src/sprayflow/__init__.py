@@ -2,17 +2,15 @@
 closed-loop simulator and step-response metrics."""
 
 from . import presets
-from .adaptive import FuzzyPidController, fuzzy_pid_step
+from .adaptive import FuzzyPidController
 from .fuzzy import (
     DEFAULT_RULE_TABLE,
-    GainDeltas,
     Label,
     RuleTable,
     ScalingFactors,
     fuzzify,
     infer_deltas,
     quantize,
-    scale_deltas,
 )
 from .harness import (
     ComparisonResult,
@@ -25,15 +23,7 @@ from .harness import (
     peak_deviation,
     run_closed_loop,
 )
-from .pid import (
-    NO_LIMITS,
-    PidGains,
-    PidLimits,
-    PidState,
-    StandardFormGains,
-    pid_step,
-    standard_to_parallel,
-)
+from .pid import NO_LIMITS, PidGains, PidLimits
 from .plant import (
     PIPELINE_TF,
     PLANT_INPUT,

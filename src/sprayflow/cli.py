@@ -29,12 +29,13 @@ from .harness import (
     SimScenario,
     StepMetrics,
     Trajectory,
+    compare_controllers,
     compute_metrics,
     peak_deviation,
     run_closed_loop,
 )
 from .pid import PidGains
-from .plant import PLANT_INPUT, PLANT_OUTPUT, Disturbance, TransferFunction
+from .plant import PIPELINE_TF, PLANT_INPUT, PLANT_OUTPUT, Disturbance, TransferFunction
 
 CSV_HEADER = "t,r,e,u,y,kp,ki,kd"
 
@@ -197,8 +198,8 @@ _DEFAULTS: dict[str, str] = {
     "kup": repr(presets.DEFAULT_FACTORS.kup),
     "kui": repr(presets.DEFAULT_FACTORS.kui),
     "kud": repr(presets.DEFAULT_FACTORS.kud),
-    "plant_num": "43956",
-    "plant_den": "0.0037 1 0",
+    "plant_num": " ".join(map(repr, PIPELINE_TF.num)),
+    "plant_den": " ".join(map(repr, PIPELINE_TF.den)),
     "output": "trajectory.csv",
 }
 
@@ -340,25 +341,27 @@ def cmd_simulate(config: ScenarioConfig) -> int:
 
 
 def cmd_compare(config: ScenarioConfig) -> int:
-    trajectories = {}
-    for name, controller in (("pid", _pid_config(config)), ("fuzzy-pid", _fuzzy_config(config))):
-        traj = run_closed_loop(_scenario(config, controller))
+    pid_config = _pid_config(config)
+    result = compare_controllers(
+        _scenario(config, pid_config), pid_config, _fuzzy_config(config)
+    )
+    trajectories = (result.pid_trajectory, result.fuzzy_trajectory)
+    for name, traj in zip(("pid", "fuzzy-pid"), trajectories):
         if traj.blown_up:
             print(f"numerical blow-up in {name} run", file=sys.stderr)
             return EXIT_BLOWUP
-        trajectories[name] = traj
-    metrics = {name: compute_metrics(traj) for name, traj in trajectories.items()}
+    metrics = (result.pid_metrics, result.fuzzy_metrics)
 
     out = sys.stdout
     out.write(f"{'metric':<16}{'pid':<20}{'fuzzy-pid':<20}\n")
     for label, attr in _METRIC_ROWS:
-        cells = [_metric_cell(metrics[name], attr) for name in ("pid", "fuzzy-pid")]
+        cells = [_metric_cell(m, attr) for m in metrics]
         out.write(f"{label:<16}{cells[0]:<20}{cells[1]:<20}\n")
-    flags = ["yes" if metrics[name].settled else "no" for name in ("pid", "fuzzy-pid")]
+    flags = ["yes" if m.settled else "no" for m in metrics]
     out.write(f"{'settled':<16}{flags[0]:<20}{flags[1]:<20}\n")
     if config.disturbances:
         t0 = min(d.time for d in config.disturbances)
-        cells = [_fmt9(peak_deviation(trajectories[name], t0)) for name in ("pid", "fuzzy-pid")]
+        cells = [_fmt9(peak_deviation(traj, t0)) for traj in trajectories]
         out.write(f"{'peak deviation':<16}{cells[0]:<20}{cells[1]:<20}\n")
     return EXIT_OK
 

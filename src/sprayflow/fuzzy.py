@@ -56,12 +56,11 @@ def quantize(crisp: float, factor: float) -> float:
     """Scale a physical error (or error rate) into the universe.
 
     The product crisp * factor is clamped to [-6, 6]; non-finite inputs
-    are rejected so NaN cannot enter the inference pipeline.
+    are rejected so NaN cannot enter the inference pipeline. The factor
+    is not checked here: it comes from ScalingFactors, which validates it.
     """
     if not math.isfinite(crisp):
         raise ValueError(f"crisp input must be finite, got {crisp!r}")
-    if not math.isfinite(factor) or factor <= 0:
-        raise ValueError(f"quantization factor must be positive and finite, got {factor!r}")
     return min(max(crisp * factor, UNIVERSE_MIN), UNIVERSE_MAX)
 
 
@@ -222,7 +221,8 @@ class ScalingFactors:
     """Quantization factors for the inputs and scale factors for the outputs.
 
     ke and kec map error and error rate into the universe; kup, kui and kud
-    map defuzzified universe values into engineering gain deltas.
+    map defuzzified universe values into engineering gain deltas. This is
+    the one place the factors are validated; `quantize` relies on it.
     """
 
     ke: float = 5.0
@@ -240,15 +240,6 @@ class ScalingFactors:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be non-negative and finite, got {v!r}")
-
-
-@dataclass(frozen=True)
-class GainDeltas:
-    """Crisp gain corrections in engineering units, after output scaling."""
-
-    d_kp: float
-    d_ki: float
-    d_kd: float
 
 
 def infer(
@@ -355,12 +346,3 @@ def infer_deltas(
         if not (UNIVERSE_MIN <= x <= UNIVERSE_MAX):
             raise ValueError(f"universe value out of range [-6, 6]: {x!r}")
     return infer(e_scaled, ec_scaled, (table or DEFAULT_RULE_TABLE).consequent_index)
-
-
-def scale_deltas(crisp: tuple[float, float, float], factors: ScalingFactors) -> GainDeltas:
-    """Map defuzzified universe values to engineering gain deltas."""
-    for v in crisp:
-        if not (UNIVERSE_MIN <= v <= UNIVERSE_MAX):
-            raise ValueError(f"crisp delta out of universe range: {v!r}")
-    p, i, d = crisp
-    return GainDeltas(d_kp=factors.kup * p, d_ki=factors.kui * i, d_kd=factors.kud * d)

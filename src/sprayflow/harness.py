@@ -7,9 +7,12 @@ at their ports, and the plant advances by one RK4 step. The logged u
 column is the effective plant input and the y column the measured output,
 both including any active disturbances, so e = r - y holds row-wise.
 
-The loop runs on plain floats through the same kernels that the public
-single-step functions wrap (`pid.pid_law`, `adaptive.adapted_gains`,
-`plant.advance`), so a run equals stepping those functions by hand.
+The loop runs on plain floats through one kernel per layer: the PID law
+(`pid.pid_law`), the gain update (`adaptive.adapted_gains`) and the
+precomputed RK4 step (`plant.rk4_zoh`, `plant.advance`). It holds the
+controller state itself, the integral and the previous error; their
+backward difference, zero on the first step, is both the derivative and
+the fuzzy error rate. A run equals stepping those kernels by hand.
 """
 from __future__ import annotations
 
@@ -137,8 +140,9 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     """Simulate one scenario and return its trajectory.
 
     Row 0 logs the initial condition before any control action (u = 0,
-    resting gains). If the plant state blows up, the partial trajectory is
-    returned with blown_up set.
+    resting gains). If the plant state or output, or the fuzzy error rate,
+    leaves the finite range, the partial trajectory is returned with
+    blown_up set.
     """
     model = tf_to_ss(scenario.plant)
     n_rows = scenario.steps + 1
@@ -189,6 +193,12 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
         derivative = 0.0 if k == 1 else (e - e_prev) / dt
         e_prev = e
         if fuzzy:
+            # An output near the float limit overflows the error rate before
+            # the plant state does; the fuzzy inputs must stay finite.
+            if not math.isfinite(derivative):
+                blown_up = True
+                n_logged = k
+                break
             kp, ki, kd = adapted_gains(controller, e, derivative)
             kp_log[k] = kp
             ki_log[k] = ki
@@ -287,18 +297,12 @@ def peak_deviation(traj: Trajectory, after_time: float) -> float:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Metrics (and the trajectories behind them) for a PID/fuzzy-PID pair.
-
-    Iterating yields the two metric sets, PID first.
-    """
+    """Metrics (and the trajectories behind them) for a PID/fuzzy-PID pair."""
 
     pid_metrics: StepMetrics
     fuzzy_metrics: StepMetrics
     pid_trajectory: Trajectory
     fuzzy_trajectory: Trajectory
-
-    def __iter__(self):
-        return iter((self.pid_metrics, self.fuzzy_metrics))
 
 
 def compare_controllers(

@@ -1,9 +1,10 @@
-"""Discrete parallel-form PID law with explicit state threading.
+"""Discrete parallel-form PID law on plain floats.
 
 The integral uses the rectangular rule, the derivative a backward
-difference on the error; the derivative term is zero on the first step.
-State goes in and comes out of every call, so instances of the state are
-freely shareable across concurrent simulations.
+difference on the error. `pid_law` takes the accumulator and the
+derivative and returns the control value and the new accumulator, so the
+caller holds the state; the closed loop (`harness.run_closed_loop`) sets
+the derivative to zero on its first step.
 """
 from __future__ import annotations
 
@@ -27,23 +28,6 @@ class PidGains:
 
 
 @dataclass(frozen=True)
-class StandardFormGains:
-    """Standard-form tuning: proportional gain, integration and derivative times."""
-
-    kp: float
-    ti: float
-    td: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.kp) or self.kp < 0:
-            raise ValueError(f"kp must be non-negative and finite, got {self.kp!r}")
-        if not math.isfinite(self.ti) or self.ti <= 0:
-            raise ValueError(f"integration time must be positive, got {self.ti!r}")
-        if not math.isfinite(self.td) or self.td < 0:
-            raise ValueError(f"derivative time must be non-negative, got {self.td!r}")
-
-
-@dataclass(frozen=True)
 class PidLimits:
     """Optional output and integral clamps, each a (min, max) pair or None."""
 
@@ -58,25 +42,6 @@ class PidLimits:
 
 
 NO_LIMITS = PidLimits()
-
-
-@dataclass(frozen=True)
-class PidState:
-    """Integrator accumulator and backward-difference memory."""
-
-    integral: float = 0.0
-    prev_error: float = 0.0
-    first_step: bool = True
-
-
-def reset() -> PidState:
-    """Fresh state: zero accumulator, first-step flag set. Idempotent."""
-    return PidState()
-
-
-def standard_to_parallel(gains: StandardFormGains) -> PidGains:
-    """Convert standard-form (kp, Ti, Td) to parallel-form (kp, ki, kd)."""
-    return PidGains(kp=gains.kp, ki=gains.kp / gains.ti, kd=gains.kp * gains.td)
 
 
 def _clamp(value: float, bounds: tuple[float, float] | None) -> float:
@@ -106,23 +71,3 @@ def pid_law(
     integral = _clamp(integral + e * dt, limits.integral)
     u = _clamp(kp * e + ki * integral + kd * derivative, limits.output)
     return u, integral
-
-
-def pid_step(
-    state: PidState,
-    gains: PidGains,
-    e: float,
-    dt: float,
-    limits: PidLimits = NO_LIMITS,
-) -> tuple[float, PidState]:
-    """Advance the controller one sample.
-
-    Returns the control value and the updated state; see pid_law.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    derivative = 0.0 if state.first_step else (e - state.prev_error) / dt
-    u, integral = pid_law(
-        gains.kp, gains.ki, gains.kd, e, derivative, state.integral, dt, limits
-    )
-    return u, PidState(integral=integral, prev_error=e, first_step=False)

@@ -105,6 +105,19 @@ class TestCompare:
         out = capsys.readouterr().out
         assert not any(line.startswith("peak deviation") for line in out.splitlines())
 
+    @pytest.mark.parametrize("kp, dt", [("100", "0.05"), ("0.011", "0.01")])
+    def test_blow_up_exit_code(self, capsys, kp, dt):
+        # Both loops run; the second case also overflows the fuzzy error rate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli([
+                "compare", "--kp", kp, "--ki", "0", "--kd", "0",
+                "--dt", dt, "--duration", "10",
+            ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "numerical blow-up in pid run" in captured.err
+        assert captured.out == ""
+
 
 class TestRules:
     def test_default_dump(self, capsys):
@@ -131,21 +144,31 @@ class TestRules:
 
 class TestMetricsCommand:
     def test_recomputes_from_csv(self, tmp_path, capsys):
-        out = tmp_path / "run.csv"
-        assert run_cli(["simulate", "--duration", "0.2", "--output", str(out)]) == 0
-        simulate_out = capsys.readouterr().out
-        assert run_cli(["metrics", str(out)]) == 0
-        metrics_out = capsys.readouterr().out
+        # Nine decimals put each re-read sample within 5e-10 of the run's.
+        # Overshoot is a difference of two samples over |y_final| / 100, and
+        # each printed figure rounds by up to 5e-10 again, so the two
+        # overshoots agree within 1e-9 + 1e-7 / |y_final|. The other figures
+        # are samples, sample times or their differences, printed to the same
+        # nine decimals, and come out equal here (a time figure can move by
+        # one sample only when a sample lies within 5e-10 of its threshold).
+        def figures(text):
+            return {line[:16].strip(): line[16:] for line in text.splitlines()}
 
-        def grab(text, label):
-            row = next(line for line in text.splitlines() if line.startswith(label))
-            return float(row[16:])
-
-        # CSV rounding keeps the recomputed figures within 1e-7.
-        for label in ("maximum output", "overshoot %", "final value"):
-            assert grab(metrics_out, label) == pytest.approx(
-                grab(simulate_out, label), abs=1e-6
-            )
+        for controller in ("pid", "fuzzy-pid"):
+            out = tmp_path / f"{controller}.csv"
+            assert run_cli([
+                "simulate", "--controller", controller, "--duration", "0.2",
+                "--output", str(out),
+            ]) == 0
+            want = figures(capsys.readouterr().out)
+            assert run_cli(["metrics", str(out)]) == 0
+            got = figures(capsys.readouterr().out)
+            assert len(want) == 7 and got.keys() == want.keys()
+            bound = 1e-9 + 1e-7 / abs(float(want["final value"]))
+            overshoot = "overshoot %"
+            assert abs(float(got[overshoot]) - float(want[overshoot])) <= bound, controller
+            del got[overshoot], want[overshoot]
+            assert got == want, controller
 
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["metrics", str(tmp_path / "gone.csv")]) == 1

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from sprayflow.fuzzy import (
     DEFAULT_RULE_TABLE,
-    GainDeltas,
     Label,
     RuleTable,
     ScalingFactors,
     fuzzify,
     infer_deltas,
     quantize,
-    scale_deltas,
 )
 
 from _oracles import GOLDEN_RULE_ROWS_BY_EC, GOLDEN_SUSPECT_CELLS, brute_force_deltas
@@ -56,11 +54,6 @@ class TestQuantize:
     def test_rejects_non_finite_input(self, bad):
         with pytest.raises(ValueError):
             quantize(bad, 5.0)
-
-    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan])
-    def test_rejects_bad_factor(self, factor):
-        with pytest.raises(ValueError):
-            quantize(1.0, factor)
 
     @given(
         crisp=st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -243,22 +236,6 @@ class TestInference:
 
 
 class TestScaling:
-    def test_default_output_factor(self):
-        deltas = scale_deltas((-2.0, 0.0, 4.0), ScalingFactors())
-        assert deltas == GainDeltas(d_kp=-0.9, d_ki=0.0, d_kd=1.8)
-
-    def test_zero_input(self):
-        factors = ScalingFactors(ke=1.0, kec=1.0, kup=9.9, kui=0.1, kud=3.3)
-        assert scale_deltas((0.0, 0.0, 0.0), factors) == GainDeltas(0.0, 0.0, 0.0)
-
-    def test_identity_scaling(self):
-        factors = ScalingFactors(ke=1.0, kec=1.0, kup=1.0, kui=1.0, kud=1.0)
-        assert scale_deltas((6.0, -6.0, 6.0), factors) == GainDeltas(6.0, -6.0, 6.0)
-
-    def test_rejects_out_of_range_crisp_values(self):
-        with pytest.raises(ValueError):
-            scale_deltas((6.1, 0.0, 0.0), ScalingFactors())
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -268,6 +245,7 @@ class TestScaling:
             {"kup": -0.1},
             {"kui": math.nan},
             {"kud": -1e-9},
+            {"ke": math.nan},
         ],
     )
     def test_factor_validation(self, kwargs):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sprayflow.adaptive import FuzzyPidController, fuzzy_pid_step
-from sprayflow.adaptive import reset as reset_fuzzy
+from sprayflow.adaptive import FuzzyPidController, adapted_gains
 from sprayflow.fuzzy import ScalingFactors
 from sprayflow.harness import (
     PidConfig,
@@ -15,7 +14,7 @@ from sprayflow.harness import (
     peak_deviation,
     run_closed_loop,
 )
-from sprayflow.pid import PidGains, PidLimits, PidState, pid_step
+from sprayflow.pid import PidGains, PidLimits, pid_law
 from sprayflow.plant import (
     PIPELINE_TF,
     PLANT_INPUT,
@@ -47,8 +46,10 @@ def synthetic_trajectory(y_values, dt=1.0, r=None):
 
 
 def hand_stepped(scenario):
-    """The closed loop stepped with the public single-step functions.
+    """The closed loop stepped by hand with the per-layer functions.
 
+    The error rate is the backward difference of the error, zero on the
+    first step, and feeds both the derivative term and the gain update.
     Returns the u, y, kp, ki and kd columns as lists.
     """
     model = tf_to_ss(scenario.plant)
@@ -56,21 +57,23 @@ def hand_stepped(scenario):
     ctrl = scenario.controller
     fuzzy = isinstance(ctrl, FuzzyPidController)
     gains = ctrl.base if fuzzy else ctrl.gains
-    if fuzzy:
-        ctrl = reset_fuzzy(ctrl)
-    pid_state = PidState()
+    kp, ki, kd = gains.kp, gains.ki, gains.kd
+    integral = 0.0
+    e_prev = None
     state = initial_state(model, scenario.initial)
     _, y = apply_disturbances(0.0, state.y, dists, 0.0)
-    columns = [[0.0], [y], [gains.kp], [gains.ki], [gains.kd]]
+    columns = [[0.0], [y], [kp], [ki], [kd]]
     for k in range(1, scenario.steps + 1):
+        e = r - y
+        derivative = 0.0 if e_prev is None else (e - e_prev) / dt
+        e_prev = e
         if fuzzy:
-            u, gains, ctrl = fuzzy_pid_step(ctrl, r, y, dt)
-        else:
-            u, pid_state = pid_step(pid_state, gains, r - y, dt, ctrl.limits)
+            kp, ki, kd = adapted_gains(ctrl, e, derivative)
+        u, integral = pid_law(kp, ki, kd, e, derivative, integral, dt, ctrl.limits)
         u, _ = apply_disturbances(u, 0.0, dists, (k - 1) * dt)
         state = plant_step(model, state, u, dt)
         _, y = apply_disturbances(0.0, state.y, dists, k * dt)
-        for column, value in zip(columns, (u, y, gains.kp, gains.ki, gains.kd)):
+        for column, value in zip(columns, (u, y, kp, ki, kd)):
             column.append(value)
     return columns
 
@@ -112,6 +115,17 @@ class TestRunClosedLoop:
             assert np.array_equal(getattr(traj, name), column), name
         if isinstance(controller, PidConfig):
             assert np.any(traj.u == 0.015)
+
+    def test_first_step_derivative_is_zero(self):
+        # e starts at 5, so a derivative term on step 1 would add kd * 5 / dt.
+        gains = PidGains(0.002, 0.0, 1e-3)
+        scenario = SimScenario(
+            setpoint=5.0, duration=0.01, dt=1e-4, controller=PidConfig(gains=gains)
+        )
+        traj = run_closed_loop(scenario)
+        assert traj.u[1] == gains.kp * 5.0
+        e1 = 5.0 - traj.y[1]
+        assert traj.u[2] == gains.kp * e1 + gains.kd * (e1 - 5.0) / 1e-4
 
     def test_step_count_tolerance_is_relative(self):
         # 4999.8052 / 1e-4 is 49998051.99999999 in floating point; an absolute
@@ -213,6 +227,22 @@ class TestRunClosedLoop:
         assert traj.blown_up
         assert 0 < len(traj) < 201
         assert np.all(np.isfinite(traj.y))
+
+    def test_overflowing_error_rate_is_a_blow_up(self):
+        # A slowly growing oscillation: the output nears the float limit
+        # while the state is still finite, and the error rate overflows.
+        for controller in (
+            PidConfig(gains=PidGains(0.011, 0.0, 0.0)),
+            FuzzyPidController(
+                base=PidGains(0.011, 0.0, 0.0),
+                factors=ScalingFactors(ke=5.0, kec=0.8, kup=1e-4, kui=1e-3, kud=2e-6),
+            ),
+        ):
+            scenario = SimScenario(setpoint=5.0, duration=10.0, dt=0.01, controller=controller)
+            traj = run_closed_loop(scenario)
+            assert traj.blown_up
+            assert 0 < len(traj) < 1001
+            assert np.all(np.isfinite(traj.y))
 
     def test_scenario_validation(self):
         controller = PidConfig(gains=PidGains(0.001, 0.0, 0.0))
@@ -332,8 +362,7 @@ class TestCompareControllers:
                 base=gains, factors=ScalingFactors(ke=5.0, kec=0.8, kup=0.0, kui=0.0, kud=0.0)
             ),
         )
-        pid_metrics, fuzzy_metrics = result
-        assert pid_metrics == fuzzy_metrics
+        assert result.pid_metrics == result.fuzzy_metrics
         for column in COLUMNS:
             assert np.array_equal(
                 getattr(result.pid_trajectory, column),
