@@ -23,19 +23,16 @@ from .harness import (
     peak_deviation,
     run_closed_loop,
 )
-from .pid import NO_LIMITS, PidGains, PidLimits
+from .pid import PidGains
 from .plant import (
     PIPELINE_TF,
     PLANT_INPUT,
     PLANT_OUTPUT,
     Disturbance,
     NumericalBlowUp,
-    PlantState,
     StateSpaceModel,
     TransferFunction,
     apply_disturbances,
-    initial_state,
-    plant_step,
     tf_to_ss,
 )
 

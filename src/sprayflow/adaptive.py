@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fuzzy import DEFAULT_RULE_TABLE, RuleTable, ScalingFactors, infer, quantize
-from .pid import NO_LIMITS, PidGains, PidLimits
+from .fuzzy import DEFAULT_RULE_TABLE, RuleTable, ScalingFactors, infer_deltas, quantize
+from .pid import PidGains
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,6 @@ class FuzzyPidController:
     base: PidGains
     factors: ScalingFactors = ScalingFactors()
     table: RuleTable = DEFAULT_RULE_TABLE
-    limits: PidLimits = NO_LIMITS
 
 
 def adapted_gains(ctrl: FuzzyPidController, e: float, ec: float) -> tuple[float, float, float]:
@@ -31,7 +30,7 @@ def adapted_gains(ctrl: FuzzyPidController, e: float, ec: float) -> tuple[float,
     Base gains plus the scaled fuzzy deltas, each floored at zero.
     """
     f = ctrl.factors
-    dp, di, dd = infer(quantize(e, f.ke), quantize(ec, f.kec), ctrl.table.consequent_index)
+    dp, di, dd = infer_deltas(quantize(e, f.ke), quantize(ec, f.kec), ctrl.table)
     base = ctrl.base
     return (
         max(0.0, base.kp + f.kup * dp),

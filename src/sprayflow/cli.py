@@ -43,7 +43,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BLOWUP = 2
 
-_SCALAR_KEYS = (
+# Config-file keys, which are also the override flags, in --help order.
+CONFIG_KEYS = (
     "setpoint",
     "duration",
     "dt",
@@ -57,9 +58,13 @@ _SCALAR_KEYS = (
     "kud",
     "disturbance_time",
     "disturbance_magnitude",
+    "controller",
+    "plant_num",
+    "plant_den",
+    "disturbance_port",
+    "rules_file",
+    "output",
 )
-_STRING_KEYS = ("controller", "plant_num", "plant_den", "disturbance_port", "rules_file", "output")
-CONFIG_KEYS = frozenset(_SCALAR_KEYS + _STRING_KEYS)
 
 
 class ConfigError(ValueError):
@@ -92,8 +97,8 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 def read_trajectory_csv(path: str) -> Trajectory:
     """Read a trajectory CSV produced by write_trajectory_csv.
 
-    The file needs at least two data rows and a uniform, increasing time
-    axis; dt is taken from its end points.
+    The file needs at least two data rows of finite values and a uniform,
+    increasing time axis; dt is taken from its end points.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -111,6 +116,8 @@ def read_trajectory_csv(path: str) -> Trajectory:
     # loadtxt skips blank lines; count them as malformed rows.
     if data.shape != (len(lines) - 1, 8):
         raise ConfigError("trajectory rows must have 8 fields, with no blank lines")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError("trajectory values must be finite")
     t = data[:, 0]
     dt = float(t[-1] - t[0]) / (len(t) - 1)
     # Nine decimals round each t by up to 5e-10 and parsing adds half an ulp,
@@ -379,7 +386,7 @@ def cmd_metrics(csv_path: str) -> int:
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="path to a key = value config file")
-    for key in _SCALAR_KEYS + _STRING_KEYS:
+    for key in CONFIG_KEYS:
         flags = [f"--{key}"]
         if "_" in key:
             flags.append(f"--{key.replace('_', '-')}")

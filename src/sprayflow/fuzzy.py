@@ -105,7 +105,7 @@ class RuleTable:
     cells: tuple[tuple[Triple, ...], ...]
     suspect: frozenset[tuple[Label, Label]] = frozenset()
     # Per cell 7 * e + ec, the consequents as indices into the flat 3 x 7
-    # clip-height list that `infer` fills: (p, 7 + i, 14 + d).
+    # clip-height list that `infer_deltas` fills: (p, 7 + i, 14 + d).
     consequent_index: tuple[tuple[int, int, int], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -242,15 +242,21 @@ class ScalingFactors:
                 raise ValueError(f"{name} must be non-negative and finite, got {v!r}")
 
 
-def infer(
-    e_scaled: float, ec_scaled: float, consequent_index: tuple[tuple[int, int, int], ...]
+def infer_deltas(
+    e_scaled: float, ec_scaled: float, table: RuleTable = DEFAULT_RULE_TABLE
 ) -> tuple[float, float, float]:
-    """Inference kernel: crisp (dKp, dKi, dKd) for inputs already in [-6, 6].
+    """Crisp (dKp, dKi, dKd) universe values for scaled error and error rate.
 
-    Fires the (at most four) rules of the two active labels per input;
-    each output label is clipped at the largest strength of the rules
-    that name it.
+    Both inputs must already lie in [-6, 6]. Fires the (at most four)
+    rules of the two active labels per input; each output label is clipped
+    at the largest strength of the rules that name it. The partition of
+    unity guarantees at least one rule fires, so the centroid always
+    exists, and every result lies in [-6, 6].
     """
+    for x in (e_scaled, ec_scaled):
+        if not (UNIVERSE_MIN <= x <= UNIVERSE_MAX):
+            raise ValueError(f"universe value out of range [-6, 6]: {x!r}")
+    consequent_index = table.consequent_index
     i, w = locate(e_scaled)
     j, v = locate(ec_scaled)
     a, b = 1.0 - w, w
@@ -329,20 +335,3 @@ def _centroid(heights: list[float]) -> float:
                 moment -= (_CENTERS[k] - 0.5 * LABEL_SPACING) * overlap
         prev = h
     return moment / mass
-
-
-def infer_deltas(
-    e_scaled: float,
-    ec_scaled: float,
-    table: RuleTable | None = None,
-) -> tuple[float, float, float]:
-    """Crisp (dKp, dKi, dKd) universe values for scaled error and error rate.
-
-    Both inputs must already lie in [-6, 6]. The partition of unity
-    guarantees at least one rule fires, so the centroid always exists, and
-    every result lies in [-6, 6].
-    """
-    for x in (e_scaled, ec_scaled):
-        if not (UNIVERSE_MIN <= x <= UNIVERSE_MAX):
-            raise ValueError(f"universe value out of range [-6, 6]: {x!r}")
-    return infer(e_scaled, ec_scaled, (table or DEFAULT_RULE_TABLE).consequent_index)

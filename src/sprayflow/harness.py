@@ -1,9 +1,10 @@
 """Closed-loop scenario runner and step-response metrics.
 
 A scenario pairs one plant with one controller and a constant setpoint.
-Each step the controller acts on the measurement logged at the previous
-sample (no extra computational delay is modeled), disturbances are added
-at their ports, and the plant advances by one RK4 step. The logged u
+Every run starts from rest: zero plant state, zero integral. Each step
+the controller acts on the measurement logged at the previous sample (no
+extra computational delay is modeled), disturbances are added at their
+ports, and the plant advances by one RK4 step. The logged u
 column is the effective plant input and the y column the measured output,
 both including any active disturbances, so e = r - y holds row-wise.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adaptive import FuzzyPidController, adapted_gains
-from .pid import NO_LIMITS, PidGains, PidLimits, pid_law
+from .pid import PidGains, pid_law
 from .plant import (
     PIPELINE_TF,
     PLANT_INPUT,
@@ -30,7 +31,6 @@ from .plant import (
     NumericalBlowUp,
     TransferFunction,
     advance,
-    initial_state,
     rk4_zoh,
     tf_to_ss,
 )
@@ -43,7 +43,6 @@ class PidConfig:
     """Plain fixed-gain PID controller choice for a scenario."""
 
     gains: PidGains
-    limits: PidLimits = NO_LIMITS
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class SimScenario:
     controller: PidConfig | FuzzyPidController
     plant: TransferFunction = PIPELINE_TF
     disturbances: tuple[Disturbance, ...] = ()
-    initial: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.setpoint):
@@ -67,6 +65,10 @@ class SimScenario:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if self.duration / self.dt > MAX_STEPS:
             raise ValueError("duration/dt exceeds the sanity bound of 1e8 steps")
+        if self.steps < 1:
+            raise ValueError(
+                f"duration {self.duration!r} is shorter than one step of dt {self.dt!r}"
+            )
         if not isinstance(self.controller, (PidConfig, FuzzyPidController)):
             raise ValueError(f"unsupported controller {self.controller!r}")
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
@@ -139,8 +141,9 @@ def _activation_step(time: float, dt: float, n_rows: int) -> int:
 def run_closed_loop(scenario: SimScenario) -> Trajectory:
     """Simulate one scenario and return its trajectory.
 
-    Row 0 logs the initial condition before any control action (u = 0,
-    resting gains). If the plant state or output, or the fuzzy error rate,
+    Row 0 logs the plant at rest before any control action (u = 0,
+    resting gains), so y[0] is zero plus any output disturbance active at
+    t = 0. If the plant state or output, or the fuzzy error rate,
     leaves the finite range, the partial trajectory is returned with
     blown_up set.
     """
@@ -166,7 +169,6 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     fuzzy = isinstance(controller, FuzzyPidController)
     rest = controller.base if fuzzy else controller.gains
     kp, ki, kd = rest.kp, rest.ki, rest.kd
-    limits = controller.limits
 
     u_log = np.zeros(n_rows)
     y_log = np.zeros(n_rows)
@@ -175,9 +177,8 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     kd_log = np.zeros(n_rows)
     kp_log[:], ki_log[:], kd_log[:] = kp, ki, kd
 
-    state = initial_state(model, scenario.initial)
-    x = state.x.tolist()
-    y = state.y
+    x = [0.0] * model.order
+    y = 0.0
     for start, m in y_dists:
         if start == 0:
             y += m
@@ -203,7 +204,7 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
             kp_log[k] = kp
             ki_log[k] = ki
             kd_log[k] = kd
-        u, integral = pid_law(kp, ki, kd, e, derivative, integral, dt, limits)
+        u, integral = pid_law(kp, ki, kd, e, derivative, integral, dt)
         for start, m in u_dists:
             if k >= start:
                 u += m
@@ -310,7 +311,7 @@ def compare_controllers(
     pid_config: PidConfig,
     fuzzy_config: FuzzyPidController,
 ) -> ComparisonResult:
-    """Run both controllers on the same scenario from identical initial conditions."""
+    """Run both controllers on the same scenario, each from rest."""
     pid_traj = run_closed_loop(replace(scenario, controller=pid_config))
     fuzzy_traj = run_closed_loop(replace(scenario, controller=fuzzy_config))
     return ComparisonResult(

@@ -27,29 +27,6 @@ class PidGains:
                 raise ValueError(f"{name} must be non-negative and finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class PidLimits:
-    """Optional output and integral clamps, each a (min, max) pair or None."""
-
-    output: tuple[float, float] | None = None
-    integral: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("output", "integral"):
-            bounds = getattr(self, name)
-            if bounds is not None and not bounds[0] < bounds[1]:
-                raise ValueError(f"{name} clamp needs min < max, got {bounds!r}")
-
-
-NO_LIMITS = PidLimits()
-
-
-def _clamp(value: float, bounds: tuple[float, float] | None) -> float:
-    if bounds is None:
-        return value
-    return min(max(value, bounds[0]), bounds[1])
-
-
 def pid_law(
     kp: float,
     ki: float,
@@ -58,16 +35,9 @@ def pid_law(
     derivative: float,
     integral: float,
     dt: float,
-    limits: PidLimits,
 ) -> tuple[float, float]:
-    """The PID law on plain floats: control value and the new integral.
-
-    The integral is clamped before the output is, which keeps the
-    accumulator inside the anti-windup band no matter what the output
-    clamp does.
-    """
+    """The PID law on plain floats: control value and the new integral."""
     if not math.isfinite(e):
         raise ValueError(f"error must be finite, got {e!r}")
-    integral = _clamp(integral + e * dt, limits.integral)
-    u = _clamp(kp * e + ki * integral + kd * derivative, limits.output)
-    return u, integral
+    integral += e * dt
+    return kp * e + ki * integral + kd * derivative, integral

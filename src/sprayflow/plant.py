@@ -104,28 +104,6 @@ def tf_to_ss(tf: TransferFunction) -> StateSpaceModel:
     return StateSpaceModel(a=a, b=b, c=c)
 
 
-@dataclass(frozen=True, eq=False)
-class PlantState:
-    """State vector and the output that goes with it."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self) -> None:
-        self.x.setflags(write=False)
-
-
-def initial_state(model: StateSpaceModel, x0=None) -> PlantState:
-    """Plant state for a given initial vector (zero by default)."""
-    if x0 is None:
-        x = np.zeros(model.order)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        if x.shape != (model.order,):
-            raise ValueError(f"initial state must have length {model.order}")
-    return PlantState(x=x, y=float(model.c @ x))
-
-
 def rk4_zoh(model: StateSpaceModel, dt: float) -> tuple[tuple[float, ...], ...]:
     """One RK4 step under zero-order hold, as rows of plain floats.
 
@@ -166,12 +144,6 @@ def advance(
     if not math.isfinite(y):
         raise NumericalBlowUp(f"non-finite plant output after step with u={u!r}")
     return x_next, y
-
-
-def plant_step(model: StateSpaceModel, state: PlantState, u: float, dt: float) -> PlantState:
-    """One RK4 step with the input held constant (zero-order hold)."""
-    x, y = advance(rk4_zoh(model, dt), tuple(model.c.tolist()), state.x.tolist(), u)
-    return PlantState(x=np.array(x), y=y)
 
 
 @dataclass(frozen=True)

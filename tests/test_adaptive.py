@@ -6,7 +6,7 @@ import pytest
 from sprayflow.adaptive import FuzzyPidController, adapted_gains
 from sprayflow.fuzzy import ScalingFactors
 from sprayflow.harness import SimScenario, run_closed_loop
-from sprayflow.pid import NO_LIMITS, PidGains, pid_law
+from sprayflow.pid import PidGains, pid_law
 
 from _oracles import brute_force_deltas
 
@@ -39,7 +39,7 @@ class TestFuzzyPidStep:
         assert kd == 0.0
         assert 0.0 <= kp <= 1e-9
         assert 0.0 <= ki <= 1e-9
-        u, _ = pid_law(kp, ki, kd, 0.0, 0.0, 0.0, 0.1, NO_LIMITS)
+        u, _ = pid_law(kp, ki, kd, 0.0, 0.0, 0.0, 0.1)
         assert u == 0.0
 
     def test_zero_scaling_matches_plain_pid_bitwise(self):
@@ -99,7 +99,7 @@ class TestFuzzyPidStep:
                 ec = (e - e_prev) / 0.01
                 e_prev = e
                 kp, ki, kd = adapted_gains(ctrl, e, ec)
-                u, integral = pid_law(kp, ki, kd, e, ec, integral, 0.01, NO_LIMITS)
+                u, integral = pid_law(kp, ki, kd, e, ec, integral, 0.01)
                 y += 0.01 * u
                 gains.append((kp, ki, kd))
             return gains

@@ -49,6 +49,13 @@ class TestSimulate:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_step_scenario_rejected_without_output(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = run_cli(["simulate", "--dt", "1", "--duration", "0.5", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "shorter than one step" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -195,15 +202,18 @@ class TestMetricsCommand:
         path = tmp_path / "run.csv"
         assert run_cli(["simulate", "--duration", "0.01", "--output", str(path)]) == 0
         lines = path.read_text("ascii").splitlines()
-        fields = lines[50].split(",")
-        fields[0] = f"{float(fields[0]) + 1e-8:.9f}"  # well past the 9-decimal rounding
-        lines[50] = ",".join(fields)
-        path.write_text("\n".join(lines) + "\n", "ascii")
-        with pytest.raises(ConfigError):
-            read_trajectory_csv(str(path))
-        capsys.readouterr()
-        assert run_cli(["metrics", str(path)]) == 1
-        assert "not uniform" in capsys.readouterr().err
+        t = f"{float(lines[50].split(',')[0]) + 1e-8:.9f}"  # well past the 9-decimal rounding
+        # (column, value, message): a non-uniform t, and non-finite y and u.
+        for column, value, message in ((0, t, "not uniform"), (4, "nan", "finite"),
+                                       (3, "inf", "finite")):
+            fields = lines[50].split(",")
+            fields[column] = value
+            path.write_text("\n".join(lines[:50] + [",".join(fields)] + lines[51:]) + "\n", "ascii")
+            with pytest.raises(ConfigError):
+                read_trajectory_csv(str(path))
+            capsys.readouterr()
+            assert run_cli(["metrics", str(path)]) == 1
+            assert message in capsys.readouterr().err
 
 
 class TestConfigFile:

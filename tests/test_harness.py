@@ -14,16 +14,16 @@ from sprayflow.harness import (
     peak_deviation,
     run_closed_loop,
 )
-from sprayflow.pid import PidGains, PidLimits, pid_law
+from sprayflow.pid import PidGains, pid_law
 from sprayflow.plant import (
     PIPELINE_TF,
     PLANT_INPUT,
     PLANT_OUTPUT,
     Disturbance,
     TransferFunction,
+    advance,
     apply_disturbances,
-    initial_state,
-    plant_step,
+    rk4_zoh,
     tf_to_ss,
 )
 
@@ -54,14 +54,16 @@ def hand_stepped(scenario):
     """
     model = tf_to_ss(scenario.plant)
     dt, r, dists = scenario.dt, scenario.setpoint, scenario.disturbances
+    rows = rk4_zoh(model, dt)
+    c = tuple(model.c.tolist())
     ctrl = scenario.controller
     fuzzy = isinstance(ctrl, FuzzyPidController)
     gains = ctrl.base if fuzzy else ctrl.gains
     kp, ki, kd = gains.kp, gains.ki, gains.kd
     integral = 0.0
     e_prev = None
-    state = initial_state(model, scenario.initial)
-    _, y = apply_disturbances(0.0, state.y, dists, 0.0)
+    x = [0.0] * model.order
+    _, y = apply_disturbances(0.0, 0.0, dists, 0.0)
     columns = [[0.0], [y], [kp], [ki], [kd]]
     for k in range(1, scenario.steps + 1):
         e = r - y
@@ -69,10 +71,10 @@ def hand_stepped(scenario):
         e_prev = e
         if fuzzy:
             kp, ki, kd = adapted_gains(ctrl, e, derivative)
-        u, integral = pid_law(kp, ki, kd, e, derivative, integral, dt, ctrl.limits)
+        u, integral = pid_law(kp, ki, kd, e, derivative, integral, dt)
         u, _ = apply_disturbances(u, 0.0, dists, (k - 1) * dt)
-        state = plant_step(model, state, u, dt)
-        _, y = apply_disturbances(0.0, state.y, dists, k * dt)
+        x, y = advance(rows, c, x, u)
+        _, y = apply_disturbances(0.0, y, dists, k * dt)
         for column, value in zip(columns, (u, y, kp, ki, kd)):
             column.append(value)
     return columns
@@ -83,13 +85,8 @@ class TestRunClosedLoop:
         "controller, disturbances",
         [
             (
-                PidConfig(
-                    gains=PidGains(0.0045, 0.05, 5e-6),
-                    # e starts at 5, so the integral (5e-4 a step) reaches its
-                    # clamp within three steps and u its upper clamp at once.
-                    limits=PidLimits(output=(-0.01, 0.015), integral=(-1e-3, 1e-3)),
-                ),
-                (),
+                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
+                (Disturbance(time=0.0, magnitude=0.5, port=PLANT_OUTPUT),),
             ),
             (
                 FuzzyPidController(
@@ -102,7 +99,7 @@ class TestRunClosedLoop:
                 ),
             ),
         ],
-        ids=["pid-limits", "fuzzy-disturbances"],
+        ids=["pid-output-disturbance", "fuzzy-disturbances"],
     )
     def test_equals_hand_stepping_bitwise(self, controller, disturbances):
         scenario = SimScenario(
@@ -113,8 +110,6 @@ class TestRunClosedLoop:
         want = hand_stepped(scenario)
         for name, column in zip(("u", "y", "kp", "ki", "kd"), want):
             assert np.array_equal(getattr(traj, name), column), name
-        if isinstance(controller, PidConfig):
-            assert np.any(traj.u == 0.015)
 
     def test_first_step_derivative_is_zero(self):
         # e starts at 5, so a derivative term on step 1 would add kd * 5 / dt.
@@ -178,15 +173,18 @@ class TestRunClosedLoop:
         assert np.array_equal(traj.e, traj.r - traj.y)
 
     def test_row_zero_logs_initial_condition(self):
+        # Every run starts from rest; an output disturbance active at t = 0
+        # is already in the first measurement, and step 1 acts on it.
         scenario = SimScenario(
             setpoint=5.0, duration=0.01, dt=1e-4,
             controller=PidConfig(gains=PidGains(0.002, 0.0, 0.0)),
-            initial=(1.0 / 11880000.0, 0.0),
+            disturbances=(Disturbance(time=0.0, magnitude=1.0, port=PLANT_OUTPUT),),
         )
         traj = run_closed_loop(scenario)
         assert traj.u[0] == 0.0
-        assert traj.y[0] == pytest.approx(1.0, rel=1e-12)
+        assert traj.y[0] == 1.0
         assert traj.kp[0] == 0.002
+        assert traj.u[1] == 0.002 * 4.0
 
     def test_p_only_loop_matches_second_order_formulas(self):
         zeta = 0.5
@@ -254,6 +252,8 @@ class TestRunClosedLoop:
             SimScenario(setpoint=math.nan, duration=1.0, dt=1e-4, controller=controller)
         with pytest.raises(ValueError):
             SimScenario(setpoint=1.0, duration=1e6, dt=1e-4, controller=controller)
+        with pytest.raises(ValueError, match="shorter than one step"):
+            SimScenario(setpoint=1.0, duration=0.5, dt=1.0, controller=controller)
         with pytest.raises(ValueError):
             SimScenario(setpoint=1.0, duration=1.0, dt=1e-4, controller="bang-bang")
 

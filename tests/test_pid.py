@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sprayflow.pid import NO_LIMITS, PidGains, PidLimits, pid_law
+from sprayflow.pid import PidGains, pid_law
 
 error_lists = st.lists(
     st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=30
 )
 
 
-def run_sequence(errors, gains, dt=0.1, limits=NO_LIMITS):
+def run_sequence(errors, gains, dt=0.1):
     """Step pid_law over an error sequence the way the closed loop does:
     backward-difference derivative, zero on the first step.
 
@@ -21,16 +21,14 @@ def run_sequence(errors, gains, dt=0.1, limits=NO_LIMITS):
     outputs = []
     for k, e in enumerate(errors):
         derivative = 0.0 if k == 0 else (e - errors[k - 1]) / dt
-        u, integral = pid_law(
-            gains.kp, gains.ki, gains.kd, e, derivative, integral, dt, limits
-        )
+        u, integral = pid_law(gains.kp, gains.ki, gains.kd, e, derivative, integral, dt)
         outputs.append(u)
     return outputs, integral
 
 
 class TestPidStep:
     def test_pure_proportional(self):
-        u, integral = pid_law(1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.1, NO_LIMITS)
+        u, integral = pid_law(1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.1)
         assert u == 2.0
         assert integral == pytest.approx(0.2, rel=1e-12)
 
@@ -45,29 +43,7 @@ class TestPidStep:
 
     def test_rejects_non_finite_error(self):
         with pytest.raises(ValueError):
-            pid_law(1.0, 0.0, 0.0, math.nan, 0.0, 0.0, 0.1, NO_LIMITS)
-
-    def test_output_clamp(self):
-        limits = PidLimits(output=(-1.0, 1.0))
-        u, _ = pid_law(10.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.1, limits)
-        assert u == 1.0
-
-    def test_integral_clamp_bounds_accumulator(self):
-        limits = PidLimits(integral=(-0.5, 0.5))
-        integral = 0.0
-        for _ in range(100):
-            _, integral = pid_law(0.0, 1.0, 0.0, 10.0, 0.0, integral, 0.1, limits)
-            assert -0.5 <= integral <= 0.5
-        assert integral == 0.5
-
-    @given(errors=error_lists)
-    @settings(max_examples=100, deadline=None)
-    def test_anti_windup_property(self, errors):
-        limits = PidLimits(integral=(-1.0, 1.0), output=(-5.0, 5.0))
-        integral = 0.0
-        for e in errors:
-            _, integral = pid_law(1.0, 2.0, 0.5, e, 0.0, integral, 0.1, limits)
-            assert -1.0 <= integral <= 1.0
+            pid_law(1.0, 0.0, 0.0, math.nan, 0.0, 0.0, 0.1)
 
     @given(errors=error_lists, scale=st.floats(min_value=-10.0, max_value=10.0))
     @settings(max_examples=100, deadline=None)
@@ -103,9 +79,3 @@ class TestValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             PidGains(**base)
-
-    def test_limit_ordering(self):
-        with pytest.raises(ValueError):
-            PidLimits(output=(1.0, -1.0))
-        with pytest.raises(ValueError):
-            PidLimits(integral=(0.0, 0.0))

