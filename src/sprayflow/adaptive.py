@@ -20,7 +20,7 @@ class FuzzyPidController:
     """Configuration of the composite controller."""
 
     base: PidGains
-    factors: ScalingFactors = ScalingFactors()
+    factors: ScalingFactors
     table: RuleTable = DEFAULT_RULE_TABLE
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .harness import (
     run_closed_loop,
 )
 from .pid import PidGains
-from .plant import PIPELINE_TF, PLANT_INPUT, PLANT_OUTPUT, Disturbance, TransferFunction
+from .plant import PIPELINE_TF, PLANT_INPUT, Disturbance, TransferFunction
 
 CSV_HEADER = "t,r,e,u,y,kp,ki,kd"
 
@@ -176,22 +175,6 @@ def _parse_coefficients(key: str, text: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, p) for p in parts)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Fully resolved configuration for the simulate and compare commands."""
-
-    setpoint: float
-    duration: float
-    dt: float
-    controller: str
-    gains: PidGains
-    factors: ScalingFactors
-    table: RuleTable
-    plant: TransferFunction
-    disturbances: tuple[Disturbance, ...]
-    output: str
-
-
 _DEFAULTS: dict[str, str] = {
     "setpoint": repr(presets.DEFAULT_SETPOINT),
     "duration": repr(presets.DEFAULT_DURATION),
@@ -211,8 +194,15 @@ _DEFAULTS: dict[str, str] = {
 }
 
 
-def resolve_config(file_values: dict[str, str], overrides: dict[str, str]) -> ScenarioConfig:
-    """Merge defaults, config-file values and flag overrides into one config."""
+def resolve_config(
+    file_values: dict[str, str], overrides: dict[str, str]
+) -> tuple[SimScenario, FuzzyPidController, str]:
+    """Merge defaults, config-file values and flag overrides.
+
+    Returns the scenario, the fuzzy-PID controller and the output path.
+    The `controller` key picks the scenario's controller: fixed-gain PID
+    on the base gains, or that fuzzy-PID controller.
+    """
     merged = dict(_DEFAULTS)
     merged.update(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
@@ -220,6 +210,11 @@ def resolve_config(file_values: dict[str, str], overrides: dict[str, str]) -> Sc
     controller = merged["controller"]
     if controller not in ("pid", "fuzzy-pid"):
         raise ConfigError(f"controller must be 'pid' or 'fuzzy-pid', got {controller!r}")
+    disturbed = "disturbance_time" in merged
+    if disturbed != ("disturbance_magnitude" in merged):
+        raise ConfigError("disturbance_time and disturbance_magnitude must be given together")
+    if "disturbance_port" in merged and not disturbed:
+        raise ConfigError("disturbance_port given without disturbance_time/magnitude")
 
     try:
         gains = PidGains(
@@ -227,54 +222,44 @@ def resolve_config(file_values: dict[str, str], overrides: dict[str, str]) -> Sc
             ki=_parse_float("ki", merged["ki"]),
             kd=_parse_float("kd", merged["kd"]),
         )
-        factors = ScalingFactors(
-            ke=_parse_float("ke", merged["ke"]),
-            kec=_parse_float("kec", merged["kec"]),
-            kup=_parse_float("kup", merged["kup"]),
-            kui=_parse_float("kui", merged["kui"]),
-            kud=_parse_float("kud", merged["kud"]),
+        fuzzy = FuzzyPidController(
+            base=gains,
+            factors=ScalingFactors(
+                ke=_parse_float("ke", merged["ke"]),
+                kec=_parse_float("kec", merged["kec"]),
+                kup=_parse_float("kup", merged["kup"]),
+                kui=_parse_float("kui", merged["kui"]),
+                kud=_parse_float("kud", merged["kud"]),
+            ),
+            table=_load_rules(merged.get("rules_file")),
         )
-        plant = TransferFunction(
-            num=_parse_coefficients("plant_num", merged["plant_num"]),
-            den=_parse_coefficients("plant_den", merged["plant_den"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    disturbances: tuple[Disturbance, ...] = ()
-    if "disturbance_time" in merged or "disturbance_magnitude" in merged:
-        if not ("disturbance_time" in merged and "disturbance_magnitude" in merged):
-            raise ConfigError("disturbance_time and disturbance_magnitude must be given together")
-        port = merged.get("disturbance_port", PLANT_INPUT)
-        if port not in (PLANT_INPUT, PLANT_OUTPUT):
-            raise ConfigError(f"disturbance_port must be {PLANT_INPUT!r} or {PLANT_OUTPUT!r}")
-        try:
+        disturbances = ()
+        if disturbed:
             disturbances = (
                 Disturbance(
                     time=_parse_float("disturbance_time", merged["disturbance_time"]),
                     magnitude=_parse_float(
                         "disturbance_magnitude", merged["disturbance_magnitude"]
                     ),
-                    port=port,
+                    port=merged.get("disturbance_port", PLANT_INPUT),
                 ),
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    elif "disturbance_port" in merged:
-        raise ConfigError("disturbance_port given without disturbance_time/magnitude")
-
-    return ScenarioConfig(
-        setpoint=_parse_float("setpoint", merged["setpoint"]),
-        duration=_parse_float("duration", merged["duration"]),
-        dt=_parse_float("dt", merged["dt"]),
-        controller=controller,
-        gains=gains,
-        factors=factors,
-        table=_load_rules(merged.get("rules_file")),
-        plant=plant,
-        disturbances=disturbances,
-        output=merged["output"],
-    )
+        scenario = SimScenario(
+            setpoint=_parse_float("setpoint", merged["setpoint"]),
+            duration=_parse_float("duration", merged["duration"]),
+            dt=_parse_float("dt", merged["dt"]),
+            controller=PidConfig(gains=gains) if controller == "pid" else fuzzy,
+            plant=TransferFunction(
+                num=_parse_coefficients("plant_num", merged["plant_num"]),
+                den=_parse_coefficients("plant_den", merged["plant_den"]),
+            ),
+            disturbances=disturbances,
+        )
+    except ValueError as exc:
+        # ConfigError is a ValueError, so the parse and rules-file messages
+        # pass through unchanged.
+        raise ConfigError(str(exc)) from None
+    return scenario, fuzzy, merged["output"]
 
 
 def _load_rules(path: str | None) -> RuleTable:
@@ -287,28 +272,6 @@ def _load_rules(path: str | None) -> RuleTable:
         raise ConfigError(f"cannot read rules file: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad rules file: {exc}") from None
-
-
-def _scenario(config: ScenarioConfig, controller) -> SimScenario:
-    try:
-        return SimScenario(
-            setpoint=config.setpoint,
-            duration=config.duration,
-            dt=config.dt,
-            controller=controller,
-            plant=config.plant,
-            disturbances=config.disturbances,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _pid_config(config: ScenarioConfig) -> PidConfig:
-    return PidConfig(gains=config.gains)
-
-
-def _fuzzy_config(config: ScenarioConfig) -> FuzzyPidController:
-    return FuzzyPidController(base=config.gains, factors=config.factors, table=config.table)
 
 
 _METRIC_ROWS = (
@@ -333,11 +296,10 @@ def print_metrics(metrics: StepMetrics, out=None) -> None:
     out.write(f"{'settled':<16}{'yes' if metrics.settled else 'no'}\n")
 
 
-def cmd_simulate(config: ScenarioConfig) -> int:
-    controller = _pid_config(config) if config.controller == "pid" else _fuzzy_config(config)
-    traj = run_closed_loop(_scenario(config, controller))
+def cmd_simulate(scenario: SimScenario, output: str) -> int:
+    traj = run_closed_loop(scenario)
     try:
-        write_trajectory_csv(traj, config.output)
+        write_trajectory_csv(traj, output)
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from exc
     if traj.blown_up:
@@ -347,11 +309,8 @@ def cmd_simulate(config: ScenarioConfig) -> int:
     return EXIT_OK
 
 
-def cmd_compare(config: ScenarioConfig) -> int:
-    pid_config = _pid_config(config)
-    result = compare_controllers(
-        _scenario(config, pid_config), pid_config, _fuzzy_config(config)
-    )
+def cmd_compare(scenario: SimScenario, fuzzy: FuzzyPidController) -> int:
+    result = compare_controllers(scenario, PidConfig(gains=fuzzy.base), fuzzy)
     trajectories = (result.pid_trajectory, result.fuzzy_trajectory)
     for name, traj in zip(("pid", "fuzzy-pid"), trajectories):
         if traj.blown_up:
@@ -366,8 +325,8 @@ def cmd_compare(config: ScenarioConfig) -> int:
         out.write(f"{label:<16}{cells[0]:<20}{cells[1]:<20}\n")
     flags = ["yes" if m.settled else "no" for m in metrics]
     out.write(f"{'settled':<16}{flags[0]:<20}{flags[1]:<20}\n")
-    if config.disturbances:
-        t0 = min(d.time for d in config.disturbances)
+    if scenario.disturbances:
+        t0 = min(d.time for d in scenario.disturbances)
         cells = [_fmt9(peak_deviation(traj, t0)) for traj in trajectories]
         out.write(f"{'peak deviation':<16}{cells[0]:<20}{cells[1]:<20}\n")
     return EXIT_OK
@@ -423,10 +382,10 @@ def main(argv=None) -> int:
             return cmd_metrics(args.csv_path)
         file_values = load_config_file(args.config) if args.config else {}
         overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
-        config = resolve_config(file_values, overrides)
+        scenario, fuzzy, output = resolve_config(file_values, overrides)
         if args.command == "simulate":
-            return cmd_simulate(config)
-        return cmd_compare(config)
+            return cmd_simulate(scenario, output)
+        return cmd_compare(scenario, fuzzy)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -221,15 +221,16 @@ class ScalingFactors:
     """Quantization factors for the inputs and scale factors for the outputs.
 
     ke and kec map error and error rate into the universe; kup, kui and kud
-    map defuzzified universe values into engineering gain deltas. This is
+    map defuzzified universe values into engineering gain deltas. All five
+    are required; the shipped ones are `presets.DEFAULT_FACTORS`. This is
     the one place the factors are validated; `quantize` relies on it.
     """
 
-    ke: float = 5.0
-    kec: float = 0.8
-    kup: float = 0.45
-    kui: float = 0.45
-    kud: float = 0.45
+    ke: float
+    kec: float
+    kup: float
+    kui: float
+    kud: float
 
     def __post_init__(self) -> None:
         for name in ("ke", "kec"):

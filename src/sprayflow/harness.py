@@ -35,7 +35,8 @@ from .plant import (
     tf_to_ss,
 )
 
-MAX_STEPS = 10**8
+# A run logs 8 float64 columns per step, so 1e7 steps hold about 640 MB.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,9 @@ class SimScenario:
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if self.duration / self.dt > MAX_STEPS:
-            raise ValueError("duration/dt exceeds the sanity bound of 1e8 steps")
+            raise ValueError(
+                "duration/dt exceeds the bound of 1e7 steps (about 640 MB of logged columns)"
+            )
         if self.steps < 1:
             raise ValueError(
                 f"duration {self.duration!r} is shorter than one step of dt {self.dt!r}"
@@ -125,19 +128,6 @@ class StepMetrics:
     settled: bool
 
 
-def _activation_step(time: float, dt: float, n_rows: int) -> int:
-    """First step k with k * dt >= time (the apply_disturbances test), or
-    n_rows when no logged step qualifies."""
-    if not time <= (n_rows - 1) * dt:
-        return n_rows
-    k = int(time / dt)
-    while k > 0 and (k - 1) * dt >= time:
-        k -= 1
-    while k * dt < time:
-        k += 1
-    return k
-
-
 def run_closed_loop(scenario: SimScenario) -> Trajectory:
     """Simulate one scenario and return its trajectory.
 
@@ -153,13 +143,15 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     r = float(scenario.setpoint)
     rows = rk4_zoh(model, dt)
     c = tuple(model.c.tolist())
+    t = np.arange(n_rows) * dt
     # (first step, magnitude) per port, in declaration order. An input
-    # disturbance acts on step k when t_prev = (k-1) * dt reaches its time,
-    # an output one when t = k * dt does.
+    # disturbance acts on step k when t_prev = t[k-1] reaches its time,
+    # an output one when t[k] does. The first k with t[k] >= time (the
+    # apply_disturbances test) is n_rows when no logged step qualifies.
     u_dists = []
     y_dists = []
     for d in scenario.disturbances:
-        start = _activation_step(d.time, dt, n_rows)
+        start = int(np.searchsorted(t, d.time))
         if d.port == PLANT_INPUT:
             u_dists.append((start + 1, d.magnitude))
         else:
@@ -223,7 +215,7 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     sl = slice(0, n_logged)
     y_out = y_log[sl]
     return Trajectory(
-        t=np.arange(n_logged) * dt,
+        t=t[:n_logged],
         r=np.full(n_logged, r),
         e=r - y_out,
         u=u_log[sl],

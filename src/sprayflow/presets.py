@@ -5,7 +5,8 @@ damping ratio near 0.55 with mild integral action); they are this
 package's defaults, not identified constants. The output scale factors
 are sized so the largest fuzzy correction moves each gain by roughly a
 third of its base value, keeping the adaptation inside the loop's stable
-range; the input quantization factors are the library defaults.
+range. DEFAULT_FACTORS is the one home of the shipped scaling factors;
+ScalingFactors itself has no defaults.
 """
 from __future__ import annotations
 

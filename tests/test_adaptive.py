@@ -11,11 +11,12 @@ from sprayflow.pid import PidGains, pid_law
 from _oracles import brute_force_deltas
 
 BASE = PidGains(kp=1.0, ki=0.5, kd=1.0)
+# Output scale factors of 0.45 keep the deltas on the scale of BASE.
+FACTORS = dict(ke=5.0, kec=0.8, kup=0.45, kui=0.45, kud=0.45)
 
 
 def make_controller(**factor_overrides):
-    factors = ScalingFactors(**factor_overrides) if factor_overrides else ScalingFactors()
-    return FuzzyPidController(base=BASE, factors=factors)
+    return FuzzyPidController(base=BASE, factors=ScalingFactors(**{**FACTORS, **factor_overrides}))
 
 
 class TestFuzzyPidStep:
@@ -34,7 +35,7 @@ class TestFuzzyPidStep:
         # With zero base gains negative deltas are floored away; at the rest
         # cell the dKd consequent is firmly negative, so kd lands exactly at
         # the floor, and the others stay at centroid-noise level above zero.
-        ctrl = FuzzyPidController(base=PidGains(0.0, 0.0, 0.0))
+        ctrl = FuzzyPidController(base=PidGains(0.0, 0.0, 0.0), factors=ScalingFactors(**FACTORS))
         kp, ki, kd = adapted_gains(ctrl, 0.0, 0.0)
         assert kd == 0.0
         assert 0.0 <= kp <= 1e-9

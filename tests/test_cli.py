@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from sprayflow import presets
 from sprayflow.cli import (
     _CSV_CHUNK_ROWS,
     CSV_HEADER,
@@ -17,7 +18,8 @@ from sprayflow.cli import (
     write_trajectory_csv,
 )
 from sprayflow.fuzzy import DEFAULT_RULE_TABLE, RuleTable
-from sprayflow.harness import Trajectory
+from sprayflow.harness import PidConfig, Trajectory
+from sprayflow.pid import PidGains
 
 ROW_PATTERN = re.compile(r"^-?\d+\.\d{9}(,-?\d+\.\d{9}){7}$")
 
@@ -256,6 +258,14 @@ class TestConfigFile:
     def test_disturbance_needs_both_fields(self, capsys):
         assert run_cli(["compare", "--disturbance-time", "0.5"]) == 1
 
+    def test_bad_disturbance_port(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = run_cli(["simulate", "--disturbance-port", "bogus", "--disturbance-time", "1",
+                        "--disturbance-magnitude", "1", "--output", str(out)])
+        assert code == 1
+        assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rules_file_override(self, tmp_path, capsys):
         # Rewrite the (E=PB, EC=ZO) cell, which fires on the first step of a
         # setpoint step, so the override must change the fuzzy run.
@@ -273,11 +283,16 @@ class TestConfigFile:
         assert out_a.read_bytes() != out_b.read_bytes()
 
     def test_resolve_defaults(self):
-        config = resolve_config({}, {})
-        assert config.controller == "pid"
-        assert config.setpoint == 5.0
-        assert config.plant.num == (43956.0,)
-        assert config.plant.den == (0.0037, 1.0, 0.0)
+        scenario, fuzzy, output = resolve_config({}, {})
+        assert scenario.controller == PidConfig(gains=PidGains(0.0045, 0.05, 5e-6))
+        assert (scenario.setpoint, scenario.duration, scenario.dt) == (5.0, 0.5, 1e-4)
+        assert scenario.plant.num == (43956.0,)
+        assert scenario.plant.den == (0.0037, 1.0, 0.0)
+        assert scenario.disturbances == ()
+        assert fuzzy == presets.default_fuzzy_controller()
+        assert output == "trajectory.csv"
+        fuzzy_scenario, _, _ = resolve_config({}, {"controller": "fuzzy-pid"})
+        assert fuzzy_scenario.controller == fuzzy
 
 
 class TestTrajectoryCsvIO:

@@ -249,5 +249,7 @@ class TestScaling:
         ],
     )
     def test_factor_validation(self, kwargs):
+        valid = dict(ke=5.0, kec=0.8, kup=0.45, kui=0.45, kud=0.45)
+        ScalingFactors(**valid)
         with pytest.raises(ValueError):
-            ScalingFactors(**kwargs)
+            ScalingFactors(**{**valid, **kwargs})

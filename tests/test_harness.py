@@ -6,6 +6,7 @@ import pytest
 from sprayflow.adaptive import FuzzyPidController, adapted_gains
 from sprayflow.fuzzy import ScalingFactors
 from sprayflow.harness import (
+    MAX_STEPS,
     PidConfig,
     SimScenario,
     Trajectory,
@@ -98,8 +99,36 @@ class TestRunClosedLoop:
                     Disturbance(time=0.0301, magnitude=-0.3, port=PLANT_OUTPUT),
                 ),
             ),
+            # 0.0003 / 1e-4 is 2.9999999999999996, yet 3 * 1e-4 >= 0.0003:
+            # step 3 is the first at or after the activation time.
+            (
+                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
+                (Disturbance(time=0.0003, magnitude=2e-3, port=PLANT_INPUT),),
+            ),
+            # 13 * 1e-4 / 1e-4 is 13.000000000000002, yet step 13 is at that
+            # time; rounding the quotient up would start one step late.
+            (
+                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
+                (Disturbance(time=13 * 1e-4, magnitude=2e-3, port=PLANT_INPUT),),
+            ),
+            # 0.05 is exactly the last sample time (500 * 1e-4).
+            (
+                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
+                (Disturbance(time=0.05, magnitude=0.3, port=PLANT_OUTPUT),),
+            ),
+            (
+                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
+                (Disturbance(time=0.06, magnitude=0.3, port=PLANT_INPUT),),
+            ),
         ],
-        ids=["pid-output-disturbance", "fuzzy-disturbances"],
+        ids=[
+            "pid-output-disturbance",
+            "fuzzy-disturbances",
+            "input-disturbance-rounded-time",
+            "input-disturbance-quotient-above-step",
+            "output-disturbance-at-last-sample",
+            "disturbance-after-end",
+        ],
     )
     def test_equals_hand_stepping_bitwise(self, controller, disturbances):
         scenario = SimScenario(
@@ -123,18 +152,29 @@ class TestRunClosedLoop:
         assert traj.u[2] == gains.kp * e1 + gains.kd * (e1 - 5.0) / 1e-4
 
     def test_step_count_tolerance_is_relative(self):
-        # 4999.8052 / 1e-4 is 49998051.99999999 in floating point; an absolute
+        # 999.9001 / 1e-4 is 9999000.999999998 in floating point; an absolute
         # epsilon below one ulp there would lose the last step.
         scenario = SimScenario(
-            setpoint=1.0, duration=4999.8052, dt=1e-4,
+            setpoint=1.0, duration=999.9001, dt=1e-4,
             controller=PidConfig(gains=PidGains(0.001, 0.0, 0.0)),
         )
-        assert scenario.steps == 49998052
+        assert scenario.steps == 9999001
+
+    def test_step_count_bound(self):
+        # Constructed only, never run: a run at the bound logs about 640 MB.
+        controller = PidConfig(gains=PidGains(0.001, 0.0, 0.0))
+        at_bound = SimScenario(setpoint=1.0, duration=1e7, dt=1.0, controller=controller)
+        assert at_bound.steps == MAX_STEPS == 10**7
+        with pytest.raises(ValueError, match="bound of 1e7 steps"):
+            SimScenario(setpoint=1.0, duration=1e7 + 1, dt=1.0, controller=controller)
 
     def test_zero_setpoint_zero_state_stays_zero(self):
         for controller in (
             PidConfig(gains=PidGains(0.01, 0.1, 1e-5)),
-            FuzzyPidController(base=PidGains(0.01, 0.1, 1e-5)),
+            FuzzyPidController(
+                base=PidGains(0.01, 0.1, 1e-5),
+                factors=ScalingFactors(ke=5.0, kec=0.8, kup=0.45, kui=0.45, kud=0.45),
+            ),
         ):
             scenario = SimScenario(setpoint=0.0, duration=0.01, dt=1e-4, controller=controller)
             traj = run_closed_loop(scenario)
