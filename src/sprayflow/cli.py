@@ -259,6 +259,15 @@ def resolve_config(
         # ConfigError is a ValueError, so the parse and rules-file messages
         # pass through unchanged.
         raise ConfigError(str(exc)) from None
+    # The library accepts a disturbance after the end, which never acts;
+    # here it is a mistake, and compare would find no samples to measure.
+    last_time = scenario.steps * scenario.dt
+    for d in disturbances:
+        if d.time > last_time:
+            raise ConfigError(
+                f"disturbance_time {d.time!r} is later than the last sample time "
+                f"{last_time!r} of the run"
+            )
     return scenario, fuzzy, merged["output"]
 
 

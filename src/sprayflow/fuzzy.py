@@ -15,6 +15,23 @@ neighbours, min(h_k, h_k+1, t, 1 - t). Each of these sampled shapes is a
 constant run plus an arithmetic ramp, whose sum and first moment over the
 grid points are finite series with closed forms.
 
+Two observations keep that work small. First, the four rules that can
+fire are fixed by the anchor cell (i, j) of the two located labels, so
+the rule table precomputes a firing plan per anchor cell and output: the
+labels those rules name, in ascending order, each with the rules naming
+it, its center, the midpoint to its left neighbour, its edge step and
+whether its left neighbour is named too. Second, every closed-form term
+(a clipped triangle's mass, its edge moment, the tent overlap clipped at
+g) depends only on the clip height, and every clip height (and every g,
+the smaller of two) is one of the four firing strengths. So `_terms` runs
+once per distinct positive strength, and each output adds the terms of
+its labels in ascending label order. A label's clip height is still the
+largest strength among the rules naming it, and labels that no rule
+names, or that only zero-strength rules name, still add nothing. So each
+output performs the same floating-point operations on the same operands,
+in the same order, as a centroid that walks all seven labels of a
+clip-height list, and the result is bit-identical to it.
+
 Everything here is immutable after construction; all operations are pure
 functions and safe to call concurrently.
 """
@@ -31,6 +48,7 @@ UNIVERSE_MAX = 6.0
 LABEL_SPACING = 2.0
 # Defuzzification grid intervals per label spacing (grid step 0.01).
 GRID_INTERVALS = 200
+_STEP = LABEL_SPACING / GRID_INTERVALS
 
 
 class Label(IntEnum):
@@ -51,6 +69,10 @@ class Label(IntEnum):
 
 
 Triple = tuple[Label, Label, Label]
+# One label of a firing plan: (rules naming it, center, midpoint to the left
+# neighbour, edge step or 0, left neighbour also named).
+PlanEntry = tuple[tuple[int, ...], float, float, float, bool]
+
 
 def quantize(crisp: float, factor: float) -> float:
     """Scale a physical error (or error rate) into the universe.
@@ -104,9 +126,10 @@ class RuleTable:
 
     cells: tuple[tuple[Triple, ...], ...]
     suspect: frozenset[tuple[Label, Label]] = frozenset()
-    # Per cell 7 * e + ec, the consequents as indices into the flat 3 x 7
-    # clip-height list that `infer_deltas` fills: (p, 7 + i, 14 + d).
-    consequent_index: tuple[tuple[int, int, int], ...] = field(
+    # Per anchor cell (i, j), at index 6 * i + j, the (dKp, dKi, dKd) firing
+    # plans of the rules (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1),
+    # numbered 0 to 3 in that order; see `_firing_plan`.
+    plans: tuple[tuple[tuple[PlanEntry, ...], ...], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -120,10 +143,13 @@ class RuleTable:
         for e, ec in self.suspect:
             if not (isinstance(e, Label) and isinstance(ec, Label)):
                 raise ValueError(f"invalid suspect cell key ({e!r}, {ec!r})")
-        index = tuple(
-            (int(p), 7 + int(i), 14 + int(d)) for row in self.cells for p, i, d in row
-        )
-        object.__setattr__(self, "consequent_index", index)
+        cells = self.cells
+        plans = []
+        for i in range(6):
+            for j in range(6):
+                fired = (cells[i][j], cells[i][j + 1], cells[i + 1][j], cells[i + 1][j + 1])
+                plans.append(tuple(_firing_plan([rule[out] for rule in fired]) for out in range(3)))
+        object.__setattr__(self, "plans", tuple(plans))
 
     def lookup(self, e_label: Label, ec_label: Label) -> Triple:
         """The (dKp, dKi, dKd) consequent for one rule; pure lookup."""
@@ -187,6 +213,29 @@ class RuleTable:
     def load(cls, path) -> "RuleTable":
         with open(path, "r", encoding="ascii") as fh:
             return cls.parse(fh.read())
+
+
+def _firing_plan(consequents: list[Label]) -> tuple[PlanEntry, ...]:
+    """The labels that four fired rules name for one output, in ascending order.
+
+    consequents[n] is the label rule n names. Each entry carries what the
+    closed-form centroid needs of its label: the rules whose strongest
+    firing sets its clip height, its center, the midpoint to its left
+    neighbour (where their overlap's moment sits), the grid step towards
+    the inside for the edge labels NB and PB (0 for the others) and
+    whether the left neighbour is named too, so that the two overlap.
+    """
+    labels = sorted(set(consequents))
+    return tuple(
+        (
+            tuple(n for n, named in enumerate(consequents) if named is label),
+            label.center,
+            label.center - 0.5 * LABEL_SPACING,
+            _STEP if label is Label.NB else -_STEP if label is Label.PB else 0.0,
+            k > 0 and labels[k - 1] == label - 1,
+        )
+        for k, label in enumerate(labels)
+    )
 
 
 def _parse_label(token: str) -> Label:
@@ -257,24 +306,47 @@ def infer_deltas(
     for x in (e_scaled, ec_scaled):
         if not (UNIVERSE_MIN <= x <= UNIVERSE_MAX):
             raise ValueError(f"universe value out of range [-6, 6]: {x!r}")
-    consequent_index = table.consequent_index
     i, w = locate(e_scaled)
     j, v = locate(ec_scaled)
     a, b = 1.0 - w, w
     c, d = 1.0 - v, v
-    cell = 7 * i + j
-    heights = [0.0] * 21
-    for rule, strength in (
-        (cell, a if a < c else c),
-        (cell + 1, a if a < d else d),
-        (cell + 7, b if b < c else c),
-        (cell + 8, b if b < d else d),
-    ):
-        if strength > 0.0:
-            for k in consequent_index[rule]:
-                if strength > heights[k]:
-                    heights[k] = strength
-    return _centroid(heights[0:7]), _centroid(heights[7:14]), _centroid(heights[14:21])
+    strengths = (a if a < c else c, a if a < d else d, b if b < c else c, b if b < d else d)
+    # Every clip height is one of these. At most three of them differ: the
+    # smaller degree of either input is at most 0.5 and the larger at
+    # least 0.5, so the rule pairing the two smaller degrees fires as
+    # strongly as one of the two rules pairing a smaller with a larger.
+    terms = {}
+    for h in strengths:
+        if h > 0.0 and h not in terms:
+            terms[h] = _terms(h)
+    deltas = []
+    for plan in table.plans[6 * i + j]:
+        mass = 0.0
+        moment = 0.0
+        prev = 0.0
+        for rules, center, midpoint, step, adjacent in plan:
+            h = 0.0
+            for rule in rules:
+                if strengths[rule] > h:
+                    h = strengths[rule]
+            if h > 0.0:
+                side, full, side_moment, overlap = terms[h]
+                if step:
+                    # Cut at the universe edge: only the inner side remains.
+                    mass += side
+                    moment += center * side + step * side_moment
+                else:
+                    mass += full
+                    moment += center * full
+                if adjacent and prev > 0.0:
+                    # The overlap is clipped at the lower of the two heights.
+                    if prev < h:
+                        overlap = terms[prev][3]
+                    mass -= overlap
+                    moment -= midpoint * overlap
+            prev = h
+        deltas.append(moment / mass)
+    return tuple(deltas)
 
 
 # Closed-form sums over the grid, for one label spacing of N = GRID_INTERVALS
@@ -284,8 +356,6 @@ def infer_deltas(
 # for j = 1 .. q. Indexed by q (ramp) or p (plateau):
 _N = GRID_INTERVALS
 _HALF = GRID_INTERVALS // 2
-_STEP = LABEL_SPACING / GRID_INTERVALS
-_CENTERS = tuple(UNIVERSE_MIN + LABEL_SPACING * k for k in range(7))
 # sum of j/N over j = 1 .. q
 _RAMP_SUM = tuple((q * (q + 1) // 2) / _N for q in range(_N + 1))
 # sum of m * (1 - m/N) over the ramp offsets m = N-q .. N-1
@@ -300,39 +370,25 @@ _PLATEAU_MOMENT = tuple(p * (p - 1) // 2 for p in range(_N + 1))
 _TENT_SUM = tuple(2.0 * (r * (r + 1) // 2) / _N for r in range(_HALF))
 
 
-def _centroid(heights: list[float]) -> float:
-    """Discrete centroid of the max-aggregate of seven clipped triangles.
+def _terms(h: float) -> tuple[float, float, float, float]:
+    """Closed-form grid sums of one clip height h in (0, 1].
 
-    Equal, up to rounding, to sum(x * agg(x)) / sum(agg(x)) over the grid
-    x = -6 + m * 0.01, m = 0 .. 1200: the clipped triangles are summed in
-    closed form and, for each pair of nonzero neighbours, their pointwise
-    minimum min(h_k, h_k+1, t, 1 - t) is subtracted.
+    Returns (side, full, side_moment, overlap): the mass of a triangle
+    clipped at h on one side of its center, center point included; the
+    mass of both sides, which share the center point; the first moment of
+    one side about the center, in grid steps; and the mass of the tent
+    min(t, 1 - t) between two neighbours clipped at g = h.
     """
-    mass = 0.0
-    moment = 0.0
-    prev = 0.0
-    for k, h in enumerate(heights):
-        if h > 0.0:
-            p = int(_N - _N * h) + 1
-            if p > _N:
-                p = _N
-            side = p * h + _RAMP_SUM[_N - p]
-            if k == 0 or k == 6:
-                # Cut at the universe edge: only the inner side remains.
-                side_moment = h * _PLATEAU_MOMENT[p] + _RAMP_MOMENT[_N - p]
-                mass += side
-                moment += _CENTERS[k] * side + (_STEP if k == 0 else -_STEP) * side_moment
-            else:
-                full = side + side - h  # both sides share the center point
-                mass += full
-                moment += _CENTERS[k] * full
-            if prev > 0.0:
-                g = prev if prev < h else h
-                r = int(_N * g)
-                if r > _HALF - 1:
-                    r = _HALF - 1
-                overlap = _TENT_SUM[r] + 2 * (_HALF - 1 - r) * g + (g if g < 0.5 else 0.5)
-                mass -= overlap
-                moment -= (_CENTERS[k] - 0.5 * LABEL_SPACING) * overlap
-        prev = h
-    return moment / mass
+    p = int(_N - _N * h) + 1
+    if p > _N:
+        p = _N
+    side = p * h + _RAMP_SUM[_N - p]
+    r = int(_N * h)
+    if r > _HALF - 1:
+        r = _HALF - 1
+    return (
+        side,
+        side + side - h,
+        h * _PLATEAU_MOMENT[p] + _RAMP_MOMENT[_N - p],
+        _TENT_SUM[r] + 2 * (_HALF - 1 - r) * h + (h if h < 0.5 else 0.5),
+    )

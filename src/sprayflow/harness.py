@@ -117,6 +117,14 @@ class StepMetrics:
     y_final is the last sample; the settled flag reports whether the final
     5% of samples stayed within 1% of it. Percentage-based figures are None
     when y_final is zero.
+
+    Every figure covers the whole run as one step response. With a
+    disturbance the peak and overshoot can come from the disturbance
+    phase, and settling_time is the last exit from the 2% band, which is
+    then the re-settling after the disturbance. On the shipped disturbance
+    scenario PID reports 0.5796 s and fuzzy-PID 0.5797 s, while the
+    setpoint step alone settles at 0.1176 s and 0.1432 s. Per-phase
+    figures are an open item of ROADMAP.md.
     """
 
     y_max: float
@@ -234,7 +242,8 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
     The steady value is the last sample; overshoot is the first global
     maximum's excess over it, the settling time the earliest time after
     which every sample stays inside a 2% band, and the rise time the gap
-    between the first 10% and 90% crossings.
+    between the first 10% and 90% crossings. All of them span the whole
+    run, disturbances included (see StepMetrics).
     """
     y = traj.y
     t = traj.t

@@ -64,6 +64,84 @@ def brute_force_deltas(e_scaled, ec_scaled, cells, grid_step=0.001):
     return tuple(float(np.sum(grid * agg) / np.sum(agg)) for agg in aggregates)
 
 
+# The closed-form inference as it stood before firing plans, kept verbatim as
+# the bitwise reference for `fuzzy.infer_deltas`: index fuzzification, at
+# most four fired rules, a 21-entry clip-height list and one closed-form
+# centroid per output over all seven labels.
+_N = 200
+_HALF = _N // 2
+_STEP = 2.0 / _N
+_CENTERS = tuple(-6.0 + 2.0 * k for k in range(7))
+_RAMP_SUM = tuple((q * (q + 1) // 2) / _N for q in range(_N + 1))
+_RAMP_MOMENT = tuple(
+    q * (q + 1) // 2 - (q * (q + 1) * (2 * q + 1) // 6) / _N for q in range(_N + 1)
+)
+_PLATEAU_MOMENT = tuple(p * (p - 1) // 2 for p in range(_N + 1))
+_TENT_SUM = tuple(2.0 * (r * (r + 1) // 2) / _N for r in range(_HALF))
+
+
+def _locate(x):
+    s = (x + 6.0) / 2.0
+    i = min(int(s), 5)
+    return i, s - i
+
+
+def reference_deltas(e_scaled, ec_scaled, cells):
+    """Crisp (dKp, dKi, dKd) of the inference that firing plans replaced.
+
+    cells[e][ec] must yield (dKp, dKi, dKd) label indices (the package's
+    Label enum qualifies); both inputs must lie in [-6, 6].
+    """
+    i, w = _locate(e_scaled)
+    j, v = _locate(ec_scaled)
+    a, b = 1.0 - w, w
+    c, d = 1.0 - v, v
+    heights = [0.0] * 21
+    for (ie, iec), strength in (
+        ((i, j), a if a < c else c),
+        ((i, j + 1), a if a < d else d),
+        ((i + 1, j), b if b < c else c),
+        ((i + 1, j + 1), b if b < d else d),
+    ):
+        if strength > 0.0:
+            p, ii, dd = cells[ie][iec]
+            for k in (int(p), 7 + int(ii), 14 + int(dd)):
+                if strength > heights[k]:
+                    heights[k] = strength
+    return _centroid(heights[0:7]), _centroid(heights[7:14]), _centroid(heights[14:21])
+
+
+def _centroid(heights):
+    mass = 0.0
+    moment = 0.0
+    prev = 0.0
+    for k, h in enumerate(heights):
+        if h > 0.0:
+            p = int(_N - _N * h) + 1
+            if p > _N:
+                p = _N
+            side = p * h + _RAMP_SUM[_N - p]
+            if k == 0 or k == 6:
+                # Cut at the universe edge: only the inner side remains.
+                side_moment = h * _PLATEAU_MOMENT[p] + _RAMP_MOMENT[_N - p]
+                mass += side
+                moment += _CENTERS[k] * side + (_STEP if k == 0 else -_STEP) * side_moment
+            else:
+                full = side + side - h  # both sides share the center point
+                mass += full
+                moment += _CENTERS[k] * full
+            if prev > 0.0:
+                g = prev if prev < h else h
+                r = int(_N * g)
+                if r > _HALF - 1:
+                    r = _HALF - 1
+                overlap = _TENT_SUM[r] + 2 * (_HALF - 1 - r) * g + (g if g < 0.5 else 0.5)
+                mass -= overlap
+                moment -= (_CENTERS[k] - 0.5 * 2.0) * overlap
+        prev = h
+    return moment / mass
+
+
 def exact_zoh_discretization(a, b, dt):
     """Exact zero-order-hold discretization via the augmented matrix exponential."""
     n = a.shape[0]

@@ -80,6 +80,15 @@ class TestSimulate:
     def test_unknown_flag_is_config_error(self, capsys):
         assert run_cli(["simulate", "--warp-speed", "9"]) == 1
 
+    def test_disturbance_after_end_rejected_without_output(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = run_cli(["simulate", "--disturbance-time", "5", "--disturbance-magnitude",
+                        "0.001", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "disturbance_time 5.0" in err and "last sample time 0.5" in err
+
 
 class TestCompare:
     def test_zero_scaling_gives_identical_columns(self, capsys):
@@ -108,6 +117,14 @@ class TestCompare:
         assert code == 0
         out = capsys.readouterr().out
         assert any(line.startswith("peak deviation") for line in out.splitlines())
+
+    def test_disturbance_after_end_rejected(self, capsys):
+        code = run_cli(["compare", "--disturbance-time", "5", "--disturbance-magnitude", "0.001"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "disturbance_time 5.0" in captured.err
+        assert "last sample time 0.5" in captured.err
 
     def test_no_disturbance_no_peak_row(self, capsys):
         assert run_cli(["compare", "--duration", "0.05"]) == 0

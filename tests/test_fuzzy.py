@@ -15,7 +15,12 @@ from sprayflow.fuzzy import (
     quantize,
 )
 
-from _oracles import GOLDEN_RULE_ROWS_BY_EC, GOLDEN_SUSPECT_CELLS, brute_force_deltas
+from _oracles import (
+    GOLDEN_RULE_ROWS_BY_EC,
+    GOLDEN_SUSPECT_CELLS,
+    brute_force_deltas,
+    reference_deltas,
+)
 
 SUSPECT_CELLS = {(Label[e], Label[ec]) for e, ec in GOLDEN_SUSPECT_CELLS}
 
@@ -30,6 +35,36 @@ CLOSED_FORM_TOL = 1e-12
 # saturation), segment midpoints and quarters, so firing strengths and clip
 # heights of exactly 0, 0.25, 0.5, 0.75 and 1.
 QUARTER_LATTICE = [-6.0 + 0.25 * k for k in range(49)]
+# Steps of 1/32 on [-6, 6], so firing strengths on multiples of 1/64, and
+# every 23rd of its points: 23 is prime to 64, so those points still take
+# 17 different degrees.
+FINE_LATTICE = [-6.0 + k / 32 for k in range(385)]
+FINE_SPARSE = FINE_LATTICE[::23]
+
+
+def rewritten_suspects_table():
+    """The default rule table with (NM, NS) dKd NB -> PB and (NS, PM) dKi PS -> NS."""
+    cells = [list(row) for row in DEFAULT_RULE_TABLE.cells]
+    p, i, _ = cells[Label.NM][Label.NS]
+    cells[Label.NM][Label.NS] = (p, i, Label.PB)
+    p, _, d = cells[Label.NS][Label.PM]
+    cells[Label.NS][Label.PM] = (p, Label.NS, d)
+    return RuleTable(cells=tuple(tuple(row) for row in cells))
+
+
+def random_table(seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 7, size=(7, 7, 3))
+    return RuleTable(
+        cells=tuple(tuple(tuple(Label(int(k)) for k in cell) for cell in row) for row in labels)
+    )
+
+
+TABLES = {
+    "default": DEFAULT_RULE_TABLE,
+    "suspects-rewritten": rewritten_suspects_table(),
+    "random": random_table(20240601),
+}
 
 
 def assert_equals_grid_centroid(e_scaled, ec_scaled):
@@ -233,6 +268,29 @@ class TestInference:
             infer_deltas(6.5, 0.0)
         with pytest.raises(ValueError):
             infer_deltas(0.0, -7.0)
+
+
+@pytest.mark.parametrize("table", TABLES.values(), ids=TABLES.keys())
+class TestBitwiseReference:
+    """Firing plans and per-strength terms reproduce the closed-form
+    inference they replaced exactly, not to a tolerance."""
+
+    def test_quarter_lattice(self, table):
+        for e in QUARTER_LATTICE:
+            for ec in QUARTER_LATTICE:
+                assert infer_deltas(e, ec, table) == reference_deltas(e, ec, table.cells), (e, ec)
+
+    def test_fine_lattice(self, table):
+        for fine in FINE_LATTICE:
+            for sparse in FINE_SPARSE:
+                for e, ec in ((fine, sparse), (sparse, fine)):
+                    got = infer_deltas(e, ec, table)
+                    assert got == reference_deltas(e, ec, table.cells), (e, ec)
+
+    @given(e=st.floats(min_value=-6.0, max_value=6.0), ec=st.floats(min_value=-6.0, max_value=6.0))
+    @settings(max_examples=300, deadline=None)
+    def test_random_points(self, table, e, ec):
+        assert infer_deltas(e, ec, table) == reference_deltas(e, ec, table.cells)
 
 
 class TestScaling:

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sprayflow import adaptive, presets
 from sprayflow.adaptive import FuzzyPidController, adapted_gains
-from sprayflow.fuzzy import ScalingFactors
+from sprayflow.fuzzy import DEFAULT_RULE_TABLE, Label, RuleTable, ScalingFactors
 from sprayflow.harness import (
     MAX_STEPS,
     PidConfig,
@@ -28,7 +30,12 @@ from sprayflow.plant import (
     tf_to_ss,
 )
 
-from _oracles import p_gain_for_damping, second_order_overshoot_pct, second_order_peak_time
+from _oracles import (
+    p_gain_for_damping,
+    reference_deltas,
+    second_order_overshoot_pct,
+    second_order_peak_time,
+)
 
 COLUMNS = ("t", "r", "e", "u", "y", "kp", "ki", "kd")
 
@@ -44,6 +51,28 @@ def synthetic_trajectory(y_values, dt=1.0, r=None):
         t=t, r=r_col, e=r_col - y, u=zeros.copy(), y=y,
         kp=zeros.copy(), ki=zeros.copy(), kd=zeros.copy(), dt=dt,
     )
+
+
+def rewritten_suspects_table():
+    """The default rule table with (NM, NS) dKd NB -> PB and (NS, PM) dKi PS -> NS."""
+    cells = [list(row) for row in DEFAULT_RULE_TABLE.cells]
+    p, i, _ = cells[Label.NM][Label.NS]
+    cells[Label.NM][Label.NS] = (p, i, Label.PB)
+    p, _, d = cells[Label.NS][Label.PM]
+    cells[Label.NS][Label.PM] = (p, Label.NS, d)
+    return RuleTable(cells=tuple(tuple(row) for row in cells))
+
+
+_FUZZY = presets.default_fuzzy_controller()
+# The shipped fuzzy-PID runs, and the step with both suspect cells
+# rewritten; the step fires (NS, PM) in hundreds of steps.
+FUZZY_RUNS = {
+    "step": presets.default_scenario(_FUZZY),
+    "disturbance": presets.disturbance_scenario(_FUZZY),
+    "suspects-rewritten": presets.default_scenario(
+        replace(_FUZZY, table=rewritten_suspects_table())
+    ),
+}
 
 
 def hand_stepped(scenario):
@@ -139,6 +168,23 @@ class TestRunClosedLoop:
         want = hand_stepped(scenario)
         for name, column in zip(("u", "y", "kp", "ki", "kd"), want):
             assert np.array_equal(getattr(traj, name), column), name
+
+    @pytest.mark.parametrize("scenario", FUZZY_RUNS.values(), ids=FUZZY_RUNS.keys())
+    def test_equals_reference_inference_bitwise(self, scenario, monkeypatch):
+        traj = run_closed_loop(scenario)
+        monkeypatch.setattr(
+            adaptive, "infer_deltas",
+            lambda e, ec, table: reference_deltas(e, ec, table.cells),
+        )
+        want = run_closed_loop(scenario)
+        for column in COLUMNS:
+            assert np.array_equal(getattr(traj, column), getattr(want, column)), column
+
+    def test_rewritten_suspect_cells_change_the_step(self):
+        # So the non-default case above runs different plans.
+        default = run_closed_loop(FUZZY_RUNS["step"])
+        rewritten = run_closed_loop(FUZZY_RUNS["suspects-rewritten"])
+        assert not np.array_equal(default.ki, rewritten.ki)
 
     def test_first_step_derivative_is_zero(self):
         # e starts at 5, so a derivative term on step 1 would add kd * 5 / dt.
