@@ -8,7 +8,6 @@ from .fuzzy import (
     Label,
     RuleTable,
     ScalingFactors,
-    fuzzify,
     infer_deltas,
     quantize,
 )
@@ -32,7 +31,6 @@ from .plant import (
     NumericalBlowUp,
     StateSpaceModel,
     TransferFunction,
-    apply_disturbances,
     tf_to_ss,
 )
 

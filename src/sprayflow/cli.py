@@ -133,7 +133,6 @@ def read_trajectory_csv(path: str) -> Trajectory:
         kp=data[:, 5],
         ki=data[:, 6],
         kd=data[:, 7],
-        dt=dt,
     )
 
 
@@ -259,15 +258,6 @@ def resolve_config(
         # ConfigError is a ValueError, so the parse and rules-file messages
         # pass through unchanged.
         raise ConfigError(str(exc)) from None
-    # The library accepts a disturbance after the end, which never acts;
-    # here it is a mistake, and compare would find no samples to measure.
-    last_time = scenario.steps * scenario.dt
-    for d in disturbances:
-        if d.time > last_time:
-            raise ConfigError(
-                f"disturbance_time {d.time!r} is later than the last sample time "
-                f"{last_time!r} of the run"
-            )
     return scenario, fuzzy, merged["output"]
 
 
@@ -298,8 +288,8 @@ def _metric_cell(metrics: StepMetrics, attr: str) -> str:
     return "undefined" if value is None else _fmt9(value)
 
 
-def print_metrics(metrics: StepMetrics, out=None) -> None:
-    out = sys.stdout if out is None else out
+def print_metrics(metrics: StepMetrics) -> None:
+    out = sys.stdout
     for label, attr in _METRIC_ROWS:
         out.write(f"{label:<16}{_metric_cell(metrics, attr)}\n")
     out.write(f"{'settled':<16}{'yes' if metrics.settled else 'no'}\n")

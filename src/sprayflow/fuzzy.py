@@ -41,8 +41,6 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-import numpy as np
-
 UNIVERSE_MIN = -6.0
 UNIVERSE_MAX = 6.0
 LABEL_SPACING = 2.0
@@ -97,23 +95,6 @@ def locate(x: float) -> tuple[int, float]:
     return i, s - i
 
 
-def fuzzify(x: float) -> np.ndarray:
-    """Membership degrees of a universe value over all seven labels.
-
-    Returns a length-7 vector ordered like Label. The family is a
-    partition of unity on [-6, 6], so the degrees sum to 1 and at most
-    two of them are nonzero. Values outside the universe are rejected;
-    quantize first.
-    """
-    if not (UNIVERSE_MIN <= x <= UNIVERSE_MAX):
-        raise ValueError(f"universe value out of range [-6, 6]: {x!r}")
-    i, w = locate(x)
-    degrees = np.zeros(7)
-    degrees[i] = 1.0 - w
-    degrees[i + 1] = w
-    return degrees
-
-
 @dataclass(frozen=True)
 class RuleTable:
     """49 gain-correction rules indexed by (error label, error-rate label).
@@ -151,13 +132,6 @@ class RuleTable:
                 plans.append(tuple(_firing_plan([rule[out] for rule in fired]) for out in range(3)))
         object.__setattr__(self, "plans", tuple(plans))
 
-    def lookup(self, e_label: Label, ec_label: Label) -> Triple:
-        """The (dKp, dKi, dKd) consequent for one rule; pure lookup."""
-        return self.cells[e_label][ec_label]
-
-    def is_suspect(self, e_label: Label, ec_label: Label) -> bool:
-        return (e_label, ec_label) in self.suspect
-
     def dump(self) -> str:
         """Serialize in the override-file format.
 
@@ -171,7 +145,7 @@ class RuleTable:
             for e in Label:
                 p, i, d = self.cells[e][ec]
                 cell = f"{p.name}/{i.name}/{d.name}"
-                if self.is_suspect(e, ec):
+                if (e, ec) in self.suspect:
                     cell += "?"
                 entries.append(cell)
             lines.append(",".join(entries))

@@ -48,7 +48,14 @@ class PidConfig:
 
 @dataclass(frozen=True)
 class SimScenario:
-    """Everything a closed-loop run needs."""
+    """Everything a closed-loop run needs.
+
+    Every disturbance must act within the run. With sample times
+    t[k] = k * dt, an input disturbance acts on step k once t[k-1] reaches
+    its time and an output one once t[k] does, so a plant-input time may
+    be at most the second-to-last sample time (steps - 1) * dt and a
+    plant-output time at most the last, steps * dt.
+    """
 
     setpoint: float
     duration: float
@@ -75,6 +82,13 @@ class SimScenario:
         if not isinstance(self.controller, (PidConfig, FuzzyPidController)):
             raise ValueError(f"unsupported controller {self.controller!r}")
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
+        for d in self.disturbances:
+            limit = (self.steps - 1 if d.port == PLANT_INPUT else self.steps) * self.dt
+            if d.time > limit:
+                raise ValueError(
+                    f"{d.port} disturbance at time {d.time!r} never acts: "
+                    f"this run allows {d.port} times up to {limit!r}"
+                )
 
     @property
     def steps(self) -> int:
@@ -95,7 +109,6 @@ class Trajectory:
     kp: np.ndarray
     ki: np.ndarray
     kd: np.ndarray
-    dt: float
     blown_up: bool = False
 
     def __post_init__(self) -> None:
@@ -154,8 +167,7 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     t = np.arange(n_rows) * dt
     # (first step, magnitude) per port, in declaration order. An input
     # disturbance acts on step k when t_prev = t[k-1] reaches its time,
-    # an output one when t[k] does. The first k with t[k] >= time (the
-    # apply_disturbances test) is n_rows when no logged step qualifies.
+    # an output one when t[k] does.
     u_dists = []
     y_dists = []
     for d in scenario.disturbances:
@@ -231,7 +243,6 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
         kp=kp_log[sl],
         ki=ki_log[sl],
         kd=kd_log[sl],
-        dt=dt,
         blown_up=blown_up,
     )
 

@@ -162,20 +162,3 @@ class Disturbance:
         if self.port not in (PLANT_INPUT, PLANT_OUTPUT):
             raise ValueError(f"unknown disturbance port {self.port!r}")
 
-
-def apply_disturbances(
-    u_nominal: float,
-    y_nominal: float,
-    disturbances: tuple[Disturbance, ...],
-    t: float,
-) -> tuple[float, float]:
-    """Add every active disturbance to its port; activation is inclusive."""
-    u_eff = u_nominal
-    y_eff = y_nominal
-    for dist in disturbances:
-        if t >= dist.time:
-            if dist.port == PLANT_INPUT:
-                u_eff += dist.magnitude
-            else:
-                y_eff += dist.magnitude
-    return u_eff, y_eff

@@ -142,6 +142,19 @@ def _centroid(heights):
     return moment / mass
 
 
+def apply_disturbances(u_nominal, y_nominal, disturbances, t):
+    """Add every active disturbance to its port; activation is inclusive."""
+    u_eff = u_nominal
+    y_eff = y_nominal
+    for dist in disturbances:
+        if t >= dist.time:
+            if dist.port == "plant-input":
+                u_eff += dist.magnitude
+            else:
+                y_eff += dist.magnitude
+    return u_eff, y_eff
+
+
 def exact_zoh_discretization(a, b, dt):
     """Exact zero-order-hold discretization via the augmented matrix exponential."""
     n = a.shape[0]

@@ -12,7 +12,7 @@ import numpy as np
 import sprayflow as sf
 from sprayflow import presets
 from sprayflow.cli import main as cli_main
-from sprayflow.fuzzy import DEFAULT_RULE_TABLE, Label, fuzzify, infer_deltas
+from sprayflow.fuzzy import DEFAULT_RULE_TABLE, Label, infer_deltas
 from sprayflow.harness import (
     PidConfig,
     SimScenario,
@@ -33,6 +33,7 @@ from _oracles import (
     second_order_overshoot_pct,
     second_order_peak_time,
 )
+from test_fuzzy import degrees
 
 TRAJECTORY_COLUMNS = ("t", "r", "e", "u", "y", "kp", "ki", "kd")
 
@@ -55,7 +56,7 @@ def _synthetic(y_values):
     r = np.full(n, y[-1])
     return sf.Trajectory(
         t=np.arange(n, dtype=float), r=r, e=r - y, u=zeros.copy(), y=y,
-        kp=zeros.copy(), ki=zeros.copy(), kd=zeros.copy(), dt=1.0,
+        kp=zeros.copy(), ki=zeros.copy(), kd=zeros.copy(),
     )
 
 
@@ -78,7 +79,7 @@ def test_criterion_02_rule_table_fidelity():
     for ec_idx, row in enumerate(GOLDEN_RULE_ROWS_BY_EC):
         for e_idx, cell in enumerate(row):
             expected = tuple(Label[name] for name in cell.split(","))
-            got = DEFAULT_RULE_TABLE.lookup(Label(e_idx), Label(ec_idx))
+            got = DEFAULT_RULE_TABLE.cells[e_idx][ec_idx]
             if got != expected:
                 mismatches.append((Label(e_idx).name, Label(ec_idx).name))
     suspect = {(e.name, ec.name) for e, ec in DEFAULT_RULE_TABLE.suspect}
@@ -94,7 +95,7 @@ def test_criterion_02_rule_table_fidelity():
 def test_criterion_03_partition_of_unity():
     worst = 0.0
     for x in np.linspace(-6.0, 6.0, 12001):
-        worst = max(worst, abs(fuzzify(float(x)).sum() - 1.0))
+        worst = max(worst, abs(degrees(float(x)).sum() - 1.0))
     _verdict(3, "partition of unity", worst <= 1e-9, f"worst |sum-1| = {worst:.3e}")
 
 

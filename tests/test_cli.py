@@ -81,13 +81,30 @@ class TestSimulate:
         assert run_cli(["simulate", "--warp-speed", "9"]) == 1
 
     def test_disturbance_after_end_rejected_without_output(self, tmp_path, capsys):
+        # An input disturbance acts on the step after its time is reached, so
+        # one at the last sample time of the default 0.5 s run never acts.
         out = tmp_path / "never.csv"
-        code = run_cli(["simulate", "--disturbance-time", "5", "--disturbance-magnitude",
-                        "0.001", "--output", str(out)])
-        assert code == 1
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "disturbance_time 5.0" in err and "last sample time 0.5" in err
+        for time in ("5", "0.5"):
+            code = run_cli(["simulate", "--disturbance-time", time, "--disturbance-magnitude",
+                            "0.001", "--output", str(out)])
+            assert code == 1
+            assert not out.exists()
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"time {float(time)!r} never acts" in captured.err
+            assert "up to 0.4999" in captured.err
+
+    def test_output_disturbance_at_last_sample_moves_last_row(self, tmp_path, capsys):
+        plain = tmp_path / "plain.csv"
+        disturbed = tmp_path / "disturbed.csv"
+        assert run_cli(["simulate", "--output", str(plain)]) == 0
+        assert run_cli(["simulate", "--disturbance-time", "0.5", "--disturbance-magnitude",
+                        "0.001", "--disturbance-port", "plant-output",
+                        "--output", str(disturbed)]) == 0
+        a = read_trajectory_csv(str(plain))
+        b = read_trajectory_csv(str(disturbed))
+        assert np.array_equal(a.y[:-1], b.y[:-1])
+        assert b.y[-1] - a.y[-1] == pytest.approx(0.001, abs=1e-9)
 
 
 class TestCompare:
@@ -119,12 +136,27 @@ class TestCompare:
         assert any(line.startswith("peak deviation") for line in out.splitlines())
 
     def test_disturbance_after_end_rejected(self, capsys):
-        code = run_cli(["compare", "--disturbance-time", "5", "--disturbance-magnitude", "0.001"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "disturbance_time 5.0" in captured.err
-        assert "last sample time 0.5" in captured.err
+        for time in ("5", "0.5"):
+            code = run_cli(["compare", "--disturbance-time", time,
+                            "--disturbance-magnitude", "0.001"])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"time {float(time)!r} never acts" in captured.err
+            assert "up to 0.4999" in captured.err
+
+    def test_output_disturbance_at_last_sample_moves_final_value(self, capsys):
+        def final_values(args):
+            assert run_cli(["compare"] + args) == 0
+            out = capsys.readouterr().out
+            row = next(line for line in out.splitlines() if line.startswith("final value"))
+            return [float(v) for v in row[16:].split()]
+
+        plain = final_values([])
+        disturbed = final_values(["--disturbance-time", "0.5", "--disturbance-magnitude",
+                                  "0.001", "--disturbance-port", "plant-output"])
+        for a, b in zip(plain, disturbed):
+            assert b - a == pytest.approx(0.001, abs=2e-9)
 
     def test_no_disturbance_no_peak_row(self, capsys):
         assert run_cli(["compare", "--duration", "0.05"]) == 0
@@ -327,7 +359,6 @@ class TestTrajectoryCsvIO:
         again = read_trajectory_csv(str(path))
         assert np.allclose(again.y, traj.y, atol=5e-10)
         assert np.allclose(again.t, traj.t, atol=5e-10)
-        assert again.dt == pytest.approx(traj.dt, abs=1e-9)
 
     def test_writer_bytes_equal_per_value_format(self, tmp_path):
         # Negative zero, negatives, values above 1e4 and below 1e-9 in size,
@@ -336,7 +367,7 @@ class TestTrajectoryCsvIO:
                            -2.5e-9, 98765.4321, -7.0000000004, 0.1234567895])
         n = _CSV_CHUNK_ROWS + 3
         columns = [np.resize(np.roll(values, shift), n) for shift in range(8)]
-        traj = Trajectory(*columns, dt=1.0)
+        traj = Trajectory(*columns)
         path = tmp_path / "w.csv"
         write_trajectory_csv(traj, str(path))
         expected = CSV_HEADER + "\n" + "".join(

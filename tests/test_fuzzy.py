@@ -10,8 +10,8 @@ from sprayflow.fuzzy import (
     Label,
     RuleTable,
     ScalingFactors,
-    fuzzify,
     infer_deltas,
+    locate,
     quantize,
 )
 
@@ -20,6 +20,7 @@ from _oracles import (
     GOLDEN_SUSPECT_CELLS,
     brute_force_deltas,
     reference_deltas,
+    tri,
 )
 
 SUSPECT_CELLS = {(Label[e], Label[ec]) for e, ec in GOLDEN_SUSPECT_CELLS}
@@ -99,44 +100,54 @@ class TestQuantize:
         assert -6.0 <= quantize(crisp, factor) <= 6.0
 
 
+def degrees(x):
+    """Membership degrees of x over all seven labels, by `locate`."""
+    i, w = locate(x)
+    out = np.zeros(7)
+    out[i] = 1.0 - w
+    out[i + 1] = w
+    return out
+
+
 class TestFuzzify:
+    """Fuzzification by `locate`, which infer_deltas runs on both inputs."""
+
     def test_one_hot_at_every_center(self):
         for label in Label:
-            degrees = fuzzify(label.center)
             expected = np.zeros(7)
             expected[label] = 1.0
-            assert np.array_equal(degrees, expected)
+            assert np.array_equal(degrees(label.center), expected)
 
     def test_halfway_between_outer_sets(self):
-        degrees = fuzzify(-5.0)
-        assert degrees[Label.NB] == pytest.approx(0.5)
-        assert degrees[Label.NM] == pytest.approx(0.5)
-        assert degrees[2:].sum() == 0.0
+        assert locate(-5.0) == (0, 0.5)
 
     def test_quarter_split(self):
-        degrees = fuzzify(-4.5)
-        assert degrees[Label.NB] == pytest.approx(0.25)
-        assert degrees[Label.NM] == pytest.approx(0.75)
-        assert degrees.sum() == pytest.approx(1.0)
+        assert locate(-4.5) == (0, 0.75)
 
     @pytest.mark.parametrize("x", [-6.001, 6.001, math.nan, 100.0])
     def test_rejects_out_of_range(self, x):
+        # locate trusts its caller; infer_deltas is where the range is checked.
         with pytest.raises(ValueError):
-            fuzzify(x)
+            infer_deltas(x, 0.0)
+        with pytest.raises(ValueError):
+            infer_deltas(0.0, x)
 
     def test_partition_of_unity_on_dense_grid(self):
         grid = np.linspace(-6.0, 6.0, 12001)
         for x in grid:
-            degrees = fuzzify(float(x))
-            assert abs(degrees.sum() - 1.0) <= 1e-9
+            got = degrees(float(x))
+            assert abs(got.sum() - 1.0) <= 1e-9
+            want = [float(tri(x, label.center)) for label in Label]
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), x
 
     @given(x=st.floats(min_value=-6.0, max_value=6.0))
     @settings(max_examples=300, deadline=None)
     def test_degree_bounds_and_support(self, x):
-        degrees = fuzzify(x)
-        assert np.all(degrees >= 0.0) and np.all(degrees <= 1.0)
-        assert np.count_nonzero(degrees) <= 2
-        assert degrees.sum() == pytest.approx(1.0, abs=1e-9)
+        i, w = locate(x)
+        assert 0 <= i <= 5 and 0.0 <= w <= 1.0
+        got = degrees(x)
+        assert np.count_nonzero(got) <= 2
+        assert got.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestRuleTable:
@@ -144,7 +155,7 @@ class TestRuleTable:
         for ec_idx, row in enumerate(GOLDEN_RULE_ROWS_BY_EC):
             for e_idx, cell in enumerate(row):
                 expected = tuple(Label[name] for name in cell.split(","))
-                assert DEFAULT_RULE_TABLE.lookup(Label(e_idx), Label(ec_idx)) == expected
+                assert DEFAULT_RULE_TABLE.cells[e_idx][ec_idx] == expected
 
     def test_suspect_cells_flagged(self):
         assert DEFAULT_RULE_TABLE.suspect == frozenset(SUSPECT_CELLS)
@@ -226,7 +237,7 @@ class TestInference:
                 oracle = brute_force_deltas(
                     e_label.center, ec_label.center, DEFAULT_RULE_TABLE.cells
                 )
-                triple = DEFAULT_RULE_TABLE.lookup(e_label, ec_label)
+                triple = DEFAULT_RULE_TABLE.cells[e_label][ec_label]
                 for got, want, out_label in zip(result, oracle, triple):
                     assert got == pytest.approx(want, abs=CENTROID_TOL)
                     if out_label is Label.NB:

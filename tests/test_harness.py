@@ -25,12 +25,12 @@ from sprayflow.plant import (
     Disturbance,
     TransferFunction,
     advance,
-    apply_disturbances,
     rk4_zoh,
     tf_to_ss,
 )
 
 from _oracles import (
+    apply_disturbances,
     p_gain_for_damping,
     reference_deltas,
     second_order_overshoot_pct,
@@ -49,7 +49,7 @@ def synthetic_trajectory(y_values, dt=1.0, r=None):
     zeros = np.zeros(n)
     return Trajectory(
         t=t, r=r_col, e=r_col - y, u=zeros.copy(), y=y,
-        kp=zeros.copy(), ki=zeros.copy(), kd=zeros.copy(), dt=dt,
+        kp=zeros.copy(), ki=zeros.copy(), kd=zeros.copy(),
     )
 
 
@@ -145,9 +145,36 @@ class TestRunClosedLoop:
                 PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
                 (Disturbance(time=0.05, magnitude=0.3, port=PLANT_OUTPUT),),
             ),
+            # 499 * 1e-4 is the second-to-last sample time, so the input
+            # disturbance acts on the last step only.
             (
                 PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
-                (Disturbance(time=0.06, magnitude=0.3, port=PLANT_INPUT),),
+                (Disturbance(time=499 * 1e-4, magnitude=0.3, port=PLANT_INPUT),),
+            ),
+            (PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)), ()),
+            # 0.0025 is exactly the sample time 25 * 1e-4: the onset is inclusive.
+            (
+                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
+                (Disturbance(time=0.0025, magnitude=2e-3, port=PLANT_INPUT),),
+            ),
+            # One onset, both ports: each magnitude goes to its own port.
+            (
+                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
+                (
+                    Disturbance(time=0.01, magnitude=2e-3, port=PLANT_INPUT),
+                    Disturbance(time=0.01, magnitude=-0.3, port=PLANT_OUTPUT),
+                ),
+            ),
+            # Two magnitudes on one port add up once both are active.
+            (
+                FuzzyPidController(
+                    base=PidGains(0.0045, 0.05, 5e-6),
+                    factors=ScalingFactors(ke=5.0, kec=0.8, kup=1e-4, kui=1e-3, kud=2e-6),
+                ),
+                (
+                    Disturbance(time=0.0, magnitude=2e-3, port=PLANT_INPUT),
+                    Disturbance(time=0.02, magnitude=5e-4, port=PLANT_INPUT),
+                ),
             ),
         ],
         ids=[
@@ -156,7 +183,11 @@ class TestRunClosedLoop:
             "input-disturbance-rounded-time",
             "input-disturbance-quotient-above-step",
             "output-disturbance-at-last-sample",
-            "disturbance-after-end",
+            "input-at-second-to-last",
+            "no-disturbance",
+            "input-at-sample-time",
+            "both-ports-one-onset",
+            "two-input-disturbances",
         ],
     )
     def test_equals_hand_stepping_bitwise(self, controller, disturbances):
@@ -168,6 +199,31 @@ class TestRunClosedLoop:
         want = hand_stepped(scenario)
         for name, column in zip(("u", "y", "kp", "ki", "kd"), want):
             assert np.array_equal(getattr(traj, name), column), name
+
+    @pytest.mark.parametrize(
+        "port, time, limit",
+        [
+            (PLANT_INPUT, math.nextafter(499 * 1e-4, math.inf), 499 * 1e-4),
+            (PLANT_INPUT, 0.06, 499 * 1e-4),
+            (PLANT_OUTPUT, math.nextafter(500 * 1e-4, math.inf), 500 * 1e-4),
+        ],
+        ids=[
+            "input-after-second-to-last",
+            "disturbance-after-end",
+            "output-after-last",
+        ],
+    )
+    def test_late_disturbance_rejected(self, port, time, limit):
+        # An input disturbance acts on step k once t[k-1] reaches its time and
+        # an output one once t[k] does, so these would act on no step.
+        with pytest.raises(ValueError) as info:
+            SimScenario(
+                setpoint=5.0, duration=0.05, dt=1e-4,
+                controller=PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
+                disturbances=(Disturbance(time=time, magnitude=2e-3, port=port),),
+            )
+        message = str(info.value)
+        assert port in message and repr(time) in message and repr(limit) in message
 
     @pytest.mark.parametrize("scenario", FUZZY_RUNS.values(), ids=FUZZY_RUNS.keys())
     def test_equals_reference_inference_bitwise(self, scenario, monkeypatch):

@@ -5,13 +5,10 @@ import pytest
 
 from sprayflow.plant import (
     PIPELINE_TF,
-    PLANT_INPUT,
-    PLANT_OUTPUT,
     Disturbance,
     NumericalBlowUp,
     TransferFunction,
     advance,
-    apply_disturbances,
     rk4_zoh,
     tf_to_ss,
 )
@@ -179,25 +176,6 @@ class TestRk4Zoh:
 
 
 class TestDisturbances:
-    def test_no_disturbances_is_identity(self):
-        assert apply_disturbances(1.5, -2.5, (), 10.0) == (1.5, -2.5)
-
-    def test_activation_boundary_inclusive(self):
-        dists = (Disturbance(time=2.0, magnitude=1.0, port=PLANT_INPUT),)
-        assert apply_disturbances(0.5, 0.0, dists, 1.9) == (0.5, 0.0)
-        assert apply_disturbances(0.5, 0.0, dists, 2.0) == (1.5, 0.0)
-
-    def test_same_port_magnitudes_sum(self):
-        dists = (
-            Disturbance(time=0.0, magnitude=1.0, port=PLANT_INPUT),
-            Disturbance(time=1.0, magnitude=0.25, port=PLANT_INPUT),
-        )
-        assert apply_disturbances(0.0, 0.0, dists, 5.0) == (1.25, 0.0)
-
-    def test_output_port(self):
-        dists = (Disturbance(time=0.0, magnitude=-0.5, port=PLANT_OUTPUT),)
-        assert apply_disturbances(1.0, 2.0, dists, 0.0) == (1.0, 1.5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Disturbance(time=-1.0, magnitude=1.0)
