@@ -368,10 +368,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every override flag takes one value.
+_VALUE_FLAGS = frozenset(
+    flag for key in CONFIG_KEYS for flag in (f"--{key}", f"--{key.replace('_', '-')}")
+)
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write '--flag -1e-3' as '--flag=-1e-3' for every override flag.
+
+    argparse takes a token that starts with '-' for an option unless it
+    looks like a plain negative number such as -0.001, so a value in
+    exponent notation such as -1e-3 would leave its flag without a value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS and token.startswith("-") and _is_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:

@@ -14,6 +14,12 @@ precomputed RK4 step (`plant.rk4_zoh`, `plant.advance`). It holds the
 controller state itself, the integral and the previous error; their
 backward difference, zero on the first step, is both the derivative and
 the fuzzy error rate. A run equals stepping those kernels by hand.
+
+The loop alone decides a blow-up, the same way for both controllers: it
+stops before a step whose error rate is not finite and before a row whose
+error e = r - y is not finite. With a finite setpoint a finite error means
+a finite output, state and input (see `plant.advance`), so every logged
+row is finite.
 """
 from __future__ import annotations
 
@@ -28,7 +34,6 @@ from .plant import (
     PIPELINE_TF,
     PLANT_INPUT,
     Disturbance,
-    NumericalBlowUp,
     TransferFunction,
     advance,
     rk4_zoh,
@@ -154,9 +159,10 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
 
     Row 0 logs the plant at rest before any control action (u = 0,
     resting gains), so y[0] is zero plus any output disturbance active at
-    t = 0. If the plant state or output, or the fuzzy error rate,
-    leaves the finite range, the partial trajectory is returned with
-    blown_up set.
+    t = 0. The run ends at the first step whose error rate, or whose
+    output or error once output disturbances are added, is not finite,
+    for either controller; the trajectory then holds the rows before it,
+    every one finite (none if row 0's error overflows), with blown_up set.
     """
     model = tf_to_ss(scenario.plant)
     n_rows = scenario.steps + 1
@@ -190,47 +196,37 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     kp_log[:], ki_log[:], kd_log[:] = kp, ki, kd
 
     x = [0.0] * model.order
-    y = 0.0
-    for start, m in y_dists:
-        if start == 0:
-            y += m
-    y_log[0] = y
-
+    u = y = 0.0
     # Runs always start from a fresh controller state.
     integral = 0.0
-    e_prev = 0.0
-    blown_up = False
-    n_logged = n_rows
-    for k in range(1, n_rows):
-        e = r - y
-        derivative = 0.0 if k == 1 else (e - e_prev) / dt
-        e_prev = e
-        if fuzzy:
-            # An output near the float limit overflows the error rate before
-            # the plant state does; the fuzzy inputs must stay finite.
+    for k in range(n_rows):
+        if k:
+            # Step k: the controller acts on row k-1, then the plant advances.
+            derivative = 0.0 if k == 1 else (e - e_prev) / dt
             if not math.isfinite(derivative):
-                blown_up = True
-                n_logged = k
                 break
-            kp, ki, kd = adapted_gains(controller, e, derivative)
-            kp_log[k] = kp
-            ki_log[k] = ki
-            kd_log[k] = kd
-        u, integral = pid_law(kp, ki, kd, e, derivative, integral, dt)
-        for start, m in u_dists:
-            if k >= start:
-                u += m
-        try:
+            e_prev = e
+            if fuzzy:
+                kp, ki, kd = adapted_gains(controller, e, derivative)
+                kp_log[k] = kp
+                ki_log[k] = ki
+                kd_log[k] = kd
+            u, integral = pid_law(kp, ki, kd, e, derivative, integral, dt)
+            for start, m in u_dists:
+                if k >= start:
+                    u += m
             x, y = advance(rows, c, x, u)
-        except NumericalBlowUp:
-            blown_up = True
-            n_logged = k
-            break
         for start, m in y_dists:
             if k >= start:
                 y += m
+        e = r - y
+        if not math.isfinite(e):
+            break
         u_log[k] = u
         y_log[k] = y
+    else:
+        k = n_rows
+    n_logged = k
 
     sl = slice(0, n_logged)
     y_out = y_log[sl]
@@ -243,7 +239,7 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
         kp=kp_log[sl],
         ki=ki_log[sl],
         kd=kd_log[sl],
-        blown_up=blown_up,
+        blown_up=n_logged < n_rows,
     )
 
 
@@ -310,10 +306,14 @@ def peak_deviation(traj: Trajectory, after_time: float) -> float:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Metrics (and the trajectories behind them) for a PID/fuzzy-PID pair."""
+    """Metrics (and the trajectories behind them) for a PID/fuzzy-PID pair.
 
-    pid_metrics: StepMetrics
-    fuzzy_metrics: StepMetrics
+    A run that blew up before its first finite row has no rows, and its
+    metrics are None.
+    """
+
+    pid_metrics: StepMetrics | None
+    fuzzy_metrics: StepMetrics | None
     pid_trajectory: Trajectory
     fuzzy_trajectory: Trajectory
 
@@ -327,8 +327,8 @@ def compare_controllers(
     pid_traj = run_closed_loop(replace(scenario, controller=pid_config))
     fuzzy_traj = run_closed_loop(replace(scenario, controller=fuzzy_config))
     return ComparisonResult(
-        pid_metrics=compute_metrics(pid_traj),
-        fuzzy_metrics=compute_metrics(fuzzy_traj),
+        pid_metrics=compute_metrics(pid_traj) if len(pid_traj) else None,
+        fuzzy_metrics=compute_metrics(fuzzy_traj) if len(fuzzy_traj) else None,
         pid_trajectory=pid_traj,
         fuzzy_trajectory=fuzzy_traj,
     )

@@ -28,6 +28,13 @@ def run_cli(args):
     return main(list(args))
 
 
+# Setpoint 1e308 against an output disturbance of -1e308 from t = 0.
+OVERFLOW_FLAGS = (
+    "--setpoint", "1e308", "--disturbance-time", "0",
+    "--disturbance-magnitude=-1e308", "--disturbance-port", "plant-output",
+)
+
+
 class TestSimulate:
     def test_csv_structure(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -76,6 +83,19 @@ class TestSimulate:
         assert code == 2
         assert out.exists()
         assert "blow-up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("controller", ["pid", "fuzzy-pid"])
+    def test_overflowing_error_is_a_blow_up(self, tmp_path, capsys, controller):
+        # Row 0's error r - y = 1e308 + 1e308 overflows, so no row is finite.
+        out = tmp_path / "partial.csv"
+        code = run_cli(["simulate", "--controller", controller, *OVERFLOW_FLAGS,
+                        "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "numerical blow-up" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert out.read_text("ascii") == CSV_HEADER + "\n"
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert run_cli(["simulate", "--warp-speed", "9"]) == 1
@@ -175,6 +195,27 @@ class TestCompare:
         captured = capsys.readouterr()
         assert "numerical blow-up in pid run" in captured.err
         assert captured.out == ""
+
+    def test_overflowing_error_is_a_blow_up(self, capsys):
+        assert run_cli(["compare", *OVERFLOW_FLAGS]) == 2
+        captured = capsys.readouterr()
+        assert "numerical blow-up" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_negative_values_in_exponent_notation(self, capsys):
+        args = ["compare", "--duration", "2", "--disturbance-time", "0.5"]
+        assert run_cli(args + ["--disturbance-magnitude", "-1e-3"]) == 0
+        spaced = capsys.readouterr().out
+        assert run_cli(args + ["--disturbance-magnitude=-1e-3"]) == 0
+        assert spaced == capsys.readouterr().out
+        assert run_cli(["compare", "--duration", "0.05", "--setpoint", "-5e0"]) == 0
+        spaced = capsys.readouterr().out
+        assert run_cli(["compare", "--duration", "0.05", "--setpoint=-5e0"]) == 0
+        assert spaced == capsys.readouterr().out
+        # A value that is not a number is still an error.
+        assert run_cli(["compare", "--setpoint", "-abc"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
 
 
 class TestRules:
@@ -374,6 +415,57 @@ class TestTrajectoryCsvIO:
             ",".join(_fmt9(float(v)) for v in row) + "\n" for row in zip(*columns)
         )
         assert path.read_bytes() == expected.encode("ascii")
+
+
+RULE_ROW = ",".join(["ZO/ZO/ZO"] * 7)
+
+
+# (argv with {tmp} for the test directory, {file name: text}, stderr fragment)
+CONFIG_ERRORS = {
+    "malformed-trajectory-row": (
+        ["metrics", "{tmp}/bad.csv"],
+        {"bad.csv": CSV_HEADER + "\n" + ",".join(["x"] * 8) + "\n" + ",".join(["0"] * 8) + "\n"},
+        "malformed trajectory row",
+    ),
+    "config-line-without-equals": (
+        ["simulate", "--config", "{tmp}/bad.cfg"],
+        {"bad.cfg": "setpoint 5\n"},
+        "expected key = value",
+    ),
+    "empty-plant-num": (["simulate", "--plant-num", ""], {}, "empty coefficient list"),
+    "unknown-controller": (["compare", "--controller", "bang-bang"], {}, "'bang-bang'"),
+    "port-without-disturbance": (
+        ["simulate", "--disturbance-port", "plant-output"], {}, "disturbance_port given",
+    ),
+    "rules-file-six-lines": (
+        ["rules", "--rules-file", "{tmp}/rules.txt"],
+        {"rules.txt": "\n".join([RULE_ROW] * 6) + "\n"},
+        "bad rules file",
+    ),
+    "rules-cell-not-a-triple": (
+        ["simulate", "--controller", "fuzzy-pid", "--rules-file", "{tmp}/rules.txt"],
+        {"rules.txt": "\n".join([RULE_ROW.replace("ZO/ZO/ZO", "ZO/ZO", 1)] + [RULE_ROW] * 6)
+         + "\n"},
+        "bad rules file",
+    ),
+    "unwritable-output": (
+        ["simulate", "--duration", "0.01", "--output", "{tmp}/missing/run.csv"],
+        {},
+        "cannot write output file",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, files, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
+def test_config_error_exits_1(tmp_path, capsys, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, "ascii")
+    assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_console_entry_point_runs():

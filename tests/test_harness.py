@@ -110,6 +110,14 @@ def hand_stepped(scenario):
     return columns
 
 
+BLOW_UP_CONTROLLERS = (presets.default_pid_config(), _FUZZY)
+
+
+def assert_all_finite(traj):
+    for column in COLUMNS:
+        assert np.all(np.isfinite(getattr(traj, column))), column
+
+
 class TestRunClosedLoop:
     @pytest.mark.parametrize(
         "controller, disturbances",
@@ -384,6 +392,41 @@ class TestRunClosedLoop:
             assert 0 < len(traj) < 1001
             assert np.all(np.isfinite(traj.y))
 
+    @pytest.mark.parametrize("controller", BLOW_UP_CONTROLLERS, ids=("pid", "fuzzy-pid"))
+    def test_unstable_plant_is_a_blow_up(self, controller):
+        # Each step of 1/(s - 1000) at dt = 0.1 multiplies the state by about 4e6.
+        scenario = SimScenario(
+            setpoint=1.0, duration=20.0, dt=0.1, controller=controller,
+            plant=TransferFunction(num=(1.0,), den=(1.0, -1000.0)),
+        )
+        traj = run_closed_loop(scenario)
+        assert traj.blown_up
+        assert 0 < len(traj) < 201
+        assert_all_finite(traj)
+
+    @pytest.mark.parametrize("controller", BLOW_UP_CONTROLLERS, ids=("pid", "fuzzy-pid"))
+    @pytest.mark.parametrize(
+        "time, magnitude, n_logged",
+        [
+            # Row 0 has y = -1e308, so its error r - y overflows: no finite row.
+            (0.0, -1e308, 0),
+            # The same at t = dt: only row 0 is finite.
+            (1e-4, -1e308, 1),
+            # A finite output of about 3e304 at t = dt plus 1.7976e308 overflows y.
+            (1e-4, 1.7976e308, 1),
+        ],
+    )
+    def test_overflowing_error_or_output_is_a_blow_up(self, controller, time, magnitude,
+                                                      n_logged):
+        scenario = SimScenario(
+            setpoint=1e308, duration=0.01, dt=1e-4, controller=controller,
+            disturbances=(Disturbance(time=time, magnitude=magnitude, port=PLANT_OUTPUT),),
+        )
+        traj = run_closed_loop(scenario)
+        assert traj.blown_up
+        assert len(traj) == n_logged
+        assert_all_finite(traj)
+
     def test_scenario_validation(self):
         controller = PidConfig(gains=PidGains(0.001, 0.0, 0.0))
         with pytest.raises(ValueError):
@@ -510,6 +553,16 @@ class TestCompareControllers:
                 getattr(result.pid_trajectory, column),
                 getattr(result.fuzzy_trajectory, column),
             )
+
+    def test_run_without_a_finite_row_has_no_metrics(self):
+        scenario = SimScenario(
+            setpoint=1e308, duration=0.01, dt=1e-4, controller=BLOW_UP_CONTROLLERS[0],
+            disturbances=(Disturbance(time=0.0, magnitude=-1e308, port=PLANT_OUTPUT),),
+        )
+        result = compare_controllers(scenario, *BLOW_UP_CONTROLLERS)
+        assert len(result.pid_trajectory) == len(result.fuzzy_trajectory) == 0
+        assert result.pid_metrics is None
+        assert result.fuzzy_metrics is None
 
     def test_disturbance_rejection_ordering(self):
         gains = PidGains(0.0045, 0.05, 5e-6)
