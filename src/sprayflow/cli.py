@@ -6,9 +6,15 @@ rules (dump the rule table in the override-file format) and metrics
 (recompute step-response figures from an existing trajectory CSV).
 
 Configuration is a flat key = value text file with '#' comments;
-command-line flags with the same names override file values. All CSV
-output is byte-reproducible: fixed-point with nine fractional digits,
-comma separated, LF terminated.
+command-line flags with the same names override file values. CONFIG_KEYS
+declares the format once: each key's parser and default, in --help order.
+Values are parsed in that order, so of several values that do not parse
+the first is reported. Flags must be spelled in full, and every input
+file (config, rules, trajectory CSV) must be a regular file.
+
+All CSV output is byte-reproducible: fixed-point with nine fractional
+digits, comma separated, LF terminated, one column per name in
+harness.COLUMNS.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical blow-up.
 """
@@ -16,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -24,6 +32,7 @@ from . import presets
 from .adaptive import FuzzyPidController
 from .fuzzy import DEFAULT_RULE_TABLE, RuleTable, ScalingFactors
 from .harness import (
+    COLUMNS,
     PidConfig,
     SimScenario,
     StepMetrics,
@@ -36,38 +45,31 @@ from .harness import (
 from .pid import PidGains
 from .plant import PIPELINE_TF, PLANT_INPUT, Disturbance, TransferFunction
 
-CSV_HEADER = "t,r,e,u,y,kp,ki,kd"
+CSV_HEADER = ",".join(COLUMNS)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BLOWUP = 2
 
-# Config-file keys, which are also the override flags, in --help order.
-CONFIG_KEYS = (
-    "setpoint",
-    "duration",
-    "dt",
-    "kp",
-    "ki",
-    "kd",
-    "ke",
-    "kec",
-    "kup",
-    "kui",
-    "kud",
-    "disturbance_time",
-    "disturbance_magnitude",
-    "controller",
-    "plant_num",
-    "plant_den",
-    "disturbance_port",
-    "rules_file",
-    "output",
-)
-
 
 class ConfigError(ValueError):
     """Bad configuration file, key or value."""
+
+
+def _read_text(path: str, kind: str) -> str:
+    """The ASCII text of a regular input file.
+
+    The file type is checked before the path is opened: a device such as
+    /dev/zero would be read until memory runs out, and a FIFO with no
+    writer would block.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ConfigError(f"cannot read {kind} file: {path!r} is not a regular file")
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {kind} file: {exc}") from exc
 
 
 def _fmt9(value: float) -> str:
@@ -76,14 +78,14 @@ def _fmt9(value: float) -> str:
 
 
 # One CSV row in the _fmt9 format; "%.9f" and "{:.9f}" format floats alike.
-_ROW_FORMAT = ",".join(["%.9f"] * 8) + "\n"
+_ROW_FORMAT = ",".join(["%.9f"] * len(COLUMNS)) + "\n"
 # Rows formatted per write, which bounds the memory the writer adds.
 _CSV_CHUNK_ROWS = 1024
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write a trajectory in the canonical byte-reproducible CSV format."""
-    columns = (traj.t, traj.r, traj.e, traj.u, traj.y, traj.kp, traj.ki, traj.kd)
+    columns = [getattr(traj, name) for name in COLUMNS]
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
@@ -99,11 +101,7 @@ def read_trajectory_csv(path: str) -> Trajectory:
     The file needs at least two data rows of finite values and a uniform,
     increasing time axis; dt is taken from its end points.
     """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read trajectory file: {exc}") from exc
+    lines = _read_text(path, "trajectory").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"trajectory file must start with header {CSV_HEADER!r}")
     if len(lines) < 3:
@@ -113,8 +111,8 @@ def read_trajectory_csv(path: str) -> Trajectory:
     except ValueError as exc:
         raise ConfigError(f"malformed trajectory row: {exc}") from exc
     # loadtxt skips blank lines; count them as malformed rows.
-    if data.shape != (len(lines) - 1, 8):
-        raise ConfigError("trajectory rows must have 8 fields, with no blank lines")
+    if data.shape != (len(lines) - 1, len(COLUMNS)):
+        raise ConfigError(f"trajectory rows must have {len(COLUMNS)} fields, with no blank lines")
     if not np.all(np.isfinite(data)):
         raise ConfigError("trajectory values must be finite")
     t = data[:, 0]
@@ -124,27 +122,13 @@ def read_trajectory_csv(path: str) -> Trajectory:
     tol = 2e-9 + 4.0 * np.spacing(np.max(np.abs(t)))
     if not (dt > 0 and np.all(np.abs(np.diff(t) - dt) <= tol)):
         raise ConfigError("trajectory time axis t is not uniform and increasing")
-    return Trajectory(
-        t=t,
-        r=data[:, 1],
-        e=data[:, 2],
-        u=data[:, 3],
-        y=data[:, 4],
-        kp=data[:, 5],
-        ki=data[:, 6],
-        kd=data[:, 7],
-    )
+    return Trajectory(**dict(zip(COLUMNS, data.T)))
 
 
 def load_config_file(path: str) -> dict[str, str]:
     """Parse a flat key = value config file with '#' comments."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, "config").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -174,22 +158,33 @@ def _parse_coefficients(key: str, text: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, p) for p in parts)
 
 
-_DEFAULTS: dict[str, str] = {
-    "setpoint": repr(presets.DEFAULT_SETPOINT),
-    "duration": repr(presets.DEFAULT_DURATION),
-    "dt": repr(presets.DEFAULT_DT),
-    "controller": "pid",
-    "kp": repr(presets.DEFAULT_BASE_GAINS.kp),
-    "ki": repr(presets.DEFAULT_BASE_GAINS.ki),
-    "kd": repr(presets.DEFAULT_BASE_GAINS.kd),
-    "ke": repr(presets.DEFAULT_FACTORS.ke),
-    "kec": repr(presets.DEFAULT_FACTORS.kec),
-    "kup": repr(presets.DEFAULT_FACTORS.kup),
-    "kui": repr(presets.DEFAULT_FACTORS.kui),
-    "kud": repr(presets.DEFAULT_FACTORS.kud),
-    "plant_num": " ".join(map(repr, PIPELINE_TF.num)),
-    "plant_den": " ".join(map(repr, PIPELINE_TF.den)),
-    "output": "trajectory.csv",
+def _parse_text(key: str, text: str) -> str:
+    return text
+
+
+# The configuration format: each config-file key, which is also an override
+# flag, mapped to (parser, default) in --help order. A None default leaves
+# the key unset.
+CONFIG_KEYS = {
+    "setpoint": (_parse_float, presets.DEFAULT_SETPOINT),
+    "duration": (_parse_float, presets.DEFAULT_DURATION),
+    "dt": (_parse_float, presets.DEFAULT_DT),
+    "kp": (_parse_float, presets.DEFAULT_BASE_GAINS.kp),
+    "ki": (_parse_float, presets.DEFAULT_BASE_GAINS.ki),
+    "kd": (_parse_float, presets.DEFAULT_BASE_GAINS.kd),
+    "ke": (_parse_float, presets.DEFAULT_FACTORS.ke),
+    "kec": (_parse_float, presets.DEFAULT_FACTORS.kec),
+    "kup": (_parse_float, presets.DEFAULT_FACTORS.kup),
+    "kui": (_parse_float, presets.DEFAULT_FACTORS.kui),
+    "kud": (_parse_float, presets.DEFAULT_FACTORS.kud),
+    "disturbance_time": (_parse_float, None),
+    "disturbance_magnitude": (_parse_float, None),
+    "controller": (_parse_text, "pid"),
+    "plant_num": (_parse_coefficients, PIPELINE_TF.num),
+    "plant_den": (_parse_coefficients, PIPELINE_TF.den),
+    "disturbance_port": (_parse_text, PLANT_INPUT),
+    "rules_file": (_parse_text, None),
+    "output": (_parse_text, "trajectory.csv"),
 }
 
 
@@ -202,73 +197,67 @@ def resolve_config(
     The `controller` key picks the scenario's controller: fixed-gain PID
     on the base gains, or that fuzzy-PID controller.
     """
-    merged = dict(_DEFAULTS)
-    merged.update(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    given = dict(file_values)
+    given.update({k: v for k, v in overrides.items() if v is not None})
+    values = {
+        key: parse(key, given[key]) if key in given else default
+        for key, (parse, default) in CONFIG_KEYS.items()
+    }
 
-    controller = merged["controller"]
+    controller = values["controller"]
     if controller not in ("pid", "fuzzy-pid"):
         raise ConfigError(f"controller must be 'pid' or 'fuzzy-pid', got {controller!r}")
-    disturbed = "disturbance_time" in merged
-    if disturbed != ("disturbance_magnitude" in merged):
+    disturbed = "disturbance_time" in given
+    if disturbed != ("disturbance_magnitude" in given):
         raise ConfigError("disturbance_time and disturbance_magnitude must be given together")
-    if "disturbance_port" in merged and not disturbed:
+    if "disturbance_port" in given and not disturbed:
         raise ConfigError("disturbance_port given without disturbance_time/magnitude")
 
     try:
-        gains = PidGains(
-            kp=_parse_float("kp", merged["kp"]),
-            ki=_parse_float("ki", merged["ki"]),
-            kd=_parse_float("kd", merged["kd"]),
-        )
+        gains = PidGains(kp=values["kp"], ki=values["ki"], kd=values["kd"])
         fuzzy = FuzzyPidController(
             base=gains,
             factors=ScalingFactors(
-                ke=_parse_float("ke", merged["ke"]),
-                kec=_parse_float("kec", merged["kec"]),
-                kup=_parse_float("kup", merged["kup"]),
-                kui=_parse_float("kui", merged["kui"]),
-                kud=_parse_float("kud", merged["kud"]),
+                ke=values["ke"],
+                kec=values["kec"],
+                kup=values["kup"],
+                kui=values["kui"],
+                kud=values["kud"],
             ),
-            table=_load_rules(merged.get("rules_file")),
+            table=_load_rules(values["rules_file"]),
         )
         disturbances = ()
         if disturbed:
             disturbances = (
                 Disturbance(
-                    time=_parse_float("disturbance_time", merged["disturbance_time"]),
-                    magnitude=_parse_float(
-                        "disturbance_magnitude", merged["disturbance_magnitude"]
-                    ),
-                    port=merged.get("disturbance_port", PLANT_INPUT),
+                    time=values["disturbance_time"],
+                    magnitude=values["disturbance_magnitude"],
+                    port=values["disturbance_port"],
                 ),
             )
         scenario = SimScenario(
-            setpoint=_parse_float("setpoint", merged["setpoint"]),
-            duration=_parse_float("duration", merged["duration"]),
-            dt=_parse_float("dt", merged["dt"]),
+            setpoint=values["setpoint"],
+            duration=values["duration"],
+            dt=values["dt"],
             controller=PidConfig(gains=gains) if controller == "pid" else fuzzy,
-            plant=TransferFunction(
-                num=_parse_coefficients("plant_num", merged["plant_num"]),
-                den=_parse_coefficients("plant_den", merged["plant_den"]),
-            ),
+            plant=TransferFunction(num=values["plant_num"], den=values["plant_den"]),
             disturbances=disturbances,
         )
     except ValueError as exc:
-        # ConfigError is a ValueError, so the parse and rules-file messages
-        # pass through unchanged.
+        # ConfigError is a ValueError, so the rules-file messages pass
+        # through unchanged.
         raise ConfigError(str(exc)) from None
-    return scenario, fuzzy, merged["output"]
+    return scenario, fuzzy, values["output"]
 
 
 def _load_rules(path: str | None) -> RuleTable:
     """The rule table of an override file, or the built-in one for None."""
     if path is None:
         return DEFAULT_RULE_TABLE
+    # Outside the try: a read error is a ConfigError, hence a ValueError.
+    text = _read_text(path, "rules")
     try:
-        return RuleTable.load(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read rules file: {exc}") from exc
+        return RuleTable.parse(text)
     except ValueError as exc:
         raise ConfigError(f"bad rules file: {exc}") from None
 
@@ -342,13 +331,18 @@ def cmd_metrics(csv_path: str) -> int:
     return EXIT_OK
 
 
+def _flag_spellings(key: str) -> list[str]:
+    """The override flags of a key: --plant_num and --plant-num for plant_num."""
+    flags = [f"--{key}"]
+    if "_" in key:
+        flags.append(f"--{key.replace('_', '-')}")
+    return flags
+
+
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="path to a key = value config file")
     for key in CONFIG_KEYS:
-        flags = [f"--{key}"]
-        if "_" in key:
-            flags.append(f"--{key.replace('_', '-')}")
-        parser.add_argument(*flags, dest=key, default=None, help=f"override {key}")
+        parser.add_argument(*_flag_spellings(key), dest=key, default=None, help=f"override {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,11 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Closed-loop flow-control simulation: PID and adaptive fuzzy-PID.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sim = sub.add_parser("simulate", help="run one closed loop and export its trajectory CSV")
-    _add_override_flags(sim)
-    cmp_parser = sub.add_parser("compare", help="run PID and fuzzy-PID on the same scenario")
-    _add_override_flags(cmp_parser)
-    rules = sub.add_parser("rules", help="print the rule table in the override-file format")
+    # Flags are matched by their full spelling only, as _VALUE_FLAGS lists them.
+    for name, text in (
+        ("simulate", "run one closed loop and export its trajectory CSV"),
+        ("compare", "run PID and fuzzy-PID on the same scenario"),
+    ):
+        _add_override_flags(sub.add_parser(name, help=text, allow_abbrev=False))
+    rules = sub.add_parser(
+        "rules", help="print the rule table in the override-file format", allow_abbrev=False
+    )
     rules.add_argument("--rules-file", "--rules_file", dest="rules_file", default=None)
     metrics = sub.add_parser("metrics", help="recompute metrics from a trajectory CSV")
     metrics.add_argument("csv_path")
@@ -369,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Every override flag takes one value.
-_VALUE_FLAGS = frozenset(
-    flag for key in CONFIG_KEYS for flag in (f"--{key}", f"--{key.replace('_', '-')}")
-)
+_VALUE_FLAGS = frozenset(flag for key in CONFIG_KEYS for flag in _flag_spellings(key))
 
 
 def _is_number(text: str) -> bool:

@@ -183,11 +183,6 @@ class RuleTable:
         cells = tuple(tuple(by_ec[ec][e] for ec in range(7)) for e in range(7))
         return cls(cells=cells, suspect=frozenset(suspect))
 
-    @classmethod
-    def load(cls, path) -> "RuleTable":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.parse(fh.read())
-
 
 def _firing_plan(consequents: list[Label]) -> tuple[PlanEntry, ...]:
     """The labels that four fired rules name for one output, in ascending order.

@@ -40,6 +40,9 @@ from .plant import (
     tf_to_ss,
 )
 
+# The trajectory columns, in CSV order.
+COLUMNS = ("t", "r", "e", "u", "y", "kp", "ki", "kd")
+
 # A run logs 8 float64 columns per step, so 1e7 steps hold about 640 MB.
 MAX_STEPS = 10**7
 
@@ -117,12 +120,11 @@ class Trajectory:
     blown_up: bool = False
 
     def __post_init__(self) -> None:
-        n = len(self.t)
-        for name in ("r", "e", "u", "y", "kp", "ki", "kd"):
-            if len(getattr(self, name)) != n:
+        for name in COLUMNS:
+            column = getattr(self, name)
+            if len(column) != len(self.t):
                 raise ValueError(f"column {name} has mismatched length")
-        for name in ("t", "r", "e", "u", "y", "kp", "ki", "kd"):
-            getattr(self, name).setflags(write=False)
+            column.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.t)

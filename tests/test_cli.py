@@ -1,3 +1,4 @@
+import itertools
 import re
 import subprocess
 import sys
@@ -8,9 +9,11 @@ import pytest
 from sprayflow import presets
 from sprayflow.cli import (
     _CSV_CHUNK_ROWS,
+    CONFIG_KEYS,
     CSV_HEADER,
     ConfigError,
     _fmt9,
+    build_parser,
     load_config_file,
     main,
     read_trajectory_csv,
@@ -99,6 +102,11 @@ class TestSimulate:
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert run_cli(["simulate", "--warp-speed", "9"]) == 1
+        # Flags are not abbreviated, whatever the form of the value.
+        for args in (["--setp", "-5e0"], ["--setp=-5e0"], ["--setp", "-5"]):
+            capsys.readouterr()
+            assert run_cli(["simulate", *args]) == 1, args
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_disturbance_after_end_rejected_without_output(self, tmp_path, capsys):
         # An input disturbance acts on the step after its time is reached, so
@@ -233,7 +241,7 @@ class TestRules:
         text = capsys.readouterr().out
         path = tmp_path / "rules.txt"
         path.write_text(text, encoding="ascii")
-        assert RuleTable.load(path) == DEFAULT_RULE_TABLE
+        assert RuleTable.parse(path.read_text("ascii")) == DEFAULT_RULE_TABLE
         assert run_cli(["rules", "--rules-file", str(path)]) == 0
         assert capsys.readouterr().out == text
 
@@ -384,6 +392,49 @@ class TestConfigFile:
         fuzzy_scenario, _, _ = resolve_config({}, {"controller": "fuzzy-pid"})
         assert fuzzy_scenario.controller == fuzzy
 
+    @pytest.mark.parametrize(
+        "key", [key for key, (_, default) in CONFIG_KEYS.items() if default is not None]
+    )
+    def test_explicit_default_resolves_like_no_value(self, tmp_path, key):
+        default = CONFIG_KEYS[key][1]
+        if isinstance(default, float):
+            text = repr(default)
+        elif isinstance(default, tuple):
+            text = " ".join(map(repr, default))
+        else:
+            text = default
+        # A port is only accepted together with a disturbance.
+        base = {}
+        if key == "disturbance_port":
+            base = {"disturbance_time": "0.1", "disturbance_magnitude": "0.001"}
+        expected = resolve_config(base, {})
+        cfg = tmp_path / "explicit.cfg"
+        cfg.write_text(f"{key} = {text}\n", encoding="ascii")
+        assert resolve_config({**base, **load_config_file(str(cfg))}, {}) == expected
+        args = build_parser().parse_args(["simulate", f"--{key}", text])
+        assert resolve_config(base, {key: getattr(args, key)}) == expected
+
+    @pytest.mark.parametrize(
+        "kp_source, setpoint_source, reverse",
+        itertools.product(("file", "flag"), ("file", "flag"), (False, True)),
+    )
+    def test_first_bad_value_in_help_order_is_reported(
+        self, tmp_path, capsys, kp_source, setpoint_source, reverse
+    ):
+        bad = [("kp", "fast", kp_source), ("setpoint", "slow", setpoint_source)]
+        if reverse:
+            bad.reverse()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            "".join(f"{key} = {value}\n" for key, value, source in bad if source == "file"),
+            encoding="ascii",
+        )
+        flags = [arg for key, value, source in bad if source == "flag"
+                 for arg in (f"--{key}", value)]
+        assert run_cli(["simulate", "--config", str(cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: setpoint: not a number: 'slow'\n"
+
 
 class TestTrajectoryCsvIO:
     def test_round_trip(self, tmp_path):
@@ -448,6 +499,15 @@ CONFIG_ERRORS = {
          + "\n"},
         "bad rules file",
     ),
+    "config-not-a-regular-file": (
+        ["simulate", "--config", "/dev/null", "--output", "{tmp}/never.csv"],
+        {},
+        "not a regular file",
+    ),
+    "rules-file-not-a-regular-file": (
+        ["rules", "--rules-file", "/dev/null"], {}, "not a regular file",
+    ),
+    "trajectory-not-a-regular-file": (["metrics", "/dev/null"], {}, "not a regular file"),
     "unwritable-output": (
         ["simulate", "--duration", "0.01", "--output", "{tmp}/missing/run.csv"],
         {},

@@ -190,7 +190,7 @@ class TestRuleTable:
     def test_load_reads_file(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text(DEFAULT_RULE_TABLE.dump(), encoding="ascii")
-        assert RuleTable.load(path) == DEFAULT_RULE_TABLE
+        assert RuleTable.parse(path.read_text("ascii")) == DEFAULT_RULE_TABLE
 
 
 class TestInference:

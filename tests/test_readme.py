@@ -25,3 +25,11 @@ def test_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert cli.main(argv[1:]) == cli.EXIT_OK, shlex.join(argv)
+
+
+def test_configuration_table_lists_every_key():
+    section = re.search(r"^### Configuration\n(.*?)^###? ", README.read_text("utf-8"), re.M | re.S)
+    assert section, "README.md has no Configuration section"
+    first_cells = re.findall(r"^\| (`.*?) \|", section.group(1), re.M)
+    keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
+    assert sorted(keys) == sorted(cli.CONFIG_KEYS)
