@@ -28,7 +28,6 @@ from .plant import (
     PLANT_INPUT,
     PLANT_OUTPUT,
     Disturbance,
-    StateSpaceModel,
     TransferFunction,
     tf_to_ss,
 )

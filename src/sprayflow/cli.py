@@ -269,19 +269,30 @@ _METRIC_ROWS = (
     ("rise time", "rise_time"),
     ("final value", "y_final"),
     ("overshoot %", "overshoot_pct"),
+    ("settled", "settled"),
 )
+# The width of each controller's column in the compare report.
+_COMPARE_WIDTH = 20
 
 
 def _metric_cell(metrics: StepMetrics, attr: str) -> str:
     value = getattr(metrics, attr)
-    return "undefined" if value is None else _fmt9(value)
+    if value is None:
+        return "undefined"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return _fmt9(value)
 
 
-def print_metrics(metrics: StepMetrics) -> None:
-    out = sys.stdout
+def _write_row(label: str, cells: list[str], width: int) -> None:
+    """One report line: a 16-character label, then each cell padded to width."""
+    sys.stdout.write(f"{label:<16}" + "".join(cell.ljust(width) for cell in cells) + "\n")
+
+
+def print_metrics(*metrics: StepMetrics, width: int = 0) -> None:
+    """The metric rows, one column per StepMetrics."""
     for label, attr in _METRIC_ROWS:
-        out.write(f"{label:<16}{_metric_cell(metrics, attr)}\n")
-    out.write(f"{'settled':<16}{'yes' if metrics.settled else 'no'}\n")
+        _write_row(label, [_metric_cell(m, attr) for m in metrics], width)
 
 
 def cmd_simulate(scenario: SimScenario, output: str) -> int:
@@ -304,19 +315,12 @@ def cmd_compare(scenario: SimScenario, fuzzy: FuzzyPidController) -> int:
         if traj.blown_up:
             print(f"numerical blow-up in {name} run", file=sys.stderr)
             return EXIT_BLOWUP
-    metrics = (result.pid_metrics, result.fuzzy_metrics)
-
-    out = sys.stdout
-    out.write(f"{'metric':<16}{'pid':<20}{'fuzzy-pid':<20}\n")
-    for label, attr in _METRIC_ROWS:
-        cells = [_metric_cell(m, attr) for m in metrics]
-        out.write(f"{label:<16}{cells[0]:<20}{cells[1]:<20}\n")
-    flags = ["yes" if m.settled else "no" for m in metrics]
-    out.write(f"{'settled':<16}{flags[0]:<20}{flags[1]:<20}\n")
+    _write_row("metric", ["pid", "fuzzy-pid"], _COMPARE_WIDTH)
+    print_metrics(result.pid_metrics, result.fuzzy_metrics, width=_COMPARE_WIDTH)
     if scenario.disturbances:
         t0 = min(d.time for d in scenario.disturbances)
         cells = [_fmt9(peak_deviation(traj, t0)) for traj in trajectories]
-        out.write(f"{'peak deviation':<16}{cells[0]:<20}{cells[1]:<20}\n")
+        _write_row("peak deviation", cells, _COMPARE_WIDTH)
     return EXIT_OK
 
 

@@ -10,7 +10,8 @@ both including any active disturbances, so e = r - y holds row-wise.
 
 The loop runs on plain floats through one kernel per layer: the PID law
 (`pid.pid_law`), the gain update (`adaptive.adapted_gains`) and the
-precomputed RK4 step (`plant.rk4_zoh`, `plant.advance`). It holds the
+plant step (`plant.advance`), which `plant.rk4_zoh` precomputes once per
+run from the scenario's plant and dt as (rows, c). It holds the
 controller state itself, the integral and the previous error; their
 backward difference, zero on the first step, is both the derivative and
 the fuzzy error rate. A run equals stepping those kernels by hand.
@@ -37,7 +38,6 @@ from .plant import (
     TransferFunction,
     advance,
     rk4_zoh,
-    tf_to_ss,
 )
 
 # The trajectory columns, in CSV order.
@@ -166,12 +166,10 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     for either controller; the trajectory then holds the rows before it,
     every one finite (none if row 0's error overflows), with blown_up set.
     """
-    model = tf_to_ss(scenario.plant)
     n_rows = scenario.steps + 1
     dt = scenario.dt
     r = float(scenario.setpoint)
-    rows = rk4_zoh(model, dt)
-    c = tuple(model.c.tolist())
+    rows, c = rk4_zoh(scenario.plant, dt)
     t = np.arange(n_rows) * dt
     # (first step, magnitude) per port, in declaration order. An input
     # disturbance acts on step k when t_prev = t[k-1] reaches its time,
@@ -197,7 +195,7 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     kd_log = np.zeros(n_rows)
     kp_log[:], ki_log[:], kd_log[:] = kp, ki, kd
 
-    x = [0.0] * model.order
+    x = [0.0] * len(rows)
     u = y = 0.0
     # Runs always start from a fresh controller state.
     integral = 0.0

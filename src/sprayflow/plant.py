@@ -4,12 +4,13 @@ A strictly proper SISO transfer function is realized in controllable
 canonical form and time-marched with RK4 under a zero-order hold on the
 input. For a linear plant one classical four-stage RK4 step is the linear
 map x+ = Phi x + Gamma u, where Phi is the degree-4 Taylor polynomial of
-exp(hA) and Gamma = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) B. Both are
-computed once per (model, dt) by `rk4_zoh`; `advance` then steps plain
-floats and checks nothing: a caller that must stop at a blow-up checks the
-output, which is not finite whenever any state entry is not. The shipped
-pipeline model has a pure integrator and a 3.7 ms lag, so the default
-step of 1e-4 s resolves its fast pole.
+exp(hA) and Gamma = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) B. `rk4_zoh`
+computes both once per (plant, dt) and hands them over, with the output
+row, as tuples of plain floats; `advance` then steps plain floats and
+checks nothing: a caller that must stop at a blow-up checks the output,
+which is not finite whenever any state entry is not. The shipped pipeline
+model has a pure integrator and a 3.7 ms lag, so the default step of
+1e-4 s resolves its fast pole. A plant's order is bounded by MAX_ORDER.
 """
 from __future__ import annotations
 
@@ -21,6 +22,11 @@ import numpy as np
 
 PLANT_INPUT = "plant-input"
 PLANT_OUTPUT = "plant-output"
+
+# A step costs about order^2 operations: at order 16 the plant step takes
+# about as long as a whole fuzzy-PID step, and the realization's n x n
+# matrices stay small.
+MAX_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,8 @@ class TransferFunction:
         object.__setattr__(self, "den", den)
         if not num or not den:
             raise ValueError("numerator and denominator must be non-empty")
+        if len(den) - 1 > MAX_ORDER:
+            raise ValueError(f"plant order {len(den) - 1} exceeds the bound of {MAX_ORDER}")
         if not all(math.isfinite(c) for c in num + den):
             raise ValueError("coefficients must be finite")
         if den[0] == 0:
@@ -58,31 +66,12 @@ def _trim_leading_zeros(coeffs: tuple[float, ...]) -> tuple[float, ...]:
 PIPELINE_TF = TransferFunction(num=(43956.0,), den=(0.0037, 1.0, 0.0))
 
 
-@dataclass(frozen=True, eq=False)
-class StateSpaceModel:
-    """State-space realization x' = Ax + Bu, y = Cx (strictly proper, no feedthrough)."""
+def tf_to_ss(tf: TransferFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Controllable canonical realization (a, b, c) of a strictly proper function.
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.a.shape[0]
-        if self.a.shape != (n, n) or self.b.shape != (n,) or self.c.shape != (n,):
-            raise ValueError("inconsistent state-space dimensions")
-        for arr in (self.a, self.b, self.c):
-            arr.setflags(write=False)
-
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
-
-
-def tf_to_ss(tf: TransferFunction) -> StateSpaceModel:
-    """Controllable canonical realization of a strictly proper function.
-
-    The denominator is normalized to a monic polynomial first; the last
-    state-matrix row carries its negated coefficients.
+    x' = a x + b u, y = c x, with no feedthrough. The denominator is
+    normalized to a monic polynomial first; the last row of a carries its
+    negated coefficients.
     """
     lead = tf.den[0]
     den = np.asarray(tf.den, dtype=float) / lead
@@ -99,20 +88,26 @@ def tf_to_ss(tf: TransferFunction) -> StateSpaceModel:
     # c[j] is the numerator coefficient of s^j.
     for j, coeff in enumerate(num[::-1]):
         c[j] = coeff
-    return StateSpaceModel(a=a, b=b, c=c)
+    return a, b, c
 
 
-def rk4_zoh(model: StateSpaceModel, dt: float) -> tuple[tuple[float, ...], ...]:
-    """One RK4 step under zero-order hold, as rows of plain floats.
+def rk4_zoh(
+    plant: TransferFunction, dt: float
+) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+    """One RK4 step of the plant under zero-order hold, as plain floats.
 
-    Row i holds (Phi[i, 0], ..., Phi[i, n-1], Gamma[i]), so the next state
-    is x+[i] = sum(row[j] * (x + [u])[j]). Expanding the four RK4 stages of
-    x' = Ax + Bu with u held gives exactly these series in hA.
+    Returns (rows, c) for `advance`. Row i holds (Phi[i, 0], ...,
+    Phi[i, n-1], Gamma[i]), so the next state is
+    x+[i] = sum(row[j] * (x + [u])[j]), and c is the output row of the
+    canonical realization (see tf_to_ss); the state has len(rows) entries.
+    Expanding the four RK4 stages of x' = Ax + Bu with u held gives
+    exactly these series in hA.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    n = model.order
-    ha = dt * model.a
+    a, b, c = tf_to_ss(plant)
+    n = len(c)
+    ha = dt * a
     term = np.eye(n)
     phi = np.eye(n)
     gamma_series = np.eye(n)
@@ -121,8 +116,9 @@ def rk4_zoh(model: StateSpaceModel, dt: float) -> tuple[tuple[float, ...], ...]:
         phi = phi + term
         if k < 4:
             gamma_series = gamma_series + term / (k + 1)  # (hA)^k / (k+1)!
-    gamma = dt * (gamma_series @ model.b)
-    return tuple(tuple(phi[i].tolist()) + (float(gamma[i]),) for i in range(n))
+    gamma = dt * (gamma_series @ b)
+    rows = tuple(tuple(phi[i].tolist()) + (float(gamma[i]),) for i in range(n))
+    return rows, tuple(c.tolist())
 
 
 def advance(

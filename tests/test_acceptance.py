@@ -212,20 +212,20 @@ def test_criterion_08_degenerate_equivalence():
 
 
 def test_criterion_09_rk4_vs_exact_discretization():
-    model = tf_to_ss(PIPELINE_TF)
+    a, b, c_exact = tf_to_ss(PIPELINE_TF)
     dt = 1e-4
     steps = 10000
-    phi, gamma = exact_zoh_discretization(model.a, model.b, dt)
-    rows, c = rk4_zoh(model, dt), tuple(model.c.tolist())
-    x = [0.0] * model.order
-    x_exact = np.zeros(model.order)
+    phi, gamma = exact_zoh_discretization(a, b, dt)
+    rows, c = rk4_zoh(PIPELINE_TF, dt)
+    x = [0.0] * len(rows)
+    x_exact = np.zeros(len(rows))
     max_err = 0.0
     max_ref = 0.0
     for k in range(steps):
         u = math.sin(2.0 * math.pi * 5.0 * k * dt)
         x, y = advance(rows, c, x, u)
         x_exact = phi @ x_exact + gamma * u
-        y_exact = float(model.c @ x_exact)
+        y_exact = float(c_exact @ x_exact)
         max_err = max(max_err, abs(y - y_exact))
         max_ref = max(max_ref, abs(y_exact))
     rel = max_err / max_ref

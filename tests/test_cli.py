@@ -186,6 +186,35 @@ class TestCompare:
         for a, b in zip(plain, disturbed):
             assert b - a == pytest.approx(0.001, abs=2e-9)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [],
+            ["--setpoint", "0"],
+            ["--disturbance-time", "0.02", "--disturbance-magnitude", "0.001"],
+        ],
+        ids=("step", "zero-setpoint", "disturbance"),
+    )
+    def test_columns_equal_simulate_cell_for_cell(self, tmp_path, capsys, args):
+        args = ["--duration", "0.05", *args]
+
+        def simulate(controller):
+            output = str(tmp_path / f"{controller}.csv")
+            argv = ["simulate", *args, "--controller", controller, "--output", output]
+            assert run_cli(argv) == 0
+            return capsys.readouterr().out.splitlines()
+
+        pid, fuzzy = simulate("pid"), simulate("fuzzy-pid")
+        assert run_cli(["compare", *args]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{'metric':<16}{'pid':<20}{'fuzzy-pid':<20}"
+        assert len(lines) == len(pid) + 1 + ("--disturbance-time" in args)
+        assert all(len(line) == 16 + 20 + 20 for line in lines)
+        for line, pid_line, fuzzy_line in zip(lines[1:], pid, fuzzy):
+            assert line[:16] == pid_line[:16] == fuzzy_line[:16]
+            assert line[16:36].rstrip() == pid_line[16:]
+            assert line[36:].rstrip() == fuzzy_line[16:]
+
     def test_no_disturbance_no_peak_row(self, capsys):
         assert run_cli(["compare", "--duration", "0.05"]) == 0
         out = capsys.readouterr().out
@@ -484,6 +513,11 @@ CONFIG_ERRORS = {
         "expected key = value",
     ),
     "empty-plant-num": (["simulate", "--plant-num", ""], {}, "empty coefficient list"),
+    "plant-order-above-bound": (
+        ["compare", "--plant-num", "1", "--plant-den", " ".join(["1"] + ["0"] * 17)],
+        {},
+        "plant order 17 exceeds the bound of 16",
+    ),
     "unknown-controller": (["compare", "--controller", "bang-bang"], {}, "'bang-bang'"),
     "port-without-disturbance": (
         ["simulate", "--disturbance-port", "plant-output"], {}, "disturbance_port given",

@@ -150,6 +150,14 @@ class TestFuzzify:
         assert got.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+DEFAULT_CELLS = DEFAULT_RULE_TABLE.cells
+
+
+def with_first_cell(cell):
+    """The default cells with cell (NB, NB) replaced."""
+    return ((cell,) + DEFAULT_CELLS[0][1:],) + DEFAULT_CELLS[1:]
+
+
 class TestRuleTable:
     def test_matches_golden_transcription(self):
         for ec_idx, row in enumerate(GOLDEN_RULE_ROWS_BY_EC):
@@ -186,6 +194,21 @@ class TestRuleTable:
         lines[0] = lines[0].replace("PB/NB/PS", "PB/XX/PS", 1)
         with pytest.raises(ValueError):
             RuleTable.parse("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "cells, suspect, message",
+        [
+            (DEFAULT_CELLS[:6], frozenset(), "must be 7x7"),
+            ((DEFAULT_CELLS[0][:6],) + DEFAULT_CELLS[1:], frozenset(), "must be 7x7"),
+            (with_first_cell((Label.ZO, Label.ZO)), frozenset(), "invalid rule cell"),
+            (with_first_cell((Label.ZO, Label.ZO, "ZO")), frozenset(), "invalid rule cell"),
+            (DEFAULT_CELLS, frozenset({(Label.NB, 3)}), "invalid suspect cell key"),
+        ],
+        ids=("six-rows", "six-columns", "pair-cell", "non-label-cell", "non-label-suspect"),
+    )
+    def test_rejects_invalid_construction(self, cells, suspect, message):
+        with pytest.raises(ValueError, match=message):
+            RuleTable(cells=cells, suspect=suspect)
 
     def test_load_reads_file(self, tmp_path):
         path = tmp_path / "rules.txt"

@@ -26,7 +26,6 @@ from sprayflow.plant import (
     TransferFunction,
     advance,
     rk4_zoh,
-    tf_to_ss,
 )
 
 from _oracles import (
@@ -82,17 +81,15 @@ def hand_stepped(scenario):
     first step, and feeds both the derivative term and the gain update.
     Returns the u, y, kp, ki and kd columns as lists.
     """
-    model = tf_to_ss(scenario.plant)
     dt, r, dists = scenario.dt, scenario.setpoint, scenario.disturbances
-    rows = rk4_zoh(model, dt)
-    c = tuple(model.c.tolist())
+    rows, c = rk4_zoh(scenario.plant, dt)
     ctrl = scenario.controller
     fuzzy = isinstance(ctrl, FuzzyPidController)
     gains = ctrl.base if fuzzy else ctrl.gains
     kp, ki, kd = gains.kp, gains.ki, gains.kd
     integral = 0.0
     e_prev = None
-    x = [0.0] * model.order
+    x = [0.0] * len(rows)
     _, y = apply_disturbances(0.0, 0.0, dists, 0.0)
     columns = [[0.0], [y], [kp], [ki], [kd]]
     for k in range(1, scenario.steps + 1):
@@ -443,7 +440,20 @@ class TestRunClosedLoop:
             SimScenario(setpoint=1.0, duration=1.0, dt=1e-4, controller="bang-bang")
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("name", COLUMNS[1:])
+    def test_rejects_mismatched_column_lengths(self, name):
+        columns = {column: np.zeros(3) for column in COLUMNS}
+        columns[name] = np.zeros(2)
+        with pytest.raises(ValueError, match=f"column {name} has mismatched length"):
+            Trajectory(**columns)
+
+
 class TestComputeMetrics:
+    def test_rejects_empty_trajectory(self):
+        with pytest.raises(ValueError, match="trajectory is empty"):
+            compute_metrics(synthetic_trajectory([], r=0.0))
+
     def test_overshoot_formula_first_example(self):
         traj = synthetic_trajectory([0.0, 5.538, 5.0, 5.0, 5.0, 5.0])
         metrics = compute_metrics(traj)

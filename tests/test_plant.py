@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sprayflow.plant import (
+    MAX_ORDER,
     PIPELINE_TF,
     Disturbance,
     TransferFunction,
@@ -30,71 +31,84 @@ class TestTransferFunction:
 
     def test_leading_zero_numerator_is_proper(self):
         tf = TransferFunction(num=(0.0, 5.0), den=(1.0, 2.0))
-        assert tf_to_ss(tf).order == 1
+        rows, c = rk4_zoh(tf, 0.1)
+        assert len(rows) == len(c) == 1
+
+    @pytest.mark.parametrize("num, den", [((), (1.0, 0.0)), ((1.0,), ())], ids=("num", "den"))
+    def test_rejects_empty_coefficients(self, num, den):
+        with pytest.raises(ValueError, match="non-empty"):
+            TransferFunction(num=num, den=den)
+
+    def test_order_bound(self):
+        # den = s^n + 1: the largest accepted order, then one more.
+        rows, c = rk4_zoh(TransferFunction(num=(1.0,), den=(1.0,) + (0.0,) * 15 + (1.0,)), 1e-3)
+        assert MAX_ORDER == 16
+        assert len(rows) == len(c) == 16
+        with pytest.raises(ValueError, match="plant order 17 exceeds the bound of 16"):
+            TransferFunction(num=(1.0,), den=(1.0,) + (0.0,) * 16 + (1.0,))
 
 
 class TestTfToSs:
     def test_pipeline_model_realization(self):
-        model = tf_to_ss(PIPELINE_TF)
-        assert model.order == 2
-        assert model.a[0, 0] == 0.0
-        assert model.a[0, 1] == 1.0
-        assert model.a[1, 0] == 0.0
-        assert model.a[1, 1] == pytest.approx(-1.0 / 0.0037, rel=1e-13)
-        assert np.array_equal(model.b, [0.0, 1.0])
-        assert model.c[0] == pytest.approx(43956.0 / 0.0037, rel=1e-13)
-        assert model.c[1] == 0.0
+        a, b, c = tf_to_ss(PIPELINE_TF)
+        assert a.shape == (2, 2)
+        assert a[0, 0] == 0.0
+        assert a[0, 1] == 1.0
+        assert a[1, 0] == 0.0
+        assert a[1, 1] == pytest.approx(-1.0 / 0.0037, rel=1e-13)
+        assert np.array_equal(b, [0.0, 1.0])
+        assert c[0] == pytest.approx(43956.0 / 0.0037, rel=1e-13)
+        assert c[1] == 0.0
         # Cross-check the normalized gain path.
-        assert 0.0037 * model.c[0] == pytest.approx(43956.0, rel=1e-13)
+        assert 0.0037 * c[0] == pytest.approx(43956.0, rel=1e-13)
 
     def test_pure_integrator(self):
-        model = tf_to_ss(TransferFunction(num=(1.0,), den=(1.0, 0.0)))
-        assert np.array_equal(model.a, [[0.0]])
-        assert np.array_equal(model.b, [1.0])
-        assert np.array_equal(model.c, [1.0])
+        a, b, c = tf_to_ss(TransferFunction(num=(1.0,), den=(1.0, 0.0)))
+        assert np.array_equal(a, [[0.0]])
+        assert np.array_equal(b, [1.0])
+        assert np.array_equal(c, [1.0])
 
     def test_first_order_lag(self):
-        k, a = 3.5, 2.0
-        model = tf_to_ss(TransferFunction(num=(k,), den=(1.0, a)))
-        assert np.array_equal(model.a, [[-a]])
-        assert np.array_equal(model.b, [1.0])
-        assert np.array_equal(model.c, [k])
+        k, lag = 3.5, 2.0
+        a, b, c = tf_to_ss(TransferFunction(num=(k,), den=(1.0, lag)))
+        assert np.array_equal(a, [[-lag]])
+        assert np.array_equal(b, [1.0])
+        assert np.array_equal(c, [k])
 
 
-def stepper(model, dt):
-    """The model's RK4 step at one dt, with Phi and Gamma computed once."""
-    rows = rk4_zoh(model, dt)
-    c = tuple(model.c.tolist())
+def stepper(tf, dt):
+    """The plant's RK4 step at one dt, with Phi and Gamma computed once."""
+    rows, c = rk4_zoh(tf, dt)
     return lambda x, u: advance(rows, c, x, u)
 
 
 class TestPlantStep:
     def test_zero_state_zero_input(self):
-        step = stepper(tf_to_ss(PIPELINE_TF), 0.1)
+        step = stepper(PIPELINE_TF, 0.1)
         x, y = step([0.0, 0.0], 0.0)
         assert x == [0.0, 0.0]
         assert y == 0.0
 
     def test_integrator_exact_for_constant_input(self):
-        step = stepper(tf_to_ss(TransferFunction(num=(1.0,), den=(1.0, 0.0))), 0.1)
+        step = stepper(TransferFunction(num=(1.0,), den=(1.0, 0.0)), 0.1)
         x, y = step([0.0], 1.0)
         assert x[0] == pytest.approx(0.1, rel=1e-15)
         assert y == pytest.approx(0.1, rel=1e-15)
 
     def test_output_identity_after_every_step(self):
-        model = tf_to_ss(PIPELINE_TF)
-        step = stepper(model, 1e-4)
+        _, _, c = tf_to_ss(PIPELINE_TF)
+        step = stepper(PIPELINE_TF, 1e-4)
         x = [0.0, 0.0]
         rng = np.random.default_rng(3)
         for u in rng.uniform(-1.0, 1.0, size=50):
             x, y = step(x, float(u))
-            assert y == float(model.c @ np.array(x))
+            assert y == float(c @ np.array(x))
 
     def test_pipeline_slope_approaches_dc_gain(self):
         # After the 3.7 ms lag decays, dy/dt of the integrating plant under
         # constant input approaches 43956*u.
         dt = 1e-4
-        step = stepper(tf_to_ss(PIPELINE_TF), dt)
+        step = stepper(PIPELINE_TF, dt)
         x = [0.0, 0.0]
         for _ in range(2000):
             x, y_prev = step(x, 1.0)
@@ -103,7 +117,7 @@ class TestPlantStep:
         assert slope == pytest.approx(43956.0, rel=1e-3)
 
     def test_linearity_of_trajectories(self):
-        step = stepper(tf_to_ss(PIPELINE_TF), 1e-4)
+        step = stepper(PIPELINE_TF, 1e-4)
         rng = np.random.default_rng(11)
         inputs = rng.uniform(-1.0, 1.0, size=200)
         scale = 3.7
@@ -126,8 +140,8 @@ class TestPlantStep:
     def test_non_finite_state_or_input_gives_non_finite_output(self, tf, dt):
         # advance checks nothing; the closed loop checks y alone, which
         # relies on this.
-        step = stepper(tf_to_ss(tf), dt)
-        n = tf_to_ss(tf).order
+        step = stepper(tf, dt)
+        n = len(tf.den) - 1
         for bad in (math.inf, -math.inf, math.nan):
             for i in range(n):
                 x = [0.5] * n
@@ -141,7 +155,7 @@ class TestPlantStep:
 
     def test_state_overflow_gives_non_finite_output(self):
         # One step of 1/(s - 1000) at dt = 0.1 multiplies the state by about 4e6.
-        step = stepper(tf_to_ss(TransferFunction(num=(1.0,), den=(1.0, -1000.0))), 0.1)
+        step = stepper(TransferFunction(num=(1.0,), den=(1.0, -1000.0)), 0.1)
         x, y = step([1e303], 0.0)
         assert x == [math.inf]
         assert y == math.inf
@@ -169,35 +183,39 @@ class TestRk4Zoh:
         ],
     )
     def test_phi_gamma_equal_one_four_stage_step(self, tf, dt):
-        model = tf_to_ss(tf)
-        n = model.order
-        rows = np.array(rk4_zoh(model, dt))
+        a, b, c_ref = tf_to_ss(tf)
+        n = len(c_ref)
+        rows, c = rk4_zoh(tf, dt)
+        assert c == tuple(c_ref.tolist())
+        assert all(type(value) is float for row in rows for value in row + c)
+        rows = np.array(rows)
         phi, gamma = rows[:, :n], rows[:, n]
         # The step is linear in (x, u): its columns are the unit responses.
         phi_ref = np.column_stack(
-            [classical_rk4_step(model.a, model.b, np.eye(n)[j], 0.0, dt) for j in range(n)]
+            [classical_rk4_step(a, b, np.eye(n)[j], 0.0, dt) for j in range(n)]
         )
-        gamma_ref = classical_rk4_step(model.a, model.b, np.zeros(n), 1.0, dt)
+        gamma_ref = classical_rk4_step(a, b, np.zeros(n), 1.0, dt)
         for got, want in ((phi, phi_ref), (gamma, gamma_ref)):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         rng = np.random.default_rng(17)
-        c = tuple(model.c.tolist())
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, size=n)
             u = float(rng.uniform(-1.0, 1.0))
             x_next, y = advance(rows.tolist(), c, x.tolist(), u)
-            want = classical_rk4_step(model.a, model.b, x, u, dt)
+            want = classical_rk4_step(a, b, x, u, dt)
             assert np.max(np.abs(np.array(x_next) - want)) <= 1e-14 * np.max(np.abs(want))
-            assert y == pytest.approx(float(model.c @ want), rel=1e-13)
+            assert y == pytest.approx(float(c_ref @ want), rel=1e-13)
 
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError):
-            rk4_zoh(tf_to_ss(PIPELINE_TF), 0.0)
+            rk4_zoh(PIPELINE_TF, 0.0)
 
 
 class TestDisturbances:
     def test_validation(self):
         with pytest.raises(ValueError):
             Disturbance(time=-1.0, magnitude=1.0)
+        with pytest.raises(ValueError, match="magnitude must be finite"):
+            Disturbance(time=0.0, magnitude=math.nan)
         with pytest.raises(ValueError):
             Disturbance(time=0.0, magnitude=1.0, port="actuator")
