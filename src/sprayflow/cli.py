@@ -14,7 +14,8 @@ file (config, rules, trajectory CSV) must be a regular file.
 
 All CSV output is byte-reproducible: fixed-point with nine fractional
 digits, comma separated, LF terminated, one column per name in
-harness.COLUMNS.
+harness.COLUMNS. A column that holds one value on every row is formatted
+once per file, with the same bytes.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical blow-up.
 """
@@ -77,22 +78,37 @@ def _fmt9(value: float) -> str:
     return f"{value + 0.0:.9f}"
 
 
-# One CSV row in the _fmt9 format; "%.9f" and "{:.9f}" format floats alike.
-_ROW_FORMAT = ",".join(["%.9f"] * len(COLUMNS)) + "\n"
 # Rows formatted per write, which bounds the memory the writer adds.
 _CSV_CHUNK_ROWS = 1024
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Write a trajectory in the canonical byte-reproducible CSV format."""
+    """Write a trajectory in the canonical byte-reproducible CSV format.
+
+    Every value is written as _fmt9 writes it. A column that holds one
+    value on every row (under plain PID: r, kp, ki and kd) is formatted
+    once, as literal text in the row format, and only the other columns
+    are formatted row by row.
+    """
     columns = [getattr(traj, name) for name in COLUMNS]
+    # min == max allocates nothing n-sized. It is false for a column with a
+    # NaN and true for one mixing -0.0 and 0.0, which _fmt9 prints alike.
+    constant = [bool(len(col)) and col.min() == col.max() for col in columns]
+    # "%.9f" and "{:.9f}" format floats alike.
+    row_format = ",".join(
+        _fmt9(float(col[0])) if const else "%.9f" for col, const in zip(columns, constant)
+    ) + "\n"
+    varying = [col for col, const in zip(columns, constant) if not const]
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            # Adding positive zero folds -0.0 into 0.0, as _fmt9 does.
-            rows = (np.column_stack([col[start:stop] for col in columns]) + 0.0).tolist()
-            fh.write("".join([_ROW_FORMAT % tuple(row) for row in rows]))
+            stop = min(start + _CSV_CHUNK_ROWS, len(traj))
+            # Adding positive zero folds -0.0 into 0.0, as _fmt9 does. The fold
+            # is per chunk, so it never copies a whole column.
+            chunk = [(col[start:stop] + 0.0).tolist() for col in varying]
+            # With every column constant each row is the row format itself.
+            rows = zip(*chunk) if chunk else [()] * (stop - start)
+            fh.write("".join([row_format % row for row in rows]))
 
 
 def read_trajectory_csv(path: str) -> Trajectory:

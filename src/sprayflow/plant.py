@@ -15,7 +15,6 @@ model has a pure integrator and a 3.7 ms lag, so the default step of
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,11 +129,23 @@ def advance(
     finite whenever some x[i] is not, even where c[i] = 0 (0 * inf is
     nan), so checking y covers the state; a non-finite u makes every
     x[i] non-finite.
+
+    Each dot product is accumulated left to right, one rounding per step,
+    so its bits do not depend on the interpreter: from CPython 3.12 on the
+    builtin sum() of floats is compensated. No path whose bits are pinned
+    may use sum, math.fsum, math.sumprod or a numpy reduction.
     """
-    xu = [*x, u]
-    mul = operator.mul
-    x_next = [sum(map(mul, row, xu)) for row in rows]
-    return x_next, sum(map(mul, c, x_next))
+    x_next = []
+    for row in rows:
+        acc = 0.0
+        # zip stops at the end of x, before Gamma[i] = row[-1].
+        for a, v in zip(row, x):
+            acc += a * v
+        x_next.append(acc + row[-1] * u)
+    y = 0.0
+    for a, v in zip(c, x_next):
+        y += a * v
+    return x_next, y
 
 
 @dataclass(frozen=True)

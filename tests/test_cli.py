@@ -2,6 +2,7 @@ import itertools
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from sprayflow.cli import (
     write_trajectory_csv,
 )
 from sprayflow.fuzzy import DEFAULT_RULE_TABLE, RuleTable
-from sprayflow.harness import PidConfig, Trajectory
+from sprayflow.harness import PidConfig, SimScenario, Trajectory, run_closed_loop
 from sprayflow.pid import PidGains
 
 ROW_PATTERN = re.compile(r"^-?\d+\.\d{9}(,-?\d+\.\d{9}){7}$")
@@ -465,11 +466,36 @@ class TestConfigFile:
         assert err == "error: setpoint: not a number: 'slow'\n"
 
 
+def _writer_cases():
+    """Trajectory columns by case name, for the CSV writer.
+
+    Negative zero, negatives, values above 1e4 and below 1e-9 in size,
+    over more rows than one write chunk; then columns that hold one value
+    on every row, which the writer formats once, and columns that nearly do.
+    """
+    values = np.array([-0.0, 0.0, -1.5, 12345.678901234, 3e-10, -4e-10, 1e-12,
+                       -2.5e-9, 98765.4321, -7.0000000004, 0.1234567895])
+    n = _CSV_CHUNK_ROWS + 3
+    mixed = [np.resize(np.roll(values, shift), n) for shift in range(8)]
+    last_row_differs = np.full(n, 2.5)
+    last_row_differs[-1] = -3.0
+    constants = [
+        np.full(n, -0.0),
+        np.resize([-0.0, 0.0], n),
+        last_row_differs,
+        np.full(n, -7.0000000004),
+    ]
+    return {
+        "varying": mixed,
+        "constant-columns": mixed[:4] + constants,
+        "every-column-constant": [np.full(n, v) for v in values[:8]],
+        "one-row": [values[i : i + 1] for i in range(8)],
+        "no-rows": [np.empty(0) for _ in range(8)],
+    }
+
+
 class TestTrajectoryCsvIO:
     def test_round_trip(self, tmp_path):
-        from sprayflow.harness import PidConfig, SimScenario, run_closed_loop
-        from sprayflow.pid import PidGains
-
         scenario = SimScenario(
             setpoint=5.0, duration=0.01, dt=1e-4,
             controller=PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
@@ -482,19 +508,30 @@ class TestTrajectoryCsvIO:
         assert np.allclose(again.t, traj.t, atol=5e-10)
 
     def test_writer_bytes_equal_per_value_format(self, tmp_path):
-        # Negative zero, negatives, values above 1e4 and below 1e-9 in size,
-        # over more rows than one write chunk.
-        values = np.array([-0.0, 0.0, -1.5, 12345.678901234, 3e-10, -4e-10, 1e-12,
-                           -2.5e-9, 98765.4321, -7.0000000004, 0.1234567895])
-        n = _CSV_CHUNK_ROWS + 3
-        columns = [np.resize(np.roll(values, shift), n) for shift in range(8)]
-        traj = Trajectory(*columns)
-        path = tmp_path / "w.csv"
-        write_trajectory_csv(traj, str(path))
-        expected = CSV_HEADER + "\n" + "".join(
-            ",".join(_fmt9(float(v)) for v in row) + "\n" for row in zip(*columns)
+        for case, columns in _writer_cases().items():
+            path = tmp_path / f"{case}.csv"
+            write_trajectory_csv(Trajectory(*columns), str(path))
+            expected = CSV_HEADER + "\n" + "".join(
+                ",".join(_fmt9(float(v)) for v in row) + "\n" for row in zip(*columns)
+            )
+            assert path.read_bytes() == expected.encode("ascii"), case
+
+    def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path):
+        # The writer formats and folds -0.0 one chunk at a time, so on a
+        # 100k-row PID run (6.4 MB of columns) it peaks near 0.4 MiB; copying
+        # each varying column whole would take it to about 3.4 MiB.
+        scenario = SimScenario(
+            setpoint=5.0, duration=10.0, dt=1e-4, controller=presets.default_pid_config()
         )
-        assert path.read_bytes() == expected.encode("ascii")
+        traj = run_closed_loop(scenario)
+        assert len(traj) == 100_001
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, str(tmp_path / "m.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 RULE_ROW = ",".join(["ZO/ZO/ZO"] * 7)

@@ -1,8 +1,11 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from sprayflow.pid import pid_law
 from sprayflow.plant import (
     MAX_ORDER,
     PIPELINE_TF,
@@ -159,6 +162,31 @@ class TestPlantStep:
         x, y = step([1e303], 0.0)
         assert x == [math.inf]
         assert y == math.inf
+
+    def test_pid_loop_bits_are_pinned(self):
+        # The pipeline plant's step at dt = 1e-4, as rk4_zoh builds it,
+        # written out so that the pin does not depend on the BLAS kernels
+        # behind numpy's @. 5,000 steps of the default PID loop through
+        # pid_law and advance must give these exact output bits on every
+        # interpreter; a compensated sum in advance changes most of them.
+        h = float.fromhex
+        rows = (
+            (h("0x1.0000000000000p+0"), h("0x1.9dd029e888f2fp-14"), h("0x1.5485d7ff48df7p-28")),
+            (0.0, h("0x1.f258f4e33bce6p-1"), h("0x1.9dd029e888f2fp-14")),
+        )
+        c = (h("0x1.6a8c800000000p+23"), 0.0)
+        dt, r = 1e-4, 5.0
+        x, y, integral, e_prev = [0.0, 0.0], 0.0, 0.0, None
+        outputs = []
+        for _ in range(5000):
+            e = r - y
+            derivative = 0.0 if e_prev is None else (e - e_prev) / dt
+            e_prev = e
+            u, integral = pid_law(0.0045, 0.05, 5e-6, e, derivative, integral, dt)
+            x, y = advance(rows, c, x, u)
+            outputs.append(y)
+        digest = hashlib.sha256(struct.pack("<5000d", *outputs)).hexdigest()
+        assert digest == "cdda5a87d6581016e5a8b0c7f2a0060e7a60734dabc094280c8aa54d29eb7ab9"
 
 
 def classical_rk4_step(a, b, x, u, dt):
