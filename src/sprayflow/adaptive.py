@@ -32,8 +32,7 @@ def adapted_gains(ctrl: FuzzyPidController, e: float, ec: float) -> tuple[float,
     f = ctrl.factors
     dp, di, dd = infer_deltas(quantize(e, f.ke), quantize(ec, f.kec), ctrl.table)
     base = ctrl.base
-    return (
-        max(0.0, base.kp + f.kup * dp),
-        max(0.0, base.ki + f.kui * di),
-        max(0.0, base.kd + f.kud * dd),
-    )
+    kp = base.kp + f.kup * dp
+    ki = base.ki + f.kui * di
+    kd = base.kd + f.kud * dd
+    return (kp if kp > 0.0 else 0.0, ki if ki > 0.0 else 0.0, kd if kd > 0.0 else 0.0)

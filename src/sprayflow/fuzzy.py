@@ -15,22 +15,32 @@ neighbours, min(h_k, h_k+1, t, 1 - t). Each of these sampled shapes is a
 constant run plus an arithmetic ramp, whose sum and first moment over the
 grid points are finite series with closed forms.
 
-Two observations keep that work small. First, the four rules that can
-fire are fixed by the anchor cell (i, j) of the two located labels, so
-the rule table precomputes a firing plan per anchor cell and output: the
-labels those rules name, in ascending order, each with the rules naming
-it, its center, the midpoint to its left neighbour, its edge step and
-whether its left neighbour is named too. Second, every closed-form term
-(a clipped triangle's mass, its edge moment, the tent overlap clipped at
-g) depends only on the clip height, and every clip height (and every g,
-the smaller of two) is one of the four firing strengths. So `_terms` runs
-once per distinct positive strength, and each output adds the terms of
-its labels in ascending label order. A label's clip height is still the
-largest strength among the rules naming it, and labels that no rule
-names, or that only zero-strength rules name, still add nothing. So each
-output performs the same floating-point operations on the same operands,
-in the same order, as a centroid that walks all seven labels of a
-clip-height list, and the result is bit-identical to it.
+Three observations keep that work small. First, the four rules that can
+fire are fixed by the anchor cell (i, j) of the two located labels.
+Second, every closed-form term (a clipped triangle's mass, its edge
+moment, the tent overlap clipped at g) depends only on the clip height,
+and every clip height (and every g, the smaller of two) is one of the
+four firing strengths. Third, those four strengths take only three
+values: lo and hi, the smaller and the larger of the two inputs' smaller
+degrees, and big, the smaller of their larger degrees. A smaller degree
+is at most 0.5 and a larger one at least 0.5, so lo <= hi <= big, the
+rule pairing the two larger degrees fires at big, the one pairing the
+two smaller at lo, and each of the two others at its input's smaller
+degree. Which rule gets which value is fixed by three comparisons, the
+ordering pattern: which label of e has the larger degree, which label of
+ec has, and whether e's smaller degree lies below ec's. So the rule
+table precomputes a firing plan per anchor cell, pattern and output: the
+labels those rules name, in ascending order, each with the index of its
+clip height among (lo, hi, big), the largest index of the rules naming
+it, and, when its left neighbour is named too, the index of the lower of
+their two heights, which clips their overlap. `_terms` runs once per
+positive height, and each output adds the terms of its labels in
+ascending label order. Ties give equal floats, and equal heights give
+equal terms; labels that no rule names, or whose height is zero, still
+add nothing. So each output performs the same floating-point operations
+on the same operands, in the same order, as a centroid that walks all
+seven labels of a clip-height list, and the result is bit-identical to
+it.
 
 Everything here is immutable after construction; all operations are pure
 functions and safe to call concurrently.
@@ -67,9 +77,16 @@ class Label(IntEnum):
 
 
 Triple = tuple[Label, Label, Label]
-# One label of a firing plan: (rules naming it, center, midpoint to the left
-# neighbour, edge step or 0, left neighbour also named).
-PlanEntry = tuple[tuple[int, ...], float, float, float, bool]
+# One label of a firing plan: (index of its clip height among (lo, hi, big),
+# center, midpoint to the left neighbour, edge step or 0, index of the height
+# clipping its overlap with the left neighbour, or -1 when that one is not
+# named).
+PlanEntry = tuple[int, float, float, float, int]
+# One named label before its heights are known: (rules naming it, center,
+# midpoint to the left neighbour, edge step or 0, left neighbour also named).
+_NamedLabel = tuple[tuple[int, ...], float, float, float, bool]
+# Indices of the three clip heights; big is always positive.
+_LO, _HI, _BIG = 0, 1, 2
 
 
 def quantize(crisp: float, factor: float) -> float:
@@ -81,7 +98,12 @@ def quantize(crisp: float, factor: float) -> float:
     """
     if not math.isfinite(crisp):
         raise ValueError(f"crisp input must be finite, got {crisp!r}")
-    return min(max(crisp * factor, UNIVERSE_MIN), UNIVERSE_MAX)
+    x = crisp * factor
+    if x < UNIVERSE_MIN:
+        return UNIVERSE_MIN
+    if x > UNIVERSE_MAX:
+        return UNIVERSE_MAX
+    return x
 
 
 def locate(x: float) -> tuple[int, float]:
@@ -107,9 +129,10 @@ class RuleTable:
 
     cells: tuple[tuple[Triple, ...], ...]
     suspect: frozenset[tuple[Label, Label]] = frozenset()
-    # Per anchor cell (i, j), at index 6 * i + j, the (dKp, dKi, dKd) firing
-    # plans of the rules (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1),
-    # numbered 0 to 3 in that order; see `_firing_plan`.
+    # Per anchor cell (i, j) and ordering pattern, at index
+    # 8 * (6 * i + j) + pattern, the (dKp, dKi, dKd) firing plans of the rules
+    # (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1), numbered 0 to 3 in that
+    # order; see `_rule_heights` and `_firing_plan`.
     plans: tuple[tuple[tuple[PlanEntry, ...], ...], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -129,7 +152,9 @@ class RuleTable:
         for i in range(6):
             for j in range(6):
                 fired = (cells[i][j], cells[i][j + 1], cells[i + 1][j], cells[i + 1][j + 1])
-                plans.append(tuple(_firing_plan([rule[out] for rule in fired]) for out in range(3)))
+                named = [_named_labels([rule[out] for rule in fired]) for out in range(3)]
+                for heights in _RULE_HEIGHTS:
+                    plans.append(tuple(_firing_plan(labels, heights) for labels in named))
         object.__setattr__(self, "plans", tuple(plans))
 
     def dump(self) -> str:
@@ -184,18 +209,45 @@ class RuleTable:
         return cls(cells=cells, suspect=frozenset(suspect))
 
 
-def _firing_plan(consequents: list[Label]) -> tuple[PlanEntry, ...]:
+def _rule_heights(pattern: int) -> tuple[int, ...]:
+    """Clip-height index (_LO, _HI or _BIG) of each of the four fired rules.
+
+    pattern is 4 * (e's label i + 1 has the larger degree) + 2 * (ec's
+    label j + 1 has) + (e's smaller degree lies below ec's), as
+    `infer_deltas` computes it. Rule n pairs e's label i + (n >> 1) with
+    ec's label j + (n & 1).
+    """
+    e_right, ec_right, e_below = pattern >> 2, (pattern >> 1) & 1, pattern & 1
+    heights = []
+    for n in range(4):
+        e_small = (n >> 1) != e_right
+        ec_small = (n & 1) != ec_right
+        if e_small and ec_small:
+            heights.append(_LO)
+        elif e_small:
+            heights.append(_LO if e_below else _HI)
+        elif ec_small:
+            heights.append(_HI if e_below else _LO)
+        else:
+            heights.append(_BIG)
+    return tuple(heights)
+
+
+_RULE_HEIGHTS = tuple(_rule_heights(pattern) for pattern in range(8))
+
+
+def _named_labels(consequents: list[Label]) -> list[_NamedLabel]:
     """The labels that four fired rules name for one output, in ascending order.
 
     consequents[n] is the label rule n names. Each entry carries what the
-    closed-form centroid needs of its label: the rules whose strongest
-    firing sets its clip height, its center, the midpoint to its left
-    neighbour (where their overlap's moment sits), the grid step towards
-    the inside for the edge labels NB and PB (0 for the others) and
-    whether the left neighbour is named too, so that the two overlap.
+    closed-form centroid needs of its label: the rules naming it, its
+    center, the midpoint to its left neighbour (where their overlap's
+    moment sits), the grid step towards the inside for the edge labels NB
+    and PB (0 for the others) and whether its left neighbour is named too,
+    so that the two overlap.
     """
     labels = sorted(set(consequents))
-    return tuple(
+    return [
         (
             tuple(n for n, named in enumerate(consequents) if named is label),
             label.center,
@@ -204,7 +256,23 @@ def _firing_plan(consequents: list[Label]) -> tuple[PlanEntry, ...]:
             k > 0 and labels[k - 1] == label - 1,
         )
         for k, label in enumerate(labels)
-    )
+    ]
+
+
+def _firing_plan(labels: list[_NamedLabel], heights: tuple[int, ...]) -> tuple[PlanEntry, ...]:
+    """The firing plan of one output's named labels under one ordering pattern.
+
+    heights[n] is the clip-height index of rule n. A label's clip height is
+    the largest of its rules' heights, and the overlap with a named left
+    neighbour is clipped at the lower of the two labels' heights.
+    """
+    plan = []
+    prev = -1
+    for rules, center, midpoint, step, adjacent in labels:
+        k = max([heights[n] for n in rules])
+        plan.append((k, center, midpoint, step, min(prev, k) if adjacent else -1))
+        prev = k
+    return tuple(plan)
 
 
 def _parse_label(token: str) -> Label:
@@ -277,29 +345,41 @@ def infer_deltas(
             raise ValueError(f"universe value out of range [-6, 6]: {x!r}")
     i, w = locate(e_scaled)
     j, v = locate(ec_scaled)
-    a, b = 1.0 - w, w
-    c, d = 1.0 - v, v
-    strengths = (a if a < c else c, a if a < d else d, b if b < c else c, b if b < d else d)
-    # Every clip height is one of these. At most three of them differ: the
-    # smaller degree of either input is at most 0.5 and the larger at
-    # least 0.5, so the rule pairing the two smaller degrees fires as
-    # strongly as one of the two rules pairing a smaller with a larger.
-    terms = {}
-    for h in strengths:
-        if h > 0.0 and h not in terms:
-            terms[h] = _terms(h)
+    # Label i has degree 1 - w and label i + 1 degree w; likewise j and v.
+    a = 1.0 - w
+    c = 1.0 - v
+    if w > a:
+        e_small, e_big, pattern = a, w, 4
+    else:
+        e_small, e_big, pattern = w, a, 0
+    if v > c:
+        ec_small, ec_big = c, v
+        pattern += 2
+    else:
+        ec_small, ec_big = v, c
+    if e_small < ec_small:
+        lo, hi = e_small, ec_small
+        pattern += 1
+    else:
+        lo, hi = ec_small, e_small
+    big = e_big if e_big < ec_big else ec_big
+    # Heights with an index below `first` are zero: their labels add nothing.
+    if lo > 0.0:
+        first = _LO
+        terms = (_terms(lo), _terms(hi), _terms(big))
+    elif hi > 0.0:
+        first = _HI
+        terms = (None, _terms(hi), _terms(big))
+    else:
+        first = _BIG
+        terms = (None, None, _terms(big))
     deltas = []
-    for plan in table.plans[6 * i + j]:
+    for plan in table.plans[8 * (6 * i + j) + pattern]:
         mass = 0.0
         moment = 0.0
-        prev = 0.0
-        for rules, center, midpoint, step, adjacent in plan:
-            h = 0.0
-            for rule in rules:
-                if strengths[rule] > h:
-                    h = strengths[rule]
-            if h > 0.0:
-                side, full, side_moment, overlap = terms[h]
+        for k, center, midpoint, step, overlap_k in plan:
+            if k >= first:
+                side, full, side_moment, _ = terms[k]
                 if step:
                     # Cut at the universe edge: only the inner side remains.
                     mass += side
@@ -307,13 +387,10 @@ def infer_deltas(
                 else:
                     mass += full
                     moment += center * full
-                if adjacent and prev > 0.0:
-                    # The overlap is clipped at the lower of the two heights.
-                    if prev < h:
-                        overlap = terms[prev][3]
+                if overlap_k >= first:
+                    overlap = terms[overlap_k][3]
                     mass -= overlap
                     moment -= midpoint * overlap
-            prev = h
         deltas.append(moment / mass)
     return tuple(deltas)
 
@@ -337,6 +414,11 @@ _PLATEAU_MOMENT = tuple(p * (p - 1) // 2 for p in range(_N + 1))
 # clipped at g. Its r = min(floor(N g), N/2 - 1) lowest points on each side
 # lie under the clip; this is their sum, both sides.
 _TENT_SUM = tuple(2.0 * (r * (r + 1) // 2) / _N for r in range(_HALF))
+# What `_terms` reads, one lookup per index.
+_P_SUMS = tuple(
+    (_RAMP_SUM[_N - p], _PLATEAU_MOMENT[p], _RAMP_MOMENT[_N - p]) for p in range(_N + 1)
+)
+_R_SUMS = tuple((_TENT_SUM[r], 2 * (_HALF - 1 - r)) for r in range(_HALF))
 
 
 def _terms(h: float) -> tuple[float, float, float, float]:
@@ -351,13 +433,15 @@ def _terms(h: float) -> tuple[float, float, float, float]:
     p = int(_N - _N * h) + 1
     if p > _N:
         p = _N
-    side = p * h + _RAMP_SUM[_N - p]
+    ramp_sum, plateau_moment, ramp_moment = _P_SUMS[p]
+    side = p * h + ramp_sum
     r = int(_N * h)
     if r > _HALF - 1:
         r = _HALF - 1
+    tent_sum, flat_points = _R_SUMS[r]
     return (
         side,
         side + side - h,
-        h * _PLATEAU_MOMENT[p] + _RAMP_MOMENT[_N - p],
-        _TENT_SUM[r] + 2 * (_HALF - 1 - r) * h + (h if h < 0.5 else 0.5),
+        h * plateau_moment + ramp_moment,
+        tent_sum + flat_points * h + (h if h < 0.5 else 0.5),
     )

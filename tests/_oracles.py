@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (explicit
 49-rule loops, textbook formulas, matrix exponentials) so it shares no
-code path with the package under test.
+code path with the package under test. The one exception is
+`rewritten_suspects_table`, a test input rather than a reference: the
+package's own table with its two suspect cells rewritten.
 """
 from __future__ import annotations
 
@@ -10,6 +12,8 @@ import math
 
 import numpy as np
 import scipy.linalg
+
+from sprayflow.fuzzy import DEFAULT_RULE_TABLE, Label, RuleTable
 
 LABELS = ("NB", "NM", "NS", "ZO", "PS", "PM", "PB")
 CENTERS = {name: -6.0 + 2.0 * i for i, name in enumerate(LABELS)}
@@ -30,6 +34,16 @@ GOLDEN_RULE_ROWS_BY_EC = [
 ]
 
 GOLDEN_SUSPECT_CELLS = {("NM", "NS"), ("NS", "PM")}
+
+
+def rewritten_suspects_table():
+    """The default rule table with (NM, NS) dKd NB -> PB and (NS, PM) dKi PS -> NS."""
+    cells = [list(row) for row in DEFAULT_RULE_TABLE.cells]
+    p, i, _ = cells[Label.NM][Label.NS]
+    cells[Label.NM][Label.NS] = (p, i, Label.PB)
+    p, _, d = cells[Label.NS][Label.PM]
+    cells[Label.NS][Label.PM] = (p, Label.NS, d)
+    return RuleTable(cells=tuple(tuple(row) for row in cells))
 
 
 def tri(x, center):

@@ -1,10 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from sprayflow.adaptive import FuzzyPidController, adapted_gains
-from sprayflow.fuzzy import ScalingFactors
+from sprayflow.fuzzy import ScalingFactors, infer_deltas, quantize
 from sprayflow.harness import SimScenario, run_closed_loop
 from sprayflow.pid import PidGains, pid_law
 
@@ -17,6 +18,11 @@ FACTORS = dict(ke=5.0, kec=0.8, kup=0.45, kui=0.45, kud=0.45)
 
 def make_controller(**factor_overrides):
     return FuzzyPidController(base=BASE, factors=ScalingFactors(**{**FACTORS, **factor_overrides}))
+
+
+def packed(gains):
+    """The bytes of three doubles, so that -0.0 and 0.0 differ."""
+    return struct.pack("3d", *gains)
 
 
 class TestFuzzyPidStep:
@@ -43,11 +49,26 @@ class TestFuzzyPidStep:
         u, _ = pid_law(kp, ki, kd, 0.0, 0.0, 0.0, 0.1)
         assert u == 0.0
 
+    def test_binding_floor_is_positive_zero(self):
+        # Zero base gains and output scales of 1.0: each gain is its delta,
+        # floored at +0.0, never -0.0, wherever the delta is negative.
+        factors = ScalingFactors(ke=5.0, kec=0.8, kup=1.0, kui=1.0, kud=1.0)
+        ctrl = FuzzyPidController(base=PidGains(0.0, 0.0, 0.0), factors=factors)
+        floored = 0
+        for e in np.linspace(-1.5, 1.5, 13):
+            for ec in np.linspace(-8.0, 8.0, 13):
+                deltas = infer_deltas(quantize(e, 5.0), quantize(ec, 0.8))
+                want = tuple(d if d > 0.0 else 0.0 for d in deltas)
+                floored += sum(d < 0.0 for d in deltas)
+                assert packed(adapted_gains(ctrl, float(e), float(ec))) == packed(want)
+        assert floored > 0
+
     def test_zero_scaling_matches_plain_pid_bitwise(self):
         ctrl = make_controller(kup=0.0, kui=0.0, kud=0.0)
         rng = np.random.default_rng(21)
         for e, ec in rng.uniform(-5.0, 5.0, size=(100, 2)):
-            assert adapted_gains(ctrl, float(e), float(ec)) == (BASE.kp, BASE.ki, BASE.kd)
+            got = adapted_gains(ctrl, float(e), float(ec))
+            assert packed(got) == packed((BASE.kp, BASE.ki, BASE.kd))
 
     def test_adaptation_bounded_by_scale_factors(self):
         factors = ScalingFactors(ke=5.0, kec=0.8, kup=0.3, kui=0.2, kud=0.1)
@@ -79,7 +100,8 @@ class TestFuzzyPidStep:
         e = traj.e.tolist()
         for k in range(1, len(traj)):
             ec = 0.0 if k == 1 else (e[k - 1] - e[k - 2]) / dt
-            assert (traj.kp[k], traj.ki[k], traj.kd[k]) == adapted_gains(ctrl, e[k - 1], ec)
+            logged = (traj.kp[k], traj.ki[k], traj.kd[k])
+            assert packed(logged) == packed(adapted_gains(ctrl, e[k - 1], ec))
 
     def test_rejects_bad_inputs(self):
         ctrl = make_controller()

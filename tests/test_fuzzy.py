@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from _oracles import (
     GOLDEN_SUSPECT_CELLS,
     brute_force_deltas,
     reference_deltas,
+    rewritten_suspects_table,
     tri,
 )
 
@@ -41,16 +43,6 @@ QUARTER_LATTICE = [-6.0 + 0.25 * k for k in range(49)]
 # 17 different degrees.
 FINE_LATTICE = [-6.0 + k / 32 for k in range(385)]
 FINE_SPARSE = FINE_LATTICE[::23]
-
-
-def rewritten_suspects_table():
-    """The default rule table with (NM, NS) dKd NB -> PB and (NS, PM) dKi PS -> NS."""
-    cells = [list(row) for row in DEFAULT_RULE_TABLE.cells]
-    p, i, _ = cells[Label.NM][Label.NS]
-    cells[Label.NM][Label.NS] = (p, i, Label.PB)
-    p, _, d = cells[Label.NS][Label.PM]
-    cells[Label.NS][Label.PM] = (p, Label.NS, d)
-    return RuleTable(cells=tuple(tuple(row) for row in cells))
 
 
 def random_table(seed):
@@ -85,6 +77,14 @@ class TestQuantize:
     def test_clamps_at_universe_edges(self):
         assert quantize(2.0, 5.0) == 6.0
         assert quantize(-2.0, 5.0) == -6.0
+
+    @pytest.mark.parametrize(
+        "crisp, want", [(-0.0, -0.0), (0.0, 0.0), (1e308, 6.0), (-1e308, -6.0)]
+    )
+    def test_sign_of_zero_and_overflow(self, crisp, want):
+        # -0.0 keeps its sign; 1e308 * 5.0 overflows to inf and clamps.
+        got = quantize(crisp, 5.0)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_input(self, bad):
@@ -304,27 +304,34 @@ class TestInference:
             infer_deltas(0.0, -7.0)
 
 
+def packed(deltas):
+    """The bytes of three doubles, so that -0.0 and 0.0 differ."""
+    return struct.pack("3d", *deltas)
+
+
 @pytest.mark.parametrize("table", TABLES.values(), ids=TABLES.keys())
 class TestBitwiseReference:
-    """Firing plans and per-strength terms reproduce the closed-form
+    """Firing plans and per-height terms reproduce the closed-form
     inference they replaced exactly, not to a tolerance."""
 
     def test_quarter_lattice(self, table):
         for e in QUARTER_LATTICE:
             for ec in QUARTER_LATTICE:
-                assert infer_deltas(e, ec, table) == reference_deltas(e, ec, table.cells), (e, ec)
+                got = packed(infer_deltas(e, ec, table))
+                assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
 
     def test_fine_lattice(self, table):
         for fine in FINE_LATTICE:
             for sparse in FINE_SPARSE:
                 for e, ec in ((fine, sparse), (sparse, fine)):
-                    got = infer_deltas(e, ec, table)
-                    assert got == reference_deltas(e, ec, table.cells), (e, ec)
+                    got = packed(infer_deltas(e, ec, table))
+                    assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
 
     @given(e=st.floats(min_value=-6.0, max_value=6.0), ec=st.floats(min_value=-6.0, max_value=6.0))
     @settings(max_examples=300, deadline=None)
     def test_random_points(self, table, e, ec):
-        assert infer_deltas(e, ec, table) == reference_deltas(e, ec, table.cells)
+        got = packed(infer_deltas(e, ec, table))
+        assert got == packed(reference_deltas(e, ec, table.cells))
 
 
 class TestScaling:
