@@ -10,8 +10,9 @@ both including any active disturbances, so e = r - y holds row-wise.
 
 The loop runs on plain floats through one kernel per layer: the PID law
 (`pid.pid_law`), the gain update (`adaptive.adapted_gains`) and the
-plant step (`plant.advance`), which `plant.rk4_zoh` precomputes once per
-run from the scenario's plant and dt as (rows, c). It holds the
+plant step, which `plant.rk4_zoh` precomputes once per run from the
+scenario's plant and dt as (rows, c) and `plant.compile_step` builds
+into a function step(x, u) -> (x_next, y). It holds the
 controller state itself, the integral and the previous error; their
 backward difference, zero on the first step, is both the derivative and
 the fuzzy error rate. A run equals stepping those kernels by hand.
@@ -19,8 +20,8 @@ the fuzzy error rate. A run equals stepping those kernels by hand.
 The loop alone decides a blow-up, the same way for both controllers: it
 stops before a step whose error rate is not finite and before a row whose
 error e = r - y is not finite. With a finite setpoint a finite error means
-a finite output, state and input (see `plant.advance`), so every logged
-row is finite.
+a finite output, state and input (see `plant.compile_step`), so every
+logged row is finite.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .plant import (
     PLANT_INPUT,
     Disturbance,
     TransferFunction,
-    advance,
+    compile_step,
     rk4_zoh,
 )
 
@@ -62,7 +63,8 @@ class SimScenario:
     t[k] = k * dt, an input disturbance acts on step k once t[k-1] reaches
     its time and an output one once t[k] does, so a plant-input time may
     be at most the second-to-last sample time (steps - 1) * dt and a
-    plant-output time at most the last, steps * dt.
+    plant-output time at most the last, steps * dt. The plant's RK4 step
+    at dt must be finite (see `plant.rk4_zoh`).
     """
 
     setpoint: float
@@ -87,6 +89,8 @@ class SimScenario:
             raise ValueError(
                 f"duration {self.duration!r} is shorter than one step of dt {self.dt!r}"
             )
+        # A plant whose step is not finite would blow up before any sample.
+        rk4_zoh(self.plant, self.dt)
         if not isinstance(self.controller, (PidConfig, FuzzyPidController)):
             raise ValueError(f"unsupported controller {self.controller!r}")
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
@@ -165,11 +169,16 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     output or error once output disturbances are added, is not finite,
     for either controller; the trajectory then holds the rows before it,
     every one finite (none if row 0's error overflows), with blown_up set.
+
+    The plant step is built once per run, by `plant.compile_step` from the
+    (rows, c) of `plant.rk4_zoh`, and each step calls it once on the state
+    tuple and the effective input; its output is the y checked above.
     """
     n_rows = scenario.steps + 1
     dt = scenario.dt
     r = float(scenario.setpoint)
     rows, c = rk4_zoh(scenario.plant, dt)
+    step = compile_step(rows, c)
     t = np.arange(n_rows) * dt
     # (first step, magnitude) per port, in declaration order. An input
     # disturbance acts on step k when t_prev = t[k-1] reaches its time,
@@ -195,7 +204,7 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     kd_log = np.zeros(n_rows)
     kp_log[:], ki_log[:], kd_log[:] = kp, ki, kd
 
-    x = [0.0] * len(rows)
+    x = (0.0,) * len(rows)
     u = y = 0.0
     # Runs always start from a fresh controller state.
     integral = 0.0
@@ -215,7 +224,7 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
             for start, m in u_dists:
                 if k >= start:
                     u += m
-            x, y = advance(rows, c, x, u)
+            x, y = step(x, u)
         for start, m in y_dists:
             if k >= start:
                 y += m

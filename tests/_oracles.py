@@ -156,6 +156,36 @@ def _centroid(heights):
     return moment / mass
 
 
+# The plant step as it stood before it was built as straight-line code,
+# kept verbatim as the bitwise reference for `plant.compile_step`.
+def advance(
+    rows: tuple[tuple[float, ...], ...], c: tuple[float, ...], x: list[float], u: float
+) -> tuple[list[float], float]:
+    """Next state and output of one precomputed RK4 step (see rk4_zoh).
+
+    Plain arithmetic, with no finiteness check. y = sum(c[i] * x[i]) is not
+    finite whenever some x[i] is not, even where c[i] = 0 (0 * inf is
+    nan), so checking y covers the state; a non-finite u makes every
+    x[i] non-finite.
+
+    Each dot product is accumulated left to right, one rounding per step,
+    so its bits do not depend on the interpreter: from CPython 3.12 on the
+    builtin sum() of floats is compensated. No path whose bits are pinned
+    may use sum, math.fsum, math.sumprod or a numpy reduction.
+    """
+    x_next = []
+    for row in rows:
+        acc = 0.0
+        # zip stops at the end of x, before Gamma[i] = row[-1].
+        for a, v in zip(row, x):
+            acc += a * v
+        x_next.append(acc + row[-1] * u)
+    y = 0.0
+    for a, v in zip(c, x_next):
+        y += a * v
+    return x_next, y
+
+
 def apply_disturbances(u_nominal, y_nominal, disturbances, t):
     """Add every active disturbance to its port; activation is inclusive."""
     u_eff = u_nominal

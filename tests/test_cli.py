@@ -555,6 +555,13 @@ CONFIG_ERRORS = {
         {},
         "plant order 17 exceeds the bound of 16",
     ),
+    # Finite coefficients whose RK4 step overflows: the step is all nan
+    # before the first sample, so this is bad input, not a blow-up.
+    "plant-step-not-finite": (
+        ["compare", "--duration", "0.01", "--plant-den", "1 1e300 1"],
+        {},
+        "den=(1.0, 1e+300, 1.0) at dt=0.0001 is not finite",
+    ),
     "unknown-controller": (["compare", "--controller", "bang-bang"], {}, "'bang-bang'"),
     "port-without-disturbance": (
         ["simulate", "--disturbance-port", "plant-output"], {}, "disturbance_port given",

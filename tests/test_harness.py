@@ -24,7 +24,7 @@ from sprayflow.plant import (
     PLANT_OUTPUT,
     Disturbance,
     TransferFunction,
-    advance,
+    compile_step,
     rk4_zoh,
 )
 
@@ -74,13 +74,14 @@ def hand_stepped(scenario):
     """
     dt, r, dists = scenario.dt, scenario.setpoint, scenario.disturbances
     rows, c = rk4_zoh(scenario.plant, dt)
+    step = compile_step(rows, c)
     ctrl = scenario.controller
     fuzzy = isinstance(ctrl, FuzzyPidController)
     gains = ctrl.base if fuzzy else ctrl.gains
     kp, ki, kd = gains.kp, gains.ki, gains.kd
     integral = 0.0
     e_prev = None
-    x = [0.0] * len(rows)
+    x = (0.0,) * len(rows)
     _, y = apply_disturbances(0.0, 0.0, dists, 0.0)
     columns = [[0.0], [y], [kp], [ki], [kd]]
     for k in range(1, scenario.steps + 1):
@@ -91,7 +92,7 @@ def hand_stepped(scenario):
             kp, ki, kd = adapted_gains(ctrl, e, derivative)
         u, integral = pid_law(kp, ki, kd, e, derivative, integral, dt)
         u, _ = apply_disturbances(u, 0.0, dists, (k - 1) * dt)
-        x, y = advance(rows, c, x, u)
+        x, y = step(x, u)
         _, y = apply_disturbances(0.0, y, dists, k * dt)
         for column, value in zip(columns, (u, y, kp, ki, kd)):
             column.append(value)

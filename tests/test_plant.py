@@ -11,10 +11,12 @@ from sprayflow.plant import (
     PIPELINE_TF,
     Disturbance,
     TransferFunction,
-    advance,
+    compile_step,
     rk4_zoh,
     tf_to_ss,
 )
+
+from _oracles import advance
 
 
 class TestTransferFunction:
@@ -81,20 +83,19 @@ class TestTfToSs:
 
 def stepper(tf, dt):
     """The plant's RK4 step at one dt, with Phi and Gamma computed once."""
-    rows, c = rk4_zoh(tf, dt)
-    return lambda x, u: advance(rows, c, x, u)
+    return compile_step(*rk4_zoh(tf, dt))
 
 
 class TestPlantStep:
     def test_zero_state_zero_input(self):
         step = stepper(PIPELINE_TF, 0.1)
-        x, y = step([0.0, 0.0], 0.0)
-        assert x == [0.0, 0.0]
+        x, y = step((0.0, 0.0), 0.0)
+        assert x == (0.0, 0.0)
         assert y == 0.0
 
     def test_integrator_exact_for_constant_input(self):
         step = stepper(TransferFunction(num=(1.0,), den=(1.0, 0.0)), 0.1)
-        x, y = step([0.0], 1.0)
+        x, y = step((0.0,), 1.0)
         assert x[0] == pytest.approx(0.1, rel=1e-15)
         assert y == pytest.approx(0.1, rel=1e-15)
 
@@ -141,7 +142,7 @@ class TestPlantStep:
         ids=("pipeline", "unstable", "third-order"),
     )
     def test_non_finite_state_or_input_gives_non_finite_output(self, tf, dt):
-        # advance checks nothing; the closed loop checks y alone, which
+        # The step checks nothing; the closed loop checks y alone, which
         # relies on this.
         step = stepper(tf, dt)
         n = len(tf.den) - 1
@@ -159,16 +160,16 @@ class TestPlantStep:
     def test_state_overflow_gives_non_finite_output(self):
         # One step of 1/(s - 1000) at dt = 0.1 multiplies the state by about 4e6.
         step = stepper(TransferFunction(num=(1.0,), den=(1.0, -1000.0)), 0.1)
-        x, y = step([1e303], 0.0)
-        assert x == [math.inf]
+        x, y = step((1e303,), 0.0)
+        assert x == (math.inf,)
         assert y == math.inf
 
     def test_pid_loop_bits_are_pinned(self):
         # The pipeline plant's step at dt = 1e-4, as rk4_zoh builds it,
         # written out so that the pin does not depend on the BLAS kernels
         # behind numpy's @. 5,000 steps of the default PID loop through
-        # pid_law and advance must give these exact output bits on every
-        # interpreter; a compensated sum in advance changes most of them.
+        # pid_law and compile_step must give these exact output bits on every
+        # interpreter; a compensated sum in the step changes most of them.
         h = float.fromhex
         rows = (
             (h("0x1.0000000000000p+0"), h("0x1.9dd029e888f2fp-14"), h("0x1.5485d7ff48df7p-28")),
@@ -176,17 +177,98 @@ class TestPlantStep:
         )
         c = (h("0x1.6a8c800000000p+23"), 0.0)
         dt, r = 1e-4, 5.0
-        x, y, integral, e_prev = [0.0, 0.0], 0.0, 0.0, None
+        step = compile_step(rows, c)
+        x, y, integral, e_prev = (0.0, 0.0), 0.0, 0.0, None
         outputs = []
         for _ in range(5000):
             e = r - y
             derivative = 0.0 if e_prev is None else (e - e_prev) / dt
             e_prev = e
             u, integral = pid_law(0.0045, 0.05, 5e-6, e, derivative, integral, dt)
-            x, y = advance(rows, c, x, u)
+            x, y = step(x, u)
             outputs.append(y)
         digest = hashlib.sha256(struct.pack("<5000d", *outputs)).hexdigest()
         assert digest == "cdda5a87d6581016e5a8b0c7f2a0060e7a60734dabc094280c8aa54d29eb7ab9"
+
+
+def _bits(values):
+    """The bytes of values, with every nan written as math.nan.
+
+    The sign of a nan that a sum of two nans returns is not reproducible:
+    CPython's float addition returns one operand or the other depending on
+    whether the interpreter has specialized the instruction yet, so the
+    reference step itself gives both signs for the same input. No nan is
+    ever logged, so only the bits of the other values are compared.
+    """
+    return struct.pack(f"<{len(values)}d", *(math.nan if v != v else v for v in values))
+
+
+class TestCompiledStepBitwise:
+    """compile_step against the reference step, compared as bytes.
+
+    == takes -0.0 for 0.0, so both results are packed with struct and
+    compared whole.
+    """
+
+    @staticmethod
+    def assert_same_bits(rows, c, x, u):
+        x_ref, y_ref = advance(rows, c, list(x), u)
+        x_next, y = compile_step(rows, c)(x, u)
+        assert type(x_next) is tuple
+        assert _bits(x_next + (y,)) == _bits(tuple(x_ref) + (y_ref,)), (rows, c, x, u)
+
+    @staticmethod
+    def special_inputs(n, rng):
+        """States and inputs with signed zeros, infinities and nan."""
+        special = (0.0, -0.0, math.inf, -math.inf, math.nan)
+        cases = [((-0.0,) * n, -0.0), ((-0.0,) * n, 0.0), ((0.0,) * n, -0.0)]
+        for value in special:
+            cases.append(((0.5,) * n, value))
+            for i in range(n):
+                x = [float(v) for v in rng.normal(size=n)]
+                x[i] = value
+                cases.append((tuple(x), float(rng.normal())))
+        for _ in range(50):
+            x = tuple(float(v) for v in rng.normal(scale=10.0 ** rng.integers(-3, 4), size=n))
+            cases.append((x, float(rng.normal())))
+        return cases
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, MAX_ORDER])
+    def test_random_steps(self, n):
+        rng = np.random.default_rng(n)
+        signed = rng.normal(size=(n + 1, n + 1))
+        # Entries of both signs, then non-negative rows and a non-positive
+        # output row: with the latter an all -0.0 state and u = -0.0 make
+        # every term of every sum -0.0, which the leading 0.0 turns into
+        # 0.0. Zeros of both signs are mixed in.
+        for values in (signed, np.vstack([np.abs(signed[:n]), -np.abs(signed[n:])])):
+            values[rng.random(size=values.shape) < 0.2] = 0.0
+            values[rng.random(size=values.shape) < 0.1] = -0.0
+            rows = tuple(tuple(row) for row in values[:n].tolist())
+            c = tuple(values[n, :n].tolist())
+            for x, u in self.special_inputs(n, rng):
+                self.assert_same_bits(rows, c, x, u)
+
+    def test_rk4_steps(self):
+        rng = np.random.default_rng(5)
+        for tf, dt in (
+            (PIPELINE_TF, 1e-4),
+            (TransferFunction(num=(1.0, 1.5), den=(1.0, 6.0, 11.0, 6.0)), 0.05),
+        ):
+            rows, c = rk4_zoh(tf, dt)
+            for x, u in self.special_inputs(len(rows), rng):
+                self.assert_same_bits(rows, c, x, u)
+
+    def test_non_finite_entries_are_values_not_source(self):
+        # rk4_zoh rejects such a step; compile_step takes it as it is.
+        rows = (
+            (math.inf, -0.0, 1.0),
+            (math.nan, 2.0, -math.inf),
+        )
+        c = (math.nan, 0.0)
+        rng = np.random.default_rng(9)
+        for x, u in self.special_inputs(2, rng) + [((0.0, 1.0), 0.0), ((1.0, 0.0), 1.0)]:
+            self.assert_same_bits(rows, c, x, u)
 
 
 def classical_rk4_step(a, b, x, u, dt):
@@ -225,11 +307,12 @@ class TestRk4Zoh:
         gamma_ref = classical_rk4_step(a, b, np.zeros(n), 1.0, dt)
         for got, want in ((phi, phi_ref), (gamma, gamma_ref)):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        step = compile_step(rows.tolist(), c)
         rng = np.random.default_rng(17)
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, size=n)
             u = float(rng.uniform(-1.0, 1.0))
-            x_next, y = advance(rows.tolist(), c, x.tolist(), u)
+            x_next, y = step(x.tolist(), u)
             want = classical_rk4_step(a, b, x, u, dt)
             assert np.max(np.abs(np.array(x_next) - want)) <= 1e-14 * np.max(np.abs(want))
             assert y == pytest.approx(float(c_ref @ want), rel=1e-13)
@@ -237,6 +320,21 @@ class TestRk4Zoh:
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError):
             rk4_zoh(PIPELINE_TF, 0.0)
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            ((1.0,), (1.0, 1e300, 1.0)),  # the series overflows
+            ((1.0,), (1e-300, 1e300, 1.0)),  # den / den[0] overflows
+            ((1e300,), (1e-300, 1.0)),  # num / den[0] overflows, so c does
+        ],
+        ids=("series", "den", "num"),
+    )
+    def test_rejects_non_finite_step(self, num, den):
+        # Under filterwarnings = error, a numpy overflow warning would fail
+        # this test before the ValueError.
+        with pytest.raises(ValueError, match=r"den=.* at dt=0\.0001 is not finite"):
+            rk4_zoh(TransferFunction(num=num, den=den), 1e-4)
 
 
 class TestDisturbances:
