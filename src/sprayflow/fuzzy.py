@@ -31,23 +31,29 @@ ordering pattern: which label of e has the larger degree, which label of
 ec has, and whether e's smaller degree lies below ec's. So the rule
 table precomputes a firing plan per anchor cell, pattern and output: the
 labels those rules name, in ascending order, each with the index of its
-clip height among (lo, hi, big), the largest index of the rules naming
-it, and, when its left neighbour is named too, the index of the lower of
-their two heights, which clips their overlap. `_terms` runs once per
-positive height, and each output adds the terms of its labels in
-ascending label order. Ties give equal floats, and equal heights give
-equal terms; labels that no rule names, or whose height is zero, still
-add nothing. So each output performs the same floating-point operations
-on the same operands, in the same order, as a centroid that walks all
-seven labels of a clip-height list, and the result is bit-identical to
-it.
+clip height among (lo, hi, big), the largest of its rules' indices, and,
+when its left neighbour is named too, the index of the lower of their
+two heights, which clips their overlap. On first use, `infer_deltas`
+builds the three plans of an anchor cell and pattern into one
+kernel(lo, hi, big) of straight-line code (`_compile_kernel`): it
+computes the terms of each height its labels use, and each output adds
+those of its labels in ascending label order. Ties give equal floats,
+and equal heights give equal terms; a zero height gives +0.0 terms,
+which change no bit of the sums, and labels that no rule names add
+nothing. So each output performs the same floating-point operations on
+the same operands, in the same order, as a centroid that walks all seven
+labels of a clip-height list, and the result is bit-identical to it.
 
-Everything here is immutable after construction; all operations are pure
-functions and safe to call concurrently.
+The values here are immutable after construction, and all operations
+are pure functions, safe to call concurrently. The one mutable part is
+a rule table's list of kernels, which `infer_deltas` fills lazily, one
+entry per first use; two threads that race to fill an entry build equal
+kernels, and either one serves.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -82,6 +88,9 @@ Triple = tuple[Label, Label, Label]
 # clipping its overlap with the left neighbour, or -1 when that one is not
 # named).
 PlanEntry = tuple[int, float, float, float, int]
+# The firing plans of one anchor cell and pattern, built into a function of
+# the clip heights (lo, hi, big) that returns (dKp, dKi, dKd).
+Kernel = Callable[[float, float, float], tuple[float, float, float]]
 # One named label before its heights are known: (rules naming it, center,
 # midpoint to the left neighbour, edge step or 0, left neighbour also named).
 _NamedLabel = tuple[tuple[int, ...], float, float, float, bool]
@@ -136,6 +145,9 @@ class RuleTable:
     plans: tuple[tuple[tuple[PlanEntry, ...], ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    # The plans at the same index built into functions by `_compile_kernel`,
+    # each on first use in `infer_deltas`; None until then.
+    kernels: list[Kernel | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.cells) != 7 or any(len(row) != 7 for row in self.cells):
@@ -156,6 +168,12 @@ class RuleTable:
                 for heights in _RULE_HEIGHTS:
                     plans.append(tuple(_firing_plan(labels, heights) for labels in named))
         object.__setattr__(self, "plans", tuple(plans))
+        object.__setattr__(self, "kernels", [None] * len(plans))
+
+    def __reduce__(self):
+        # Pickled as its constructor arguments: built kernels are local
+        # functions, and the copy builds its own.
+        return type(self), (self.cells, self.suspect)
 
     def dump(self) -> str:
         """Serialize in the override-file format.
@@ -338,7 +356,9 @@ def infer_deltas(
     rules of the two active labels per input; each output label is clipped
     at the largest strength of the rules that name it. The partition of
     unity guarantees at least one rule fires, so the centroid always
-    exists, and every result lies in [-6, 6].
+    exists, and every result lies in [-6, 6]. The table's kernel for the
+    anchor cell and ordering pattern does the arithmetic; the first call
+    that needs it builds it.
     """
     for x in (e_scaled, ec_scaled):
         if not (UNIVERSE_MIN <= x <= UNIVERSE_MAX):
@@ -363,36 +383,11 @@ def infer_deltas(
     else:
         lo, hi = ec_small, e_small
     big = e_big if e_big < ec_big else ec_big
-    # Heights with an index below `first` are zero: their labels add nothing.
-    if lo > 0.0:
-        first = _LO
-        terms = (_terms(lo), _terms(hi), _terms(big))
-    elif hi > 0.0:
-        first = _HI
-        terms = (None, _terms(hi), _terms(big))
-    else:
-        first = _BIG
-        terms = (None, None, _terms(big))
-    deltas = []
-    for plan in table.plans[8 * (6 * i + j) + pattern]:
-        mass = 0.0
-        moment = 0.0
-        for k, center, midpoint, step, overlap_k in plan:
-            if k >= first:
-                side, full, side_moment, _ = terms[k]
-                if step:
-                    # Cut at the universe edge: only the inner side remains.
-                    mass += side
-                    moment += center * side + step * side_moment
-                else:
-                    mass += full
-                    moment += center * full
-                if overlap_k >= first:
-                    overlap = terms[overlap_k][3]
-                    mass -= overlap
-                    moment -= midpoint * overlap
-        deltas.append(moment / mass)
-    return tuple(deltas)
+    index = 8 * (6 * i + j) + pattern
+    kernel = table.kernels[index]
+    if kernel is None:
+        kernel = table.kernels[index] = _compile_kernel(table.plans[index])
+    return kernel(lo, hi, big)
 
 
 # Closed-form sums over the grid, for one label spacing of N = GRID_INTERVALS
@@ -414,34 +409,107 @@ _PLATEAU_MOMENT = tuple(p * (p - 1) // 2 for p in range(_N + 1))
 # clipped at g. Its r = min(floor(N g), N/2 - 1) lowest points on each side
 # lie under the clip; this is their sum, both sides.
 _TENT_SUM = tuple(2.0 * (r * (r + 1) // 2) / _N for r in range(_HALF))
-# What `_terms` reads, one lookup per index.
+# What a kernel reads, one lookup per index (see `_compile_kernel`).
 _P_SUMS = tuple(
     (_RAMP_SUM[_N - p], _PLATEAU_MOMENT[p], _RAMP_MOMENT[_N - p]) for p in range(_N + 1)
 )
 _R_SUMS = tuple((_TENT_SUM[r], 2 * (_HALF - 1 - r)) for r in range(_HALF))
 
 
-def _terms(h: float) -> tuple[float, float, float, float]:
-    """Closed-form grid sums of one clip height h in (0, 1].
+def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
+    """One anchor cell and pattern's firing plans as a function kernel(lo, hi, big).
 
-    Returns (side, full, side_moment, overlap): the mass of a triangle
-    clipped at h on one side of its center, center point included; the
-    mass of both sides, which share the center point; the first moment of
-    one side about the center, in grid steps; and the mass of the tent
-    min(t, 1 - t) between two neighbours clipped at g = h.
+    kernel returns the crisp (dKp, dKi, dKd) for the three clip heights.
+    Its body is straight-line code. For each height it uses it computes
+    the grid sums its labels need, with the clamps and table reads below:
+
+        p = int(N - N * h) + 1, at most N; ramp_sum, plateau_moment,
+            ramp_moment = P[p]
+        side = p * h + ramp_sum        full = side + side - h
+        side_moment = h * plateau_moment + ramp_moment
+        r = int(N * h), at most N/2 - 1; tent_sum, flat_points = R[r]
+        overlap = tent_sum + flat_points * h + (h if h < 0.5 else 0.5)
+
+    side is the mass of a triangle clipped at h on one side of its center,
+    center point included; full the mass of both sides, which share the
+    center point; side_moment the first moment of one side about the
+    center, in grid steps; overlap the mass of the tent min(t, 1 - t)
+    between two neighbours clipped at g = h. Each output is then one
+    quotient whose two sums start at 0.0 and take, label by label in
+    ascending order, mass += full and moment += center * full (an edge
+    label adds side and center * side + step * side_moment instead), then
+    mass -= overlap and moment -= midpoint * overlap when its left
+    neighbour is named. A zero height gives +0.0 terms throughout, and
+    neither sum is ever -0.0, so such a label changes no bit.
+
+    The source holds generated names only. The centers, midpoints, steps
+    and sum tables reach the body as closure cells of a factory, so
+    nothing of a rule table is formatted into code.
     """
-    p = int(_N - _N * h) + 1
-    if p > _N:
-        p = _N
-    ramp_sum, plateau_moment, ramp_moment = _P_SUMS[p]
-    side = p * h + ramp_sum
-    r = int(_N * h)
-    if r > _HALF - 1:
-        r = _HALF - 1
-    tent_sum, flat_points = _R_SUMS[r]
-    return (
-        side,
-        side + side - h,
-        h * plateau_moment + ramp_moment,
-        tent_sum + flat_points * h + (h if h < 0.5 else 0.5),
-    )
+    heights = ("lo", "hi", "big")
+    needs: list[set[str]] = [set(), set(), set()]
+    for plan in plans:
+        for k, _, _, step, overlap_k in plan:
+            needs[k].add("side_moment" if step else "full")
+            if overlap_k >= 0:
+                needs[overlap_k].add("overlap")
+    params = ["N", "TOP", "P", "R"]
+    values: list[object] = [_N, _HALF - 1, _P_SUMS, _R_SUMS]
+    body = []
+    for h, need in zip(heights, needs):
+        if "full" in need or "side_moment" in need:
+            body += [
+                f"p_{h} = int(N - N * {h}) + 1",
+                f"if p_{h} > N:",
+                f"    p_{h} = N",
+                f"ramp_sum_{h}, plateau_moment_{h}, ramp_moment_{h} = P[p_{h}]",
+                f"side_{h} = p_{h} * {h} + ramp_sum_{h}",
+            ]
+        if "full" in need:
+            body.append(f"full_{h} = side_{h} + side_{h} - {h}")
+        if "side_moment" in need:
+            body.append(f"side_moment_{h} = {h} * plateau_moment_{h} + ramp_moment_{h}")
+        if "overlap" in need:
+            body += [
+                f"r_{h} = int(N * {h})",
+                f"if r_{h} > TOP:",
+                f"    r_{h} = TOP",
+                f"tent_sum_{h}, flat_points_{h} = R[r_{h}]",
+                f"overlap_{h} = tent_sum_{h} + flat_points_{h} * {h}"
+                f" + ({h} if {h} < 0.5 else 0.5)",
+            ]
+    outputs = []
+    for o, plan in enumerate(plans):
+        mass = moment = "0.0"
+        for n, (k, center, midpoint, step, overlap_k) in enumerate(plan):
+            h = heights[k]
+            params.append(f"c{o}_{n}")
+            values.append(center)
+            if step:
+                # Cut at the universe edge: only the inner side remains.
+                params.append(f"s{o}_{n}")
+                values.append(step)
+                mass += f" + side_{h}"
+                moment += f" + (c{o}_{n} * side_{h} + s{o}_{n} * side_moment_{h})"
+            else:
+                mass += f" + full_{h}"
+                moment += f" + c{o}_{n} * full_{h}"
+            if overlap_k >= 0:
+                g = heights[overlap_k]
+                params.append(f"m{o}_{n}")
+                values.append(midpoint)
+                mass += f" - overlap_{g}"
+                moment += f" - m{o}_{n} * overlap_{g}"
+        outputs.append(f"({moment}) / ({mass})")
+    lines = [
+        f"def factory({', '.join(params)}):",
+        "    def kernel(lo, hi, big):",
+        *(f"        {line}" for line in body),
+        "        return (",
+        *(f"            {output}," for output in outputs),
+        "        )",
+        "    return kernel",
+    ]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["factory"](*values)

@@ -10,12 +10,13 @@ both including any active disturbances, so e = r - y holds row-wise.
 
 The loop runs on plain floats through one kernel per layer: the PID law
 (`pid.pid_law`), the gain update (`adaptive.adapted_gains`) and the
-plant step, which `plant.rk4_zoh` precomputes once per run from the
-scenario's plant and dt as (rows, c) and `plant.compile_step` builds
-into a function step(x, u) -> (x_next, y). It holds the
-controller state itself, the integral and the previous error; their
-backward difference, zero on the first step, is both the derivative and
-the fuzzy error rate. A run equals stepping those kernels by hand.
+plant step, which `plant.rk4_zoh` precomputes once per scenario from
+its plant and dt as (rows, c), kept as `SimScenario.rk4_step`, and
+`plant.compile_step` builds once per run into a function
+step(x, u) -> (x_next, y). It holds the controller state itself, the
+integral and the previous error; their backward difference, zero on the
+first step, is both the derivative and the fuzzy error rate. A run
+equals stepping those kernels by hand.
 
 The loop alone decides a blow-up, the same way for both controllers: it
 stops before a step whose error rate is not finite and before a row whose
@@ -26,7 +27,7 @@ logged row is finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,6 +74,11 @@ class SimScenario:
     controller: PidConfig | FuzzyPidController
     plant: TransferFunction = PIPELINE_TF
     disturbances: tuple[Disturbance, ...] = ()
+    # The plant's RK4 step at dt as (rows, c), computed once per instance
+    # here and used by `run_closed_loop`.
+    rk4_step: tuple[tuple[tuple[float, ...], ...], tuple[float, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.setpoint):
@@ -90,7 +96,7 @@ class SimScenario:
                 f"duration {self.duration!r} is shorter than one step of dt {self.dt!r}"
             )
         # A plant whose step is not finite would blow up before any sample.
-        rk4_zoh(self.plant, self.dt)
+        object.__setattr__(self, "rk4_step", rk4_zoh(self.plant, self.dt))
         if not isinstance(self.controller, (PidConfig, FuzzyPidController)):
             raise ValueError(f"unsupported controller {self.controller!r}")
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
@@ -171,13 +177,13 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     every one finite (none if row 0's error overflows), with blown_up set.
 
     The plant step is built once per run, by `plant.compile_step` from the
-    (rows, c) of `plant.rk4_zoh`, and each step calls it once on the state
+    scenario's `rk4_step`, and each step calls it once on the state
     tuple and the effective input; its output is the y checked above.
     """
     n_rows = scenario.steps + 1
     dt = scenario.dt
     r = float(scenario.setpoint)
-    rows, c = rk4_zoh(scenario.plant, dt)
+    rows, c = scenario.rk4_step
     step = compile_step(rows, c)
     t = np.arange(n_rows) * dt
     # (first step, magnitude) per port, in declaration order. An input

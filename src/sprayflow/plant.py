@@ -26,7 +26,7 @@ PLANT_INPUT = "plant-input"
 PLANT_OUTPUT = "plant-output"
 
 # A step costs about order^2 operations. At order 16 the plant step takes
-# about 7 us per call, against 0.3 us at order 2 and about 6.5 us for a
+# about 7 us per call, against 0.3 us at order 2 and about 4.3 us for a
 # whole fuzzy-PID step on the pipeline plant (CPython 3.11, 2 shared
 # cores). Building it takes about 2 ms once per run, and the realization's
 # n x n matrices stay small.

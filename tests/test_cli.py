@@ -155,6 +155,19 @@ class TestCompare:
         pid_value, fuzzy_value = (float(v) for v in row[16:].split())
         assert fuzzy_value < pid_value
 
+    # README's sample-period table: overshoot %, PID and fuzzy-PID, with one
+    # RK4 step per period, within criterion 06's tolerance of 0.1 pp.
+    @pytest.mark.parametrize(
+        "dt, pid_pin, fuzzy_pin",
+        [("1e-4", 11.09, 8.68), ("1e-3", 12.87, 9.07), ("2e-3", 15.78, 9.51)],
+    )
+    def test_sample_period_overshoots(self, capsys, dt, pid_pin, fuzzy_pin):
+        assert run_cli(["compare", "--dt", dt]) == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if line.startswith("overshoot %"))
+        pid_value, fuzzy_value = (float(v) for v in row[16:].split())
+        assert abs(pid_value - pid_pin) <= 0.1 and abs(fuzzy_value - fuzzy_pin) <= 0.1
+
     def test_disturbance_adds_peak_deviation_row(self, capsys):
         code = run_cli([
             "compare", "--duration", "0.2",

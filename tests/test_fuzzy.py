@@ -1,5 +1,10 @@
+import json
 import math
+import pickle
 import struct
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -36,8 +41,9 @@ GRID_STEP = 0.01
 CLOSED_FORM_TOL = 1e-12
 # Quarter points of the universe: label centers (segment boundaries, +-6
 # saturation), segment midpoints and quarters, so firing strengths and clip
-# heights of exactly 0, 0.25, 0.5, 0.75 and 1.
-QUARTER_LATTICE = [-6.0 + 0.25 * k for k in range(49)]
+# heights of exactly 0, 0.25, 0.5, 0.75 and 1; and -0.0, the other sign of
+# the center 0.0.
+QUARTER_LATTICE = [-6.0 + 0.25 * k for k in range(49)] + [-0.0]
 # Steps of 1/32 on [-6, 6], so firing strengths on multiples of 1/64, and
 # every 23rd of its points: 23 is prime to 64, so those points still take
 # 17 different degrees.
@@ -210,6 +216,13 @@ class TestRuleTable:
         with pytest.raises(ValueError, match=message):
             RuleTable(cells=cells, suspect=suspect)
 
+    def test_pickles_after_inference(self):
+        table = RuleTable.parse(DEFAULT_RULE_TABLE.dump())
+        infer_deltas(1.3, -2.2, table)
+        again = pickle.loads(pickle.dumps(table))
+        assert again == table and again.suspect
+        assert packed(infer_deltas(1.3, -2.2, again)) == packed(infer_deltas(1.3, -2.2, table))
+
     def test_load_reads_file(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text(DEFAULT_RULE_TABLE.dump(), encoding="ascii")
@@ -332,6 +345,85 @@ class TestBitwiseReference:
     def test_random_points(self, table, e, ec):
         got = packed(infer_deltas(e, ec, table))
         assert got == packed(reference_deltas(e, ec, table.cells))
+
+
+# Imports the package, then runs the default fuzzy step with the inference
+# inputs recorded, and reports the kernels of the default table that exist
+# after the import and after the run.
+KERNELS_SCRIPT = """
+import json
+import sprayflow
+from sprayflow import adaptive, presets
+from sprayflow.fuzzy import DEFAULT_RULE_TABLE as table
+after_import = [n for n, kernel in enumerate(table.kernels) if kernel is not None]
+inputs = []
+infer = adaptive.infer_deltas
+def recording(e, ec, t):
+    inputs.append((e, ec))
+    return infer(e, ec, t)
+adaptive.infer_deltas = recording
+sprayflow.run_closed_loop(presets.default_scenario(presets.default_fuzzy_controller()))
+after_run = [n for n, kernel in enumerate(table.kernels) if kernel is not None]
+print(json.dumps({"after_import": after_import, "inputs": inputs, "after_run": after_run}))
+"""
+
+
+def kernel_index(e, ec):
+    """Anchor cell and ordering pattern of a pair of universe values."""
+    i, w = locate(e)
+    j, v = locate(ec)
+    pattern = 4 * (w > 1.0 - w) + 2 * (v > 1.0 - v) + (min(w, 1.0 - w) < min(v, 1.0 - v))
+    return 8 * (6 * i + j) + pattern
+
+
+def test_kernels_are_built_on_first_use_per_table():
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", KERNELS_SCRIPT],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    report = json.loads(result.stdout)
+    assert report["after_import"] == []
+    touched = {kernel_index(e, ec) for e, ec in report["inputs"]}
+    assert report["after_run"] == sorted(touched)
+    assert len(touched) == 36
+    # Another table builds its own kernels and gives the reference bits,
+    # also where the default table's kernels exist; those stay out of its
+    # equality and of dump/parse.
+    infer_deltas(0.3, -2.7)
+    table = rewritten_suspects_table()
+    for e in QUARTER_LATTICE:
+        for ec in QUARTER_LATTICE:
+            got = packed(infer_deltas(e, ec, table))
+            assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
+    assert None not in table.kernels
+    assert not any(a is b for a, b in zip(table.kernels, DEFAULT_RULE_TABLE.kernels))
+    assert RuleTable.parse(table.dump()) == table
+    assert table != DEFAULT_RULE_TABLE
+
+
+def test_concurrent_first_use_gives_the_reference_bits():
+    # Threads race to build the kernels of a fresh table; whichever build
+    # an entry keeps, every result is the reference's.
+    table = rewritten_suspects_table()
+    points = [(e, ec) for e in QUARTER_LATTICE[::2] for ec in QUARTER_LATTICE]
+    want = [packed(reference_deltas(e, ec, table.cells)) for e, ec in points]
+    results = [None] * 4
+
+    def work(n):
+        results[n] = [packed(infer_deltas(e, ec, table)) for e, ec in points]
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [want] * 4
 
 
 class TestScaling:

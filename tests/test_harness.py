@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sprayflow import adaptive, presets
+from sprayflow import adaptive, harness, presets
 from sprayflow.adaptive import FuzzyPidController, adapted_gains
 from sprayflow.fuzzy import ScalingFactors
 from sprayflow.harness import (
@@ -571,6 +571,24 @@ class TestCompareControllers:
                 getattr(result.pid_trajectory, column),
                 getattr(result.fuzzy_trajectory, column),
             )
+
+    def test_plant_map_is_computed_once_per_scenario(self, monkeypatch):
+        # The scenario and its two per-controller copies compute the RK4
+        # map; each run reuses its copy's.
+        calls = []
+
+        def counting(plant, dt):
+            calls.append((plant, dt))
+            return rk4_zoh(plant, dt)
+
+        monkeypatch.setattr(harness, "rk4_zoh", counting)
+        gains = PidGains(0.0045, 0.05, 5e-6)
+        scenario = SimScenario(
+            setpoint=5.0, duration=0.01, dt=1e-4, controller=PidConfig(gains=gains)
+        )
+        result = compare_controllers(scenario, PidConfig(gains=gains), _FUZZY)
+        assert calls == [(PIPELINE_TF, 1e-4)] * 3
+        assert len(result.pid_trajectory) == len(result.fuzzy_trajectory) == 101
 
     def test_run_without_a_finite_row_has_no_metrics(self):
         scenario = SimScenario(
