@@ -5,13 +5,21 @@ gain deltas; the PID law then actuates with base-plus-delta gains. Deltas
 are recomputed from the absolute base gains every step (they are not
 integrated), and effective gains are floored at zero before actuation.
 The controller is configuration only; the closed loop
-(`harness.run_closed_loop`) holds the running state.
+(`harness.run_closed_loop`) holds the running state and runs the gain
+update inlined, as the lines of `gain_lines`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fuzzy import DEFAULT_RULE_TABLE, RuleTable, ScalingFactors, infer_deltas, quantize
+from .fuzzy import (
+    DEFAULT_RULE_TABLE,
+    RuleTable,
+    ScalingFactors,
+    infer_deltas,
+    inference_lines,
+    quantize,
+)
 from .pid import PidGains
 
 
@@ -36,3 +44,24 @@ def adapted_gains(ctrl: FuzzyPidController, e: float, ec: float) -> tuple[float,
     ki = base.ki + f.kui * di
     kd = base.kd + f.kud * dd
     return (kp if kp > 0.0 else 0.0, ki if ki > 0.0 else 0.0, kd if kd > 0.0 else 0.0)
+
+
+def gain_lines() -> tuple[list[str], list[str]]:
+    """`adapted_gains` as straight-line code, as (setup, lines).
+
+    The setup reads the base gains, the factors and the rule table from
+    the local ctrl, a `FuzzyPidController` (see `fuzzy.inference_lines`).
+    The lines set kp, ki and kd from the locals e and rate, the error and
+    its finite rate, with the operations of `adapted_gains` on the same
+    operands in the same order, so they give the same bits.
+    """
+    setup, lines = inference_lines()
+    setup = ["factors = ctrl.factors", "table = ctrl.table", *setup]
+    for gain, factor, delta in (("kp", "kup", "dp"), ("ki", "kui", "di"), ("kd", "kud", "dd")):
+        setup += [f"{gain}_base = ctrl.base.{gain}", f"{factor} = factors.{factor}"]
+        lines += [
+            f"{gain} = {gain}_base + {factor} * {delta}",
+            f"if not {gain} > 0.0:",
+            f"    {gain} = 0.0",
+        ]
+    return setup, lines

@@ -28,30 +28,31 @@ rule pairing the two larger degrees fires at big, the one pairing the
 two smaller at lo, and each of the two others at its input's smaller
 degree. Which rule gets which value is fixed by three comparisons, the
 ordering pattern: which label of e has the larger degree, which label of
-ec has, and whether e's smaller degree lies below ec's. So the rule
-table precomputes a firing plan per anchor cell, pattern and output: the
-labels those rules name, in ascending order, each with the index of its
-clip height among (lo, hi, big), the largest of its rules' indices, and,
-when its left neighbour is named too, the index of the lower of their
-two heights, which clips their overlap. On first use, `infer_deltas`
-builds the three plans of an anchor cell and pattern into one
-kernel(lo, hi, big) of straight-line code (`_compile_kernel`): it
-computes the terms of each height its labels use, and each output adds
-those of its labels in ascending label order. Ties give equal floats,
-and equal heights give equal terms; a zero height gives +0.0 terms,
-which change no bit of the sums, and labels that no rule names add
-nothing. So each output performs the same floating-point operations on
+ec has, and whether e's smaller degree lies below ec's. So an anchor
+cell, pattern and output fix a firing plan: the labels those rules name,
+in ascending order, each with the index of its clip height among (lo,
+hi, big), the largest of its rules' indices, and, when its left
+neighbour is named too, the index of the lower of their two heights,
+which clips their overlap. On first use, `RuleTable.build_kernel`
+computes the three plans of an anchor cell and pattern and builds them
+into one kernel(lo, hi, big) of straight-line code (`_compile_kernel`):
+it computes the terms of each height its labels use, and each output
+adds those of its labels in ascending label order. Ties give equal
+floats, and equal heights give equal terms; a zero height gives +0.0
+terms, which change no bit of the sums, and labels that no rule names
+add nothing. So each output performs the same floating-point operations on
 the same operands, in the same order, as a centroid that walks all seven
 labels of a clip-height list, and the result is bit-identical to it.
 
 The values here are immutable after construction, and all operations
 are pure functions, safe to call concurrently. The one mutable part is
-a rule table's list of kernels, which `infer_deltas` fills lazily, one
-entry per first use; two threads that race to fill an entry build equal
-kernels, and either one serves.
+a rule table's list of kernels, which `RuleTable.build_kernel` fills
+lazily, one entry per first use; two threads that race to fill an entry
+build equal kernels, and either one serves.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -139,14 +140,8 @@ class RuleTable:
     cells: tuple[tuple[Triple, ...], ...]
     suspect: frozenset[tuple[Label, Label]] = frozenset()
     # Per anchor cell (i, j) and ordering pattern, at index
-    # 8 * (6 * i + j) + pattern, the (dKp, dKi, dKd) firing plans of the rules
-    # (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1), numbered 0 to 3 in that
-    # order; see `_rule_heights` and `_firing_plan`.
-    plans: tuple[tuple[tuple[PlanEntry, ...], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    # The plans at the same index built into functions by `_compile_kernel`,
-    # each on first use in `infer_deltas`; None until then.
+    # 8 * (6 * i + j) + pattern, the kernel that `build_kernel` builds on
+    # first use; None until then.
     kernels: list[Kernel | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -159,16 +154,26 @@ class RuleTable:
         for e, ec in self.suspect:
             if not (isinstance(e, Label) and isinstance(ec, Label)):
                 raise ValueError(f"invalid suspect cell key ({e!r}, {ec!r})")
+        object.__setattr__(self, "kernels", [None] * (6 * 6 * 8))
+
+    def build_kernel(self, index: int) -> Kernel:
+        """Build, keep and return the kernel at index 8 * (6 * i + j) + pattern.
+
+        It runs the (dKp, dKi, dKd) firing plans of the rules (i, j),
+        (i, j + 1), (i + 1, j), (i + 1, j + 1), numbered 0 to 3 in that
+        order, under the ordering pattern; see `_rule_heights`,
+        `_firing_plan` and `_compile_kernel`.
+        """
+        i, j = divmod(index // 8, 6)
         cells = self.cells
-        plans = []
-        for i in range(6):
-            for j in range(6):
-                fired = (cells[i][j], cells[i][j + 1], cells[i + 1][j], cells[i + 1][j + 1])
-                named = [_named_labels([rule[out] for rule in fired]) for out in range(3)]
-                for heights in _RULE_HEIGHTS:
-                    plans.append(tuple(_firing_plan(labels, heights) for labels in named))
-        object.__setattr__(self, "plans", tuple(plans))
-        object.__setattr__(self, "kernels", [None] * len(plans))
+        fired = (cells[i][j], cells[i][j + 1], cells[i + 1][j], cells[i + 1][j + 1])
+        heights = _RULE_HEIGHTS[index % 8]
+        plans = tuple(
+            _firing_plan(_named_labels([rule[out] for rule in fired]), heights)
+            for out in range(3)
+        )
+        kernel = self.kernels[index] = _compile_kernel(plans)
+        return kernel
 
     def __reduce__(self):
         # Pickled as its constructor arguments: built kernels are local
@@ -358,36 +363,103 @@ def infer_deltas(
     unity guarantees at least one rule fires, so the centroid always
     exists, and every result lies in [-6, 6]. The table's kernel for the
     anchor cell and ordering pattern does the arithmetic; the first call
-    that needs it builds it.
+    that needs it builds it. After the range check, the lines of
+    `_inference_body` do the work, as they do in the closed loop
+    (`inference_lines`).
     """
     for x in (e_scaled, ec_scaled):
         if not (UNIVERSE_MIN <= x <= UNIVERSE_MAX):
             raise ValueError(f"universe value out of range [-6, 6]: {x!r}")
-    i, w = locate(e_scaled)
-    j, v = locate(ec_scaled)
-    # Label i has degree 1 - w and label i + 1 degree w; likewise j and v.
-    a = 1.0 - w
-    c = 1.0 - v
-    if w > a:
-        e_small, e_big, pattern = a, w, 4
-    else:
-        e_small, e_big, pattern = w, a, 0
-    if v > c:
-        ec_small, ec_big = c, v
-        pattern += 2
-    else:
-        ec_small, ec_big = v, c
-    if e_small < ec_small:
-        lo, hi = e_small, ec_small
-        pattern += 1
-    else:
-        lo, hi = ec_small, e_small
-    big = e_big if e_big < ec_big else ec_big
-    index = 8 * (6 * i + j) + pattern
-    kernel = table.kernels[index]
-    if kernel is None:
-        kernel = table.kernels[index] = _compile_kernel(table.plans[index])
-    return kernel(lo, hi, big)
+    return _inference()(e_scaled, ec_scaled, table.kernels, table.build_kernel)
+
+
+@functools.cache
+def _inference() -> Callable[[float, float, list, Callable], tuple[float, float, float]]:
+    """The lines of `_inference_body` as a function infer(qe, qec, kernels, build_kernel)."""
+    lines = [
+        "def infer(qe, qec, kernels, build_kernel):",
+        *(f"    {line}" for line in _inference_body()),
+        "    return dp, di, dd",
+    ]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["infer"]
+
+
+def _inference_body() -> list[str]:
+    """Inference on the universe values qe and qec as straight-line code.
+
+    The lines locate both values (as `locate` does), compute the ordering
+    pattern and the clip heights lo, hi and big, and set dp, di and dd
+    from the kernel at index 8 * (6 * i + j) + pattern of the locals
+    kernels and build_kernel, a rule table's `kernels` list and
+    `build_kernel` method, building it on first use. They check nothing.
+    """
+    lo, spacing = repr(UNIVERSE_MIN), repr(LABEL_SPACING)
+    lines = []
+    for x, label, w in (("qe", "i", "w"), ("qec", "j", "v")):
+        lines += [
+            f"s = ({x} - {lo}) / {spacing}",
+            f"{label} = int(s)",
+            f"if {label} > 5:",
+            f"    {label} = 5",
+            f"{w} = s - {label}",
+        ]
+    # Label i has degree w_rest = 1 - w and label i + 1 degree w; likewise j and v.
+    lines += """\
+w_rest = 1.0 - w
+v_rest = 1.0 - v
+if w > w_rest:
+    e_small, e_big, pattern = w_rest, w, 4
+else:
+    e_small, e_big, pattern = w, w_rest, 0
+if v > v_rest:
+    ec_small, ec_big = v_rest, v
+    pattern += 2
+else:
+    ec_small, ec_big = v, v_rest
+if e_small < ec_small:
+    lo, hi = e_small, ec_small
+    pattern += 1
+else:
+    lo, hi = ec_small, e_small
+big = e_big if e_big < ec_big else ec_big
+index = 8 * (6 * i + j) + pattern
+kernel = kernels[index]
+if kernel is None:
+    kernel = build_kernel(index)
+dp, di, dd = kernel(lo, hi, big)""".splitlines()
+    return lines
+
+
+def inference_lines() -> tuple[list[str], list[str]]:
+    """`quantize` and `infer_deltas` as straight-line code, as (setup, lines).
+
+    The setup reads ke, kec, kernels and build_kernel from the locals
+    factors, a `ScalingFactors`, and table, a `RuleTable`. The lines set
+    dp, di and dd from the locals e and rate, the error and its rate,
+    both finite. They perform the operations of `quantize` on each input,
+    then run the lines that `infer_deltas` runs after its range check
+    (`_inference_body`), so they give the same bits; they check nothing.
+    Only the kernel, built on first use, remains a call.
+    """
+    setup = [
+        "ke = factors.ke",
+        "kec = factors.kec",
+        "kernels = table.kernels",
+        "build_kernel = table.build_kernel",
+    ]
+    lo, hi = repr(UNIVERSE_MIN), repr(UNIVERSE_MAX)
+    lines = []
+    for x, crisp, factor in (("qe", "e", "ke"), ("qec", "rate", "kec")):
+        lines += [
+            f"{x} = {crisp} * {factor}",
+            f"if {x} < {lo}:",
+            f"    {x} = {lo}",
+            f"elif {x} > {hi}:",
+            f"    {x} = {hi}",
+        ]
+    return setup, lines + _inference_body()
 
 
 # Closed-form sums over the grid, for one label spacing of N = GRID_INTERVALS

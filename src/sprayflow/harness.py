@@ -8,38 +8,45 @@ ports, and the plant advances by one RK4 step. The logged u
 column is the effective plant input and the y column the measured output,
 both including any active disturbances, so e = r - y holds row-wise.
 
-The loop runs on plain floats through one kernel per layer: the PID law
-(`pid.pid_law`), the gain update (`adaptive.adapted_gains`) and the
-plant step, which `plant.rk4_zoh` precomputes once per scenario from
-its plant and dt as (rows, c), kept as `SimScenario.rk4_step`, and
-`plant.compile_step` builds once per run into a function
-step(x, u) -> (x_next, y). It holds the controller state itself, the
+The loop runs on plain floats as one function of straight-line code,
+built once per process for each plant order and controller kind
+(`_loop`) and called once per run with the scenario's values: the plant
+step that `plant.rk4_zoh` precomputes once per scenario from its plant
+and dt as (rows, c), kept as `SimScenario.rk4_step`, and the controller;
+setup lines unpack the step, the gains and, for fuzzy-PID, the factors
+and rule table into locals once per run. The plant state lives in locals
+and the plant step (`plant.step_lines`), the PID law and the gain update
+(`adaptive.gain_lines`) are written out; only a firing-plan kernel of
+the rule table remains a call. The loop holds the controller state, the
 integral and the previous error; their backward difference, zero on the
-first step, is both the derivative and the fuzzy error rate. A run
-equals stepping those kernels by hand.
+first step, is both the derivative and the fuzzy error rate. A run is
+bit-identical to stepping `plant.compile_step`, `pid.pid_law` and
+`adaptive.adapted_gains` by hand.
 
 The loop alone decides a blow-up, the same way for both controllers: it
 stops before a step whose error rate is not finite and before a row whose
 error e = r - y is not finite. With a finite setpoint a finite error means
-a finite output, state and input (see `plant.compile_step`), so every
+a finite output, state and input (see `plant.step_lines`), so every
 logged row is finite.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adaptive import FuzzyPidController, adapted_gains
-from .pid import PidGains, pid_law
+from .adaptive import FuzzyPidController, gain_lines
+from .pid import PidGains
 from .plant import (
     PIPELINE_TF,
     PLANT_INPUT,
     Disturbance,
     TransferFunction,
-    compile_step,
     rk4_zoh,
+    step_lines,
 )
 
 # The trajectory columns, in CSV order.
@@ -176,15 +183,14 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     for either controller; the trajectory then holds the rows before it,
     every one finite (none if row 0's error overflows), with blown_up set.
 
-    The plant step is built once per run, by `plant.compile_step` from the
-    scenario's `rk4_step`, and each step calls it once on the state
-    tuple and the effective input; its output is the y checked above.
+    The whole loop is one function of straight-line code (see `_loop`),
+    called once with the scenario's values: its `rk4_step` and its
+    controller.
     """
     n_rows = scenario.steps + 1
     dt = scenario.dt
     r = float(scenario.setpoint)
     rows, c = scenario.rk4_step
-    step = compile_step(rows, c)
     t = np.arange(n_rows) * dt
     # (first step, magnitude) per port, in declaration order. An input
     # disturbance acts on step k when t_prev = t[k-1] reaches its time,
@@ -201,47 +207,20 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     controller = scenario.controller
     fuzzy = isinstance(controller, FuzzyPidController)
     rest = controller.base if fuzzy else controller.gains
-    kp, ki, kd = rest.kp, rest.ki, rest.kd
 
     u_log = np.zeros(n_rows)
     y_log = np.zeros(n_rows)
-    kp_log = np.zeros(n_rows)
-    ki_log = np.zeros(n_rows)
-    kd_log = np.zeros(n_rows)
-    kp_log[:], ki_log[:], kd_log[:] = kp, ki, kd
+    # float64 whatever the type of the gains: the fuzzy loop writes its
+    # adapted gains into these columns.
+    kp_log = np.full(n_rows, rest.kp, dtype=float)
+    ki_log = np.full(n_rows, rest.ki, dtype=float)
+    kd_log = np.full(n_rows, rest.kd, dtype=float)
 
-    x = (0.0,) * len(rows)
-    u = y = 0.0
-    # Runs always start from a fresh controller state.
-    integral = 0.0
-    for k in range(n_rows):
-        if k:
-            # Step k: the controller acts on row k-1, then the plant advances.
-            derivative = 0.0 if k == 1 else (e - e_prev) / dt
-            if not math.isfinite(derivative):
-                break
-            e_prev = e
-            if fuzzy:
-                kp, ki, kd = adapted_gains(controller, e, derivative)
-                kp_log[k] = kp
-                ki_log[k] = ki
-                kd_log[k] = kd
-            u, integral = pid_law(kp, ki, kd, e, derivative, integral, dt)
-            for start, m in u_dists:
-                if k >= start:
-                    u += m
-            x, y = step(x, u)
-        for start, m in y_dists:
-            if k >= start:
-                y += m
-        e = r - y
-        if not math.isfinite(e):
-            break
-        u_log[k] = u
-        y_log[k] = y
-    else:
-        k = n_rows
-    n_logged = k
+    n_logged = _loop(len(rows), fuzzy)(
+        n_rows=n_rows, dt=dt, r=r, u_dists=u_dists, y_dists=y_dists, u_log=u_log,
+        y_log=y_log, kp_log=kp_log, ki_log=ki_log, kd_log=kd_log, rows=rows, c=c,
+        ctrl=controller,
+    )
 
     sl = slice(0, n_logged)
     y_out = y_log[sl]
@@ -256,6 +235,85 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
         kd=kd_log[sl],
         blown_up=n_logged < n_rows,
     )
+
+
+# At most 2 * plant.MAX_ORDER entries: one per plant order and controller kind.
+@functools.cache
+def _loop(order: int, fuzzy: bool) -> Callable[..., int]:
+    """The closed loop of a plant order and controller kind as one function.
+
+    loop(n_rows, dt, r, u_dists, y_dists, u_log, y_log, kp_log, ki_log,
+    kd_log, rows, c, ctrl) logs rows 0 to n_rows - 1 into u_log and y_log
+    (and, for fuzzy-PID, the gains into kp_log, ki_log and kd_log) and
+    returns the number of rows logged. rows and c are the plant step (see
+    `plant.rk4_zoh`), ctrl the scenario's controller, and u_dists and
+    y_dists hold the (first step, magnitude) pairs of each port. Before
+    the loop, the setup lines of `plant.step_lines` and, for fuzzy-PID,
+    `adaptive.gain_lines` read the values from rows, c and ctrl.
+
+    The body is straight-line code: the plant state lives in the locals
+    x0 .. x{order-1}, the PID law and, for fuzzy-PID, the gain update are
+    written out, and only a firing-plan kernel remains a call. Each
+    performs the operations of `plant.compile_step`, `pid.pid_law` and
+    `adaptive.adapted_gains` on the same operands in the same order, so a
+    run is bit-identical to stepping those by hand. The source depends on
+    the order and the kind only and holds generated names; every value
+    arrives as an argument.
+    """
+    setup, plant = step_lines(order)
+    if fuzzy:
+        gain_setup, gains = gain_lines()
+        setup += gain_setup
+        gains += ["kp_log[k] = kp", "ki_log[k] = ki", "kd_log[k] = kd"]
+    else:
+        setup += ["kp = ctrl.gains.kp", "ki = ctrl.gains.ki", "kd = ctrl.gains.kd"]
+        gains = []
+    step = [
+        # Step k: the controller acts on row k-1, then the plant advances.
+        "rate = (e - e_prev) / dt",
+        "if not isfinite(rate):",
+        "    return k",
+        "e_prev = e",
+        *gains,
+        # pid_law
+        "integral += e * dt",
+        "u = kp * e + ki * integral + kd * rate",
+        "for start, m in u_dists:",
+        "    if k >= start:",
+        "        u += m",
+        *plant,
+        "for start, m in y_dists:",
+        "    if k >= start:",
+        "        y += m",
+        "e = r - y",
+        "if not isfinite(e):",
+        "    return k",
+        "u_log[k] = u",
+        "y_log[k] = y",
+    ]
+    lines = [
+        "def loop(n_rows, dt, r, u_dists, y_dists, u_log, y_log,"
+        " kp_log, ki_log, kd_log, rows, c, ctrl):",
+        *(f"    {line}" for line in setup),
+        *(f"    x{i} = 0.0" for i in range(order)),
+        "    y = 0.0",
+        "    for start, m in y_dists:",
+        "        if start <= 0:",
+        "            y += m",
+        "    e = r - y",
+        "    if not isfinite(e):",
+        "        return 0",
+        "    y_log[0] = y",
+        # e - e is +0.0 for a finite e, so the first step's rate is 0.0.
+        "    e_prev = e",
+        "    integral = 0.0",
+        "    for k in range(1, n_rows):",
+        *(f"        {line}" for line in step),
+        "    return n_rows",
+    ]
+    namespace = {"isfinite": math.isfinite}
+    exec("\n".join(lines), namespace)
+    return namespace["loop"]
 
 
 def compute_metrics(traj: Trajectory) -> StepMetrics:

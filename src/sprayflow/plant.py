@@ -7,12 +7,14 @@ map x+ = Phi x + Gamma u, where Phi is the degree-4 Taylor polynomial of
 exp(hA) and Gamma = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) B. `rk4_zoh`
 computes both once per (plant, dt) and hands them over, with the output
 row, as tuples of plain floats, and rejects a step that is not finite.
-`compile_step` then builds that step once per run as a straight-line
-function on plain floats, which checks nothing: a caller that must stop
-at a blow-up checks the output, which is not finite whenever any state
-entry is not. The shipped pipeline model has a pure integrator and a
-3.7 ms lag, so the default step of 1e-4 s resolves its fast pole. A
-plant's order is bounded by MAX_ORDER.
+`step_lines` writes the step of an order as straight-line code on plain
+floats, which checks nothing: a caller that must stop at a blow-up
+checks the output, which is not finite whenever any state entry is not.
+The closed loop (`harness.run_closed_loop`) writes those lines into its
+own body; `compile_step` builds them into a function step(x, u) for
+stepping by hand, with the same bits. The shipped pipeline model has a
+pure integrator and a 3.7 ms lag, so the default step of 1e-4 s resolves
+its fast pole. A plant's order is bounded by MAX_ORDER.
 """
 from __future__ import annotations
 
@@ -25,11 +27,11 @@ import numpy as np
 PLANT_INPUT = "plant-input"
 PLANT_OUTPUT = "plant-output"
 
-# A step costs about order^2 operations. At order 16 the plant step takes
-# about 7 us per call, against 0.3 us at order 2 and about 4.3 us for a
-# whole fuzzy-PID step on the pipeline plant (CPython 3.11, 2 shared
-# cores). Building it takes about 2 ms once per run, and the realization's
-# n x n matrices stay small.
+# A step costs about order^2 operations. At order 16 a PID step of the
+# closed loop takes about 7 us, against 0.5 us at order 2 and about 3.3 us
+# for a whole fuzzy-PID step on the pipeline plant (CPython 3.11, 2 shared
+# cores). Building the loop of an order takes about 2 ms, once per process
+# and controller kind, and the realization's n x n matrices stay small.
 MAX_ORDER = 16
 
 
@@ -137,51 +139,77 @@ def rk4_zoh(
     return rows, c
 
 
+def step_lines(n: int) -> tuple[list[str], list[str]]:
+    """Straight-line code of one plant step of order n, as (setup, lines).
+
+    The setup unpacks the locals rows and c, a step as `rk4_zoh` returns
+    it, into the names r{i}_{j} = rows[i][j] and c{i} = c[i]; it runs once
+    and fails on a step of another order. The lines advance the state
+    locals x0 .. x{n-1} by one step on the input u and set the output y;
+    for n = 2:
+
+        (r0_0, r0_1, r0_2), (r1_0, r1_1, r1_2), = rows
+        c0, c1, = c
+
+        n0 = 0.0 + r0_0 * x0 + r0_1 * x1 + r0_2 * u
+        n1 = 0.0 + r1_0 * x0 + r1_1 * x1 + r1_2 * u
+        x0 = n0
+        x1 = n1
+        y = 0.0 + c0 * x0 + c1 * x1
+
+    Each dot product is accumulated left to right from 0.0, one rounding
+    per term, so its bits do not depend on the interpreter: from CPython
+    3.12 on the builtin sum() of floats is compensated. No path whose bits
+    are pinned may use sum, math.fsum, math.sumprod or a numpy reduction;
+    every plant step is built from these lines, by `compile_step` and by
+    the closed loop (`harness.run_closed_loop`). The leading 0.0 turns a
+    sum of -0.0 terms into 0.0.
+
+    Plain arithmetic, with no finiteness check. y is not finite whenever
+    some x_i is not, even where c_i = 0 (0 * inf is nan), so checking y
+    covers the state; a non-finite u makes every x_i non-finite.
+    """
+    inputs = [f"x{j}" for j in range(n)] + ["u"]
+    rows = "".join("(" + ", ".join(f"r{i}_{j}" for j in range(n + 1)) + "), " for i in range(n))
+    setup = [f"{rows}= rows", "".join(f"c{i}, " for i in range(n)) + "= c"]
+    lines = [
+        f"n{i} = 0.0 + " + " + ".join(f"r{i}_{j} * {v}" for j, v in enumerate(inputs))
+        for i in range(n)
+    ]
+    lines += [f"x{i} = n{i}" for i in range(n)]
+    lines.append("y = 0.0 + " + " + ".join(f"c{i} * x{i}" for i in range(n)))
+    return setup, lines
+
+
 def compile_step(
     rows: tuple[tuple[float, ...], ...], c: tuple[float, ...]
 ) -> Callable[[Sequence[float], float], tuple[tuple[float, ...], float]]:
     """The precomputed RK4 step (see rk4_zoh) as a function step(x, u).
 
-    step(x, u) returns the next state, a tuple, and the output. Its body is
-    straight-line code built once per (rows, c), where r{i}_{j} holds
-    rows[i][j]; for n = 2:
-
-        x0, x1, = x
-        n0 = 0.0 + r0_0 * x0 + r0_1 * x1 + r0_2 * u
-        n1 = 0.0 + r1_0 * x0 + r1_1 * x1 + r1_2 * u
-        return (n0, n1, ), 0.0 + c0 * n0 + c1 * n1
-
-    Each dot product is accumulated left to right from 0.0, one rounding
-    per term, so its bits do not depend on the interpreter: from CPython
-    3.12 on the builtin sum() of floats is compensated. No path whose bits
-    are pinned may use sum, math.fsum, math.sumprod or a numpy reduction.
-    The leading 0.0 turns a sum of -0.0 terms into 0.0.
+    step(x, u) returns the next state, a tuple, and the output. Its body
+    unpacks x into x0 .. x{n-1}, runs the lines of `step_lines` and
+    returns the state locals and y, so it gives the closed loop's bits.
 
     The source holds generated names only. The values reach the body as
-    closure cells of a factory, so inf and nan entries step like any other
-    and nothing of the plant is formatted into code.
-
-    Plain arithmetic, with no finiteness check. y is not finite whenever
-    some n_i is not, even where c_i = 0 (0 * inf is nan), so checking y
-    covers the state; a non-finite u makes every n_i non-finite.
+    closure cells of a factory(rows, c) that runs the setup of
+    `step_lines`, so inf and nan entries step like any other and nothing
+    of the plant is formatted into code.
     """
     n = len(rows)
-    inputs = [f"x{j}" for j in range(n)] + ["u"]
-    params = [f"r{i}_{j}" for i in range(n) for j in range(n + 1)] + [f"c{i}" for i in range(n)]
+    setup, body = step_lines(n)
+    state = "".join(f"x{i}, " for i in range(n))
     lines = [
-        f"def factory({', '.join(params)}):",
+        "def factory(rows, c):",
+        *(f"    {line}" for line in setup),
         "    def step(x, u):",
-        f"        {''.join(f'x{j}, ' for j in range(n))}= x",
+        f"        {state}= x",
+        *(f"        {line}" for line in body),
+        f"        return ({state}), y",
+        "    return step",
     ]
-    for i in range(n):
-        terms = " + ".join(f"r{i}_{j} * {v}" for j, v in enumerate(inputs))
-        lines.append(f"        n{i} = 0.0 + {terms}")
-    state = "".join(f"n{i}, " for i in range(n))
-    output = " + ".join(f"c{i} * n{i}" for i in range(n))
-    lines += [f"        return ({state}), 0.0 + {output}", "    return step"]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
-    return namespace["factory"](*(v for row in rows for v in row), *c)
+    return namespace["factory"](rows, c)
 
 
 @dataclass(frozen=True)

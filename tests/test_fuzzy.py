@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sprayflow import fuzzy, presets
 from sprayflow.fuzzy import (
     DEFAULT_RULE_TABLE,
     Label,
@@ -173,6 +174,24 @@ class TestRuleTable:
 
     def test_suspect_cells_flagged(self):
         assert DEFAULT_RULE_TABLE.suspect == frozenset(SUSPECT_CELLS)
+
+    def test_construction_computes_no_plan(self, monkeypatch):
+        calls = []
+        for name in ("_named_labels", "_firing_plan", "_compile_kernel"):
+            original = getattr(fuzzy, name)
+
+            def counting(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(fuzzy, name, counting)
+        table = RuleTable.parse(DEFAULT_RULE_TABLE.dump())
+        assert calls == [] and set(table.kernels) == {None}
+        # The first inference builds the plans of one kernel, one per output.
+        infer_deltas(0.3, -2.7, table)
+        assert sorted(set(calls)) == ["_compile_kernel", "_firing_plan", "_named_labels"]
+        assert calls.count("_firing_plan") == 3 and calls.count("_compile_kernel") == 1
+        assert sum(kernel is not None for kernel in table.kernels) == 1
 
     def test_dump_parse_round_trip(self):
         text = DEFAULT_RULE_TABLE.dump()
@@ -347,24 +366,22 @@ class TestBitwiseReference:
         assert got == packed(reference_deltas(e, ec, table.cells))
 
 
-# Imports the package, then runs the default fuzzy step with the inference
-# inputs recorded, and reports the kernels of the default table that exist
-# after the import and after the run.
+# Imports the package, then runs the default fuzzy step, and reports the
+# kernels of the default table that exist after the import and after the
+# run, with the run's dt and logged error column.
 KERNELS_SCRIPT = """
 import json
 import sprayflow
-from sprayflow import adaptive, presets
+from sprayflow import presets
 from sprayflow.fuzzy import DEFAULT_RULE_TABLE as table
 after_import = [n for n, kernel in enumerate(table.kernels) if kernel is not None]
-inputs = []
-infer = adaptive.infer_deltas
-def recording(e, ec, t):
-    inputs.append((e, ec))
-    return infer(e, ec, t)
-adaptive.infer_deltas = recording
-sprayflow.run_closed_loop(presets.default_scenario(presets.default_fuzzy_controller()))
+scenario = presets.default_scenario(presets.default_fuzzy_controller())
+traj = sprayflow.run_closed_loop(scenario)
 after_run = [n for n, kernel in enumerate(table.kernels) if kernel is not None]
-print(json.dumps({"after_import": after_import, "inputs": inputs, "after_run": after_run}))
+print(json.dumps({
+    "after_import": after_import, "dt": scenario.dt, "e": traj.e.tolist(),
+    "after_run": after_run,
+}))
 """
 
 
@@ -383,7 +400,14 @@ def test_kernels_are_built_on_first_use_per_table():
     )
     report = json.loads(result.stdout)
     assert report["after_import"] == []
-    touched = {kernel_index(e, ec) for e, ec in report["inputs"]}
+    # Step k infers from row k-1's error and its backward difference,
+    # zero on the first step; the last row feeds no step.
+    e, dt, factors = report["e"], report["dt"], presets.DEFAULT_FACTORS
+    rates = [0.0] + [(e[k] - e[k - 1]) / dt for k in range(1, len(e) - 1)]
+    touched = {
+        kernel_index(quantize(x, factors.ke), quantize(rate, factors.kec))
+        for x, rate in zip(e, rates)
+    }
     assert report["after_run"] == sorted(touched)
     assert len(touched) == 36
     # Another table builds its own kernels and gives the reference bits,

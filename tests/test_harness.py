@@ -1,4 +1,7 @@
 import math
+import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +29,7 @@ from sprayflow.plant import (
     TransferFunction,
     compile_step,
     rk4_zoh,
+    step_lines,
 )
 
 from _oracles import (
@@ -70,7 +74,9 @@ def hand_stepped(scenario):
 
     The error rate is the backward difference of the error, zero on the
     first step, and feeds both the derivative term and the gain update.
-    Returns the u, y, kp, ki and kd columns as lists.
+    Stepping stops where the loop must: before a step whose rate, and
+    before a row whose error, is not finite. Returns the logged u, y, e,
+    kp, ki and kd columns as lists.
     """
     dt, r, dists = scenario.dt, scenario.setpoint, scenario.disturbances
     rows, c = rk4_zoh(scenario.plant, dt)
@@ -83,10 +89,14 @@ def hand_stepped(scenario):
     e_prev = None
     x = (0.0,) * len(rows)
     _, y = apply_disturbances(0.0, 0.0, dists, 0.0)
-    columns = [[0.0], [y], [kp], [ki], [kd]]
+    if not math.isfinite(r - y):
+        return [[] for _ in range(6)]
+    columns = [[0.0], [y], [r - y], [kp], [ki], [kd]]
     for k in range(1, scenario.steps + 1):
         e = r - y
         derivative = 0.0 if e_prev is None else (e - e_prev) / dt
+        if not math.isfinite(derivative):
+            break
         e_prev = e
         if fuzzy:
             kp, ki, kd = adapted_gains(ctrl, e, derivative)
@@ -94,12 +104,51 @@ def hand_stepped(scenario):
         u, _ = apply_disturbances(u, 0.0, dists, (k - 1) * dt)
         x, y = step(x, u)
         _, y = apply_disturbances(0.0, y, dists, k * dt)
-        for column, value in zip(columns, (u, y, kp, ki, kd)):
+        if not math.isfinite(r - y):
+            break
+        for column, value in zip(columns, (u, y, r - y, kp, ki, kd)):
             column.append(value)
     return columns
 
 
+def assert_equals_hand_stepped(scenario):
+    """run_closed_loop and hand_stepped log the same rows, as packed bytes."""
+    traj = run_closed_loop(scenario)
+    want = hand_stepped(scenario)
+    assert traj.blown_up == (len(want[0]) < scenario.steps + 1)
+    for name in COLUMNS:
+        assert getattr(traj, name).dtype == np.float64, name
+    for name, column in zip(("u", "y", "e", "kp", "ki", "kd"), want):
+        assert getattr(traj, name).tobytes() == struct.pack(f"{len(column)}d", *column), name
+    return traj
+
+
 BLOW_UP_CONTROLLERS = (presets.default_pid_config(), _FUZZY)
+_PID_GAINS = PidGains(0.0045, 0.05, 5e-6)
+_PID = PidConfig(gains=_PID_GAINS)
+_FUZZY_SMALL = FuzzyPidController(
+    base=_PID_GAINS,
+    factors=ScalingFactors(ke=5.0, kec=0.8, kup=1e-4, kui=1e-3, kud=2e-6),
+)
+# A first-order lag, the pipeline model with a third pole, and with
+# fourteen more poles of 0.1 ms up to plant.MAX_ORDER.
+ORDER_1 = TransferFunction(num=(100.0,), den=(0.0037, 1.0))
+ORDER_3 = TransferFunction(num=(43956.0,), den=(3.7e-6, 0.0047, 1.0, 0.0))
+_DEN_16 = np.array(PIPELINE_TF.den)
+for _ in range(14):
+    _DEN_16 = np.convolve(_DEN_16, (1e-4, 1.0))
+ORDER_16 = TransferFunction(num=(43956.0,), den=tuple(_DEN_16.tolist()))
+_INPUT = (Disturbance(time=0.02, magnitude=2e-3, port=PLANT_INPUT),)
+# PidGains takes ints; the gain columns are float64 all the same.
+_INT_GAINS = PidGains(kp=0.0045, ki=0, kd=0)
+_OUTPUT = (Disturbance(time=0.0301, magnitude=-0.3, port=PLANT_OUTPUT),)
+
+
+def hand_case(controller, disturbances=(), plant=PIPELINE_TF, setpoint=5.0):
+    return SimScenario(
+        setpoint=setpoint, duration=0.05, dt=1e-4,
+        controller=controller, plant=plant, disturbances=disturbances,
+    )
 
 
 def assert_all_finite(traj):
@@ -109,69 +158,57 @@ def assert_all_finite(traj):
 
 class TestRunClosedLoop:
     @pytest.mark.parametrize(
-        "controller, disturbances",
+        "scenario",
         [
-            (
-                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
-                (Disturbance(time=0.0, magnitude=0.5, port=PLANT_OUTPUT),),
-            ),
-            (
-                FuzzyPidController(
-                    base=PidGains(0.0045, 0.05, 5e-6),
-                    factors=ScalingFactors(ke=5.0, kec=0.8, kup=1e-4, kui=1e-3, kud=2e-6),
-                ),
-                (
-                    Disturbance(time=0.02, magnitude=2e-3, port=PLANT_INPUT),
-                    Disturbance(time=0.0301, magnitude=-0.3, port=PLANT_OUTPUT),
-                ),
-            ),
+            hand_case(_PID, (Disturbance(time=0.0, magnitude=0.5, port=PLANT_OUTPUT),)),
+            hand_case(_FUZZY_SMALL, _INPUT + _OUTPUT),
             # 0.0003 / 1e-4 is 2.9999999999999996, yet 3 * 1e-4 >= 0.0003:
             # step 3 is the first at or after the activation time.
-            (
-                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
-                (Disturbance(time=0.0003, magnitude=2e-3, port=PLANT_INPUT),),
-            ),
+            hand_case(_PID, (Disturbance(time=0.0003, magnitude=2e-3, port=PLANT_INPUT),)),
             # 13 * 1e-4 / 1e-4 is 13.000000000000002, yet step 13 is at that
             # time; rounding the quotient up would start one step late.
-            (
-                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
-                (Disturbance(time=13 * 1e-4, magnitude=2e-3, port=PLANT_INPUT),),
-            ),
+            hand_case(_PID, (Disturbance(time=13 * 1e-4, magnitude=2e-3, port=PLANT_INPUT),)),
             # 0.05 is exactly the last sample time (500 * 1e-4).
-            (
-                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
-                (Disturbance(time=0.05, magnitude=0.3, port=PLANT_OUTPUT),),
-            ),
+            hand_case(_PID, (Disturbance(time=0.05, magnitude=0.3, port=PLANT_OUTPUT),)),
             # 499 * 1e-4 is the second-to-last sample time, so the input
             # disturbance acts on the last step only.
-            (
-                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
-                (Disturbance(time=499 * 1e-4, magnitude=0.3, port=PLANT_INPUT),),
-            ),
-            (PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)), ()),
+            hand_case(_PID, (Disturbance(time=499 * 1e-4, magnitude=0.3, port=PLANT_INPUT),)),
+            hand_case(_PID),
             # 0.0025 is exactly the sample time 25 * 1e-4: the onset is inclusive.
-            (
-                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
-                (Disturbance(time=0.0025, magnitude=2e-3, port=PLANT_INPUT),),
-            ),
+            hand_case(_PID, (Disturbance(time=0.0025, magnitude=2e-3, port=PLANT_INPUT),)),
             # One onset, both ports: each magnitude goes to its own port.
-            (
-                PidConfig(gains=PidGains(0.0045, 0.05, 5e-6)),
+            hand_case(
+                _PID,
                 (
                     Disturbance(time=0.01, magnitude=2e-3, port=PLANT_INPUT),
                     Disturbance(time=0.01, magnitude=-0.3, port=PLANT_OUTPUT),
                 ),
             ),
             # Two magnitudes on one port add up once both are active.
-            (
-                FuzzyPidController(
-                    base=PidGains(0.0045, 0.05, 5e-6),
-                    factors=ScalingFactors(ke=5.0, kec=0.8, kup=1e-4, kui=1e-3, kud=2e-6),
-                ),
+            hand_case(
+                _FUZZY_SMALL,
                 (
                     Disturbance(time=0.0, magnitude=2e-3, port=PLANT_INPUT),
                     Disturbance(time=0.02, magnitude=5e-4, port=PLANT_INPUT),
                 ),
+            ),
+            # Each plant order builds its own loop.
+            hand_case(_PID, _OUTPUT, ORDER_1),
+            hand_case(_FUZZY_SMALL, _INPUT, ORDER_1),
+            hand_case(_PID, _INPUT, ORDER_3),
+            hand_case(_FUZZY_SMALL, _OUTPUT, ORDER_3),
+            hand_case(_PID, _INPUT + _OUTPUT, ORDER_16),
+            hand_case(_FUZZY_SMALL, _INPUT + _OUTPUT, ORDER_16),
+            hand_case(PidConfig(gains=_INT_GAINS), _INPUT),
+            hand_case(replace(_FUZZY_SMALL, base=_INT_GAINS), _INPUT),
+            # The error overflows at t = dt: only row 0 is logged.
+            hand_case(
+                _PID, (Disturbance(time=1e-4, magnitude=-1e308, port=PLANT_OUTPUT),), setpoint=1e308
+            ),
+            hand_case(
+                _FUZZY_SMALL,
+                (Disturbance(time=1e-4, magnitude=-1e308, port=PLANT_OUTPUT),),
+                setpoint=1e308,
             ),
         ],
         ids=[
@@ -185,17 +222,21 @@ class TestRunClosedLoop:
             "input-at-sample-time",
             "both-ports-one-onset",
             "two-input-disturbances",
+            "pid-order-1",
+            "fuzzy-order-1",
+            "pid-order-3",
+            "fuzzy-order-3",
+            "pid-order-16",
+            "fuzzy-order-16",
+            "pid-integer-gains",
+            "fuzzy-integer-gains",
+            "pid-1e308-blow-up",
+            "fuzzy-1e308-blow-up",
         ],
     )
-    def test_equals_hand_stepping_bitwise(self, controller, disturbances):
-        scenario = SimScenario(
-            setpoint=5.0, duration=0.05, dt=1e-4,
-            controller=controller, disturbances=disturbances,
-        )
-        traj = run_closed_loop(scenario)
-        want = hand_stepped(scenario)
-        for name, column in zip(("u", "y", "kp", "ki", "kd"), want):
-            assert np.array_equal(getattr(traj, name), column), name
+    def test_equals_hand_stepping_bitwise(self, scenario):
+        traj = assert_equals_hand_stepped(scenario)
+        assert len(traj) == (1 if scenario.setpoint == 1e308 else scenario.steps + 1)
 
     @pytest.mark.parametrize(
         "port, time, limit",
@@ -224,14 +265,11 @@ class TestRunClosedLoop:
 
     @pytest.mark.parametrize("scenario", FUZZY_RUNS.values(), ids=FUZZY_RUNS.keys())
     def test_equals_reference_inference_bitwise(self, scenario, monkeypatch):
-        traj = run_closed_loop(scenario)
         monkeypatch.setattr(
             adaptive, "infer_deltas",
             lambda e, ec, table: reference_deltas(e, ec, table.cells),
         )
-        want = run_closed_loop(scenario)
-        for column in COLUMNS:
-            assert getattr(traj, column).tobytes() == getattr(want, column).tobytes(), column
+        assert_equals_hand_stepped(scenario)
 
     def test_rewritten_suspect_cells_change_the_step(self):
         # So the non-default case above runs different plans.
@@ -589,6 +627,36 @@ class TestCompareControllers:
         result = compare_controllers(scenario, PidConfig(gains=gains), _FUZZY)
         assert calls == [(PIPELINE_TF, 1e-4)] * 3
         assert len(result.pid_trajectory) == len(result.fuzzy_trajectory) == 101
+
+    def test_loop_is_built_once_per_order_and_kind(self, monkeypatch):
+        # A fresh process has built no loop after the import.
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             "import sprayflow; print(sprayflow.harness._loop.cache_info().currsize)"],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert result.stdout == "0\n"
+        # Each build reads the plant-step lines once.
+        builds = []
+
+        def counting(order):
+            builds.append(order)
+            return step_lines(order)
+
+        harness._loop.cache_clear()
+        monkeypatch.setattr(harness, "step_lines", counting)
+        scenario = hand_case(_PID)
+        run_closed_loop(scenario)
+        run_closed_loop(scenario)
+        assert builds == [2]
+        compare_controllers(scenario, _PID, _FUZZY)
+        assert builds == [2, 2]
+        compare_controllers(scenario, _PID, _FUZZY_SMALL)
+        run_closed_loop(replace(scenario, disturbances=_INPUT + _OUTPUT))
+        assert builds == [2, 2]
+        compare_controllers(replace(scenario, plant=ORDER_3), _PID, _FUZZY)
+        assert builds == [2, 2, 3, 3]
+        assert harness._loop.cache_info().currsize == 4
 
     def test_run_without_a_finite_row_has_no_metrics(self):
         scenario = SimScenario(
