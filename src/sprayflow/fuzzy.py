@@ -481,11 +481,14 @@ _PLATEAU_MOMENT = tuple(p * (p - 1) // 2 for p in range(_N + 1))
 # clipped at g. Its r = min(floor(N g), N/2 - 1) lowest points on each side
 # lie under the clip; this is their sum, both sides.
 _TENT_SUM = tuple(2.0 * (r * (r + 1) // 2) / _N for r in range(_HALF))
-# What a kernel reads, one lookup per index (see `_compile_kernel`).
+# What a kernel reads, one lookup per index (see `_compile_kernel`). Its
+# integers, at most 19,900, are stored as the equal floats: CPython runs
+# float-by-float arithmetic faster than int-by-float, with the same result.
 _P_SUMS = tuple(
-    (_RAMP_SUM[_N - p], _PLATEAU_MOMENT[p], _RAMP_MOMENT[_N - p]) for p in range(_N + 1)
+    (float(p), _RAMP_SUM[_N - p], float(_PLATEAU_MOMENT[p]), _RAMP_MOMENT[_N - p])
+    for p in range(_N + 1)
 )
-_R_SUMS = tuple((_TENT_SUM[r], 2 * (_HALF - 1 - r)) for r in range(_HALF))
+_R_SUMS = tuple((_TENT_SUM[r], float(2 * (_HALF - 1 - r))) for r in range(_HALF))
 
 
 def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
@@ -495,9 +498,9 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
     Its body is straight-line code. For each height it uses it computes
     the grid sums its labels need, with the clamps and table reads below:
 
-        p = int(N - N * h) + 1, at most N; ramp_sum, plateau_moment,
-            ramp_moment = P[p]
-        side = p * h + ramp_sum        full = side + side - h
+        p = int(N - N * h) + 1, at most N; p_float, ramp_sum,
+            plateau_moment, ramp_moment = P[p]
+        side = p_float * h + ramp_sum        full = side + side - h
         side_moment = h * plateau_moment + ramp_moment
         r = int(N * h), at most N/2 - 1; tent_sum, flat_points = R[r]
         overlap = tent_sum + flat_points * h + (h if h < 0.5 else 0.5)
@@ -512,7 +515,9 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
     label adds side and center * side + step * side_moment instead), then
     mass -= overlap and moment -= midpoint * overlap when its left
     neighbour is named. A zero height gives +0.0 terms throughout, and
-    neither sum is ever -0.0, so such a label changes no bit.
+    neither sum is ever -0.0, so such a label changes no bit. N, p_float,
+    plateau_moment and flat_points are floats equal to integers, so every
+    operation gives the bits of its integer form.
 
     The source holds generated names only. The centers, midpoints, steps
     and sum tables reach the body as closure cells of a factory, so
@@ -525,17 +530,17 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
             needs[k].add("side_moment" if step else "full")
             if overlap_k >= 0:
                 needs[overlap_k].add("overlap")
-    params = ["N", "TOP", "P", "R"]
-    values: list[object] = [_N, _HALF - 1, _P_SUMS, _R_SUMS]
+    params = ["N", "P_TOP", "R_TOP", "P", "R"]
+    values: list[object] = [float(_N), _N, _HALF - 1, _P_SUMS, _R_SUMS]
     body = []
     for h, need in zip(heights, needs):
         if "full" in need or "side_moment" in need:
             body += [
                 f"p_{h} = int(N - N * {h}) + 1",
-                f"if p_{h} > N:",
-                f"    p_{h} = N",
-                f"ramp_sum_{h}, plateau_moment_{h}, ramp_moment_{h} = P[p_{h}]",
-                f"side_{h} = p_{h} * {h} + ramp_sum_{h}",
+                f"if p_{h} > P_TOP:",
+                f"    p_{h} = P_TOP",
+                f"p_float_{h}, ramp_sum_{h}, plateau_moment_{h}, ramp_moment_{h} = P[p_{h}]",
+                f"side_{h} = p_float_{h} * {h} + ramp_sum_{h}",
             ]
         if "full" in need:
             body.append(f"full_{h} = side_{h} + side_{h} - {h}")
@@ -544,8 +549,8 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
         if "overlap" in need:
             body += [
                 f"r_{h} = int(N * {h})",
-                f"if r_{h} > TOP:",
-                f"    r_{h} = TOP",
+                f"if r_{h} > R_TOP:",
+                f"    r_{h} = R_TOP",
                 f"tent_sum_{h}, flat_points_{h} = R[r_{h}]",
                 f"overlap_{h} = tent_sum_{h} + flat_points_{h} * {h}"
                 f" + ({h} if {h} < 0.5 else 0.5)",

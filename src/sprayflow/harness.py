@@ -9,19 +9,21 @@ column is the effective plant input and the y column the measured output,
 both including any active disturbances, so e = r - y holds row-wise.
 
 The loop runs on plain floats as one function of straight-line code,
-built once per process for each plant order and controller kind
-(`_loop`) and called once per run with the scenario's values: the plant
-step that `plant.rk4_zoh` precomputes once per scenario from its plant
-and dt as (rows, c), kept as `SimScenario.rk4_step`, and the controller;
-setup lines unpack the step, the gains and, for fuzzy-PID, the factors
-and rule table into locals once per run. The plant state lives in locals
-and the plant step (`plant.step_lines`), the PID law and the gain update
-(`adaptive.gain_lines`) are written out; only a firing-plan kernel of
-the rule table remains a call. The loop holds the controller state, the
-integral and the previous error; their backward difference, zero on the
-first step, is both the derivative and the fuzzy error rate. A run is
-bit-identical to stepping `plant.compile_step`, `pid.pid_law` and
-`adaptive.adapted_gains` by hand.
+built once per process for each plant order, controller kind and number
+of disturbances on each port (`_loop`) and called once per run with the
+scenario's values: the plant step that `plant.rk4_zoh` precomputes once
+per scenario from its plant and dt as (rows, c), kept as
+`SimScenario.rk4_step`, the disturbances and the controller; setup lines
+unpack the step, the disturbances, the gains and, for fuzzy-PID, the
+factors and rule table into locals once per run. The plant state lives
+in locals and the plant step (`plant.step_lines`), each disturbance, the
+PID law and the gain update (`adaptive.gain_lines`) are written out;
+only a firing-plan kernel of the rule table remains a call. The loop
+logs through memoryviews of the trajectory's columns. It holds the
+controller state, the integral and the previous error; their backward
+difference, zero on the first step, is both the derivative and the fuzzy
+error rate. A run is bit-identical to stepping `plant.compile_step`,
+`pid.pid_law` and `adaptive.adapted_gains` by hand.
 
 The loop alone decides a blow-up, the same way for both controllers: it
 stops before a step whose error rate is not finite and before a row whose
@@ -216,9 +218,12 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     ki_log = np.full(n_rows, rest.ki, dtype=float)
     kd_log = np.full(n_rows, rest.kd, dtype=float)
 
-    n_logged = _loop(len(rows), fuzzy)(
-        n_rows=n_rows, dt=dt, r=r, u_dists=u_dists, y_dists=y_dists, u_log=u_log,
-        y_log=y_log, kp_log=kp_log, ki_log=ki_log, kd_log=kd_log, rows=rows, c=c,
+    # The loop stores through memoryviews, which write the same 8 bytes as
+    # numpy's item assignment at about half the cost.
+    n_logged = _loop(len(rows), fuzzy, len(u_dists), len(y_dists))(
+        n_rows=n_rows, dt=dt, r=r, u_dists=u_dists, y_dists=y_dists,
+        u_log=memoryview(u_log), y_log=memoryview(y_log), kp_log=memoryview(kp_log),
+        ki_log=memoryview(ki_log), kd_log=memoryview(kd_log), rows=rows, c=c,
         ctrl=controller,
     )
 
@@ -237,30 +242,38 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     )
 
 
-# At most 2 * plant.MAX_ORDER entries: one per plant order and controller kind.
-@functools.cache
-def _loop(order: int, fuzzy: bool) -> Callable[..., int]:
-    """The closed loop of a plant order and controller kind as one function.
+# One entry per plant order, controller kind and disturbance count per port:
+# at most 3 * 2 * plant.MAX_ORDER = 96 for the CLI, which takes at most one
+# disturbance. A library caller may use any counts, so the cache is bounded.
+@functools.lru_cache(maxsize=128)
+def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
+    """The closed loop of a plant order, controller kind and disturbance counts.
 
     loop(n_rows, dt, r, u_dists, y_dists, u_log, y_log, kp_log, ki_log,
     kd_log, rows, c, ctrl) logs rows 0 to n_rows - 1 into u_log and y_log
-    (and, for fuzzy-PID, the gains into kp_log, ki_log and kd_log) and
-    returns the number of rows logged. rows and c are the plant step (see
-    `plant.rk4_zoh`), ctrl the scenario's controller, and u_dists and
-    y_dists hold the (first step, magnitude) pairs of each port. Before
-    the loop, the setup lines of `plant.step_lines` and, for fuzzy-PID,
-    `adaptive.gain_lines` read the values from rows, c and ctrl.
+    (and, for fuzzy-PID, the gains into kp_log, ki_log and kd_log), writable
+    float64 buffers such as memoryviews of arrays, and returns the number
+    of rows logged. rows and c are the plant step (see `plant.rk4_zoh`),
+    ctrl the scenario's controller, and u_dists and y_dists hold the n_u
+    and n_y (first step, magnitude) pairs of each port. Before the loop,
+    the setup lines of `plant.step_lines` and, for fuzzy-PID,
+    `adaptive.gain_lines` read the values from rows, c and ctrl, and
+    further lines unpack the pairs into the locals us0, um0, us1, um1 and
+    so on for the input, and ys0, ym0 and so on for the output.
 
     The body is straight-line code: the plant state lives in the locals
     x0 .. x{order-1}, the PID law and, for fuzzy-PID, the gain update are
-    written out, and only a firing-plan kernel remains a call. Each
-    performs the operations of `plant.compile_step`, `pid.pid_law` and
-    `adaptive.adapted_gains` on the same operands in the same order, so a
-    run is bit-identical to stepping those by hand. The source depends on
-    the order and the kind only and holds generated names; every value
-    arrives as an argument.
+    written out, each disturbance is one line, `if k >= us0: u += um0`,
+    in declaration order per port, and only a firing-plan kernel remains
+    a call. Each performs the operations of `plant.compile_step`,
+    `pid.pid_law` and `adaptive.adapted_gains` on the same operands in the
+    same order, so a run is bit-identical to stepping those by hand. The
+    source depends on the order, the kind and the counts only and holds
+    generated names; every value arrives as an argument.
     """
     setup, plant = step_lines(order)
+    setup += [f"us{n}, um{n} = u_dists[{n}]" for n in range(n_u)]
+    setup += [f"ys{n}, ym{n} = y_dists[{n}]" for n in range(n_y)]
     if fuzzy:
         gain_setup, gains = gain_lines()
         setup += gain_setup
@@ -278,13 +291,9 @@ def _loop(order: int, fuzzy: bool) -> Callable[..., int]:
         # pid_law
         "integral += e * dt",
         "u = kp * e + ki * integral + kd * rate",
-        "for start, m in u_dists:",
-        "    if k >= start:",
-        "        u += m",
+        *(f"if k >= us{n}: u += um{n}" for n in range(n_u)),
         *plant,
-        "for start, m in y_dists:",
-        "    if k >= start:",
-        "        y += m",
+        *(f"if k >= ys{n}: y += ym{n}" for n in range(n_y)),
         "e = r - y",
         "if not isfinite(e):",
         "    return k",
@@ -297,9 +306,7 @@ def _loop(order: int, fuzzy: bool) -> Callable[..., int]:
         *(f"    {line}" for line in setup),
         *(f"    x{i} = 0.0" for i in range(order)),
         "    y = 0.0",
-        "    for start, m in y_dists:",
-        "        if start <= 0:",
-        "            y += m",
+        *(f"    if ys{n} <= 0: y += ym{n}" for n in range(n_y)),
         "    e = r - y",
         "    if not isfinite(e):",
         "        return 0",

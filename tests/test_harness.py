@@ -142,6 +142,17 @@ _INPUT = (Disturbance(time=0.02, magnitude=2e-3, port=PLANT_INPUT),)
 # PidGains takes ints; the gain columns are float64 all the same.
 _INT_GAINS = PidGains(kp=0.0045, ki=0, kd=0)
 _OUTPUT = (Disturbance(time=0.0301, magnitude=-0.3, port=PLANT_OUTPUT),)
+# Two disturbances per port, declared with the ports interleaved. On each
+# port none, one and then both act, and once both act the bits depend on
+# the order of addition, because the partial sums fall into other binades:
+# for y near 5, (y - 1.1) + 0.2 rounds once in [2, 4) and once in [4, 8),
+# (y + 0.2) - 1.1 twice in [4, 8). So does u + 1e-3 - 3e-3 for a small u.
+_TWO_PER_PORT = (
+    Disturbance(time=0.01, magnitude=1e-3, port=PLANT_INPUT),
+    Disturbance(time=0.015, magnitude=-1.1, port=PLANT_OUTPUT),
+    Disturbance(time=0.02, magnitude=-3e-3, port=PLANT_INPUT),
+    Disturbance(time=0.03, magnitude=0.2, port=PLANT_OUTPUT),
+)
 
 
 def hand_case(controller, disturbances=(), plant=PIPELINE_TF, setpoint=5.0):
@@ -192,6 +203,8 @@ class TestRunClosedLoop:
                     Disturbance(time=0.02, magnitude=5e-4, port=PLANT_INPUT),
                 ),
             ),
+            hand_case(_PID, _TWO_PER_PORT),
+            hand_case(_FUZZY_SMALL, _TWO_PER_PORT),
             # Each plant order builds its own loop.
             hand_case(_PID, _OUTPUT, ORDER_1),
             hand_case(_FUZZY_SMALL, _INPUT, ORDER_1),
@@ -222,6 +235,8 @@ class TestRunClosedLoop:
             "input-at-sample-time",
             "both-ports-one-onset",
             "two-input-disturbances",
+            "pid-two-per-port",
+            "fuzzy-two-per-port",
             "pid-order-1",
             "fuzzy-order-1",
             "pid-order-3",
@@ -652,11 +667,15 @@ class TestCompareControllers:
         compare_controllers(scenario, _PID, _FUZZY)
         assert builds == [2, 2]
         compare_controllers(scenario, _PID, _FUZZY_SMALL)
-        run_closed_loop(replace(scenario, disturbances=_INPUT + _OUTPUT))
         assert builds == [2, 2]
+        # One loop per count of disturbances on each port, whatever their values.
+        run_closed_loop(replace(scenario, disturbances=_INPUT + _OUTPUT))
+        assert builds == [2, 2, 2]
+        run_closed_loop(replace(scenario, disturbances=_TWO_PER_PORT[1:3]))
+        assert builds == [2, 2, 2]
         compare_controllers(replace(scenario, plant=ORDER_3), _PID, _FUZZY)
-        assert builds == [2, 2, 3, 3]
-        assert harness._loop.cache_info().currsize == 4
+        assert builds == [2, 2, 2, 3, 3]
+        assert harness._loop.cache_info().currsize == 5
 
     def test_run_without_a_finite_row_has_no_metrics(self):
         scenario = SimScenario(
