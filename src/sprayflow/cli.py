@@ -14,8 +14,9 @@ file (config, rules, trajectory CSV) must be a regular file.
 
 All CSV output is byte-reproducible: fixed-point with nine fractional
 digits, comma separated, LF terminated, one column per name in
-harness.COLUMNS. A column that holds one value on every row is formatted
-once per file, with the same bytes.
+harness.COLUMNS. The writer formats a chunk of rows at a time with numpy
+integer arithmetic, to the bytes that formatting each value on its own
+gives.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical blow-up.
 """
@@ -85,30 +86,78 @@ _CSV_CHUNK_ROWS = 1024
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write a trajectory in the canonical byte-reproducible CSV format.
 
-    Every value is written as _fmt9 writes it. A column that holds one
-    value on every row (under plain PID: r, kp, ki and kd) is formatted
-    once, as literal text in the row format, and only the other columns
-    are formatted row by row.
+    Every value is written as _fmt9 writes it: the exact value v * 10**9
+    rounded to an integer, ties to even, printed with nine fractional
+    digits. The writer gets that integer from numpy arithmetic on a chunk
+    of rows at a time (_csv_rows), which is exact: let x be v * 1e9 in
+    float64 and n = rint(x). If |x| < 2**52 and |x - n| != 0.5, n is the
+    integer _fmt9 prints: ulp(x) <= 0.5, so x - n and 0.5 are both
+    multiples of ulp(x) and |x - n| <= 0.5 - ulp(x), while the exact
+    product lies within ulp(x) / 2 of x, hence strictly within 0.5 of n.
+    Every other value (not finite, |x| >= 2**52, or x on a tie) is
+    formatted by _fmt9 itself.
     """
     columns = [getattr(traj, name) for name in COLUMNS]
-    # min == max allocates nothing n-sized. It is false for a column with a
-    # NaN and true for one mixing -0.0 and 0.0, which _fmt9 prints alike.
-    constant = [bool(len(col)) and col.min() == col.max() for col in columns]
-    # "%.9f" and "{:.9f}" format floats alike.
-    row_format = ",".join(
-        _fmt9(float(col[0])) if const else "%.9f" for col, const in zip(columns, constant)
-    ) + "\n"
-    varying = [col for col, const in zip(columns, constant) if not const]
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode("ascii") + b"\n")
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
-            stop = min(start + _CSV_CHUNK_ROWS, len(traj))
-            # Adding positive zero folds -0.0 into 0.0, as _fmt9 does. The fold
-            # is per chunk, so it never copies a whole column.
-            chunk = [(col[start:stop] + 0.0).tolist() for col in varying]
-            # With every column constant each row is the row format itself.
-            rows = zip(*chunk) if chunk else [()] * (stop - start)
-            fh.write("".join([row_format % row for row in rows]))
+            chunk = [col[start : start + _CSV_CHUNK_ROWS] for col in columns]
+            fh.write(_csv_rows(np.stack(chunk, axis=1, dtype=float)))
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a non-empty (rows, columns) block of float64 values.
+
+    Each value has a slot of bytes: a sign, the whole part of |n| (n as in
+    write_trajectory_csv; at most 7 digits, as |n| < 2**52), the point,
+    9 fraction digits and the separator. A slot holds NUL for the leading zeros of the whole part
+    and for the sign of a value that is not below zero, so -0.0 prints
+    unsigned and -4e-10 as -0.000000000, as _fmt9 prints them. Dropping
+    the NULs leaves the rows.
+    """
+    values = block.ravel()
+    with np.errstate(all="ignore"):
+        x = values * 1e9
+        n = np.rint(x)
+        exact = (np.abs(x) < 2.0**52) & (np.abs(x - n) != 0.5)
+        minus = values < 0
+    scaled = np.where(exact, np.abs(n), 0.0).astype(np.int64)
+    whole = scaled // 10**9
+    frac = (scaled - whole * 10**9).astype(np.int32)
+    whole = whole.astype(np.int32)
+    whole_digits = len(str(int(whole.max())))
+    # Sign, whole digits, point, 9 fraction digits, separator.
+    width = whole_digits + 12
+    buf = np.zeros((len(values), width), np.uint8)
+    buf[:, -1] = ord(",")
+    buf[block.shape[1] - 1 :: block.shape[1], -1] = ord("\n")
+    pos = width - 1
+    for _ in range(9):
+        pos -= 1
+        q = frac // 10
+        buf[:, pos] = frac - q * 10 + ord("0")
+        frac = q
+    pos -= 1
+    buf[:, pos] = ord(".")
+    for k in range(whole_digits):
+        pos -= 1
+        q = whole // 10
+        digit = whole - q * 10 + ord("0")
+        if k:
+            # A leading zero stays NUL; the ones digit is always written.
+            digit *= whole != 0
+        buf[:, pos] = digit
+        whole = q
+    buf[:, 0] = minus * ord("-")
+    # A value the arithmetic does not cover leaves only the byte 1, which
+    # no number contains, to be replaced by its _fmt9 text.
+    slow = np.flatnonzero(~exact)
+    buf[slow, :-1] = 0
+    buf[slow, 0] = 1
+    pieces = [b""] * (2 * len(slow) + 1)
+    pieces[::2] = buf[buf != 0].tobytes().split(b"\x01")
+    pieces[1::2] = [_fmt9(float(values[i])).encode("ascii") for i in slow]
+    return b"".join(pieces)
 
 
 def read_trajectory_csv(path: str) -> Trajectory:

@@ -1,13 +1,17 @@
 import itertools
+import math
 import re
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sprayflow import presets
+from sprayflow import cli, presets
 from sprayflow.cli import (
     _CSV_CHUNK_ROWS,
     CONFIG_KEYS,
@@ -479,17 +483,28 @@ class TestConfigFile:
         assert err == "error: setpoint: not a number: 'slow'\n"
 
 
+# Values the writer's integer arithmetic hands to _fmt9, or that sit at the
+# edge of it: ties of v * 1e9 such as 976562.5, products at or above 2**52,
+# values that overflow it, non-finite values, the smallest subnormal, and
+# products that round up to the next whole number.
+_FMT9_VALUES = (0.0009765625, -0.0009765625, 1e7, -1e20, 1e300, math.nan, math.inf,
+                -math.inf, 5e-324, 0.9999999995, -9999999.999999999)
+
+
 def _writer_cases():
     """Trajectory columns by case name, for the CSV writer.
 
     Negative zero, negatives, values above 1e4 and below 1e-9 in size,
-    over more rows than one write chunk; then columns that hold one value
-    on every row, which the writer formats once, and columns that nearly do.
+    over more rows than one write chunk; the same with the values of
+    _FMT9_VALUES mixed in; then columns that hold one value on every row,
+    and columns that nearly do.
     """
     values = np.array([-0.0, 0.0, -1.5, 12345.678901234, 3e-10, -4e-10, 1e-12,
                        -2.5e-9, 98765.4321, -7.0000000004, 0.1234567895])
     n = _CSV_CHUNK_ROWS + 3
     mixed = [np.resize(np.roll(values, shift), n) for shift in range(8)]
+    edges = np.concatenate([values, _FMT9_VALUES])
+    with_edges = [np.resize(np.roll(edges, 3 * shift), n) for shift in range(8)]
     last_row_differs = np.full(n, 2.5)
     last_row_differs[-1] = -3.0
     constants = [
@@ -500,6 +515,8 @@ def _writer_cases():
     ]
     return {
         "varying": mixed,
+        "fmt9-values": with_edges,
+        "fmt9-values-only": [np.array(_FMT9_VALUES) for _ in range(8)],
         "constant-columns": mixed[:4] + constants,
         "every-column-constant": [np.full(n, v) for v in values[:8]],
         "one-row": [values[i : i + 1] for i in range(8)],
@@ -529,10 +546,35 @@ class TestTrajectoryCsvIO:
             )
             assert path.read_bytes() == expected.encode("ascii"), case
 
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(),
+                st.floats(min_value=-1e7, max_value=1e7),
+                # Halfway between two nine-decimal values.
+                st.integers(-(10**16), 10**16).map(lambda k: (k + 0.5) / 1e9),
+            ),
+            min_size=8,
+            max_size=8 * 13,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_writer_bytes_equal_per_value_format_for_any_floats(self, tmp_path_factory, values):
+        # Up to 13 rows of arbitrary float64 values, written 4 rows a chunk,
+        # so that they end inside a chunk or on its end, after up to 3 chunks.
+        rows = np.array(values[: len(values) // 8 * 8]).reshape(-1, 8)
+        path = tmp_path_factory.getbasetemp() / "any-floats.csv"
+        with mock.patch.object(cli, "_CSV_CHUNK_ROWS", 4):
+            write_trajectory_csv(Trajectory(*rows.T), str(path))
+        expected = CSV_HEADER + "\n" + "".join(
+            ",".join(_fmt9(float(v)) for v in row) + "\n" for row in rows
+        )
+        assert path.read_bytes() == expected.encode("ascii")
+
     def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path):
-        # The writer formats and folds -0.0 one chunk at a time, so on a
-        # 100k-row PID run (6.4 MB of columns) it peaks near 0.4 MiB; copying
-        # each varying column whole would take it to about 3.4 MiB.
+        # The writer formats one chunk of rows at a time, so on a 100k-row
+        # PID run (6.4 MB of columns) it peaks near 0.7 MiB; formatting the
+        # columns whole would take it to tens of MiB.
         scenario = SimScenario(
             setpoint=5.0, duration=10.0, dt=1e-4, controller=presets.default_pid_config()
         )
