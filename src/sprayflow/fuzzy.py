@@ -381,32 +381,51 @@ def _inference() -> Callable[[float, float, list, Callable], tuple[float, float,
         *(f"    {line}" for line in _inference_body()),
         "    return dp, di, dd",
     ]
-    namespace = {"floor": math.floor}
+    namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["infer"]
+
+
+def _locate_lines(label: str, w: str, stride: int, first: int = 0, stop: int = 6) -> list[str]:
+    """Lines that locate s, as `locate` does, among the labels first .. stop - 1.
+
+    They bisect with float comparisons, so that label k < stop - 1 covers
+    k <= s < k + 1 and the last one the rest, s == 6.0 included. Each cut
+    is the one nearest the center, so the labels NS and ZO, on either
+    side of a zero error, take two comparisons and the others three. The
+    branch of label k sets `label` to the int stride * k, its share of the
+    kernel index, and `w` to s - k, with k as a float constant.
+    """
+    if stop - first == 1:
+        return [f"{label} = {stride * first}", f"{w} = s - {float(first)!r}"]
+    mid = min(max(int(Label.ZO), first + 1), stop - 1)
+    return [
+        f"if s < {float(mid)!r}:",
+        *(f"    {line}" for line in _locate_lines(label, w, stride, first, mid)),
+        "else:",
+        *(f"    {line}" for line in _locate_lines(label, w, stride, mid, stop)),
+    ]
 
 
 def _inference_body() -> list[str]:
     """Inference on the universe values qe and qec as straight-line code.
 
-    The lines locate both values (as `locate` does), compute the ordering
-    pattern and the clip heights lo, hi and big, and set dp, di and dd
-    from the kernel at index 8 * (6 * i + j) + pattern of the locals
-    kernels and build_kernel, a rule table's `kernels` list and
-    `build_kernel` method, building it on first use. They check nothing.
-    They call floor, which the namespace that runs them binds to
-    math.floor: s lies in [0, 6], where it gives int(s), only faster.
+    The lines locate both values, at the labels a of qe and b of qec,
+    compute the ordering pattern and the clip heights lo, hi and big, and
+    set dp, di and dd from the kernel at index 8 * (6 * a + b) + pattern
+    of the locals kernels and build_kernel, a rule table's `kernels` list
+    and `build_kernel` method, building it on first use. They check
+    nothing. Each value x is located as `locate` does, with the same bits:
+    s = (x + 6.0) * 0.5 equals (x - -6.0) / 2.0, because halving is exact,
+    and a ladder of comparisons on s (`_locate_lines`) picks the label k
+    and sets w = s - k, a float minus a float equal to k. The locals i and
+    j hold the ints 48 * a and 8 * b, so that index = i + j + pattern.
     """
-    lo, spacing = repr(UNIVERSE_MIN), repr(LABEL_SPACING)
+    shift, scale = repr(-UNIVERSE_MIN), repr(1.0 / LABEL_SPACING)
     lines = []
-    for x, label, w in (("qe", "i", "w"), ("qec", "j", "v")):
-        lines += [
-            f"s = ({x} - {lo}) / {spacing}",
-            f"{label} = floor(s)",
-            f"if {label} > 5:",
-            f"    {label} = 5",
-            f"{w} = s - {label}",
-        ]
+    for x, label, w, stride in (("qe", "i", "w", 48), ("qec", "j", "v", 8)):
+        lines.append(f"s = ({x} + {shift}) * {scale}")
+        lines += _locate_lines(label, w, stride)
     # Label i has degree w_rest = 1 - w and label i + 1 degree w; likewise j and v.
     lines += """\
 w_rest = 1.0 - w
@@ -426,7 +445,7 @@ if e_small < ec_small:
 else:
     lo, hi = ec_small, e_small
 big = e_big if e_big < ec_big else ec_big
-index = 8 * (6 * i + j) + pattern
+index = i + j + pattern
 kernel = kernels[index]
 if kernel is None:
     kernel = build_kernel(index)
@@ -443,8 +462,7 @@ def inference_lines() -> tuple[list[str], list[str]]:
     both finite. They perform the operations of `quantize` on each input,
     then run the lines that `infer_deltas` runs after its range check
     (`_inference_body`), so they give the same bits; they check nothing.
-    Besides floor (see `_inference_body`), only the kernel, built on
-    first use, remains a call.
+    Only the kernel, built on first use, remains a call.
     """
     setup = [
         "ke = factors.ke",
@@ -484,14 +502,23 @@ _PLATEAU_MOMENT = tuple(p * (p - 1) // 2 for p in range(_N + 1))
 # clipped at g. Its r = min(floor(N g), N/2 - 1) lowest points on each side
 # lie under the clip; this is their sum, both sides.
 _TENT_SUM = tuple(2.0 * (r * (r + 1) // 2) / _N for r in range(_HALF))
-# What a kernel reads, one lookup per index (see `_compile_kernel`). Its
-# integers, at most 19,900, are stored as the equal floats: CPython runs
-# float-by-float arithmetic faster than int-by-float, with the same result.
+# What a kernel reads (see `_compile_kernel`), indexed directly by the
+# floors it computes, which lie in 0 .. N for a height h in [0, 1]:
+# _P_SUMS[q] holds the sums of p = min(q + 1, N) for q = floor(N - N h),
+# _FULL_SUMS[q] its first two doubled, and _R_SUMS[r] the overlap sums of
+# min(r, N/2 - 1) for r = floor(N h), so that no kernel adds 1 or clamps.
+# Their integers, at most 19,900, are stored as the equal floats: CPython
+# runs float-by-float arithmetic faster than int-by-float, with the same
+# result.
 _P_SUMS = tuple(
     (float(p), _RAMP_SUM[_N - p], float(_PLATEAU_MOMENT[p]), _RAMP_MOMENT[_N - p])
-    for p in range(_N + 1)
+    for p in (min(q + 1, _N) for q in range(_N + 1))
 )
-_R_SUMS = tuple((_TENT_SUM[r], float(2 * (_HALF - 1 - r))) for r in range(_HALF))
+_FULL_SUMS = tuple((2.0 * p_float, 2.0 * ramp_sum) for p_float, ramp_sum, _, _ in _P_SUMS)
+_R_SUMS = tuple(
+    (_TENT_SUM[r], float(2 * (_HALF - 1 - r)))
+    for r in (min(r, _HALF - 1) for r in range(_N + 1))
+)
 
 
 def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
@@ -499,30 +526,43 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
 
     kernel returns the crisp (dKp, dKi, dKd) for the three clip heights.
     Its body is straight-line code. For each height it uses it computes
-    the grid sums its labels need, with the clamps and table reads below:
+    the grid sums its labels need, with the table reads below:
 
-        p = floor(N - N * h) + 1, at most N; p_float, ramp_sum,
-            plateau_moment, ramp_moment = P[p]
-        side = p_float * h + ramp_sum        full = side + side - h
-        side_moment = h * plateau_moment + ramp_moment
-        r = floor(N * h), at most N/2 - 1; tent_sum, flat_points = R[r]
-        overlap = tent_sum + flat_points * h + (h if h < 0.5 else 0.5)
+        a height of an edge label:
+            p_float, ramp_sum, plateau_moment, ramp_moment = P[floor(N - N * h)]
+            side = p_float * h + ramp_sum        full = side + side - h
+            side_moment = h * plateau_moment + ramp_moment
+        any other height:
+            p2, ramp2 = F[floor(N - N * h)]      full = p2 * h + ramp2 - h
+        a height that clips an overlap:
+            tent_sum, flat_points = R[floor(N * h)]
+            overlap = tent_sum + flat_points * h + (h if h < 0.5 else 0.5)
 
     side is the mass of a triangle clipped at h on one side of its center,
     center point included; full the mass of both sides, which share the
     center point; side_moment the first moment of one side about the
     center, in grid steps; overlap the mass of the tent min(t, 1 - t)
-    between two neighbours clipped at g = h. Each output is then one
-    quotient whose two sums start at 0.0 and take, label by label in
-    ascending order, mass += full and moment += center * full (an edge
-    label adds side and center * side + step * side_moment instead), then
-    mass -= overlap and moment -= midpoint * overlap when its left
-    neighbour is named. A zero height gives +0.0 terms throughout, and
-    neither sum is ever -0.0, so such a label changes no bit. N, p_float,
-    plateau_moment and flat_points are floats equal to integers, so every
-    operation gives the bits of its integer form. floor is math.floor;
-    both of its arguments are at least 0, where it gives int()'s result,
-    only faster.
+    between two neighbours clipped at g = h. F holds p_float and ramp_sum
+    doubled, and p2 * h + ramp2 gives the bits of side + side, because
+    doubling a float is exact and commutes with rounding unless the
+    subnormal range is involved. It is not: a clip height, a degree
+    w = s - k or 1 - w, is 0 or at least 2**-53 (s is a multiple of
+    2**-51, and 1 - w for w < 1 is at least 1 less the largest double
+    below 1), so p_float * h, with p_float >= 1, and side are 0 or
+    normal. Each output is then one quotient moment / mass. Label by
+    label in ascending order, mass takes full and moment center * full
+    (an edge label takes side and center * side + step * side_moment
+    instead), then mass subtracts overlap and moment midpoint * overlap
+    when its left neighbour is named. moment starts at 0.0, as in a
+    centroid that walks all seven labels: its first term is -0.0 for a
+    zero height and a negative center. mass starts at its first term
+    instead: a mass term is +0.0 or positive, never -0.0, so 0.0 + it has
+    its bits. A zero height gives zero terms, and neither sum is ever
+    -0.0, so such a label changes no bit. Each distinct mass is computed
+    once. N, p_float, plateau_moment and flat_points are floats equal to
+    integers, so every operation gives the bits of its integer form.
+    floor is math.floor; its arguments lie in [0, N], where it gives
+    int()'s result, only faster.
 
     The source holds generated names only. The centers, midpoints, steps
     and sum tables reach the body as closure cells of a factory, so
@@ -535,34 +575,33 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
             needs[k].add("side_moment" if step else "full")
             if overlap_k >= 0:
                 needs[overlap_k].add("overlap")
-    params = ["N", "P_TOP", "R_TOP", "P", "R"]
-    values: list[object] = [float(_N), _N, _HALF - 1, _P_SUMS, _R_SUMS]
+    params = ["N", "P", "F", "R"]
+    values: list[object] = [float(_N), _P_SUMS, _FULL_SUMS, _R_SUMS]
     body = []
     for h, need in zip(heights, needs):
-        if "full" in need or "side_moment" in need:
-            body += [
-                f"p_{h} = floor(N - N * {h}) + 1",
-                f"if p_{h} > P_TOP:",
-                f"    p_{h} = P_TOP",
-                f"p_float_{h}, ramp_sum_{h}, plateau_moment_{h}, ramp_moment_{h} = P[p_{h}]",
-                f"side_{h} = p_float_{h} * {h} + ramp_sum_{h}",
-            ]
-        if "full" in need:
-            body.append(f"full_{h} = side_{h} + side_{h} - {h}")
         if "side_moment" in need:
-            body.append(f"side_moment_{h} = {h} * plateau_moment_{h} + ramp_moment_{h}")
+            body += [
+                f"p_float_{h}, ramp_sum_{h}, plateau_moment_{h}, ramp_moment_{h}"
+                f" = P[floor(N - N * {h})]",
+                f"side_{h} = p_float_{h} * {h} + ramp_sum_{h}",
+                f"side_moment_{h} = {h} * plateau_moment_{h} + ramp_moment_{h}",
+            ]
+            if "full" in need:
+                body.append(f"full_{h} = side_{h} + side_{h} - {h}")
+        elif "full" in need:
+            body += [
+                f"p2_{h}, ramp2_{h} = F[floor(N - N * {h})]",
+                f"full_{h} = p2_{h} * {h} + ramp2_{h} - {h}",
+            ]
         if "overlap" in need:
             body += [
-                f"r_{h} = floor(N * {h})",
-                f"if r_{h} > R_TOP:",
-                f"    r_{h} = R_TOP",
-                f"tent_sum_{h}, flat_points_{h} = R[r_{h}]",
+                f"tent_sum_{h}, flat_points_{h} = R[floor(N * {h})]",
                 f"overlap_{h} = tent_sum_{h} + flat_points_{h} * {h}"
                 f" + ({h} if {h} < 0.5 else 0.5)",
             ]
     outputs = []
     for o, plan in enumerate(plans):
-        mass = moment = "0.0"
+        mass, moment = "", "0.0"
         for n, (k, center, midpoint, step, overlap_k) in enumerate(plan):
             h = heights[k]
             params.append(f"c{o}_{n}")
@@ -582,13 +621,22 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
                 values.append(midpoint)
                 mass += f" - overlap_{g}"
                 moment += f" - m{o}_{n} * overlap_{g}"
-        outputs.append(f"({moment}) / ({mass})")
+        # A mass term is never -0.0, so the first needs no leading "0.0 +".
+        outputs.append((moment, mass.removeprefix(" + ")))
+    # A mass that several outputs share is computed once, into a local.
+    masses = [mass for _, mass in outputs]
+    names: dict[str, str] = {}
+    for mass in masses:
+        if masses.count(mass) > 1 and mass not in names:
+            names[mass] = f"mass{len(names)}"
+            body.append(f"{names[mass]} = {mass}")
+    quotients = [f"({moment}) / {names.get(mass, f'({mass})')}" for moment, mass in outputs]
     lines = [
         f"def factory({', '.join(params)}):",
         "    def kernel(lo, hi, big):",
         *(f"        {line}" for line in body),
         "        return (",
-        *(f"            {output}," for output in outputs),
+        *(f"            {quotient}," for quotient in quotients),
         "        )",
         "    return kernel",
     ]

@@ -318,7 +318,7 @@ def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
         *(f"        {line}" for line in step),
         "    return n_rows",
     ]
-    namespace = {"isfinite": math.isfinite, "floor": math.floor}
+    namespace = {"isfinite": math.isfinite}
     exec("\n".join(lines), namespace)
     return namespace["loop"]
 

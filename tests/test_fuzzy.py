@@ -52,6 +52,24 @@ FINE_LATTICE = [-6.0 + k / 32 for k in range(385)]
 FINE_SPARSE = FINE_LATTICE[::23]
 
 
+def neighbours(x):
+    """x and the doubles next to it, those that lie in [-6, 6]."""
+    return [v for v in (math.nextafter(x, -7.0), x, math.nextafter(x, 7.0)) if -6.0 <= v <= 6.0]
+
+
+# Universe values on the edges that inference branches or indexes on, each
+# with the doubles next to it: s = (x + 6) / 2 on every integer, where the
+# located label changes (+-6 included), and a degree near k / 200 for
+# k = 0 .. 200, spread over the six labels, where floor(N * h) and
+# floor(N - N * h) step for a clip height h and its complement (0.5 is
+# k = 100); then -0.0. Every 41st of them partners each one.
+EDGE_VALUES = sorted(
+    {v for k in range(7) for v in neighbours(2.0 * k - 6.0)}
+    | {v for k in range(201) for v in neighbours((k % 6 + k / 200) * 2.0 - 6.0)}
+) + [-0.0]
+EDGE_PARTNERS = EDGE_VALUES[::41]
+
+
 def random_table(seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 7, size=(7, 7, 3))
@@ -356,6 +374,13 @@ class TestBitwiseReference:
         for fine in FINE_LATTICE:
             for sparse in FINE_SPARSE:
                 for e, ec in ((fine, sparse), (sparse, fine)):
+                    got = packed(infer_deltas(e, ec, table))
+                    assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
+
+    def test_branch_and_table_edges(self, table):
+        for edge in EDGE_VALUES:
+            for partner in EDGE_PARTNERS:
+                for e, ec in ((edge, partner), (partner, edge)):
                     got = packed(infer_deltas(e, ec, table))
                     assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
 

@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+from sprayflow import presets
+from sprayflow.adaptive import adapted_gains
 from sprayflow.pid import pid_law
 from sprayflow.plant import (
     MAX_ORDER,
@@ -17,6 +19,19 @@ from sprayflow.plant import (
 )
 
 from _oracles import advance
+
+
+# The pipeline plant's step at dt = 1e-4 as (rows, c), as rk4_zoh builds
+# it, written out so that the loop pins below do not depend on the BLAS
+# kernels behind numpy's @.
+_h = float.fromhex
+PIPELINE_STEP_BITS = (
+    (
+        (_h("0x1.0000000000000p+0"), _h("0x1.9dd029e888f2fp-14"), _h("0x1.5485d7ff48df7p-28")),
+        (0.0, _h("0x1.f258f4e33bce6p-1"), _h("0x1.9dd029e888f2fp-14")),
+    ),
+    (_h("0x1.6a8c800000000p+23"), 0.0),
+)
 
 
 class TestTransferFunction:
@@ -165,19 +180,11 @@ class TestPlantStep:
         assert y == math.inf
 
     def test_pid_loop_bits_are_pinned(self):
-        # The pipeline plant's step at dt = 1e-4, as rk4_zoh builds it,
-        # written out so that the pin does not depend on the BLAS kernels
-        # behind numpy's @. 5,000 steps of the default PID loop through
-        # pid_law and compile_step must give these exact output bits on every
+        # 5,000 steps of the default PID loop through pid_law and
+        # compile_step must give these exact output bits on every
         # interpreter; a compensated sum in the step changes most of them.
-        h = float.fromhex
-        rows = (
-            (h("0x1.0000000000000p+0"), h("0x1.9dd029e888f2fp-14"), h("0x1.5485d7ff48df7p-28")),
-            (0.0, h("0x1.f258f4e33bce6p-1"), h("0x1.9dd029e888f2fp-14")),
-        )
-        c = (h("0x1.6a8c800000000p+23"), 0.0)
+        step = compile_step(*PIPELINE_STEP_BITS)
         dt, r = 1e-4, 5.0
-        step = compile_step(rows, c)
         x, y, integral, e_prev = (0.0, 0.0), 0.0, 0.0, None
         outputs = []
         for _ in range(5000):
@@ -189,6 +196,28 @@ class TestPlantStep:
             outputs.append(y)
         digest = hashlib.sha256(struct.pack("<5000d", *outputs)).hexdigest()
         assert digest == "cdda5a87d6581016e5a8b0c7f2a0060e7a60734dabc094280c8aa54d29eb7ab9"
+
+    def test_fuzzy_pid_loop_bits_are_pinned(self):
+        # 5,000 steps of the default fuzzy-PID loop through adapted_gains,
+        # pid_law and compile_step must give these exact bits of y, kp, ki
+        # and kd on every interpreter, whatever lines the fuzzy inference
+        # is generated as.
+        step = compile_step(*PIPELINE_STEP_BITS)
+        ctrl = presets.default_fuzzy_controller()
+        dt, r = 1e-4, 5.0
+        x, y, integral, e_prev = (0.0, 0.0), 0.0, 0.0, None
+        columns = ([], [], [], [])
+        for _ in range(5000):
+            e = r - y
+            rate = 0.0 if e_prev is None else (e - e_prev) / dt
+            e_prev = e
+            kp, ki, kd = adapted_gains(ctrl, e, rate)
+            u, integral = pid_law(kp, ki, kd, e, rate, integral, dt)
+            x, y = step(x, u)
+            for column, value in zip(columns, (y, kp, ki, kd)):
+                column.append(value)
+        digest = hashlib.sha256(struct.pack("<20000d", *sum(columns, []))).hexdigest()
+        assert digest == "383c11f182c6c8695aa82c94d41d9366375a198b94e936db07a811edc306cd64"
 
 
 def _bits(values):
