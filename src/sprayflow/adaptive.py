@@ -51,9 +51,11 @@ def gain_lines() -> tuple[list[str], list[str]]:
 
     The setup reads the base gains, the factors and the rule table from
     the local ctrl, a `FuzzyPidController` (see `fuzzy.inference_lines`).
-    The lines set kp, ki and kd from the locals e and rate, the error and
-    its finite rate, with the operations of `adapted_gains` on the same
-    operands in the same order, so they give the same bits.
+    The lines set kp, ki and kd from the locals e and rate, the finite
+    error and its rate, never nan, with the operations of `adapted_gains`
+    on the same operands in the same order, so for a finite rate they give
+    the same bits; an infinite one gives finite gains, where
+    `adapted_gains` raises.
     """
     setup, lines = inference_lines()
     setup = ["factors = ctrl.factors", "table = ctrl.table", *setup]

@@ -42,7 +42,8 @@ floats, and equal heights give equal terms; a zero height gives +0.0
 terms, which change no bit of the sums, and labels that no rule names
 add nothing. So each output performs the same floating-point operations on
 the same operands, in the same order, as a centroid that walks all seven
-labels of a clip-height list, and the result is bit-identical to it.
+labels of a clip-height list, less a few that are exact (ZO's moment term
++0.0 and products by +-1.0), and the result is bit-identical to it.
 
 The values here are immutable after construction, and all operations
 are pure functions, safe to call concurrently. The one mutable part is
@@ -176,7 +177,7 @@ class RuleTable:
         return kernel
 
     def __reduce__(self):
-        # Pickled as its constructor arguments: built kernels are local
+        # Pickled as its constructor arguments: built kernels are generated
         # functions, and the copy builds its own.
         return type(self), (self.cells, self.suspect)
 
@@ -378,7 +379,7 @@ def _inference() -> Callable[[float, float, list, Callable], tuple[float, float,
     """The lines of `_inference_body` as a function infer(qe, qec, kernels, build_kernel)."""
     lines = [
         "def infer(qe, qec, kernels, build_kernel):",
-        *(f"    {line}" for line in _inference_body()),
+        *(f"    {line}" for line in _inference_body("qe", "qec")),
         "    return dp, di, dd",
     ]
     namespace: dict = {}
@@ -386,66 +387,85 @@ def _inference() -> Callable[[float, float, list, Callable], tuple[float, float,
     return namespace["infer"]
 
 
-def _locate_lines(label: str, w: str, stride: int, first: int = 0, stop: int = 6) -> list[str]:
-    """Lines that locate s, as `locate` does, among the labels first .. stop - 1.
+def _locate_lines(
+    x: str, label: str, stride: int, bit: int, first: int = 0, stop: int = 6
+) -> list[str]:
+    """Lines that locate s, clamped to [0, 6], among the labels first .. stop - 1.
 
     They bisect with float comparisons, so that label k < stop - 1 covers
     k <= s < k + 1 and the last one the rest, s == 6.0 included. Each cut
     is the one nearest the center, so the labels NS and ZO, on either
     side of a zero error, take two comparisons and the others three. The
-    branch of label k sets `label` to the int stride * k, its share of the
-    kernel index, and `w` to s - k, with k as a float constant.
+    branch of label 0 first raises an s below 0.0 to 0.0, and the branch
+    of label 5 lowers an s above 6.0 to 6.0. The branch of label k then
+    sets `label` to the int stride * k, its share of the kernel index,
+    plus bit when label k + 1 has the larger degree, and {x}_small and
+    {x}_big to the smaller and the larger of the degrees w = s - k, of
+    label k + 1, and 1.0 - w, of label k, with k as a float constant. It
+    splits at s > k + 0.5, which holds exactly when w > 1.0 - w: w is
+    exact, as s lies in [k, k + 1], and so is 1.0 - w for w > 0.5, where
+    it is below 0.5, while for w <= 0.5 it rounds to at least 0.5.
     """
     if stop - first == 1:
-        return [f"{label} = {stride * first}", f"{w} = s - {float(first)!r}"]
+        k = float(first)
+        lines = []
+        if first == 0:
+            lines += ["if s < 0.0:", "    s = 0.0"]
+        if stop == 6:
+            lines += ["if s > 6.0:", "    s = 6.0"]
+        return lines + [
+            f"if s > {k + 0.5!r}:",
+            f"    {label} = {stride * first + bit}",
+            f"    {x}_big = s - {k!r}",
+            f"    {x}_small = 1.0 - {x}_big",
+            "else:",
+            f"    {label} = {stride * first}",
+            f"    {x}_small = s - {k!r}",
+            f"    {x}_big = 1.0 - {x}_small",
+        ]
     mid = min(max(int(Label.ZO), first + 1), stop - 1)
     return [
         f"if s < {float(mid)!r}:",
-        *(f"    {line}" for line in _locate_lines(label, w, stride, first, mid)),
+        *(f"    {line}" for line in _locate_lines(x, label, stride, bit, first, mid)),
         "else:",
-        *(f"    {line}" for line in _locate_lines(label, w, stride, mid, stop)),
+        *(f"    {line}" for line in _locate_lines(x, label, stride, bit, mid, stop)),
     ]
 
 
-def _inference_body() -> list[str]:
+def _inference_body(qe: str, qec: str) -> list[str]:
     """Inference on the universe values qe and qec as straight-line code.
 
-    The lines locate both values, at the labels a of qe and b of qec,
-    compute the ordering pattern and the clip heights lo, hi and big, and
-    set dp, di and dd from the kernel at index 8 * (6 * a + b) + pattern
-    of the locals kernels and build_kernel, a rule table's `kernels` list
-    and `build_kernel` method, building it on first use. They check
-    nothing. Each value x is located as `locate` does, with the same bits:
-    s = (x + 6.0) * 0.5 equals (x - -6.0) / 2.0, because halving is exact,
-    and a ladder of comparisons on s (`_locate_lines`) picks the label k
-    and sets w = s - k, a float minus a float equal to k. The locals i and
-    j hold the ints 48 * a and 8 * b, so that index = i + j + pattern.
+    qe and qec are expressions, each finite or an infinity. The lines
+    locate both values, at the labels a of qe and b of qec, compute the
+    clip heights lo, hi and big, and set dp, di and dd from the kernel at
+    index 8 * (6 * a + b) + pattern of the locals kernels and
+    build_kernel, a rule table's `kernels` list and `build_kernel` method,
+    building it on first use. They check nothing. Each value x is located
+    as `quantize` and `locate` do, with the same bits: s = (x + 6.0) * 0.5
+    equals (x - -6.0) / 2.0, because halving is exact, and a ladder of
+    comparisons on s (`_locate_lines`) clamps s to [0, 6] and picks the
+    label k. The clamp gives the bits of quantize's clamp of x to [-6, 6]:
+    (-6.0 + 6.0) * 0.5 and (6.0 + 6.0) * 0.5 are 0.0 and 6.0, and x + 6.0
+    is below 0.0 exactly when x < -6.0 and above 12.0 only when x > 6.0
+    (it rounds to 12.0 for x = 6 + 2**-50, which gives 6.0 too). x is never
+    nan, and x + 6.0 is never -0.0, so neither is s. The ladder sets the
+    ordering pattern's bits 4 and 2 into the locals i and j, which hold
+    48 * a and 8 * b plus their bit, and the smaller and larger degrees
+    of each input, e_small and e_big, ec_small and ec_big. Bit 1, e's
+    smaller degree below ec's, picks lo and hi, and big is the smaller of
+    the larger degrees.
     """
     shift, scale = repr(-UNIVERSE_MIN), repr(1.0 / LABEL_SPACING)
     lines = []
-    for x, label, w, stride in (("qe", "i", "w", 48), ("qec", "j", "v", 8)):
+    for x, name, label, stride, bit in ((qe, "e", "i", 48, 4), (qec, "ec", "j", 8, 2)):
         lines.append(f"s = ({x} + {shift}) * {scale}")
-        lines += _locate_lines(label, w, stride)
-    # Label i has degree w_rest = 1 - w and label i + 1 degree w; likewise j and v.
+        lines += _locate_lines(name, label, stride, bit)
     lines += """\
-w_rest = 1.0 - w
-v_rest = 1.0 - v
-if w > w_rest:
-    e_small, e_big, pattern = w_rest, w, 4
-else:
-    e_small, e_big, pattern = w, w_rest, 0
-if v > v_rest:
-    ec_small, ec_big = v_rest, v
-    pattern += 2
-else:
-    ec_small, ec_big = v, v_rest
 if e_small < ec_small:
-    lo, hi = e_small, ec_small
-    pattern += 1
+    lo, hi, index = e_small, ec_small, i + j + 1
 else:
-    lo, hi = ec_small, e_small
+    lo, hi, index = ec_small, e_small, i + j
 big = e_big if e_big < ec_big else ec_big
-index = i + j + pattern
 kernel = kernels[index]
 if kernel is None:
     kernel = build_kernel(index)
@@ -458,11 +478,14 @@ def inference_lines() -> tuple[list[str], list[str]]:
 
     The setup reads ke, kec, kernels and build_kernel from the locals
     factors, a `ScalingFactors`, and table, a `RuleTable`. The lines set
-    dp, di and dd from the locals e and rate, the error and its rate,
-    both finite. They perform the operations of `quantize` on each input,
-    then run the lines that `infer_deltas` runs after its range check
-    (`_inference_body`), so they give the same bits; they check nothing.
-    Only the kernel, built on first use, remains a call.
+    dp, di and dd from the locals e and rate, the error and its rate: e
+    finite and rate not nan. They run the lines that `infer_deltas` runs
+    after its range check (`_inference_body`) on e * ke and rate * kec,
+    whose ladders clamp as `quantize` does, so for finite inputs they give
+    the same bits; they check nothing. An infinite rate locates at an
+    edge of the universe, where `quantize` would reject it; the closed
+    loop then stops (see `harness._loop`). Only the kernel, built on first
+    use, remains a call.
     """
     setup = [
         "ke = factors.ke",
@@ -470,17 +493,7 @@ def inference_lines() -> tuple[list[str], list[str]]:
         "kernels = table.kernels",
         "build_kernel = table.build_kernel",
     ]
-    lo, hi = repr(UNIVERSE_MIN), repr(UNIVERSE_MAX)
-    lines = []
-    for x, crisp, factor in (("qe", "e", "ke"), ("qec", "rate", "kec")):
-        lines += [
-            f"{x} = {crisp} * {factor}",
-            f"if {x} < {lo}:",
-            f"    {x} = {lo}",
-            f"elif {x} > {hi}:",
-            f"    {x} = {hi}",
-        ]
-    return setup, lines + _inference_body()
+    return setup, _inference_body("e * ke", "rate * kec")
 
 
 # Closed-form sums over the grid, for one label spacing of N = GRID_INTERVALS
@@ -564,25 +577,34 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
     floor is math.floor; its arguments lie in [0, N], where it gives
     int()'s result, only faster.
 
-    The source holds generated names only. The centers, midpoints, steps
-    and sum tables reach the body as closure cells of a factory, so
-    nothing of a rule table is formatted into code.
+    Three terms are folded, exactly. ZO's center is 0.0, and 0.0 * full
+    is +0.0 for the finite full >= 0, which changes no bit of a moment
+    sum that is never -0.0, so ZO adds no moment term. ZO's and PS's
+    midpoints are -1.0 and 1.0, where the product midpoint * overlap is
+    -overlap and overlap exactly, and a - -b is a + b in IEEE arithmetic,
+    so those terms are + overlap and - overlap.
+
+    N = 200.0 and every center, midpoint and step are written into the
+    source as literals, whose repr round-trips each float. They come
+    from the `Label` geometry only (the centers 0, +-2, +-4 and +-6, the
+    odd midpoints and the steps +-0.01), so nothing of a rule table but
+    its choice of labels reaches the code. floor and the sum tables P, F
+    and R are globals of the kernel's namespace.
     """
     heights = ("lo", "hi", "big")
+    n = repr(float(_N))
     needs: list[set[str]] = [set(), set(), set()]
     for plan in plans:
         for k, _, _, step, overlap_k in plan:
             needs[k].add("side_moment" if step else "full")
             if overlap_k >= 0:
                 needs[overlap_k].add("overlap")
-    params = ["N", "P", "F", "R"]
-    values: list[object] = [float(_N), _P_SUMS, _FULL_SUMS, _R_SUMS]
     body = []
     for h, need in zip(heights, needs):
         if "side_moment" in need:
             body += [
                 f"p_float_{h}, ramp_sum_{h}, plateau_moment_{h}, ramp_moment_{h}"
-                f" = P[floor(N - N * {h})]",
+                f" = P[floor({n} - {n} * {h})]",
                 f"side_{h} = p_float_{h} * {h} + ramp_sum_{h}",
                 f"side_moment_{h} = {h} * plateau_moment_{h} + ramp_moment_{h}",
             ]
@@ -590,37 +612,34 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
                 body.append(f"full_{h} = side_{h} + side_{h} - {h}")
         elif "full" in need:
             body += [
-                f"p2_{h}, ramp2_{h} = F[floor(N - N * {h})]",
+                f"p2_{h}, ramp2_{h} = F[floor({n} - {n} * {h})]",
                 f"full_{h} = p2_{h} * {h} + ramp2_{h} - {h}",
             ]
         if "overlap" in need:
             body += [
-                f"tent_sum_{h}, flat_points_{h} = R[floor(N * {h})]",
+                f"tent_sum_{h}, flat_points_{h} = R[floor({n} * {h})]",
                 f"overlap_{h} = tent_sum_{h} + flat_points_{h} * {h}"
                 f" + ({h} if {h} < 0.5 else 0.5)",
             ]
     outputs = []
-    for o, plan in enumerate(plans):
+    for plan in plans:
         mass, moment = "", "0.0"
-        for n, (k, center, midpoint, step, overlap_k) in enumerate(plan):
+        for k, center, midpoint, step, overlap_k in plan:
             h = heights[k]
-            params.append(f"c{o}_{n}")
-            values.append(center)
             if step:
                 # Cut at the universe edge: only the inner side remains.
-                params.append(f"s{o}_{n}")
-                values.append(step)
                 mass += f" + side_{h}"
-                moment += f" + (c{o}_{n} * side_{h} + s{o}_{n} * side_moment_{h})"
+                moment += f" + ({center!r} * side_{h} + {step!r} * side_moment_{h})"
             else:
                 mass += f" + full_{h}"
-                moment += f" + c{o}_{n} * full_{h}"
+                if center:
+                    moment += f" + {center!r} * full_{h}"
             if overlap_k >= 0:
                 g = heights[overlap_k]
-                params.append(f"m{o}_{n}")
-                values.append(midpoint)
                 mass += f" - overlap_{g}"
-                moment += f" - m{o}_{n} * overlap_{g}"
+                moment += {1.0: f" - overlap_{g}", -1.0: f" + overlap_{g}"}.get(
+                    midpoint, f" - {midpoint!r} * overlap_{g}"
+                )
         # A mass term is never -0.0, so the first needs no leading "0.0 +".
         outputs.append((moment, mass.removeprefix(" + ")))
     # A mass that several outputs share is computed once, into a local.
@@ -632,14 +651,12 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
             body.append(f"{names[mass]} = {mass}")
     quotients = [f"({moment}) / {names.get(mass, f'({mass})')}" for moment, mass in outputs]
     lines = [
-        f"def factory({', '.join(params)}):",
-        "    def kernel(lo, hi, big):",
-        *(f"        {line}" for line in body),
-        "        return (",
-        *(f"            {quotient}," for quotient in quotients),
-        "        )",
-        "    return kernel",
+        "def kernel(lo, hi, big):",
+        *(f"    {line}" for line in body),
+        "    return (",
+        *(f"        {quotient}," for quotient in quotients),
+        "    )",
     ]
-    namespace = {"floor": math.floor}
+    namespace = {"floor": math.floor, "P": _P_SUMS, "F": _FULL_SUMS, "R": _R_SUMS}
     exec("\n".join(lines), namespace)
-    return namespace["factory"](*values)
+    return namespace["kernel"]

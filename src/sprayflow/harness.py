@@ -26,17 +26,22 @@ error rate. A run is bit-identical to stepping `plant.compile_step`,
 `pid.pid_law` and `adaptive.adapted_gains` by hand.
 
 The loop alone decides a blow-up, the same way for both controllers: it
-stops before a step whose error rate is not finite and before a row whose
-error e = r - y is not finite. With a finite setpoint a finite error means
-a finite output, state and input (see `plant.step_lines`), so every
-logged row is finite.
+stops before a row whose error e = r - y is not finite. With a finite
+setpoint a finite error means a finite output, state and input (see
+`plant.step_lines`), so every logged row is finite. An error rate that
+overflows needs no check of its own. The error and the previous error are
+finite and dt > 0, so the rate is never nan, at worst an infinity. Then
+kd * rate is an infinity, or nan for kd = 0, and so is u; the fuzzy
+inputs are clamped into the universe, so the gains stay finite. A
+non-finite u makes every state entry and y non-finite, and the error
+check of the same step stops the run before its row.
 """
 from __future__ import annotations
 
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,7 +89,7 @@ class SimScenario:
     plant: TransferFunction = PIPELINE_TF
     disturbances: tuple[Disturbance, ...] = ()
     # The plant's RK4 step at dt as (rows, c), computed once per instance
-    # here and used by `run_closed_loop`.
+    # here and used by `run_closed_loop` and `compare_controllers`.
     rk4_step: tuple[tuple[tuple[float, ...], ...], tuple[float, ...]] = field(
         init=False, repr=False, compare=False
     )
@@ -106,8 +111,7 @@ class SimScenario:
             )
         # A plant whose step is not finite would blow up before any sample.
         object.__setattr__(self, "rk4_step", rk4_zoh(self.plant, self.dt))
-        if not isinstance(self.controller, (PidConfig, FuzzyPidController)):
-            raise ValueError(f"unsupported controller {self.controller!r}")
+        _check_controller(self.controller)
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
         for d in self.disturbances:
             limit = (self.steps - 1 if d.port == PLANT_INPUT else self.steps) * self.dt
@@ -122,6 +126,11 @@ class SimScenario:
         # A relative tolerance, so an exact multiple is not floored away by
         # roundoff at any step count up to MAX_STEPS.
         return int(math.floor(self.duration / self.dt * (1.0 + 1e-12)))
+
+
+def _check_controller(controller: object) -> None:
+    if not isinstance(controller, (PidConfig, FuzzyPidController)):
+        raise ValueError(f"unsupported controller {controller!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,15 +189,21 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
 
     Row 0 logs the plant at rest before any control action (u = 0,
     resting gains), so y[0] is zero plus any output disturbance active at
-    t = 0. The run ends at the first step whose error rate, or whose
-    output or error once output disturbances are added, is not finite,
-    for either controller; the trajectory then holds the rows before it,
-    every one finite (none if row 0's error overflows), with blown_up set.
+    t = 0. The run ends at the first step whose error, once output
+    disturbances are added, is not finite, for either controller; the
+    trajectory then holds the rows before it, every one finite (none if
+    row 0's error overflows), with blown_up set. A step whose error rate
+    overflows is such a step (see the module docstring).
 
     The whole loop is one function of straight-line code (see `_loop`),
     called once with the scenario's values: its `rk4_step` and its
     controller.
     """
+    return _run(scenario, scenario.controller)
+
+
+def _run(scenario: SimScenario, controller: PidConfig | FuzzyPidController) -> Trajectory:
+    """`run_closed_loop` of the scenario with another controller, on its `rk4_step`."""
     n_rows = scenario.steps + 1
     dt = scenario.dt
     r = float(scenario.setpoint)
@@ -206,7 +221,6 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
         else:
             y_dists.append((start, d.magnitude))
 
-    controller = scenario.controller
     fuzzy = isinstance(controller, FuzzyPidController)
     rest = controller.base if fuzzy else controller.gains
 
@@ -268,7 +282,13 @@ def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
     a call. Each performs the operations of `plant.compile_step`,
     `pid.pid_law` and `adaptive.adapted_gains` on the same operands in the
     same order, so a run is bit-identical to stepping those by hand. The
-    source depends on the order, the kind and the counts only and holds
+    one check is that of the error: step k returns k, before logging row
+    k, when its error is not finite. Where the error rate overflows, the
+    lines run on: the clamping ladders of `fuzzy.inference_lines` locate
+    it at an edge of the universe, which may build that cell's kernel,
+    and u and then the error are not finite, so the step returns the k
+    that a rate check would have (see the module docstring). The source
+    depends on the order, the kind and the counts only and holds
     generated names; every value arrives as an argument.
     """
     setup, plant = step_lines(order)
@@ -284,8 +304,6 @@ def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
     step = [
         # Step k: the controller acts on row k-1, then the plant advances.
         "rate = (e - e_prev) / dt",
-        "if not isfinite(rate):",
-        "    return k",
         "e_prev = e",
         *gains,
         # pid_law
@@ -403,9 +421,15 @@ def compare_controllers(
     pid_config: PidConfig,
     fuzzy_config: FuzzyPidController,
 ) -> ComparisonResult:
-    """Run both controllers on the same scenario, each from rest."""
-    pid_traj = run_closed_loop(replace(scenario, controller=pid_config))
-    fuzzy_traj = run_closed_loop(replace(scenario, controller=fuzzy_config))
+    """Run both controllers on the same scenario, each from rest.
+
+    Both runs use the scenario's `rk4_step`, so the plant map is not
+    computed again. Either controller may be of either kind.
+    """
+    _check_controller(pid_config)
+    _check_controller(fuzzy_config)
+    pid_traj = _run(scenario, pid_config)
+    fuzzy_traj = _run(scenario, fuzzy_config)
     return ComparisonResult(
         pid_metrics=compute_metrics(pid_traj) if len(pid_traj) else None,
         fuzzy_metrics=compute_metrics(fuzzy_traj) if len(fuzzy_traj) else None,

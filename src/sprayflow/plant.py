@@ -28,7 +28,7 @@ PLANT_INPUT = "plant-input"
 PLANT_OUTPUT = "plant-output"
 
 # A step costs about order^2 operations. At order 16 a PID step of the
-# closed loop takes about 7 us, against 0.4 us at order 2 and about 1.7 us
+# closed loop takes about 7 us, against 0.4 us at order 2 and about 1.8 us
 # for a whole fuzzy-PID step on the pipeline plant (CPython 3.11, 2 shared
 # cores). Building the loop of an order takes about 2 ms, once per process,
 # controller kind and disturbance count per port, and the realization's

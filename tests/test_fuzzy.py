@@ -78,10 +78,22 @@ def random_table(seed):
     )
 
 
+# Output label NS, ZO or PS by (e + 2 ec + output) mod 3, so the four rules
+# of every anchor cell name all three for every output: each kernel adds
+# ZO's center 0.0 and the overlaps at the midpoints -1.0 and 1.0, the
+# terms `fuzzy._compile_kernel` folds.
+ZERO_NEIGHBOURS_TABLE = RuleTable(
+    cells=tuple(
+        tuple(tuple(Label(2 + (e + 2 * ec + out) % 3) for out in range(3)) for ec in range(7))
+        for e in range(7)
+    )
+)
+
 TABLES = {
     "default": DEFAULT_RULE_TABLE,
     "suspects-rewritten": rewritten_suspects_table(),
     "random": random_table(20240601),
+    "zero-neighbours": ZERO_NEIGHBOURS_TABLE,
 }
 
 

@@ -155,6 +155,9 @@ _TWO_PER_PORT = (
 )
 
 
+_RATE_OVERFLOW = (Disturbance(time=1e-4, magnitude=1.5e308, port=PLANT_OUTPUT),)
+
+
 def hand_case(controller, disturbances=(), plant=PIPELINE_TF, setpoint=5.0):
     return SimScenario(
         setpoint=setpoint, duration=0.05, dt=1e-4,
@@ -223,6 +226,10 @@ class TestRunClosedLoop:
                 (Disturbance(time=1e-4, magnitude=-1e308, port=PLANT_OUTPUT),),
                 setpoint=1e308,
             ),
+            # The error stays finite at -1.5e308 from t = dt on, while its
+            # rate overflows to -inf at step 2: rows 0 and 1 are logged.
+            hand_case(_PID, _RATE_OVERFLOW, setpoint=0.0),
+            hand_case(_FUZZY_SMALL, _RATE_OVERFLOW, setpoint=0.0),
         ],
         ids=[
             "pid-output-disturbance",
@@ -247,11 +254,14 @@ class TestRunClosedLoop:
             "fuzzy-integer-gains",
             "pid-1e308-blow-up",
             "fuzzy-1e308-blow-up",
+            "pid-rate-overflow",
+            "fuzzy-rate-overflow",
         ],
     )
     def test_equals_hand_stepping_bitwise(self, scenario):
         traj = assert_equals_hand_stepped(scenario)
-        assert len(traj) == (1 if scenario.setpoint == 1e308 else scenario.steps + 1)
+        rows = {1e308: 1, 0.0: 2}.get(scenario.setpoint, scenario.steps + 1)
+        assert len(traj) == rows
 
     @pytest.mark.parametrize(
         "port, time, limit",
@@ -626,8 +636,7 @@ class TestCompareControllers:
             )
 
     def test_plant_map_is_computed_once_per_scenario(self, monkeypatch):
-        # The scenario and its two per-controller copies compute the RK4
-        # map; each run reuses its copy's.
+        # Building the scenario computes the RK4 map; both runs reuse it.
         calls = []
 
         def counting(plant, dt):
@@ -639,8 +648,9 @@ class TestCompareControllers:
         scenario = SimScenario(
             setpoint=5.0, duration=0.01, dt=1e-4, controller=PidConfig(gains=gains)
         )
+        assert calls == [(PIPELINE_TF, 1e-4)]
         result = compare_controllers(scenario, PidConfig(gains=gains), _FUZZY)
-        assert calls == [(PIPELINE_TF, 1e-4)] * 3
+        assert calls == [(PIPELINE_TF, 1e-4)]
         assert len(result.pid_trajectory) == len(result.fuzzy_trajectory) == 101
 
     def test_loop_is_built_once_per_order_and_kind(self, monkeypatch):
@@ -676,6 +686,13 @@ class TestCompareControllers:
         compare_controllers(replace(scenario, plant=ORDER_3), _PID, _FUZZY)
         assert builds == [2, 2, 2, 3, 3]
         assert harness._loop.cache_info().currsize == 5
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_rejects_unsupported_controller(self, slot):
+        controllers = [_PID, _FUZZY]
+        controllers[slot] = _PID_GAINS
+        with pytest.raises(ValueError, match="unsupported controller PidGains"):
+            compare_controllers(hand_case(_PID), *controllers)
 
     def test_run_without_a_finite_row_has_no_metrics(self):
         scenario = SimScenario(
