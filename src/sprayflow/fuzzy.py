@@ -34,10 +34,11 @@ in ascending order, each with the index of its clip height among (lo,
 hi, big), the largest of its rules' indices, and, when its left
 neighbour is named too, the index of the lower of their two heights,
 which clips their overlap. On first use, `RuleTable.build_kernel`
-computes the three plans of an anchor cell and pattern and builds them
-into one kernel(lo, hi, big) of straight-line code (`_compile_kernel`):
-it computes the terms of each height its labels use, and each output
-adds those of its labels in ascending label order. Ties give equal
+passes the four rules of an anchor cell, with their clip-height indices
+under the pattern, to `_compile_kernel`, which works out the three plans
+and builds them into one kernel(lo, hi, big) of straight-line code: it
+computes the terms of each height its labels use, and each output adds
+those of its labels in ascending label order. Ties give equal
 floats, and equal heights give equal terms; a zero height gives +0.0
 terms, which change no bit of the sums, and labels that no rule names
 add nothing. So each output performs the same floating-point operations on
@@ -85,17 +86,10 @@ class Label(IntEnum):
 
 
 Triple = tuple[Label, Label, Label]
-# One label of a firing plan: (index of its clip height among (lo, hi, big),
-# center, midpoint to the left neighbour, edge step or 0, index of the height
-# clipping its overlap with the left neighbour, or -1 when that one is not
-# named).
-PlanEntry = tuple[int, float, float, float, int]
-# The firing plans of one anchor cell and pattern, built into a function of
-# the clip heights (lo, hi, big) that returns (dKp, dKi, dKd).
+# The firing plans of one anchor cell and pattern, built by `_compile_kernel`
+# into a function of the clip heights (lo, hi, big) that returns
+# (dKp, dKi, dKd).
 Kernel = Callable[[float, float, float], tuple[float, float, float]]
-# One named label before its heights are known: (rules naming it, center,
-# midpoint to the left neighbour, edge step or 0, left neighbour also named).
-_NamedLabel = tuple[tuple[int, ...], float, float, float, bool]
 # Indices of the three clip heights; big is always positive.
 _LO, _HI, _BIG = 0, 1, 2
 
@@ -162,18 +156,13 @@ class RuleTable:
 
         It runs the (dKp, dKi, dKd) firing plans of the rules (i, j),
         (i, j + 1), (i + 1, j), (i + 1, j + 1), numbered 0 to 3 in that
-        order, under the ordering pattern; see `_rule_heights`,
-        `_firing_plan` and `_compile_kernel`.
+        order, under the ordering pattern, which fixes each rule's clip
+        height (`_rule_heights`); `_compile_kernel` builds it.
         """
         i, j = divmod(index // 8, 6)
         cells = self.cells
         fired = (cells[i][j], cells[i][j + 1], cells[i + 1][j], cells[i + 1][j + 1])
-        heights = _RULE_HEIGHTS[index % 8]
-        plans = tuple(
-            _firing_plan(_named_labels([rule[out] for rule in fired]), heights)
-            for out in range(3)
-        )
-        kernel = self.kernels[index] = _compile_kernel(plans)
+        kernel = self.kernels[index] = _compile_kernel(fired, _RULE_HEIGHTS[index % 8])
         return kernel
 
     def __reduce__(self):
@@ -258,45 +247,6 @@ def _rule_heights(pattern: int) -> tuple[int, ...]:
 
 
 _RULE_HEIGHTS = tuple(_rule_heights(pattern) for pattern in range(8))
-
-
-def _named_labels(consequents: list[Label]) -> list[_NamedLabel]:
-    """The labels that four fired rules name for one output, in ascending order.
-
-    consequents[n] is the label rule n names. Each entry carries what the
-    closed-form centroid needs of its label: the rules naming it, its
-    center, the midpoint to its left neighbour (where their overlap's
-    moment sits), the grid step towards the inside for the edge labels NB
-    and PB (0 for the others) and whether its left neighbour is named too,
-    so that the two overlap.
-    """
-    labels = sorted(set(consequents))
-    return [
-        (
-            tuple(n for n, named in enumerate(consequents) if named is label),
-            label.center,
-            label.center - 0.5 * LABEL_SPACING,
-            _STEP if label is Label.NB else -_STEP if label is Label.PB else 0.0,
-            k > 0 and labels[k - 1] == label - 1,
-        )
-        for k, label in enumerate(labels)
-    ]
-
-
-def _firing_plan(labels: list[_NamedLabel], heights: tuple[int, ...]) -> tuple[PlanEntry, ...]:
-    """The firing plan of one output's named labels under one ordering pattern.
-
-    heights[n] is the clip-height index of rule n. A label's clip height is
-    the largest of its rules' heights, and the overlap with a named left
-    neighbour is clipped at the lower of the two labels' heights.
-    """
-    plan = []
-    prev = -1
-    for rules, center, midpoint, step, adjacent in labels:
-        k = max([heights[n] for n in rules])
-        plan.append((k, center, midpoint, step, min(prev, k) if adjacent else -1))
-        prev = k
-    return tuple(plan)
 
 
 def _parse_label(token: str) -> Label:
@@ -534,8 +484,18 @@ _R_SUMS = tuple(
 )
 
 
-def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
-    """One anchor cell and pattern's firing plans as a function kernel(lo, hi, big).
+def _compile_kernel(fired: tuple[Triple, ...], heights: tuple[int, ...]) -> Kernel:
+    """The firing plans of four fired rules as a function kernel(lo, hi, big).
+
+    fired[n] is the (dKp, dKi, dKd) consequent triple of rule n, and
+    heights[n] the index of its clip height among (lo, hi, big), a row of
+    `_RULE_HEIGHTS`. Each output's plan is worked out here: the labels
+    the rules name, in ascending order, each clipped at the largest index
+    among the rules that name it, and, when its left neighbour (label - 1)
+    is named too, their overlap clipped at the lower of the two labels'
+    indices. A label's center, its midpoint center - 1.0 to the left
+    neighbour, where their overlap's moment sits, and, for the edge labels
+    NB and PB, the grid step towards the inside (+-0.01) come from `Label`.
 
     kernel returns the crisp (dKp, dKi, dKd) for the three clip heights.
     Its body is straight-line code. For each height it uses it computes
@@ -591,16 +551,42 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
     its choice of labels reaches the code. floor and the sum tables P, F
     and R are globals of the kernel's namespace.
     """
-    heights = ("lo", "hi", "big")
+    clip_names = ("lo", "hi", "big")
     n = repr(float(_N))
     needs: list[set[str]] = [set(), set(), set()]
-    for plan in plans:
-        for k, _, _, step, overlap_k in plan:
-            needs[k].add("side_moment" if step else "full")
-            if overlap_k >= 0:
-                needs[overlap_k].add("overlap")
+    outputs = []
+    for out in range(3):
+        clips: dict[Label, int] = {}
+        for rule, k in zip(fired, heights):
+            clips[rule[out]] = max(k, clips.get(rule[out], k))
+        mass, moment = "", "0.0"
+        for label in sorted(clips):
+            k = clips[label]
+            h, center = clip_names[k], label.center
+            if label in (Label.NB, Label.PB):
+                # Cut at the universe edge: only the inner side remains.
+                step = _STEP if label is Label.NB else -_STEP
+                needs[k].add("side_moment")
+                mass += f" + side_{h}"
+                moment += f" + ({center!r} * side_{h} + {step!r} * side_moment_{h})"
+            else:
+                needs[k].add("full")
+                mass += f" + full_{h}"
+                if center:
+                    moment += f" + {center!r} * full_{h}"
+            if label - 1 in clips:
+                g = min(clips[label - 1], k)
+                needs[g].add("overlap")
+                overlap = f"overlap_{clip_names[g]}"
+                midpoint = center - 0.5 * LABEL_SPACING
+                mass += f" - {overlap}"
+                moment += {1.0: f" - {overlap}", -1.0: f" + {overlap}"}.get(
+                    midpoint, f" - {midpoint!r} * {overlap}"
+                )
+        # A mass term is never -0.0, so the first needs no leading "0.0 +".
+        outputs.append((moment, mass.removeprefix(" + ")))
     body = []
-    for h, need in zip(heights, needs):
+    for h, need in zip(clip_names, needs):
         if "side_moment" in need:
             body += [
                 f"p_float_{h}, ramp_sum_{h}, plateau_moment_{h}, ramp_moment_{h}"
@@ -621,27 +607,6 @@ def _compile_kernel(plans: tuple[tuple[PlanEntry, ...], ...]) -> Kernel:
                 f"overlap_{h} = tent_sum_{h} + flat_points_{h} * {h}"
                 f" + ({h} if {h} < 0.5 else 0.5)",
             ]
-    outputs = []
-    for plan in plans:
-        mass, moment = "", "0.0"
-        for k, center, midpoint, step, overlap_k in plan:
-            h = heights[k]
-            if step:
-                # Cut at the universe edge: only the inner side remains.
-                mass += f" + side_{h}"
-                moment += f" + ({center!r} * side_{h} + {step!r} * side_moment_{h})"
-            else:
-                mass += f" + full_{h}"
-                if center:
-                    moment += f" + {center!r} * full_{h}"
-            if overlap_k >= 0:
-                g = heights[overlap_k]
-                mass += f" - overlap_{g}"
-                moment += {1.0: f" - overlap_{g}", -1.0: f" + overlap_{g}"}.get(
-                    midpoint, f" - {midpoint!r} * overlap_{g}"
-                )
-        # A mass term is never -0.0, so the first needs no leading "0.0 +".
-        outputs.append((moment, mass.removeprefix(" + ")))
     # A mass that several outputs share is computed once, into a local.
     masses = [mass for _, mass in outputs]
     names: dict[str, str] = {}

@@ -95,6 +95,9 @@ TABLES = {
     "random": random_table(20240601),
     "zero-neighbours": ZERO_NEIGHBOURS_TABLE,
 }
+# The quarter lattice reaches every kernel of a table, so it checks every
+# kernel of eight more random tables too.
+QUARTER_LATTICE_TABLES = TABLES | {f"random-{seed}": random_table(seed) for seed in range(8)}
 
 
 def assert_equals_grid_centroid(e_scaled, ec_scaled):
@@ -147,7 +150,8 @@ def degrees(x):
 
 
 class TestFuzzify:
-    """Fuzzification by `locate`, which infer_deltas runs on both inputs."""
+    """Fuzzification by `locate`. Inference runs the `fuzzy._locate_lines`
+    ladder instead, which gives the bits of `quantize` and `locate`."""
 
     def test_one_hot_at_every_center(self):
         for label in Label:
@@ -207,20 +211,18 @@ class TestRuleTable:
 
     def test_construction_computes_no_plan(self, monkeypatch):
         calls = []
-        for name in ("_named_labels", "_firing_plan", "_compile_kernel"):
-            original = getattr(fuzzy, name)
+        original = fuzzy._compile_kernel
 
-            def counting(*args, name=name, original=original):
-                calls.append(name)
-                return original(*args)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-            monkeypatch.setattr(fuzzy, name, counting)
+        monkeypatch.setattr(fuzzy, "_compile_kernel", counting)
         table = RuleTable.parse(DEFAULT_RULE_TABLE.dump())
         assert calls == [] and set(table.kernels) == {None}
-        # The first inference builds the plans of one kernel, one per output.
+        # The first inference builds one kernel, in one call.
         infer_deltas(0.3, -2.7, table)
-        assert sorted(set(calls)) == ["_compile_kernel", "_firing_plan", "_named_labels"]
-        assert calls.count("_firing_plan") == 3 and calls.count("_compile_kernel") == 1
+        assert len(calls) == 1
         assert sum(kernel is not None for kernel in table.kernels) == 1
 
     def test_dump_parse_round_trip(self):
@@ -371,17 +373,25 @@ def packed(deltas):
     return struct.pack("3d", *deltas)
 
 
-@pytest.mark.parametrize("table", TABLES.values(), ids=TABLES.keys())
+every_table = pytest.mark.parametrize("table", TABLES.values(), ids=TABLES.keys())
+
+
 class TestBitwiseReference:
     """Firing plans and per-height terms reproduce the closed-form
     inference they replaced exactly, not to a tolerance."""
 
+    @pytest.mark.parametrize(
+        "table", QUARTER_LATTICE_TABLES.values(), ids=QUARTER_LATTICE_TABLES.keys()
+    )
     def test_quarter_lattice(self, table):
         for e in QUARTER_LATTICE:
             for ec in QUARTER_LATTICE:
                 got = packed(infer_deltas(e, ec, table))
                 assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
+        # Every kernel was built, so every kernel was checked.
+        assert None not in table.kernels
 
+    @every_table
     def test_fine_lattice(self, table):
         for fine in FINE_LATTICE:
             for sparse in FINE_SPARSE:
@@ -389,6 +399,7 @@ class TestBitwiseReference:
                     got = packed(infer_deltas(e, ec, table))
                     assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
 
+    @every_table
     def test_branch_and_table_edges(self, table):
         for edge in EDGE_VALUES:
             for partner in EDGE_PARTNERS:
@@ -396,6 +407,7 @@ class TestBitwiseReference:
                     got = packed(infer_deltas(e, ec, table))
                     assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
 
+    @every_table
     @given(e=st.floats(min_value=-6.0, max_value=6.0), ec=st.floats(min_value=-6.0, max_value=6.0))
     @settings(max_examples=300, deadline=None)
     def test_random_points(self, table, e, ec):
