@@ -6,14 +6,15 @@ corrections. Inference is Mamdani-style: rule firing strength by min,
 consequent clipping by min, aggregation by max, and defuzzification by
 the discrete centroid over the 1201-point grid of step 0.01 on [-6, 6].
 
-The inputs are located by index arithmetic (at most two adjacent labels
-are active), so at most four rules fire. The centroid is computed in
-closed form rather than on the grid: adjacent output triangles overlap
-only in pairs, so the aggregate is the sum of the clipped triangles less,
-on each segment between two centers, the pointwise minimum of the two
-neighbours, min(h_k, h_k+1, t, 1 - t). Each of these sampled shapes is a
-constant run plus an arithmetic ramp, whose sum and first moment over the
-grid points are finite series with closed forms.
+The inputs are located by comparisons that pick the labels of index
+arithmetic (at most two adjacent labels are active), so at most four
+rules fire. The centroid is computed in closed form rather than on the
+grid: adjacent output triangles overlap only in pairs, so the aggregate
+is the sum of the clipped triangles less, on each segment between two
+centers, the pointwise minimum of the two neighbours, min(h_k, h_k+1, t,
+1 - t). Each of these sampled shapes is a constant run plus an
+arithmetic ramp, whose sum and first moment over the grid points are
+finite series with closed forms.
 
 Three observations keep that work small. First, the four rules that can
 fire are fixed by the anchor cell (i, j) of the two located labels.
@@ -59,6 +60,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import IntEnum
+
+from ._codegen import define
 
 UNIVERSE_MIN = -6.0
 UNIVERSE_MAX = 6.0
@@ -109,17 +112,6 @@ def quantize(crisp: float, factor: float) -> float:
     if x > UNIVERSE_MAX:
         return UNIVERSE_MAX
     return x
-
-
-def locate(x: float) -> tuple[int, float]:
-    """Active labels of a universe value x in [-6, 6], by index arithmetic.
-
-    Returns (i, w): label i has degree 1 - w and label i + 1 degree w;
-    every other label has degree 0.
-    """
-    s = (x - UNIVERSE_MIN) / LABEL_SPACING
-    i = min(int(s), 5)
-    return i, s - i
 
 
 @dataclass(frozen=True)
@@ -315,8 +307,8 @@ def infer_deltas(
     exists, and every result lies in [-6, 6]. The table's kernel for the
     anchor cell and ordering pattern does the arithmetic; the first call
     that needs it builds it. After the range check, the lines of
-    `_inference_body` do the work, as they do in the closed loop
-    (`inference_lines`).
+    `inference_lines` do the work, as they do in the closed loop
+    (`adaptive.gain_lines`).
     """
     for x in (e_scaled, ec_scaled):
         if not (UNIVERSE_MIN <= x <= UNIVERSE_MAX):
@@ -326,15 +318,9 @@ def infer_deltas(
 
 @functools.cache
 def _inference() -> Callable[[float, float, list, Callable], tuple[float, float, float]]:
-    """The lines of `_inference_body` as a function infer(qe, qec, kernels, build_kernel)."""
-    lines = [
-        "def infer(qe, qec, kernels, build_kernel):",
-        *(f"    {line}" for line in _inference_body("qe", "qec")),
-        "    return dp, di, dd",
-    ]
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["infer"]
+    """The lines of `inference_lines` as a function infer(qe, qec, kernels, build_kernel)."""
+    body = [*inference_lines("qe", "qec"), "return dp, di, dd"]
+    return define("infer", "qe, qec, kernels, build_kernel", body)
 
 
 def _locate_lines(
@@ -382,7 +368,7 @@ def _locate_lines(
     ]
 
 
-def _inference_body(qe: str, qec: str) -> list[str]:
+def inference_lines(qe: str, qec: str) -> list[str]:
     """Inference on the universe values qe and qec as straight-line code.
 
     qe and qec are expressions, each finite or an infinity. The lines
@@ -391,10 +377,12 @@ def _inference_body(qe: str, qec: str) -> list[str]:
     index 8 * (6 * a + b) + pattern of the locals kernels and
     build_kernel, a rule table's `kernels` list and `build_kernel` method,
     building it on first use. They check nothing. Each value x is located
-    as `quantize` and `locate` do, with the same bits: s = (x + 6.0) * 0.5
-    equals (x - -6.0) / 2.0, because halving is exact, and a ladder of
-    comparisons on s (`_locate_lines`) clamps s to [0, 6] and picks the
-    label k. The clamp gives the bits of quantize's clamp of x to [-6, 6]:
+    with the bits of `quantize` and then of the index arithmetic that the
+    test oracle `_oracles._locate` keeps, s = (x - -6.0) / 2.0 and the
+    label min(int(s), 5): s = (x + 6.0) * 0.5 equals (x - -6.0) / 2.0,
+    because halving is exact, and a ladder of comparisons on s
+    (`_locate_lines`) clamps s to [0, 6] and picks that label k. The
+    clamp gives the bits of quantize's clamp of x to [-6, 6]:
     (-6.0 + 6.0) * 0.5 and (6.0 + 6.0) * 0.5 are 0.0 and 6.0, and x + 6.0
     is below 0.0 exactly when x < -6.0 and above 12.0 only when x > 6.0
     (it rounds to 12.0 for x = 6 + 2**-50, which gives 6.0 too). x is never
@@ -421,29 +409,6 @@ if kernel is None:
     kernel = build_kernel(index)
 dp, di, dd = kernel(lo, hi, big)""".splitlines()
     return lines
-
-
-def inference_lines() -> tuple[list[str], list[str]]:
-    """`quantize` and `infer_deltas` as straight-line code, as (setup, lines).
-
-    The setup reads ke, kec, kernels and build_kernel from the locals
-    factors, a `ScalingFactors`, and table, a `RuleTable`. The lines set
-    dp, di and dd from the locals e and rate, the error and its rate: e
-    finite and rate not nan. They run the lines that `infer_deltas` runs
-    after its range check (`_inference_body`) on e * ke and rate * kec,
-    whose ladders clamp as `quantize` does, so for finite inputs they give
-    the same bits; they check nothing. An infinite rate locates at an
-    edge of the universe, where `quantize` would reject it; the closed
-    loop then stops (see `harness._loop`). Only the kernel, built on first
-    use, remains a call.
-    """
-    setup = [
-        "ke = factors.ke",
-        "kec = factors.kec",
-        "kernels = table.kernels",
-        "build_kernel = table.build_kernel",
-    ]
-    return setup, _inference_body("e * ke", "rate * kec")
 
 
 # Closed-form sums over the grid, for one label spacing of N = GRID_INTERVALS
@@ -615,13 +580,7 @@ def _compile_kernel(fired: tuple[Triple, ...], heights: tuple[int, ...]) -> Kern
             names[mass] = f"mass{len(names)}"
             body.append(f"{names[mass]} = {mass}")
     quotients = [f"({moment}) / {names.get(mass, f'({mass})')}" for moment, mass in outputs]
-    lines = [
-        "def kernel(lo, hi, big):",
-        *(f"    {line}" for line in body),
-        "    return (",
-        *(f"        {quotient}," for quotient in quotients),
-        "    )",
-    ]
-    namespace = {"floor": math.floor, "P": _P_SUMS, "F": _FULL_SUMS, "R": _R_SUMS}
-    exec("\n".join(lines), namespace)
-    return namespace["kernel"]
+    body += ["return (", *(f"    {quotient}," for quotient in quotients), ")"]
+    return define(
+        "kernel", "lo, hi, big", body, floor=math.floor, P=_P_SUMS, F=_FULL_SUMS, R=_R_SUMS
+    )

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._codegen import define
 from .adaptive import FuzzyPidController, gain_lines
 from .pid import PidGains
 from .plant import (
@@ -318,27 +319,24 @@ def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
         "u_log[k] = u",
         "y_log[k] = y",
     ]
-    lines = [
-        "def loop(n_rows, dt, r, u_dists, y_dists, u_log, y_log,"
-        " kp_log, ki_log, kd_log, rows, c, ctrl):",
-        *(f"    {line}" for line in setup),
-        *(f"    x{i} = 0.0" for i in range(order)),
-        "    y = 0.0",
-        *(f"    if ys{n} <= 0: y += ym{n}" for n in range(n_y)),
-        "    e = r - y",
-        "    if not isfinite(e):",
-        "        return 0",
-        "    y_log[0] = y",
+    body = [
+        *setup,
+        *(f"x{i} = 0.0" for i in range(order)),
+        "y = 0.0",
+        *(f"if ys{n} <= 0: y += ym{n}" for n in range(n_y)),
+        "e = r - y",
+        "if not isfinite(e):",
+        "    return 0",
+        "y_log[0] = y",
         # e - e is +0.0 for a finite e, so the first step's rate is 0.0.
-        "    e_prev = e",
-        "    integral = 0.0",
-        "    for k in range(1, n_rows):",
-        *(f"        {line}" for line in step),
-        "    return n_rows",
+        "e_prev = e",
+        "integral = 0.0",
+        "for k in range(1, n_rows):",
+        *(f"    {line}" for line in step),
+        "return n_rows",
     ]
-    namespace = {"isfinite": math.isfinite}
-    exec("\n".join(lines), namespace)
-    return namespace["loop"]
+    params = "n_rows, dt, r, u_dists, y_dists, u_log, y_log, kp_log, ki_log, kd_log, rows, c, ctrl"
+    return define("loop", params, body, isfinite=math.isfinite)
 
 
 def compute_metrics(traj: Trajectory) -> StepMetrics:

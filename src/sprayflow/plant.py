@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._codegen import define
+
 PLANT_INPUT = "plant-input"
 PLANT_OUTPUT = "plant-output"
 
@@ -199,18 +201,14 @@ def compile_step(
     n = len(rows)
     setup, body = step_lines(n)
     state = "".join(f"x{i}, " for i in range(n))
-    lines = [
-        "def factory(rows, c):",
-        *(f"    {line}" for line in setup),
-        "    def step(x, u):",
-        f"        {state}= x",
-        *(f"        {line}" for line in body),
-        f"        return ({state}), y",
-        "    return step",
-    ]
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["factory"](rows, c)
+    return define("factory", "rows, c", [
+        *setup,
+        "def step(x, u):",
+        f"    {state}= x",
+        *(f"    {line}" for line in body),
+        f"    return ({state}), y",
+        "return step",
+    ])(rows, c)
 
 
 @dataclass(frozen=True)

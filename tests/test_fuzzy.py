@@ -18,13 +18,13 @@ from sprayflow.fuzzy import (
     RuleTable,
     ScalingFactors,
     infer_deltas,
-    locate,
     quantize,
 )
 
 from _oracles import (
     GOLDEN_RULE_ROWS_BY_EC,
     GOLDEN_SUSPECT_CELLS,
+    _locate,
     brute_force_deltas,
     reference_deltas,
     rewritten_suspects_table,
@@ -141,8 +141,8 @@ class TestQuantize:
 
 
 def degrees(x):
-    """Membership degrees of x over all seven labels, by `locate`."""
-    i, w = locate(x)
+    """Membership degrees of x over all seven labels, by `_oracles._locate`."""
+    i, w = _locate(x)
     out = np.zeros(7)
     out[i] = 1.0 - w
     out[i + 1] = w
@@ -150,8 +150,10 @@ def degrees(x):
 
 
 class TestFuzzify:
-    """Fuzzification by `locate`. Inference runs the `fuzzy._locate_lines`
-    ladder instead, which gives the bits of `quantize` and `locate`."""
+    """Fuzzification by the index arithmetic of `_oracles._locate`.
+    Inference runs the `fuzzy._locate_lines` ladder instead, which gives
+    the bits of `quantize` followed by that arithmetic (see
+    `fuzzy.inference_lines`)."""
 
     def test_one_hot_at_every_center(self):
         for label in Label:
@@ -160,14 +162,14 @@ class TestFuzzify:
             assert np.array_equal(degrees(label.center), expected)
 
     def test_halfway_between_outer_sets(self):
-        assert locate(-5.0) == (0, 0.5)
+        assert _locate(-5.0) == (0, 0.5)
 
     def test_quarter_split(self):
-        assert locate(-4.5) == (0, 0.75)
+        assert _locate(-4.5) == (0, 0.75)
 
     @pytest.mark.parametrize("x", [-6.001, 6.001, math.nan, 100.0])
     def test_rejects_out_of_range(self, x):
-        # locate trusts its caller; infer_deltas is where the range is checked.
+        # _locate trusts its caller; infer_deltas is where the range is checked.
         with pytest.raises(ValueError):
             infer_deltas(x, 0.0)
         with pytest.raises(ValueError):
@@ -184,7 +186,7 @@ class TestFuzzify:
     @given(x=st.floats(min_value=-6.0, max_value=6.0))
     @settings(max_examples=300, deadline=None)
     def test_degree_bounds_and_support(self, x):
-        i, w = locate(x)
+        i, w = _locate(x)
         assert 0 <= i <= 5 and 0.0 <= w <= 1.0
         got = degrees(x)
         assert np.count_nonzero(got) <= 2
@@ -417,27 +419,31 @@ class TestBitwiseReference:
 
 # Imports the package, then runs the default fuzzy step, and reports the
 # kernels of the default table that exist after the import and after the
-# run, with the run's dt and logged error column.
+# run, the loops and inference functions built by the import, and the
+# run's dt and logged error column.
 KERNELS_SCRIPT = """
 import json
 import sprayflow
-from sprayflow import presets
+from sprayflow import fuzzy, harness, presets
 from sprayflow.fuzzy import DEFAULT_RULE_TABLE as table
 after_import = [n for n, kernel in enumerate(table.kernels) if kernel is not None]
+loops_after_import = harness._loop.cache_info().currsize
+inference_after_import = fuzzy._inference.cache_info().currsize
 scenario = presets.default_scenario(presets.default_fuzzy_controller())
 traj = sprayflow.run_closed_loop(scenario)
 after_run = [n for n, kernel in enumerate(table.kernels) if kernel is not None]
 print(json.dumps({
-    "after_import": after_import, "dt": scenario.dt, "e": traj.e.tolist(),
-    "after_run": after_run,
+    "after_import": after_import, "loops_after_import": loops_after_import,
+    "inference_after_import": inference_after_import, "dt": scenario.dt,
+    "e": traj.e.tolist(), "after_run": after_run,
 }))
 """
 
 
 def kernel_index(e, ec):
     """Anchor cell and ordering pattern of a pair of universe values."""
-    i, w = locate(e)
-    j, v = locate(ec)
+    i, w = _locate(e)
+    j, v = _locate(ec)
     pattern = 4 * (w > 1.0 - w) + 2 * (v > 1.0 - v) + (min(w, 1.0 - w) < min(v, 1.0 - v))
     return 8 * (6 * i + j) + pattern
 
@@ -448,7 +454,10 @@ def test_kernels_are_built_on_first_use_per_table():
         capture_output=True, text=True, timeout=120, check=True,
     )
     report = json.loads(result.stdout)
+    # Nothing is built at import: no kernel, loop or inference function.
     assert report["after_import"] == []
+    assert report["loops_after_import"] == 0
+    assert report["inference_after_import"] == 0
     # Step k infers from row k-1's error and its backward difference,
     # zero on the first step; the last row feeds no step.
     e, dt, factors = report["e"], report["dt"], presets.DEFAULT_FACTORS

@@ -138,6 +138,7 @@ _DEN_16 = np.array(PIPELINE_TF.den)
 for _ in range(14):
     _DEN_16 = np.convolve(_DEN_16, (1e-4, 1.0))
 ORDER_16 = TransferFunction(num=(43956.0,), den=tuple(_DEN_16.tolist()))
+NEGATIVE_GAIN = TransferFunction(num=(-100.0,), den=(0.0037, 1.0))
 _INPUT = (Disturbance(time=0.02, magnitude=2e-3, port=PLANT_INPUT),)
 # PidGains takes ints; the gain columns are float64 all the same.
 _INT_GAINS = PidGains(kp=0.0045, ki=0, kd=0)
@@ -170,94 +171,86 @@ def assert_all_finite(traj):
         assert np.all(np.isfinite(getattr(traj, column))), column
 
 
+# The cases of `TestRunClosedLoop::test_equals_hand_stepping_bitwise`, by id.
+HAND_CASES = {
+    "pid-output-disturbance": hand_case(
+        _PID, (Disturbance(time=0.0, magnitude=0.5, port=PLANT_OUTPUT),)
+    ),
+    "fuzzy-disturbances": hand_case(_FUZZY_SMALL, _INPUT + _OUTPUT),
+    # 0.0003 / 1e-4 is 2.9999999999999996, yet 3 * 1e-4 >= 0.0003:
+    # step 3 is the first at or after the activation time.
+    "input-disturbance-rounded-time": hand_case(
+        _PID, (Disturbance(time=0.0003, magnitude=2e-3, port=PLANT_INPUT),)
+    ),
+    # 13 * 1e-4 / 1e-4 is 13.000000000000002, yet step 13 is at that
+    # time; rounding the quotient up would start one step late.
+    "input-disturbance-quotient-above-step": hand_case(
+        _PID, (Disturbance(time=13 * 1e-4, magnitude=2e-3, port=PLANT_INPUT),)
+    ),
+    # 0.05 is exactly the last sample time (500 * 1e-4).
+    "output-disturbance-at-last-sample": hand_case(
+        _PID, (Disturbance(time=0.05, magnitude=0.3, port=PLANT_OUTPUT),)
+    ),
+    # 499 * 1e-4 is the second-to-last sample time, so the input
+    # disturbance acts on the last step only.
+    "input-at-second-to-last": hand_case(
+        _PID, (Disturbance(time=499 * 1e-4, magnitude=0.3, port=PLANT_INPUT),)
+    ),
+    "no-disturbance": hand_case(_PID),
+    # 0.0025 is exactly the sample time 25 * 1e-4: the onset is inclusive.
+    "input-at-sample-time": hand_case(
+        _PID, (Disturbance(time=0.0025, magnitude=2e-3, port=PLANT_INPUT),)
+    ),
+    # One onset, both ports: each magnitude goes to its own port.
+    "both-ports-one-onset": hand_case(
+        _PID,
+        (
+            Disturbance(time=0.01, magnitude=2e-3, port=PLANT_INPUT),
+            Disturbance(time=0.01, magnitude=-0.3, port=PLANT_OUTPUT),
+        ),
+    ),
+    # Two magnitudes on one port add up once both are active.
+    "two-input-disturbances": hand_case(
+        _FUZZY_SMALL,
+        (
+            Disturbance(time=0.0, magnitude=2e-3, port=PLANT_INPUT),
+            Disturbance(time=0.02, magnitude=5e-4, port=PLANT_INPUT),
+        ),
+    ),
+    "pid-two-per-port": hand_case(_PID, _TWO_PER_PORT),
+    "fuzzy-two-per-port": hand_case(_FUZZY_SMALL, _TWO_PER_PORT),
+    # Each plant order builds its own loop.
+    "pid-order-1": hand_case(_PID, _OUTPUT, ORDER_1),
+    "fuzzy-order-1": hand_case(_FUZZY_SMALL, _INPUT, ORDER_1),
+    "pid-order-3": hand_case(_PID, _INPUT, ORDER_3),
+    "fuzzy-order-3": hand_case(_FUZZY_SMALL, _OUTPUT, ORDER_3),
+    "pid-order-16": hand_case(_PID, _INPUT + _OUTPUT, ORDER_16),
+    "fuzzy-order-16": hand_case(_FUZZY_SMALL, _INPUT + _OUTPUT, ORDER_16),
+    "pid-integer-gains": hand_case(PidConfig(gains=_INT_GAINS), _INPUT),
+    "fuzzy-integer-gains": hand_case(replace(_FUZZY_SMALL, base=_INT_GAINS), _INPUT),
+    # A plant with a negative gain, left at rest by zero gains: c0 * x0 is
+    # -0.0, and the leading 0.0 of the output sum makes y 0.0.
+    "pid-negative-gain-at-rest": hand_case(
+        PidConfig(gains=PidGains(0, 0, 0)), plant=NEGATIVE_GAIN
+    ),
+    # The error overflows at t = dt: only row 0 is logged.
+    "pid-1e308-blow-up": hand_case(
+        _PID, (Disturbance(time=1e-4, magnitude=-1e308, port=PLANT_OUTPUT),), setpoint=1e308
+    ),
+    "fuzzy-1e308-blow-up": hand_case(
+        _FUZZY_SMALL,
+        (Disturbance(time=1e-4, magnitude=-1e308, port=PLANT_OUTPUT),),
+        setpoint=1e308,
+    ),
+    # The error stays finite at -1.5e308 from t = dt on, while its
+    # rate overflows to -inf at step 2: rows 0 and 1 are logged.
+    "pid-rate-overflow": hand_case(_PID, _RATE_OVERFLOW, setpoint=0.0),
+    "fuzzy-rate-overflow": hand_case(_FUZZY_SMALL, _RATE_OVERFLOW, setpoint=0.0),
+}
+
+
 class TestRunClosedLoop:
-    @pytest.mark.parametrize(
-        "scenario",
-        [
-            hand_case(_PID, (Disturbance(time=0.0, magnitude=0.5, port=PLANT_OUTPUT),)),
-            hand_case(_FUZZY_SMALL, _INPUT + _OUTPUT),
-            # 0.0003 / 1e-4 is 2.9999999999999996, yet 3 * 1e-4 >= 0.0003:
-            # step 3 is the first at or after the activation time.
-            hand_case(_PID, (Disturbance(time=0.0003, magnitude=2e-3, port=PLANT_INPUT),)),
-            # 13 * 1e-4 / 1e-4 is 13.000000000000002, yet step 13 is at that
-            # time; rounding the quotient up would start one step late.
-            hand_case(_PID, (Disturbance(time=13 * 1e-4, magnitude=2e-3, port=PLANT_INPUT),)),
-            # 0.05 is exactly the last sample time (500 * 1e-4).
-            hand_case(_PID, (Disturbance(time=0.05, magnitude=0.3, port=PLANT_OUTPUT),)),
-            # 499 * 1e-4 is the second-to-last sample time, so the input
-            # disturbance acts on the last step only.
-            hand_case(_PID, (Disturbance(time=499 * 1e-4, magnitude=0.3, port=PLANT_INPUT),)),
-            hand_case(_PID),
-            # 0.0025 is exactly the sample time 25 * 1e-4: the onset is inclusive.
-            hand_case(_PID, (Disturbance(time=0.0025, magnitude=2e-3, port=PLANT_INPUT),)),
-            # One onset, both ports: each magnitude goes to its own port.
-            hand_case(
-                _PID,
-                (
-                    Disturbance(time=0.01, magnitude=2e-3, port=PLANT_INPUT),
-                    Disturbance(time=0.01, magnitude=-0.3, port=PLANT_OUTPUT),
-                ),
-            ),
-            # Two magnitudes on one port add up once both are active.
-            hand_case(
-                _FUZZY_SMALL,
-                (
-                    Disturbance(time=0.0, magnitude=2e-3, port=PLANT_INPUT),
-                    Disturbance(time=0.02, magnitude=5e-4, port=PLANT_INPUT),
-                ),
-            ),
-            hand_case(_PID, _TWO_PER_PORT),
-            hand_case(_FUZZY_SMALL, _TWO_PER_PORT),
-            # Each plant order builds its own loop.
-            hand_case(_PID, _OUTPUT, ORDER_1),
-            hand_case(_FUZZY_SMALL, _INPUT, ORDER_1),
-            hand_case(_PID, _INPUT, ORDER_3),
-            hand_case(_FUZZY_SMALL, _OUTPUT, ORDER_3),
-            hand_case(_PID, _INPUT + _OUTPUT, ORDER_16),
-            hand_case(_FUZZY_SMALL, _INPUT + _OUTPUT, ORDER_16),
-            hand_case(PidConfig(gains=_INT_GAINS), _INPUT),
-            hand_case(replace(_FUZZY_SMALL, base=_INT_GAINS), _INPUT),
-            # The error overflows at t = dt: only row 0 is logged.
-            hand_case(
-                _PID, (Disturbance(time=1e-4, magnitude=-1e308, port=PLANT_OUTPUT),), setpoint=1e308
-            ),
-            hand_case(
-                _FUZZY_SMALL,
-                (Disturbance(time=1e-4, magnitude=-1e308, port=PLANT_OUTPUT),),
-                setpoint=1e308,
-            ),
-            # The error stays finite at -1.5e308 from t = dt on, while its
-            # rate overflows to -inf at step 2: rows 0 and 1 are logged.
-            hand_case(_PID, _RATE_OVERFLOW, setpoint=0.0),
-            hand_case(_FUZZY_SMALL, _RATE_OVERFLOW, setpoint=0.0),
-        ],
-        ids=[
-            "pid-output-disturbance",
-            "fuzzy-disturbances",
-            "input-disturbance-rounded-time",
-            "input-disturbance-quotient-above-step",
-            "output-disturbance-at-last-sample",
-            "input-at-second-to-last",
-            "no-disturbance",
-            "input-at-sample-time",
-            "both-ports-one-onset",
-            "two-input-disturbances",
-            "pid-two-per-port",
-            "fuzzy-two-per-port",
-            "pid-order-1",
-            "fuzzy-order-1",
-            "pid-order-3",
-            "fuzzy-order-3",
-            "pid-order-16",
-            "fuzzy-order-16",
-            "pid-integer-gains",
-            "fuzzy-integer-gains",
-            "pid-1e308-blow-up",
-            "fuzzy-1e308-blow-up",
-            "pid-rate-overflow",
-            "fuzzy-rate-overflow",
-        ],
-    )
+    @pytest.mark.parametrize("scenario", HAND_CASES.values(), ids=HAND_CASES.keys())
     def test_equals_hand_stepping_bitwise(self, scenario):
         traj = assert_equals_hand_stepped(scenario)
         rows = {1e308: 1, 0.0: 2}.get(scenario.setpoint, scenario.steps + 1)

@@ -1,0 +1,235 @@
+"""Mutant catalogue of the generated code.
+
+The loop, the plant step, the inference and the rule kernels are written
+as source text and compiled at one point, `sprayflow._codegen.define`.
+Each mutant here is a text edit of the source that one of those builders
+emits, made by a source-editing `exec` set on `_codegen`. It must be
+killed by the fast gate that guards that builder: the gate, an existing
+test run on fresh inputs, must fail an assertion. Every rule table a gate
+uses is built for the mutant, and the caches of `harness._loop` and
+`fuzzy._inference` are cleared before and after it, so no mutant kernel,
+loop or inference outlives its test.
+
+Mutants known to be equivalent are listed in `EQUIVALENT` with the
+reason; they are not run. Out of scope: mutants of `_compile_kernel`'s
+logic that are no single edit of its output (a label clipped at the
+smallest instead of the largest index of its rules, an overlap at the
+larger instead of the smaller of two indices), and mutants of the CSV
+writer, which is not generated code.
+"""
+import ast
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import sprayflow
+from sprayflow import _codegen, fuzzy, harness
+from sprayflow.adaptive import FuzzyPidController
+from sprayflow.fuzzy import RuleTable
+from sprayflow.plant import MAX_ORDER
+
+import test_fuzzy
+import test_harness
+import test_plant
+
+
+def fresh(table):
+    """A copy of a rule table with none of its kernels built."""
+    return RuleTable(cells=table.cells, suspect=table.suspect)
+
+
+def quarter_lattice():
+    """`test_fuzzy::TestBitwiseReference::test_quarter_lattice`, all its tables."""
+    for table in test_fuzzy.QUARTER_LATTICE_TABLES.values():
+        test_fuzzy.TestBitwiseReference().test_quarter_lattice(fresh(table))
+
+
+def fine_lattice():
+    """`test_fuzzy::TestBitwiseReference::test_fine_lattice`, all its tables."""
+    for table in test_fuzzy.TABLES.values():
+        test_fuzzy.TestBitwiseReference().test_fine_lattice(fresh(table))
+
+
+def hand_stepping(*ids):
+    """A gate of the named cases of `test_harness::TestRunClosedLoop`'s
+    `test_equals_hand_stepping_bitwise`."""
+    def gate():
+        for case in ids:
+            scenario = test_harness.HAND_CASES[case]
+            controller = scenario.controller
+            if isinstance(controller, FuzzyPidController):
+                controller = replace(controller, table=fresh(controller.table))
+            test_harness.TestRunClosedLoop().test_equals_hand_stepping_bitwise(
+                replace(scenario, controller=controller)
+            )
+    gate.__doc__ = f"`test_harness::TestRunClosedLoop`'s hand-stepping cases {', '.join(ids)}"
+    return gate
+
+
+two_per_port = hand_stepping("pid-two-per-port", "fuzzy-two-per-port")
+
+
+def compiled_step():
+    """`test_plant::TestCompiledStepBitwise`: random steps of every order, then RK4 steps."""
+    gate = test_plant.TestCompiledStepBitwise()
+    for n in (1, 2, 3, 4, MAX_ORDER):
+        gate.test_random_steps(n)
+    gate.test_rk4_steps()
+
+
+def swap(a, b):
+    """An edit that exchanges the texts a and b."""
+    return lambda source: source.replace(a, "\0").replace(b, a).replace("\0", b)
+
+
+def in_moments(edit):
+    """An edit applied to the moment sums of a kernel only, not to its masses.
+
+    A kernel returns one line `(moment) / mass,` per output, and no moment
+    holds the text ") / ".
+    """
+    def apply(source):
+        lines = []
+        for line in source.splitlines():
+            if ") / " in line:
+                moment, mass = line.rsplit(") / ", 1)
+                line = f"{edit(moment)}) / {mass}"
+            lines.append(line)
+        return "\n".join(lines)
+    return apply
+
+
+def drop_in_place_state(source):
+    """Write each next state entry straight into x{i}, not via n{i}."""
+    source = re.sub(r"\n *x\d+ = n\d+(?=\n)", "", source)
+    return re.sub(r"\bn(\d+) = ", r"x\1 = ", source)
+
+
+# name: (builder, edit, gate). builder is the name of the function whose
+# source the edit rewrites: "loop" (`harness._loop`), "factory"
+# (`plant.compile_step`), "infer" (`fuzzy._inference`) or "kernel"
+# (`fuzzy._compile_kernel`).
+MUTANTS = {
+    # The order of addition fixes the bits once both act (see _TWO_PER_PORT).
+    "input-disturbances-reversed": (
+        "loop", swap("if k >= us0: u += um0", "if k >= us1: u += um1"), two_per_port
+    ),
+    "output-disturbances-reversed": (
+        "loop", swap("if k >= ys0: y += ym0", "if k >= ys1: y += ym1"), two_per_port
+    ),
+    # Sum-table indices off by one.
+    "P-index-minus-one": (
+        "kernel", lambda s: re.sub(r"P\[(floor\([^]]*\))\]", r"P[\1 - 1]", s), quarter_lattice
+    ),
+    # On the quarter lattice every clip height is a multiple of 1/200, where
+    # the ramp point at the clip sums the same as a plateau point.
+    "F-index-minus-one": (
+        "kernel", lambda s: re.sub(r"F\[(floor\([^]]*\))\]", r"F[\1 - 1]", s), fine_lattice
+    ),
+    "R-index-plus-one": (
+        "kernel", lambda s: re.sub(r"R\[(floor\([^]]*\))\]", r"R[\1 + 1]", s), quarter_lattice
+    ),
+    # Only the midpoints -1.0 and 1.0 fold exactly.
+    "midpoint-3.0-folded-as-1.0": (
+        "kernel", lambda s: s.replace(" - 3.0 * overlap_", " - overlap_"), quarter_lattice
+    ),
+    "midpoint-minus-3.0-folded-as-minus-1.0": (
+        "kernel", lambda s: s.replace(" - -3.0 * overlap_", " + overlap_"), quarter_lattice
+    ),
+    "fold-of-1.0-sign-swapped": (
+        "kernel",
+        in_moments(lambda m: m.replace(" - overlap_", " + overlap_")),
+        quarter_lattice,
+    ),
+    "fold-of-minus-1.0-sign-swapped": (
+        "kernel",
+        in_moments(lambda m: m.replace(" + overlap_", " - overlap_")),
+        quarter_lattice,
+    ),
+    # The leading 0.0 turns a sum of -0.0 terms into 0.0.
+    "step-without-leading-zero": (
+        "factory", lambda s: s.replace(" = 0.0 + ", " = "), compiled_step
+    ),
+    "step-state-updated-in-place": ("factory", drop_in_place_state, compiled_step),
+    "loop-step-without-leading-zero": (
+        "loop",
+        lambda s: s.replace(" = 0.0 + ", " = "),
+        hand_stepping("pid-negative-gain-at-rest"),
+    ),
+    "loop-state-updated-in-place": (
+        "loop", drop_in_place_state, hand_stepping("pid-order-3", "fuzzy-order-3")
+    ),
+}
+
+# Equivalent mutants, by name: the reason. Not run, and not counted.
+EQUIVALENT = {
+    # infer and loop: the ladder's cuts `if s < k:` as `if s <= k:`.
+    "ladder-cuts-s-le-k": (
+        "s == k then locates at label k - 1 with degree 1.0 for label k, the same "
+        "memberships; the rules of row k - 1 fire at 0.0, whose terms change no bit"
+    ),
+    # factory and loop: each `0.0 + a + b` as `sum((a, b))`.
+    "step-by-builtin-sum": (
+        "before CPython 3.12, sum() of floats adds left to right from the int 0, and "
+        "0 + -0.0 is 0.0, so it gives the bits of the leading 0.0; from 3.12 on it is "
+        "compensated and not equivalent"
+    ),
+}
+
+
+@pytest.fixture
+def mutate(monkeypatch):
+    """Compile every source of one builder with an edit; report if any changed."""
+    edited = []
+
+    def install(builder, edit):
+        def mutating_exec(source, namespace):
+            if source.startswith(f"def {builder}("):
+                mutant = edit(source)
+                edited.append(mutant != source)
+                source = mutant
+            exec(source, namespace)
+
+        monkeypatch.setattr(_codegen, "exec", mutating_exec, raising=False)
+        return edited
+
+    harness._loop.cache_clear()
+    fuzzy._inference.cache_clear()
+    yield install
+    harness._loop.cache_clear()
+    fuzzy._inference.cache_clear()
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_is_killed(name, mutate):
+    builder, edit, gate = MUTANTS[name]
+    edited = mutate(builder, edit)
+    try:
+        gate()
+    except AssertionError:
+        killed = True
+    else:
+        killed = False
+    assert any(edited), f"{name} edits no source of {builder}"
+    assert killed, f"{name} survives {gate.__doc__}"
+
+
+def test_generated_code_has_one_compile_point():
+    # exec, eval and compile are called in _codegen.define only, so every
+    # generated function passes the point where the mutants are made.
+    calls = []
+    package = Path(sprayflow.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                name = func.attr if func.value.id == "builtins" else None
+            else:
+                name = getattr(func, "id", None)
+            if name in ("exec", "eval", "compile"):
+                calls.append((path.relative_to(package).as_posix(), name))
+    assert calls == [("_codegen.py", "exec")]
