@@ -16,7 +16,8 @@ All CSV output is byte-reproducible: fixed-point with nine fractional
 digits, comma separated, LF terminated, one column per name in
 harness.COLUMNS. The writer formats a chunk of rows at a time with numpy
 integer arithmetic, to the bytes that formatting each value on its own
-gives.
+gives. numpy is imported by the writer and the reader, not with the
+module, so `rules`, `--help` and a configuration error load no numpy.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical blow-up.
 """
@@ -27,8 +28,7 @@ import math
 import os
 import stat
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import presets
 from .adaptive import FuzzyPidController
@@ -46,6 +46,9 @@ from .harness import (
 )
 from .pid import PidGains
 from .plant import PIPELINE_TF, PLANT_INPUT, Disturbance, TransferFunction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_HEADER = ",".join(COLUMNS)
 
@@ -97,6 +100,8 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     Every other value (not finite, |x| >= 2**52, or x on a tie) is
     formatted by _fmt9 itself.
     """
+    import numpy as np
+
     columns = [getattr(traj, name) for name in COLUMNS]
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode("ascii") + b"\n")
@@ -115,6 +120,8 @@ def _csv_rows(block: np.ndarray) -> bytes:
     unsigned and -4e-10 as -0.000000000, as _fmt9 prints them. Dropping
     the NULs leaves the rows.
     """
+    import numpy as np
+
     values = block.ravel()
     with np.errstate(all="ignore"):
         x = values * 1e9
@@ -166,6 +173,8 @@ def read_trajectory_csv(path: str) -> Trajectory:
     The file needs at least two data rows of finite values and a uniform,
     increasing time axis; dt is taken from its end points.
     """
+    import numpy as np
+
     lines = _read_text(path, "trajectory").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"trajectory file must start with header {CSV_HEADER!r}")

@@ -35,6 +35,10 @@ kd * rate is an infinity, or nan for kd = 0, and so is u; the fuzzy
 inputs are clamped into the universe, so the gains stay finite. A
 non-finite u makes every state entry and y non-finite, and the error
 check of the same step stops the run before its row.
+
+numpy is imported inside the functions that make arrays (a run, whose
+columns are numpy arrays, and the metrics), not with the module, so
+importing the package and building a scenario load no numpy.
 """
 from __future__ import annotations
 
@@ -42,8 +46,7 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._codegen import define
 from .adaptive import FuzzyPidController, gain_lines
@@ -56,6 +59,9 @@ from .plant import (
     rk4_zoh,
     step_lines,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The trajectory columns, in CSV order.
 COLUMNS = ("t", "r", "e", "u", "y", "kp", "ki", "kd")
@@ -205,6 +211,8 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
 
 def _run(scenario: SimScenario, controller: PidConfig | FuzzyPidController) -> Trajectory:
     """`run_closed_loop` of the scenario with another controller, on its `rk4_step`."""
+    import numpy as np
+
     n_rows = scenario.steps + 1
     dt = scenario.dt
     r = float(scenario.setpoint)
@@ -348,6 +356,8 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
     between the first 10% and 90% crossings. All of them span the whole
     run, disturbances included (see StepMetrics).
     """
+    import numpy as np
+
     y = traj.y
     t = traj.t
     if len(y) == 0:
@@ -382,6 +392,8 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
 
 
 def _rise_time(t: np.ndarray, y: np.ndarray, y_final: float) -> float | None:
+    import numpy as np
+
     sign = 1.0 if y_final > 0 else -1.0
     crossings = []
     for fraction in (0.1, 0.9):
@@ -394,6 +406,8 @@ def _rise_time(t: np.ndarray, y: np.ndarray, y_final: float) -> float | None:
 
 def peak_deviation(traj: Trajectory, after_time: float) -> float:
     """Largest |y - r| at or after a given time; gauges disturbance rejection."""
+    import numpy as np
+
     mask = traj.t >= after_time
     if not np.any(mask):
         raise ValueError(f"no samples at or after t={after_time!r}")

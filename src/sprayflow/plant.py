@@ -5,8 +5,11 @@ canonical form and time-marched with RK4 under a zero-order hold on the
 input. For a linear plant one classical four-stage RK4 step is the linear
 map x+ = Phi x + Gamma u, where Phi is the degree-4 Taylor polynomial of
 exp(hA) and Gamma = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) B. `rk4_zoh`
-computes both once per (plant, dt) and hands them over, with the output
-row, as tuples of plain floats, and rejects a step that is not finite.
+computes both once per (plant, dt) in plain floats, every dot product
+accumulated left to right from 0.0 as in the step itself, so the map's
+bits depend neither on the interpreter nor on a BLAS build. It hands
+them over, with the output row, as tuples of plain floats, and rejects a
+step that is not finite. This module imports no numpy.
 `step_lines` writes the step of an order as straight-line code on plain
 floats, which checks nothing: a caller that must stop at a blow-up
 checks the output, which is not finite whenever any state entry is not.
@@ -22,8 +25,6 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._codegen import define
 
 PLANT_INPUT = "plant-input"
@@ -33,8 +34,9 @@ PLANT_OUTPUT = "plant-output"
 # closed loop takes about 7 us, against 0.4 us at order 2 and about 1.8 us
 # for a whole fuzzy-PID step on the pipeline plant (CPython 3.11, 2 shared
 # cores). Building the loop of an order takes about 2 ms, once per process,
-# controller kind and disturbance count per port, and the realization's
-# n x n matrices stay small.
+# controller kind and disturbance count per port, and so does the RK4 map
+# of an order-16 plant (`rk4_zoh`, about 4 * n^3 multiply-adds in plain
+# floats), once per scenario.
 MAX_ORDER = 16
 
 
@@ -75,29 +77,39 @@ def _trim_leading_zeros(coeffs: tuple[float, ...]) -> tuple[float, ...]:
 PIPELINE_TF = TransferFunction(num=(43956.0,), den=(0.0037, 1.0, 0.0))
 
 
-def tf_to_ss(tf: TransferFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def tf_to_ss(
+    tf: TransferFunction,
+) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...], tuple[float, ...]]:
     """Controllable canonical realization (a, b, c) of a strictly proper function.
 
-    x' = a x + b u, y = c x, with no feedthrough. The denominator is
-    normalized to a monic polynomial first; the last row of a carries its
-    negated coefficients.
+    x' = a x + b u, y = c x, with no feedthrough, as tuples of plain
+    floats: a holds n rows of n entries, b and c hold n entries. The
+    denominator is normalized to a monic polynomial first; the last row of
+    a carries its negated coefficients.
     """
     lead = tf.den[0]
-    den = np.asarray(tf.den, dtype=float) / lead
-    num = np.asarray(_trim_leading_zeros(tf.num), dtype=float) / lead
+    den = [coeff / lead for coeff in tf.den]
+    num = [coeff / lead for coeff in _trim_leading_zeros(tf.num)]
     n = len(den) - 1
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = 1.0
+    a = tuple(tuple(1.0 if j == i + 1 else 0.0 for j in range(n)) for i in range(n - 1))
     # den = [1, a_{n-1}, ..., a_0] highest degree first.
-    a[n - 1, :] = -den[1:][::-1]
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    c = np.zeros(n)
+    a += (tuple(-coeff for coeff in reversed(den[1:])),)
+    b = (0.0,) * (n - 1) + (1.0,)
     # c[j] is the numerator coefficient of s^j.
-    for j, coeff in enumerate(num[::-1]):
-        c[j] = coeff
+    c = tuple(reversed(num)) + (0.0,) * (n - len(num))
     return a, b, c
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """The dot product of u and v, accumulated left to right from 0.0.
+
+    One rounding per term, as in `step_lines`, so the bits do not depend
+    on the interpreter or on a BLAS build.
+    """
+    acc = 0.0
+    for p, q in zip(u, v):
+        acc += p * q
+    return acc
 
 
 def rk4_zoh(
@@ -110,7 +122,10 @@ def rk4_zoh(
     x+[i] = sum(row[j] * (x + [u])[j]), and c is the output row of the
     canonical realization (see tf_to_ss); the state has len(rows) entries.
     Expanding the four RK4 stages of x' = Ax + Bu with u held gives
-    exactly these series in hA.
+    exactly these series in hA: term = (term . hA) / k, Phi = I + the
+    terms for k = 1 .. 4, and Gamma = dt * ((I + the terms for k < 4, each
+    divided by k + 1) . b). Every matrix and vector product is a `_dot`
+    per entry.
 
     Raises ValueError when an entry of the step is not finite: finite
     coefficients can overflow in the normalization by den[0] or in the
@@ -118,22 +133,23 @@ def rk4_zoh(
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    # Overflow is detected below from the result, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c = tf_to_ss(plant)
-        n = len(c)
-        ha = dt * a
-        term = np.eye(n)
-        phi = np.eye(n)
-        gamma_series = np.eye(n)
-        for k in range(1, 5):
-            term = term @ ha / k  # (hA)^k / k!
-            phi = phi + term
-            if k < 4:
-                gamma_series = gamma_series + term / (k + 1)  # (hA)^k / (k+1)!
-        gamma = dt * (gamma_series @ b)
-    rows = tuple(tuple(phi[i].tolist()) + (float(gamma[i]),) for i in range(n))
-    c = tuple(c.tolist())
+    dt = float(dt)
+    a, b, c = tf_to_ss(plant)
+    n = len(c)
+    ha_columns = list(zip(*([dt * v for v in row] for row in a)))
+    identity = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    term = phi = gamma_series = identity
+    for k in range(1, 5):
+        # (hA)^k / k!
+        term = [[_dot(row, column) / k for column in ha_columns] for row in term]
+        phi = [[p + t for p, t in zip(p_row, t_row)] for p_row, t_row in zip(phi, term)]
+        if k < 4:
+            # (hA)^k / (k+1)!
+            gamma_series = [
+                [g + t / (k + 1) for g, t in zip(g_row, t_row)]
+                for g_row, t_row in zip(gamma_series, term)
+            ]
+    rows = tuple((*p_row, dt * _dot(g_row, b)) for p_row, g_row in zip(phi, gamma_series))
     if not all(math.isfinite(v) for row in rows + (c,) for v in row):
         raise ValueError(
             f"the RK4 step of the plant num={plant.num!r}, den={plant.den!r} "

@@ -201,6 +201,7 @@ def apply_disturbances(u_nominal, y_nominal, disturbances, t):
 
 def exact_zoh_discretization(a, b, dt):
     """Exact zero-order-hold discretization via the augmented matrix exponential."""
+    a = np.asarray(a)
     n = a.shape[0]
     m = np.zeros((n + 1, n + 1))
     m[:n, :n] = np.asarray(a) * dt

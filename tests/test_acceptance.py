@@ -212,7 +212,7 @@ def test_criterion_08_degenerate_equivalence():
 
 
 def test_criterion_09_rk4_vs_exact_discretization():
-    a, b, c_exact = tf_to_ss(PIPELINE_TF)
+    a, b, c_exact = map(np.asarray, tf_to_ss(PIPELINE_TF))
     dt = 1e-4
     steps = 10000
     phi, gamma = exact_zoh_discretization(a, b, dt)

@@ -1,9 +1,11 @@
 import itertools
 import math
+import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sprayflow
 from sprayflow import cli, presets
 from sprayflow.cli import (
     _CSV_CHUNK_ROWS,
@@ -668,3 +671,33 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0].startswith("PB/NB/PS")
+
+
+# Imports the package, builds the shipped scenarios, dumps the rule table
+# and exits 1 on a plant of order 17, all without loading numpy; then one
+# run, whose columns are numpy arrays, loads it.
+_NUMPY_FREE_SCRIPT = """
+import contextlib, io, sys
+import sprayflow
+from sprayflow import cli, presets
+scenario = presets.default_scenario(presets.default_fuzzy_controller())
+presets.disturbance_scenario()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["rules"]) == 0
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    code = cli.main(["compare", "--plant-num", "1", "--plant-den", "1" + " 0" * 17])
+assert code == 1 and "plant order 17" in err.getvalue(), (code, err.getvalue())
+assert "numpy" not in sys.modules
+sprayflow.run_closed_loop(scenario)
+assert "numpy" in sys.modules
+"""
+
+
+def test_import_scenarios_rules_and_config_errors_load_no_numpy():
+    src = Path(sprayflow.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

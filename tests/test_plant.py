@@ -21,9 +21,8 @@ from sprayflow.plant import (
 from _oracles import advance
 
 
-# The pipeline plant's step at dt = 1e-4 as (rows, c), as rk4_zoh builds
-# it, written out so that the loop pins below do not depend on the BLAS
-# kernels behind numpy's @.
+# The pipeline plant's step at dt = 1e-4 as (rows, c), written out: the
+# loop pins below step it, and TestRk4Zoh pins rk4_zoh to it.
 _h = float.fromhex
 PIPELINE_STEP_BITS = (
     (
@@ -32,6 +31,22 @@ PIPELINE_STEP_BITS = (
     ),
     (_h("0x1.6a8c800000000p+23"), 0.0),
 )
+
+# The plant of order MAX_ORDER that CI's smoke run steps: the pipeline
+# model with fourteen more 0.1 ms lags.
+CI_ORDER_16_TF = TransferFunction(
+    num=(43956.0,),
+    den=(
+        3.7e-59, 5.19e-54, 3.381e-49, 1.3559e-44, 3.7401e-40, 7.5075e-36, 1.13113e-31,
+        1.29987e-27, 1.14543e-23, 7.7077e-20, 3.9039e-16, 1.4469e-12, 3.731e-9, 6.09e-6,
+        0.0051, 1.0, 0.0,
+    ),
+)
+
+
+def map_hex(rows, c):
+    """The float.hex of every entry of a step (rows, c), row by row, then c."""
+    return " ".join(v.hex() for row in (*rows, c) for v in row)
 
 
 class TestTransferFunction:
@@ -70,7 +85,7 @@ class TestTransferFunction:
 
 class TestTfToSs:
     def test_pipeline_model_realization(self):
-        a, b, c = tf_to_ss(PIPELINE_TF)
+        a, b, c = map(np.asarray, tf_to_ss(PIPELINE_TF))
         assert a.shape == (2, 2)
         assert a[0, 0] == 0.0
         assert a[0, 1] == 1.0
@@ -83,14 +98,14 @@ class TestTfToSs:
         assert 0.0037 * c[0] == pytest.approx(43956.0, rel=1e-13)
 
     def test_pure_integrator(self):
-        a, b, c = tf_to_ss(TransferFunction(num=(1.0,), den=(1.0, 0.0)))
+        a, b, c = map(np.asarray, tf_to_ss(TransferFunction(num=(1.0,), den=(1.0, 0.0))))
         assert np.array_equal(a, [[0.0]])
         assert np.array_equal(b, [1.0])
         assert np.array_equal(c, [1.0])
 
     def test_first_order_lag(self):
         k, lag = 3.5, 2.0
-        a, b, c = tf_to_ss(TransferFunction(num=(k,), den=(1.0, lag)))
+        a, b, c = map(np.asarray, tf_to_ss(TransferFunction(num=(k,), den=(1.0, lag))))
         assert np.array_equal(a, [[-lag]])
         assert np.array_equal(b, [1.0])
         assert np.array_equal(c, [k])
@@ -115,7 +130,7 @@ class TestPlantStep:
         assert y == pytest.approx(0.1, rel=1e-15)
 
     def test_output_identity_after_every_step(self):
-        _, _, c = tf_to_ss(PIPELINE_TF)
+        c = np.asarray(tf_to_ss(PIPELINE_TF)[2])
         step = stepper(PIPELINE_TF, 1e-4)
         x = [0.0, 0.0]
         rng = np.random.default_rng(3)
@@ -322,7 +337,7 @@ class TestRk4Zoh:
         ],
     )
     def test_phi_gamma_equal_one_four_stage_step(self, tf, dt):
-        a, b, c_ref = tf_to_ss(tf)
+        a, b, c_ref = map(np.asarray, tf_to_ss(tf))
         n = len(c_ref)
         rows, c = rk4_zoh(tf, dt)
         assert c == tuple(c_ref.tolist())
@@ -346,6 +361,30 @@ class TestRk4Zoh:
             assert np.max(np.abs(np.array(x_next) - want)) <= 1e-14 * np.max(np.abs(want))
             assert y == pytest.approx(float(c_ref @ want), rel=1e-13)
 
+    def test_pipeline_map_bits(self):
+        assert map_hex(*rk4_zoh(PIPELINE_TF, 1e-4)) == map_hex(*PIPELINE_STEP_BITS)
+
+    def test_order_1_map_bits(self):
+        rows, c = rk4_zoh(TransferFunction(num=(3.5,), den=(1.0, 2.0)), 0.1)
+        assert map_hex(rows, c) == "0x1.a33103f59f9b9p-1 0x1.733bf02981920p-4 0x1.c000000000000p+1"
+
+    def test_order_3_map_bits(self):
+        rows, c = rk4_zoh(TransferFunction(num=(1.0, 1.5), den=(1.0, 6.0, 11.0, 6.0)), 0.05)
+        assert map_hex(rows, c) == (
+            "0x1.fff0d844d013ap-1 0x1.97d9c54a69217p-5 0x1.289e60f04c757p-10 "
+            "0x1.434f9953b1e74p-16 -0x1.bced916872b03p-8 0x1.f991712fa66f2p-1 "
+            "0x1.603c131d5acb7p-5 0x1.289e60f04c757p-10 -0x1.082d0e5604189p-2 "
+            "-0x1.eb46508dfea28p-2 0x1.757aea04a462ep-1 0x1.603c131d5acb7p-5 "
+            "0x1.8000000000000p+0 0x1.0000000000000p+0 0x0.0p+0"
+        )
+
+    def test_order_16_map_bits(self):
+        # The map is plain floats, each dot product accumulated left to
+        # right from 0.0, so these bits hold on every machine.
+        text = map_hex(*rk4_zoh(CI_ORDER_16_TF, 1e-4))
+        digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+        assert digest == "5d629241695ce44b2f790da73a92c402fa727528e5b895166126d96a15a9c8e1"
+
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError):
             rk4_zoh(PIPELINE_TF, 0.0)
@@ -360,8 +399,6 @@ class TestRk4Zoh:
         ids=("series", "den", "num"),
     )
     def test_rejects_non_finite_step(self, num, den):
-        # Under filterwarnings = error, a numpy overflow warning would fail
-        # this test before the ValueError.
         with pytest.raises(ValueError, match=r"den=.* at dt=0\.0001 is not finite"):
             rk4_zoh(TransferFunction(num=num, den=den), 1e-4)
 
