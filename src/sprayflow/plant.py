@@ -5,11 +5,12 @@ canonical form and time-marched with RK4 under a zero-order hold on the
 input. For a linear plant one classical four-stage RK4 step is the linear
 map x+ = Phi x + Gamma u, where Phi is the degree-4 Taylor polynomial of
 exp(hA) and Gamma = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) B. `rk4_zoh`
-computes both once per (plant, dt) in plain floats, every dot product
-accumulated left to right from 0.0 as in the step itself, so the map's
-bits depend neither on the interpreter nor on a BLAS build. It hands
-them over, with the output row, as tuples of plain floats, and rejects a
-step that is not finite. This module imports no numpy.
+computes both once per (plant, dt) in plain floats from the companion
+structure of hA: each entry of a product with hA is two products added
+left to right from 0.0, as in the step itself, so the map's bits depend
+neither on the interpreter nor on a BLAS build. It hands them over, with
+the output row, as tuples of plain floats, and rejects a step that is
+not finite. This module imports no numpy.
 `step_lines` writes the step of an order as straight-line code on plain
 floats, which checks nothing: a caller that must stop at a blow-up
 checks the output, which is not finite whenever any state entry is not.
@@ -34,9 +35,9 @@ PLANT_OUTPUT = "plant-output"
 # closed loop takes about 7 us, against 0.4 us at order 2 and about 1.8 us
 # for a whole fuzzy-PID step on the pipeline plant (CPython 3.11, 2 shared
 # cores). Building the loop of an order takes about 2 ms, once per process,
-# controller kind and disturbance count per port, and so does the RK4 map
-# of an order-16 plant (`rk4_zoh`, about 4 * n^3 multiply-adds in plain
-# floats), once per scenario.
+# controller kind and disturbance count per port. The RK4 map of an
+# order-16 plant (`rk4_zoh`, about 8 * n^2 multiply-adds in plain floats)
+# takes about 0.4 ms, once per scenario.
 MAX_ORDER = 16
 
 
@@ -100,18 +101,6 @@ def tf_to_ss(
     return a, b, c
 
 
-def _dot(u: Sequence[float], v: Sequence[float]) -> float:
-    """The dot product of u and v, accumulated left to right from 0.0.
-
-    One rounding per term, as in `step_lines`, so the bits do not depend
-    on the interpreter or on a BLAS build.
-    """
-    acc = 0.0
-    for p, q in zip(u, v):
-        acc += p * q
-    return acc
-
-
 def rk4_zoh(
     plant: TransferFunction, dt: float
 ) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
@@ -124,8 +113,11 @@ def rk4_zoh(
     Expanding the four RK4 stages of x' = Ax + Bu with u held gives
     exactly these series in hA: term = (term . hA) / k, Phi = I + the
     terms for k = 1 .. 4, and Gamma = dt * ((I + the terms for k < 4, each
-    divided by k + 1) . b). Every matrix and vector product is a `_dot`
-    per entry.
+    divided by k + 1) . b). Column j of the companion matrix hA holds dt
+    in row j - 1 and last[j] = dt * a[n-1][j] in row n - 1, so each entry
+    of term . hA is two products added left to right from 0.0; the zero
+    products of a dense product would change no bit of a finite step. b is
+    the last unit vector, so Gamma needs only the last column of its series.
 
     Raises ValueError when an entry of the step is not finite: finite
     coefficients can overflow in the normalization by den[0] or in the
@@ -134,22 +126,23 @@ def rk4_zoh(
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     dt = float(dt)
-    a, b, c = tf_to_ss(plant)
+    a, _, c = tf_to_ss(plant)
     n = len(c)
-    ha_columns = list(zip(*([dt * v for v in row] for row in a)))
-    identity = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    term = phi = gamma_series = identity
+    last = [dt * v for v in a[-1]]
+    term = phi = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    gamma = [0.0] * (n - 1) + [1.0]
     for k in range(1, 5):
         # (hA)^k / k!
-        term = [[_dot(row, column) / k for column in ha_columns] for row in term]
+        term = [
+            [(0.0 + row[-1] * last[0]) / k]
+            + [(0.0 + row[j - 1] * dt + row[-1] * last[j]) / k for j in range(1, n)]
+            for row in term
+        ]
         phi = [[p + t for p, t in zip(p_row, t_row)] for p_row, t_row in zip(phi, term)]
         if k < 4:
-            # (hA)^k / (k+1)!
-            gamma_series = [
-                [g + t / (k + 1) for g, t in zip(g_row, t_row)]
-                for g_row, t_row in zip(gamma_series, term)
-            ]
-    rows = tuple((*p_row, dt * _dot(g_row, b)) for p_row, g_row in zip(phi, gamma_series))
+            # The last column of (hA)^k / (k+1)!
+            gamma = [g + row[-1] / (k + 1) for g, row in zip(gamma, term)]
+    rows = tuple((*p_row, dt * g) for p_row, g in zip(phi, gamma))
     if not all(math.isfinite(v) for row in rows + (c,) for v in row):
         raise ValueError(
             f"the RK4 step of the plant num={plant.num!r}, den={plant.den!r} "

@@ -2,18 +2,22 @@
 
 Everything here is deliberately written from first principles (explicit
 49-rule loops, textbook formulas, matrix exponentials) so it shares no
-code path with the package under test. The one exception is
+code path with the package under test, or keeps an earlier version of
+the package's code verbatim as a bitwise reference (`reference_deltas`,
+`advance`, `dense_rk4_map`). The one exception is
 `rewritten_suspects_table`, a test input rather than a reference: the
 package's own table with its two suspect cells rewritten.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from sprayflow.fuzzy import DEFAULT_RULE_TABLE, Label, RuleTable
+from sprayflow.plant import TransferFunction, tf_to_ss
 
 LABELS = ("NB", "NM", "NS", "ZO", "PS", "PM", "PB")
 CENTERS = {name: -6.0 + 2.0 * i for i, name in enumerate(LABELS)}
@@ -184,6 +188,67 @@ def advance(
     for a, v in zip(c, x_next):
         y += a * v
     return x_next, y
+
+
+# The RK4 map as it stood before it was computed from the companion
+# structure of hA, kept verbatim as the bitwise reference for
+# `plant.rk4_zoh`: dense n x n products, every dot product a `_dot`.
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """The dot product of u and v, accumulated left to right from 0.0.
+
+    One rounding per term, as in `step_lines`, so the bits do not depend
+    on the interpreter or on a BLAS build.
+    """
+    acc = 0.0
+    for p, q in zip(u, v):
+        acc += p * q
+    return acc
+
+
+def dense_rk4_map(
+    plant: TransferFunction, dt: float
+) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+    """One RK4 step of the plant under zero-order hold, as plain floats.
+
+    Returns (rows, c) for `compile_step`. Row i holds (Phi[i, 0], ...,
+    Phi[i, n-1], Gamma[i]), so the next state is
+    x+[i] = sum(row[j] * (x + [u])[j]), and c is the output row of the
+    canonical realization (see tf_to_ss); the state has len(rows) entries.
+    Expanding the four RK4 stages of x' = Ax + Bu with u held gives
+    exactly these series in hA: term = (term . hA) / k, Phi = I + the
+    terms for k = 1 .. 4, and Gamma = dt * ((I + the terms for k < 4, each
+    divided by k + 1) . b). Every matrix and vector product is a `_dot`
+    per entry.
+
+    Raises ValueError when an entry of the step is not finite: finite
+    coefficients can overflow in the normalization by den[0] or in the
+    series, and such a step would blow up before the first sample.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    dt = float(dt)
+    a, b, c = tf_to_ss(plant)
+    n = len(c)
+    ha_columns = list(zip(*([dt * v for v in row] for row in a)))
+    identity = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    term = phi = gamma_series = identity
+    for k in range(1, 5):
+        # (hA)^k / k!
+        term = [[_dot(row, column) / k for column in ha_columns] for row in term]
+        phi = [[p + t for p, t in zip(p_row, t_row)] for p_row, t_row in zip(phi, term)]
+        if k < 4:
+            # (hA)^k / (k+1)!
+            gamma_series = [
+                [g + t / (k + 1) for g, t in zip(g_row, t_row)]
+                for g_row, t_row in zip(gamma_series, term)
+            ]
+    rows = tuple((*p_row, dt * _dot(g_row, b)) for p_row, g_row in zip(phi, gamma_series))
+    if not all(math.isfinite(v) for row in rows + (c,) for v in row):
+        raise ValueError(
+            f"the RK4 step of the plant num={plant.num!r}, den={plant.den!r} "
+            f"at dt={dt!r} is not finite"
+        )
+    return rows, c
 
 
 def apply_disturbances(u_nominal, y_nominal, disturbances, t):

@@ -10,10 +10,11 @@ uses is built for the mutant, and the caches of `harness._loop` and
 `fuzzy._inference` are cleared before and after it, so no mutant kernel,
 loop or inference outlives its test.
 
-The plant's RK4 map is plain Python, not generated code: every dot
-product of `plant.rk4_zoh` goes through one helper, `plant._dot`. Each
-mutant of `MAP_MUTANTS` replaces that helper and must be killed by its
-gate in the same way.
+The plant's RK4 map is plain Python, not generated code. Each mutant of
+`MAP_MUTANTS` is a text edit of the source of `plant.rk4_zoh`, executed
+in a copy of the module's namespace; the function it defines replaces
+`rk4_zoh` in `test_plant` while the gate runs, and must be killed by it
+in the same way.
 
 Mutants known to be equivalent are listed in `EQUIVALENT` with the
 reason; they are not run. Out of scope: mutants of `_compile_kernel`'s
@@ -23,6 +24,7 @@ larger instead of the smaller of two indices), and mutants of the CSV
 writer, which is not generated code.
 """
 import ast
+import inspect
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -170,18 +172,9 @@ MUTANTS = {
 }
 
 
-def dot_fused(u, v):
-    """`plant._dot` with each step a fused multiply-add, one rounding per term.
-
-    An exact emulation of a BLAS kernel that uses FMA. For 302 of 302
-    plants of orders 2 to 16 it gave the maps that numpy's @ gave on
-    OpenBLAS 0.3.31 (x86-64, FMA), before the map was computed in plain
-    floats.
-    """
-    acc = 0.0
-    for p, q in zip(u, v):
-        acc = float(Fraction(p) * Fraction(q) + Fraction(acc))
-    return acc
+def fma(x, y, z):
+    """x * y + z with one rounding, emulated exactly through Fraction."""
+    return float(Fraction(x) * Fraction(y) + Fraction(z))
 
 
 def order_16_map():
@@ -189,17 +182,18 @@ def order_16_map():
     test_plant.TestRk4Zoh().test_order_16_map_bits()
 
 
-# name: (replacement of `plant._dot`, gate).
+# name: (edit of the source of `plant.rk4_zoh`, gate).
 MAP_MUTANTS = {
-    "map-dot-fused-multiply-add": (dot_fused, order_16_map),
+    # The second product of an entry of term . hA fused with the sum of
+    # the first, as a compiler that contracts to FMA would compute it.
+    "map-dot-fused-multiply-add": (
+        lambda s: s.replace(
+            "0.0 + row[j - 1] * dt + row[-1] * last[j]",
+            "fma(row[-1], last[j], 0.0 + row[j - 1] * dt)",
+        ),
+        order_16_map,
+    ),
 }
-
-_MAP_DOT_ORDER = (
-    "every dot product of the map has at most two non-zero products: a column of "
-    "the companion matrix hA has at most two non-zero entries, and b one. Adding "
-    "two floats is commutative, and adding a zero product to a non-zero sum, or to "
-    "the leading 0.0, changes no bit that reaches the map"
-)
 
 # Equivalent mutants, by name: the reason. Not run, and not counted.
 EQUIVALENT = {
@@ -214,13 +208,15 @@ EQUIVALENT = {
         "0 + -0.0 is 0.0, so it gives the bits of the leading 0.0; from 3.12 on it is "
         "compensated and not equivalent"
     ),
-    # map: `plant._dot` accumulated from the last term to the first, or as
-    # `sum(p * q for p, q in zip(u, v))`.
-    "map-dot-right-to-left": _MAP_DOT_ORDER,
-    "map-dot-by-builtin-sum": (
-        "before CPython 3.12, sum() of floats adds left to right from the int 0, and "
-        "0 + x is 0.0 + x; from 3.12 on it is compensated, and a compensated sum of "
-        "two terms is their rounded sum. " + _MAP_DOT_ORDER
+    # map: each entry of term . hA as `0.0 + row[-1] * last[j] + row[j - 1] * dt`.
+    "map-products-swapped": (
+        "the addition of two floats is commutative, and adding either product to "
+        "the leading 0.0 first gives the same sum"
+    ),
+    # map: each entry of term . hA without its leading `0.0 + `.
+    "map-entry-without-leading-zero": (
+        "it changes only the sign of an entry that is zero, and a zero's sign never "
+        "reaches Phi or Gamma, whose sums start at +0.0 or 1.0"
     ),
 }
 
@@ -264,8 +260,13 @@ def test_mutant_is_killed(name, mutate):
 
 @pytest.mark.parametrize("name", MAP_MUTANTS)
 def test_map_mutant_is_killed(name, monkeypatch):
-    dot, gate = MAP_MUTANTS[name]
-    monkeypatch.setattr(plant, "_dot", dot)
+    edit, gate = MAP_MUTANTS[name]
+    source = inspect.getsource(plant.rk4_zoh)
+    mutant = edit(source)
+    assert mutant != source, f"{name} edits no source of plant.rk4_zoh"
+    namespace = {**vars(plant), "fma": fma}
+    exec(mutant, namespace)
+    monkeypatch.setattr(test_plant, "rk4_zoh", namespace["rk4_zoh"])
     with pytest.raises(AssertionError):
         gate()
 

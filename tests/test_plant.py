@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -18,7 +19,7 @@ from sprayflow.plant import (
     tf_to_ss,
 )
 
-from _oracles import advance
+from _oracles import advance, dense_rk4_map
 
 
 # The pipeline plant's step at dt = 1e-4 as (rows, c), written out: the
@@ -379,8 +380,9 @@ class TestRk4Zoh:
         )
 
     def test_order_16_map_bits(self):
-        # The map is plain floats, each dot product accumulated left to
-        # right from 0.0, so these bits hold on every machine.
+        # The map is plain floats, each entry of a product with hA its two
+        # non-zero products added left to right from 0.0, so these bits
+        # hold on every machine.
         text = map_hex(*rk4_zoh(CI_ORDER_16_TF, 1e-4))
         digest = hashlib.sha256(text.encode("ascii")).hexdigest()
         assert digest == "5d629241695ce44b2f790da73a92c402fa727528e5b895166126d96a15a9c8e1"
@@ -390,17 +392,69 @@ class TestRk4Zoh:
             rk4_zoh(PIPELINE_TF, 0.0)
 
     @pytest.mark.parametrize(
-        "num, den",
+        "num, den, dt",
         [
-            ((1.0,), (1.0, 1e300, 1.0)),  # the series overflows
-            ((1.0,), (1e-300, 1e300, 1.0)),  # den / den[0] overflows
-            ((1e300,), (1e-300, 1.0)),  # num / den[0] overflows, so c does
+            ((1.0,), (1.0, 1e300, 1.0), 1e-4),  # the series overflows
+            ((1.0,), (1e-300, 1e300, 1.0), 1e-4),  # den / den[0] overflows
+            ((1e300,), (1e-300, 1.0), 1e-4),  # num / den[0] overflows, so c does
+            ((1.0,), (1.0, 1e308, 1.0), 10.0),  # dt * den overflows in hA's last row
         ],
-        ids=("series", "den", "num"),
+        ids=("series", "den", "num", "hA"),
     )
-    def test_rejects_non_finite_step(self, num, den):
-        with pytest.raises(ValueError, match=r"den=.* at dt=0\.0001 is not finite"):
-            rk4_zoh(TransferFunction(num=num, den=den), 1e-4)
+    def test_rejects_non_finite_step(self, num, den, dt):
+        with pytest.raises(ValueError, match=rf"den=.* at dt={re.escape(repr(dt))} is not finite"):
+            rk4_zoh(TransferFunction(num=num, den=den), dt)
+
+    def test_equals_dense_map_bitwise(self):
+        # The dense map multiplies by every entry of hA; rk4_zoh skips the
+        # zeros of the companion matrix. Both must give the same bits, or
+        # reject the same plant with the same message.
+        rejected = 0
+        for tf, dt in random_plants(300, seed=23):
+            try:
+                want = dense_rk4_map(tf, dt)
+            except ValueError as exc:
+                rejected += 1
+                with pytest.raises(ValueError) as info:
+                    rk4_zoh(tf, dt)
+                assert str(info.value) == str(exc)
+                continue
+            rows, c = rk4_zoh(tf, dt)
+            assert _bits([v for row in rows for v in row]) == _bits(
+                [v for row in want[0] for v in row]
+            ), (tf, dt)
+            assert _bits(c) == _bits(want[1]), (tf, dt)
+        # Both paths are taken.
+        assert 0 < rejected < 100
+
+
+def random_plants(count, seed):
+    """(plant, dt) pairs for the map: orders 1 to 16, real poles 0.1 to
+    1e4 rad/s, dt 1e-5 to 1e-3 s.
+
+    About a third have a pure integrator (den[-1] = 0), some other
+    denominator and numerator coefficients are 0.0 or -0.0, and about a
+    tenth have a leading coefficient small enough that normalizing by it,
+    or the series, overflows.
+    """
+    rng = np.random.default_rng(seed)
+    plants = []
+    while len(plants) < count:
+        n = int(rng.integers(1, MAX_ORDER + 1))
+        den = np.poly(-(10.0 ** rng.uniform(-1.0, 4.0, size=n)))
+        if rng.random() < 1 / 3:
+            den[-1] = 0.0
+        zeros = rng.random(size=n + 1) < 0.1
+        zeros[0] = False
+        den[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+        if rng.random() < 0.1:
+            den[0] = 10.0 ** rng.uniform(-300.0, -10.0)
+        num = rng.uniform(-1e3, 1e3, size=int(rng.integers(1, n + 1)))
+        num[rng.random(size=num.size) < 0.2] = -0.0
+        num[-1] = 1.0
+        dt = 10.0 ** rng.uniform(-5.0, -3.0)
+        plants.append((TransferFunction(num=tuple(num.tolist()), den=tuple(den.tolist())), dt))
+    return plants
 
 
 class TestDisturbances:
