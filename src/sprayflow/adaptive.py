@@ -49,19 +49,18 @@ def adapted_gains(ctrl: FuzzyPidController, e: float, ec: float) -> tuple[float,
 def gain_lines() -> tuple[list[str], list[str]]:
     """`adapted_gains` as straight-line code, as (setup, lines).
 
-    The setup reads the base gains, the factors and the rule table from
-    the local ctrl, a `FuzzyPidController`. The lines set kp, ki and kd
-    from the locals e and rate, e finite and rate never nan. They run
-    `fuzzy.inference_lines` on e * ke and rate * kec, whose ladders clamp
-    as `quantize` does, then the operations of `adapted_gains` in the same
-    order, so for a finite rate they give its bits; they check nothing.
-    An infinite rate locates at an edge of the universe and gives finite
-    gains, where `adapted_gains` raises; the loop's error check then stops
-    the run (see `harness._loop`).
+    The setup reads the base gains, the factors and the rule table's
+    kernels from the local ctrl, a `FuzzyPidController`. The lines set kp,
+    ki and kd from the locals e and rate, e finite and rate never nan.
+    They run `fuzzy.inference_lines` on e * ke and rate * kec, whose
+    ladders clamp as `quantize` does, then the operations of
+    `adapted_gains` in the same order, so for a finite rate they give its
+    bits; they check nothing. An infinite rate locates at an edge of the
+    universe and gives finite gains, where `adapted_gains` raises; the
+    loop's error check then stops the run (see `harness._loop`).
     """
-    setup = ["factors = ctrl.factors", "table = ctrl.table"]
-    setup += ["ke = factors.ke", "kec = factors.kec"]
-    setup += ["kernels = table.kernels", "build_kernel = table.build_kernel"]
+    setup = ["factors = ctrl.factors", "ke = factors.ke", "kec = factors.kec"]
+    setup += ["kernels = ctrl.table.kernels"]
     lines = inference_lines("e * ke", "rate * kec")
     for gain, factor, delta in (("kp", "kup", "dp"), ("ki", "kui", "di"), ("kd", "kud", "dd")):
         setup += [f"{gain}_base = ctrl.base.{gain}", f"{factor} = factors.{factor}"]

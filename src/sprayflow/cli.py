@@ -337,7 +337,7 @@ def _load_rules(path: str | None) -> RuleTable:
 
 
 _METRIC_ROWS = (
-    ("maximum output", "y_max"),
+    ("peak output", "y_peak"),
     ("peak time", "peak_time"),
     ("settling time", "settling_time"),
     ("rise time", "rise_time"),

@@ -34,24 +34,26 @@ cell, pattern and output fix a firing plan: the labels those rules name,
 in ascending order, each with the index of its clip height among (lo,
 hi, big), the largest of its rules' indices, and, when its left
 neighbour is named too, the index of the lower of their two heights,
-which clips their overlap. On first use, `RuleTable.build_kernel`
-passes the four rules of an anchor cell, with their clip-height indices
-under the pattern, to `_compile_kernel`, which works out the three plans
-and builds them into one kernel(lo, hi, big) of straight-line code: it
-computes the terms of each height its labels use, and each output adds
-those of its labels in ascending label order. Ties give equal
-floats, and equal heights give equal terms; a zero height gives +0.0
-terms, which change no bit of the sums, and labels that no rule names
-add nothing. So each output performs the same floating-point operations on
-the same operands, in the same order, as a centroid that walks all seven
-labels of a clip-height list, less a few that are exact (ZO's moment term
-+0.0 and products by +-1.0), and the result is bit-identical to it.
+which clips their overlap. A rule table's entry for an anchor cell and
+pattern builds its kernel on its first call: it passes the four rules of
+the cell, with their clip-height indices under the pattern, to
+`_compile_kernel`, which works out the three plans and builds them into
+one kernel(lo, hi, big) of straight-line code, and the kernel takes the
+entry's place. It computes the terms of each height its labels use, and
+each output adds those of its labels in ascending label order. Ties give
+equal floats, and equal heights give equal terms; a zero height gives
++0.0 terms, which change no bit of the sums, and labels that no rule
+names add nothing. So each output performs the same floating-point
+operations on the same operands, in the same order, as a centroid that
+walks all seven labels of a clip-height list, less a few that are exact
+(ZO's moment term +0.0 and products by +-1.0), and the result is
+bit-identical to it.
 
 The values here are immutable after construction, and all operations
 are pure functions, safe to call concurrently. The one mutable part is
-a rule table's list of kernels, which `RuleTable.build_kernel` fills
-lazily, one entry per first use; two threads that race to fill an entry
-build equal kernels, and either one serves.
+a rule table's list of kernels, whose first-use entries replace
+themselves with the kernels they build; threads that race on an entry
+each build an equal kernel, and either stored kernel serves.
 """
 from __future__ import annotations
 
@@ -127,9 +129,9 @@ class RuleTable:
     cells: tuple[tuple[Triple, ...], ...]
     suspect: frozenset[tuple[Label, Label]] = frozenset()
     # Per anchor cell (i, j) and ordering pattern, at index
-    # 8 * (6 * i + j) + pattern, the kernel that `build_kernel` builds on
-    # first use; None until then.
-    kernels: list[Kernel | None] = field(init=False, repr=False, compare=False)
+    # 8 * (6 * i + j) + pattern, its kernel, or until its first call a
+    # first-use entry (`_first_use`) that builds the kernel in its place.
+    kernels: list[Kernel] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.cells) != 7 or any(len(row) != 7 for row in self.cells):
@@ -141,21 +143,21 @@ class RuleTable:
         for e, ec in self.suspect:
             if not (isinstance(e, Label) and isinstance(ec, Label)):
                 raise ValueError(f"invalid suspect cell key ({e!r}, {ec!r})")
-        object.__setattr__(self, "kernels", [None] * (6 * 6 * 8))
+        self.kernels.extend(functools.partial(self._first_use, n) for n in range(6 * 6 * 8))
 
-    def build_kernel(self, index: int) -> Kernel:
-        """Build, keep and return the kernel at index 8 * (6 * i + j) + pattern.
+    def _first_use(self, index: int, *heights: float) -> tuple[float, float, float]:
+        """Build the kernel at index 8 * (6 * i + j) + pattern, store it, run it.
 
-        It runs the (dKp, dKi, dKd) firing plans of the rules (i, j),
-        (i, j + 1), (i + 1, j), (i + 1, j + 1), numbered 0 to 3 in that
-        order, under the ordering pattern, which fixes each rule's clip
-        height (`_rule_heights`); `_compile_kernel` builds it.
+        The kernel runs the (dKp, dKi, dKd) firing plans of the rules
+        (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1), numbered 0 to 3 in
+        that order, under the ordering pattern, which fixes each rule's
+        clip height (`_rule_heights`); `_compile_kernel` builds it.
         """
         i, j = divmod(index // 8, 6)
         cells = self.cells
         fired = (cells[i][j], cells[i][j + 1], cells[i + 1][j], cells[i + 1][j + 1])
         kernel = self.kernels[index] = _compile_kernel(fired, _RULE_HEIGHTS[index % 8])
-        return kernel
+        return kernel(*heights)
 
     def __reduce__(self):
         # Pickled as its constructor arguments: built kernels are generated
@@ -305,22 +307,22 @@ def infer_deltas(
     at the largest strength of the rules that name it. The partition of
     unity guarantees at least one rule fires, so the centroid always
     exists, and every result lies in [-6, 6]. The table's kernel for the
-    anchor cell and ordering pattern does the arithmetic; the first call
-    that needs it builds it. After the range check, the lines of
+    anchor cell and ordering pattern does the arithmetic; its entry
+    builds it on the first call. After the range check, the lines of
     `inference_lines` do the work, as they do in the closed loop
     (`adaptive.gain_lines`).
     """
     for x in (e_scaled, ec_scaled):
         if not (UNIVERSE_MIN <= x <= UNIVERSE_MAX):
             raise ValueError(f"universe value out of range [-6, 6]: {x!r}")
-    return _inference()(e_scaled, ec_scaled, table.kernels, table.build_kernel)
+    return _inference()(e_scaled, ec_scaled, table.kernels)
 
 
 @functools.cache
-def _inference() -> Callable[[float, float, list, Callable], tuple[float, float, float]]:
-    """The lines of `inference_lines` as a function infer(qe, qec, kernels, build_kernel)."""
+def _inference() -> Callable[[float, float, list], tuple[float, float, float]]:
+    """The lines of `inference_lines` as a function infer(qe, qec, kernels)."""
     body = [*inference_lines("qe", "qec"), "return dp, di, dd"]
-    return define("infer", "qe, qec, kernels, build_kernel", body)
+    return define("infer", "qe, qec, kernels", body)
 
 
 def _locate_lines(
@@ -373,10 +375,9 @@ def inference_lines(qe: str, qec: str) -> list[str]:
 
     qe and qec are expressions, each finite or an infinity. The lines
     locate both values, at the labels a of qe and b of qec, compute the
-    clip heights lo, hi and big, and set dp, di and dd from the kernel at
-    index 8 * (6 * a + b) + pattern of the locals kernels and
-    build_kernel, a rule table's `kernels` list and `build_kernel` method,
-    building it on first use. They check nothing. Each value x is located
+    clip heights lo, hi and big, and set dp, di and dd by one call of the
+    entry at index 8 * (6 * a + b) + pattern of the local kernels, a rule
+    table's `kernels` list. They check nothing. Each value x is located
     with the bits of `quantize` and then of the index arithmetic that the
     test oracle `_oracles._locate` keeps, s = (x - -6.0) / 2.0 and the
     label min(int(s), 5): s = (x + 6.0) * 0.5 equals (x - -6.0) / 2.0,
@@ -404,10 +405,7 @@ if e_small < ec_small:
 else:
     lo, hi, index = ec_small, e_small, i + j
 big = e_big if e_big < ec_big else ec_big
-kernel = kernels[index]
-if kernel is None:
-    kernel = build_kernel(index)
-dp, di, dd = kernel(lo, hi, big)""".splitlines()
+dp, di, dd = kernels[index](lo, hi, big)""".splitlines()
     return lines
 
 

@@ -15,7 +15,7 @@ scenario's values: the plant step that `plant.rk4_zoh` precomputes once
 per scenario from its plant and dt as (rows, c), kept as
 `SimScenario.rk4_step`, the disturbances and the controller; setup lines
 unpack the step, the disturbances, the gains and, for fuzzy-PID, the
-factors and rule table into locals once per run. The plant state lives
+factors and rule kernels into locals once per run. The plant state lives
 in locals and the plant step (`plant.step_lines`), each disturbance, the
 PID law and the gain update (`adaptive.gain_lines`) are written out;
 only a firing-plan kernel of the rule table remains a call. The loop
@@ -169,9 +169,9 @@ class Trajectory:
 class StepMetrics:
     """Step-response figures of one trajectory.
 
-    y_final is the last sample; the settled flag reports whether the final
-    5% of samples stayed within 1% of it. Percentage-based figures are None
-    when y_final is zero.
+    y_final is the last sample and y_peak the peak (see `compute_metrics`);
+    the settled flag reports whether the final 5% of samples stayed within
+    1% of y_final. Percentage-based figures are None when y_final is zero.
 
     Every figure covers the whole run as one step response. With a
     disturbance the peak and overshoot can come from the disturbance
@@ -182,7 +182,7 @@ class StepMetrics:
     figures are an open item of ROADMAP.md.
     """
 
-    y_max: float
+    y_peak: float
     peak_time: float
     settling_time: float
     rise_time: float | None
@@ -294,7 +294,7 @@ def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
     one check is that of the error: step k returns k, before logging row
     k, when its error is not finite. Where the error rate overflows, the
     lines run on: the clamping ladders of `fuzzy.inference_lines` locate
-    it at an edge of the universe, which may build that cell's kernel,
+    it at an edge of the universe, whose entry may build its kernel,
     and u and then the error are not finite, so the step returns the k
     that a rate check would have (see the module docstring). The source
     depends on the order, the kind and the counts only and holds
@@ -350,11 +350,13 @@ def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
 def compute_metrics(traj: Trajectory) -> StepMetrics:
     """Step-response metrics of a non-empty trajectory.
 
-    The steady value is the last sample; overshoot is the first global
-    maximum's excess over it, the settling time the earliest time after
-    which every sample stays inside a 2% band, and the rise time the gap
-    between the first 10% and 90% crossings. All of them span the whole
-    run, disturbances included (see StepMetrics).
+    The steady value is the last sample, the step's direction its sign
+    (up for zero), and the peak the first extreme in that direction;
+    overshoot is the peak's excess over the steady value in that
+    direction, the settling time the earliest time after which every
+    sample stays inside a 2% band, and the rise time the gap between the
+    first 10% and 90% crossings. All of them span the whole run,
+    disturbances included (see StepMetrics).
     """
     import numpy as np
 
@@ -363,8 +365,9 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
     if len(y) == 0:
         raise ValueError("trajectory is empty")
     y_final = float(y[-1])
-    peak_idx = int(np.argmax(y))
-    y_max = float(y[peak_idx])
+    sign = 1.0 if y_final >= 0.0 else -1.0
+    peak_idx = int(np.argmax(sign * y))
+    y_peak = float(y[peak_idx])
     peak_time = float(t[peak_idx])
 
     tail_start = (19 * len(y)) // 20
@@ -378,10 +381,10 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
         overshoot_pct = None
         rise_time = None
     else:
-        overshoot_pct = (y_max - y_final) / abs(y_final) * 100.0
-        rise_time = _rise_time(t, y, y_final)
+        overshoot_pct = sign * (y_peak - y_final) / abs(y_final) * 100.0
+        rise_time = _rise_time(t, y, y_final, sign)
     return StepMetrics(
-        y_max=y_max,
+        y_peak=y_peak,
         peak_time=peak_time,
         settling_time=settling_time,
         rise_time=rise_time,
@@ -391,10 +394,9 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
     )
 
 
-def _rise_time(t: np.ndarray, y: np.ndarray, y_final: float) -> float | None:
+def _rise_time(t: np.ndarray, y: np.ndarray, y_final: float, sign: float) -> float | None:
     import numpy as np
 
-    sign = 1.0 if y_final > 0 else -1.0
     crossings = []
     for fraction in (0.1, 0.9):
         hits = np.flatnonzero(sign * y >= sign * fraction * y_final)

@@ -162,6 +162,19 @@ class TestCompare:
         pid_value, fuzzy_value = (float(v) for v in row[16:].split())
         assert fuzzy_value < pid_value
 
+    # A step down is a mirror image for PID, not for fuzzy-PID: its
+    # consequents are mostly odd, so it gets the opposite gain corrections.
+    @pytest.mark.parametrize(
+        "setpoint, fuzzy_pin",
+        [("5", "8.677657292"), ("-5", "10.992837332")],
+    )
+    def test_overshoot_both_directions(self, capsys, setpoint, fuzzy_pin):
+        assert run_cli(["compare", f"--setpoint={setpoint}"]) == 0
+        out = capsys.readouterr().out
+        rows = {line[:16].strip(): line[16:].split() for line in out.splitlines()}
+        assert rows["overshoot %"] == ["11.090096099", fuzzy_pin]
+        assert "peak output" in rows
+
     # README's sample-period table: overshoot %, PID and fuzzy-PID, with one
     # RK4 step per period, within criterion 06's tolerance of 0.1 pp.
     @pytest.mark.parametrize(

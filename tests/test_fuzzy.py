@@ -1,3 +1,5 @@
+import copy
+import inspect
 import json
 import math
 import pickle
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sprayflow import fuzzy, presets
+from sprayflow import _codegen, fuzzy, harness, presets
 from sprayflow.fuzzy import (
     DEFAULT_RULE_TABLE,
     Label,
@@ -196,6 +198,14 @@ class TestFuzzify:
 DEFAULT_CELLS = DEFAULT_RULE_TABLE.cells
 
 
+def built(entry):
+    """Whether a `kernels` entry is a built kernel, not a first-use entry.
+
+    A kernel is a generated function named kernel (`fuzzy._compile_kernel`).
+    """
+    return inspect.isfunction(entry) and entry.__name__ == "kernel"
+
+
 def with_first_cell(cell):
     """The default cells with cell (NB, NB) replaced."""
     return ((cell,) + DEFAULT_CELLS[0][1:],) + DEFAULT_CELLS[1:]
@@ -221,11 +231,21 @@ class TestRuleTable:
 
         monkeypatch.setattr(fuzzy, "_compile_kernel", counting)
         table = RuleTable.parse(DEFAULT_RULE_TABLE.dump())
-        assert calls == [] and set(table.kernels) == {None}
-        # The first inference builds one kernel, in one call.
+        assert calls == [] and not any(map(built, table.kernels))
+        # The first inference builds one kernel, in one call, and stores it
+        # at its anchor cell and pattern.
         infer_deltas(0.3, -2.7, table)
         assert len(calls) == 1
-        assert sum(kernel is not None for kernel in table.kernels) == 1
+        index = kernel_index(0.3, -2.7)
+        assert [n for n, entry in enumerate(table.kernels) if built(entry)] == [index]
+        # A second inference at the same anchor cell and pattern builds
+        # nothing, and gives the reference bits.
+        assert kernel_index(0.32, -2.72) == index
+        for e, ec in ((0.3, -2.7), (0.32, -2.72)):
+            assert packed(infer_deltas(e, ec, table)) == packed(
+                reference_deltas(e, ec, table.cells)
+            )
+        assert len(calls) == 1
 
     def test_dump_parse_round_trip(self):
         text = DEFAULT_RULE_TABLE.dump()
@@ -269,12 +289,23 @@ class TestRuleTable:
         with pytest.raises(ValueError, match=message):
             RuleTable(cells=cells, suspect=suspect)
 
-    def test_pickles_after_inference(self):
+    @staticmethod
+    def assert_copy_after_inference_keeps_the_bits(duplicate):
         table = RuleTable.parse(DEFAULT_RULE_TABLE.dump())
-        infer_deltas(1.3, -2.2, table)
-        again = pickle.loads(pickle.dumps(table))
+        points = [(1.3, -2.2), (0.3, -2.7), (-4.9, 5.5)]
+        infer_deltas(*points[0], table)
+        again = duplicate(table)
         assert again == table and again.suspect
-        assert packed(infer_deltas(1.3, -2.2, again)) == packed(infer_deltas(1.3, -2.2, table))
+        for e, ec in points:
+            want = packed(reference_deltas(e, ec, table.cells))
+            assert packed(infer_deltas(e, ec, again)) == want, (e, ec)
+            assert packed(infer_deltas(e, ec, table)) == want, (e, ec)
+
+    def test_pickles_after_inference(self):
+        self.assert_copy_after_inference_keeps_the_bits(lambda t: pickle.loads(pickle.dumps(t)))
+
+    def test_deep_copies_after_inference(self):
+        self.assert_copy_after_inference_keeps_the_bits(copy.deepcopy)
 
     def test_load_reads_file(self, tmp_path):
         path = tmp_path / "rules.txt"
@@ -391,7 +422,7 @@ class TestBitwiseReference:
                 got = packed(infer_deltas(e, ec, table))
                 assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
         # Every kernel was built, so every kernel was checked.
-        assert None not in table.kernels
+        assert all(map(built, table.kernels))
 
     @every_table
     def test_fine_lattice(self, table):
@@ -418,20 +449,24 @@ class TestBitwiseReference:
 
 
 # Imports the package, then runs the default fuzzy step, and reports the
-# kernels of the default table that exist after the import and after the
-# run, the loops and inference functions built by the import, and the
-# run's dt and logged error column.
+# kernels of the default table that are built (as `built` tells) after the
+# import and after the run, the loops and inference functions built by the
+# import, and the run's dt and logged error column.
 KERNELS_SCRIPT = """
+import inspect
 import json
 import sprayflow
 from sprayflow import fuzzy, harness, presets
 from sprayflow.fuzzy import DEFAULT_RULE_TABLE as table
-after_import = [n for n, kernel in enumerate(table.kernels) if kernel is not None]
+def built():
+    return [n for n, entry in enumerate(table.kernels) if inspect.isfunction(entry)
+            and entry.__name__ == "kernel"]
+after_import = built()
 loops_after_import = harness._loop.cache_info().currsize
 inference_after_import = fuzzy._inference.cache_info().currsize
 scenario = presets.default_scenario(presets.default_fuzzy_controller())
 traj = sprayflow.run_closed_loop(scenario)
-after_run = [n for n, kernel in enumerate(table.kernels) if kernel is not None]
+after_run = built()
 print(json.dumps({
     "after_import": after_import, "loops_after_import": loops_after_import,
     "inference_after_import": inference_after_import, "dt": scenario.dt,
@@ -477,15 +512,37 @@ def test_kernels_are_built_on_first_use_per_table():
         for ec in QUARTER_LATTICE:
             got = packed(infer_deltas(e, ec, table))
             assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
-    assert None not in table.kernels
+    assert all(map(built, table.kernels))
     assert not any(a is b for a, b in zip(table.kernels, DEFAULT_RULE_TABLE.kernels))
     assert RuleTable.parse(table.dump()) == table
     assert table != DEFAULT_RULE_TABLE
 
 
+def test_generated_inference_makes_one_kernel_call(monkeypatch):
+    # The sources of the fuzzy-PID loop and of the inference, compiled
+    # afresh past their caches: each calls one kernel entry, once per step
+    # of the loop, and tests no entry.
+    sources = []
+
+    def recording_exec(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(_codegen, "exec", recording_exec, raising=False)
+    harness._loop.__wrapped__(2, True, 0, 0)
+    fuzzy._inference.__wrapped__()
+    loop, infer = sources
+    call = "dp, di, dd = kernels[index](lo, hi, big)"
+    assert loop.count("kernels[") == 1 and infer.count("kernels[") == 1
+    assert f"\n        {call}\n" in loop and f"\n    {call}\n" in infer
+    for source in (loop, infer):
+        assert "None" not in source and "build" not in source
+
+
 def test_concurrent_first_use_gives_the_reference_bits():
-    # Threads race to build the kernels of a fresh table; whichever build
-    # an entry keeps, every result is the reference's.
+    # Threads race on the first-use entries of a fresh table; each builds
+    # an equal kernel, and whichever an entry keeps, every result is the
+    # reference's.
     table = rewritten_suspects_table()
     points = [(e, ec) for e in QUARTER_LATTICE[::2] for ec in QUARTER_LATTICE]
     want = [packed(reference_deltas(e, ec, table.cells)) for e, ec in points]

@@ -521,7 +521,7 @@ class TestComputeMetrics:
     def test_overshoot_formula_first_example(self):
         traj = synthetic_trajectory([0.0, 5.538, 5.0, 5.0, 5.0, 5.0])
         metrics = compute_metrics(traj)
-        assert metrics.y_max == 5.538
+        assert metrics.y_peak == 5.538
         assert metrics.y_final == 5.0
         assert metrics.overshoot_pct == pytest.approx(10.76, abs=0.005)
 
@@ -539,8 +539,15 @@ class TestComputeMetrics:
     def test_peak_is_first_global_maximum(self):
         traj = synthetic_trajectory([0.0, 3.0, 1.0, 3.0, 2.0, 2.0], dt=1.0)
         metrics = compute_metrics(traj)
-        assert metrics.y_max == 3.0
+        assert metrics.y_peak == 3.0
         assert metrics.peak_time == 1.0
+
+    def test_step_down_peak_is_first_global_minimum(self):
+        traj = synthetic_trajectory([0.0, -3.0, -1.0, -3.0, -2.0, -2.0], dt=1.0)
+        metrics = compute_metrics(traj)
+        assert metrics.y_peak == -3.0
+        assert metrics.peak_time == 1.0
+        assert metrics.overshoot_pct == 50.0
 
     def test_settling_time_band(self):
         # band is 2% of y_final = 0.1; last sample outside is 5.2 at t=1,
@@ -571,7 +578,7 @@ class TestComputeMetrics:
         metrics = compute_metrics(traj)
         assert metrics.overshoot_pct is None
         assert metrics.rise_time is None
-        assert metrics.y_max == 1.0
+        assert metrics.y_peak == 1.0
 
     def test_invariant_under_appending_settled_samples(self):
         y = [0.0, 5.538, 5.0, 5.0, 5.0, 5.0]
@@ -579,7 +586,7 @@ class TestComputeMetrics:
         extended = compute_metrics(synthetic_trajectory(y + [5.0] * 10))
         assert extended.overshoot_pct == base.overshoot_pct
         assert extended.peak_time == base.peak_time
-        assert extended.y_max == base.y_max
+        assert extended.y_peak == base.y_peak
         assert extended.y_final == base.y_final
 
     def test_scale_covariance_of_closed_loop(self):
@@ -591,9 +598,25 @@ class TestComputeMetrics:
             return compute_metrics(run_closed_loop(scenario))
 
         small, large = run(2.0), run(2.0 * 3.5)
-        assert large.y_max == pytest.approx(3.5 * small.y_max, rel=1e-9)
+        assert large.y_peak == pytest.approx(3.5 * small.y_peak, rel=1e-9)
         assert large.y_final == pytest.approx(3.5 * small.y_final, rel=1e-9)
         assert large.overshoot_pct == pytest.approx(small.overshoot_pct, rel=1e-7)
+
+    @pytest.mark.parametrize("setpoint", [2.0, 5.0])
+    def test_pid_step_down_mirrors_step_up(self, setpoint):
+        # The PID loop is linear and starts at rest, so the step down is
+        # the exact mirror of the step up (equal values, and -0.0 against
+        # row 0's 0.0), and so are its figures.
+        up, down = (
+            run_closed_loop(replace(presets.default_scenario(), setpoint=r))
+            for r in (setpoint, -setpoint)
+        )
+        assert np.array_equal(down.y, -up.y)
+        up, down = compute_metrics(up), compute_metrics(down)
+        for name in ("overshoot_pct", "peak_time", "settling_time", "rise_time"):
+            assert getattr(down, name).hex() == getattr(up, name).hex(), name
+        for name in ("y_peak", "y_final"):
+            assert getattr(down, name).hex() == (-getattr(up, name)).hex(), name
 
 
 class TestPeakDeviation:
