@@ -196,7 +196,7 @@ def read_trajectory_csv(path: str) -> Trajectory:
     tol = 2e-9 + 4.0 * np.spacing(np.max(np.abs(t)))
     if not (dt > 0 and np.all(np.abs(np.diff(t) - dt) <= tol)):
         raise ConfigError("trajectory time axis t is not uniform and increasing")
-    return Trajectory(**dict(zip(COLUMNS, data.T)))
+    return Trajectory(*data.T)
 
 
 def load_config_file(path: str) -> dict[str, str]:

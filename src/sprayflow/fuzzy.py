@@ -494,10 +494,10 @@ def _compile_kernel(fired: tuple[Triple, ...], heights: tuple[int, ...]) -> Kern
     zero height and a negative center. mass starts at its first term
     instead: a mass term is +0.0 or positive, never -0.0, so 0.0 + it has
     its bits. A zero height gives zero terms, and neither sum is ever
-    -0.0, so such a label changes no bit. Each distinct mass is computed
-    once. N, p_float, plateau_moment and flat_points are floats equal to
-    integers, so every operation gives the bits of its integer form.
-    floor is math.floor; its arguments lie in [0, N], where it gives
+    -0.0, so such a label changes no bit. Each quotient carries its own
+    mass expression. N, p_float, plateau_moment and flat_points are floats
+    equal to integers, so every operation gives the bits of its integer
+    form. floor is math.floor; its arguments lie in [0, N], where it gives
     int()'s result, only faster.
 
     Three terms are folded, exactly. ZO's center is 0.0, and 0.0 * full
@@ -570,15 +570,7 @@ def _compile_kernel(fired: tuple[Triple, ...], heights: tuple[int, ...]) -> Kern
                 f"overlap_{h} = tent_sum_{h} + flat_points_{h} * {h}"
                 f" + ({h} if {h} < 0.5 else 0.5)",
             ]
-    # A mass that several outputs share is computed once, into a local.
-    masses = [mass for _, mass in outputs]
-    names: dict[str, str] = {}
-    for mass in masses:
-        if masses.count(mass) > 1 and mass not in names:
-            names[mass] = f"mass{len(names)}"
-            body.append(f"{names[mass]} = {mass}")
-    quotients = [f"({moment}) / {names.get(mass, f'({mass})')}" for moment, mass in outputs]
-    body += ["return (", *(f"    {quotient}," for quotient in quotients), ")"]
+    body += ["return (", *(f"    ({moment}) / ({mass})," for moment, mass in outputs), ")"]
     return define(
         "kernel", "lo, hi, big", body, floor=math.floor, P=_P_SUMS, F=_FULL_SUMS, R=_R_SUMS
     )

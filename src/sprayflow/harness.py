@@ -18,8 +18,9 @@ unpack the step, the disturbances, the gains and, for fuzzy-PID, the
 factors and rule kernels into locals once per run. The plant state lives
 in locals and the plant step (`plant.step_lines`), each disturbance, the
 PID law and the gain update (`adaptive.gain_lines`) are written out;
-only a firing-plan kernel of the rule table remains a call. The loop
-logs through memoryviews of the trajectory's columns. It holds the
+only a firing-plan kernel of the rule table remains a call. A run's
+trajectory is the rows of one float64 array, in `COLUMNS` order, and the
+loop logs through memoryviews of its rows u to kd. It holds the
 controller state, the integral and the previous error; their backward
 difference, zero on the first step, is both the derivative and the fuzzy
 error rate. A run is bit-identical to stepping `plant.compile_step`,
@@ -171,7 +172,9 @@ class StepMetrics:
 
     y_final is the last sample and y_peak the peak (see `compute_metrics`);
     the settled flag reports whether the final 5% of samples stayed within
-    1% of y_final. Percentage-based figures are None when y_final is zero.
+    1% of y_final. overshoot_pct and rise_time, both relative to y_final,
+    are None exactly when y_final is zero. The figures come from a y with
+    no NaN (`compute_metrics` rejects one).
 
     Every figure covers the whole run as one step response. With a
     disturbance the peak and overshoot can come from the disturbance
@@ -217,7 +220,16 @@ def _run(scenario: SimScenario, controller: PidConfig | FuzzyPidController) -> T
     dt = scenario.dt
     r = float(scenario.setpoint)
     rows, c = scenario.rk4_step
-    t = np.arange(n_rows) * dt
+    fuzzy = isinstance(controller, FuzzyPidController)
+    rest = controller.base if fuzzy else controller.gains
+    # One float64 array holds the run, one row per column in COLUMNS order.
+    # The gain rows are float64 whatever the type of the gains: the fuzzy
+    # loop writes its adapted gains into them.
+    block = np.zeros((len(COLUMNS), n_rows))
+    t, r_log, e_log, u_log, y_log, kp_log, ki_log, kd_log = block
+    t[:] = np.arange(n_rows) * dt
+    r_log[:] = r
+    kp_log[:], ki_log[:], kd_log[:] = rest.kp, rest.ki, rest.kd
     # (first step, magnitude) per port, in declaration order. An input
     # disturbance acts on step k when t_prev = t[k-1] reaches its time,
     # an output one when t[k] does.
@@ -230,39 +242,14 @@ def _run(scenario: SimScenario, controller: PidConfig | FuzzyPidController) -> T
         else:
             y_dists.append((start, d.magnitude))
 
-    fuzzy = isinstance(controller, FuzzyPidController)
-    rest = controller.base if fuzzy else controller.gains
-
-    u_log = np.zeros(n_rows)
-    y_log = np.zeros(n_rows)
-    # float64 whatever the type of the gains: the fuzzy loop writes its
-    # adapted gains into these columns.
-    kp_log = np.full(n_rows, rest.kp, dtype=float)
-    ki_log = np.full(n_rows, rest.ki, dtype=float)
-    kd_log = np.full(n_rows, rest.kd, dtype=float)
-
-    # The loop stores through memoryviews, which write the same 8 bytes as
-    # numpy's item assignment at about half the cost.
+    # The loop logs through memoryviews of the rows u to kd, which write
+    # the same 8 bytes as numpy's item assignment at about half the cost.
+    logs = map(memoryview, (u_log, y_log, kp_log, ki_log, kd_log))
     n_logged = _loop(len(rows), fuzzy, len(u_dists), len(y_dists))(
-        n_rows=n_rows, dt=dt, r=r, u_dists=u_dists, y_dists=y_dists,
-        u_log=memoryview(u_log), y_log=memoryview(y_log), kp_log=memoryview(kp_log),
-        ki_log=memoryview(ki_log), kd_log=memoryview(kd_log), rows=rows, c=c,
-        ctrl=controller,
+        n_rows, dt, r, u_dists, y_dists, *logs, rows, c, controller
     )
-
-    sl = slice(0, n_logged)
-    y_out = y_log[sl]
-    return Trajectory(
-        t=t[:n_logged],
-        r=np.full(n_logged, r),
-        e=r - y_out,
-        u=u_log[sl],
-        y=y_out,
-        kp=kp_log[sl],
-        ki=ki_log[sl],
-        kd=kd_log[sl],
-        blown_up=n_logged < n_rows,
-    )
+    np.subtract(r, y_log, out=e_log)
+    return Trajectory(*block[:, :n_logged], blown_up=n_logged < n_rows)
 
 
 # One entry per plant order, controller kind and disturbance count per port:
@@ -348,7 +335,7 @@ def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
 
 
 def compute_metrics(traj: Trajectory) -> StepMetrics:
-    """Step-response metrics of a non-empty trajectory.
+    """Step-response metrics of a non-empty trajectory whose y holds no NaN.
 
     The steady value is the last sample, the step's direction its sign
     (up for zero), and the peak the first extreme in that direction;
@@ -356,7 +343,9 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
     direction, the settling time the earliest time after which every
     sample stays inside a 2% band, and the rise time the gap between the
     first 10% and 90% crossings. All of them span the whole run,
-    disturbances included (see StepMetrics).
+    disturbances included (see StepMetrics). A run logs finite rows only,
+    so only a hand-built trajectory can hold a NaN, which raises
+    ValueError.
     """
     import numpy as np
 
@@ -366,15 +355,20 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
         raise ValueError("trajectory is empty")
     y_final = float(y[-1])
     sign = 1.0 if y_final >= 0.0 else -1.0
-    peak_idx = int(np.argmax(sign * y))
+    toward = sign * y
+    # argmax returns the first NaN if there is one, so the peak is NaN
+    # exactly when y holds a NaN.
+    peak_idx = int(np.argmax(toward))
     y_peak = float(y[peak_idx])
+    if math.isnan(y_peak):
+        raise ValueError("trajectory output y holds a NaN")
     peak_time = float(t[peak_idx])
 
+    deviation = np.abs(y - y_final)
     tail_start = (19 * len(y)) // 20
-    settled = bool(np.all(np.abs(y[tail_start:] - y_final) <= 0.01 * abs(y_final)))
+    settled = bool(np.all(deviation[tail_start:] <= 0.01 * abs(y_final)))
 
-    band = 0.02 * abs(y_final)
-    outside = np.flatnonzero(np.abs(y - y_final) > band)
+    outside = np.flatnonzero(deviation > 0.02 * abs(y_final))
     settling_time = float(t[outside[-1] + 1]) if outside.size else float(t[0])
 
     if y_final == 0.0:
@@ -382,7 +376,11 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
         rise_time = None
     else:
         overshoot_pct = sign * (y_peak - y_final) / abs(y_final) * 100.0
-        rise_time = _rise_time(t, y, y_final, sign)
+        # The first sample at or beyond each level; the last sample meets
+        # both, so each argmax finds a True.
+        rise_10 = float(t[np.argmax(toward >= sign * 0.1 * y_final)])
+        rise_90 = float(t[np.argmax(toward >= sign * 0.9 * y_final)])
+        rise_time = rise_90 - rise_10
     return StepMetrics(
         y_peak=y_peak,
         peak_time=peak_time,
@@ -392,18 +390,6 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
         overshoot_pct=overshoot_pct,
         settled=settled,
     )
-
-
-def _rise_time(t: np.ndarray, y: np.ndarray, y_final: float, sign: float) -> float | None:
-    import numpy as np
-
-    crossings = []
-    for fraction in (0.1, 0.9):
-        hits = np.flatnonzero(sign * y >= sign * fraction * y_final)
-        if hits.size == 0:
-            return None
-        crossings.append(float(t[hits[0]]))
-    return crossings[1] - crossings[0]
 
 
 def peak_deviation(traj: Trajectory, after_time: float) -> float:

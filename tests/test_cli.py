@@ -166,7 +166,7 @@ class TestCompare:
     # consequents are mostly odd, so it gets the opposite gain corrections.
     @pytest.mark.parametrize(
         "setpoint, fuzzy_pin",
-        [("5", "8.677657292"), ("-5", "10.992837332")],
+        [("5", "8.677657292"), ("-5", "10.992837332"), ("-2", "11.536418329")],
     )
     def test_overshoot_both_directions(self, capsys, setpoint, fuzzy_pin):
         assert run_cli(["compare", f"--setpoint={setpoint}"]) == 0

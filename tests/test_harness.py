@@ -488,6 +488,35 @@ class TestRunClosedLoop:
         assert len(traj) == n_logged
         assert_all_finite(traj)
 
+    @pytest.mark.parametrize(
+        "scenario, n_logged, blown_up",
+        [
+            (presets.default_scenario(), 5001, False),
+            (presets.default_scenario(_FUZZY), 5001, False),
+            # Row 1's output of -1e308 overflows its error.
+            (
+                SimScenario(
+                    setpoint=1e308, duration=0.01, dt=1e-4, controller=_FUZZY,
+                    disturbances=(Disturbance(time=1e-4, magnitude=-1e308, port=PLANT_OUTPUT),),
+                ),
+                1,
+                True,
+            ),
+        ],
+        ids=("pid", "fuzzy-pid", "blown-up"),
+    )
+    def test_columns_are_read_only_float64_of_the_run_length(self, scenario, n_logged,
+                                                             blown_up):
+        traj = run_closed_loop(scenario)
+        assert (len(traj), traj.blown_up) == (n_logged, blown_up)
+        for name in COLUMNS:
+            column = getattr(traj, name)
+            assert column.dtype == np.float64, name
+            assert column.shape == (n_logged,), name
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
     def test_scenario_validation(self):
         controller = PidConfig(gains=PidGains(0.001, 0.0, 0.0))
         with pytest.raises(ValueError):
@@ -566,6 +595,21 @@ class TestComputeMetrics:
         metrics = compute_metrics(synthetic_trajectory(y, dt=1.0))
         # 10% crossing at y >= 0.5 (t = 1), 90% at y >= 4.5 (t = 9)
         assert metrics.rise_time == 8.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rise_time_takes_the_last_sample(self, sign):
+        # Only the last sample reaches 90% of the final value, 4.5.
+        y = sign * np.arange(6.0)
+        metrics = compute_metrics(synthetic_trajectory(y, dt=1.0))
+        # 10% crossing at |y| >= 0.5 (t = 1), 90% at the last sample (t = 5)
+        assert metrics.rise_time == 4.0
+
+    @pytest.mark.parametrize(
+        "y", [[0.0, 4.0, 5.0, math.nan], [0.0, math.nan, 5.0, 5.0]], ids=("end", "middle")
+    )
+    def test_rejects_nan_output(self, y):
+        with pytest.raises(ValueError, match="holds a NaN"):
+            compute_metrics(synthetic_trajectory(y, r=5.0))
 
     def test_settled_flag(self):
         settled = synthetic_trajectory([0.0] + [5.0] * 99, dt=1.0)
