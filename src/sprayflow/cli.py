@@ -19,7 +19,8 @@ integer arithmetic, to the bytes that formatting each value on its own
 gives. numpy is imported by the writer and the reader, not with the
 module, so `rules`, `--help` and a configuration error load no numpy.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical blow-up.
+Exit codes: 0 success, 1 configuration error (an argument error
+included), 2 numerical blow-up.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import math
 import os
 import stat
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import presets
 from .adaptive import FuzzyPidController
@@ -100,14 +101,11 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     Every other value (not finite, |x| >= 2**52, or x on a tie) is
     formatted by _fmt9 itself.
     """
-    import numpy as np
-
-    columns = [getattr(traj, name) for name in COLUMNS]
+    rows = traj.data.T
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode("ascii") + b"\n")
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
-            chunk = [col[start : start + _CSV_CHUNK_ROWS] for col in columns]
-            fh.write(_csv_rows(np.stack(chunk, axis=1, dtype=float)))
+            fh.write(_csv_rows(rows[start : start + _CSV_CHUNK_ROWS]))
 
 
 def _csv_rows(block: np.ndarray) -> bytes:
@@ -196,7 +194,7 @@ def read_trajectory_csv(path: str) -> Trajectory:
     tol = 2e-9 + 4.0 * np.spacing(np.max(np.abs(t)))
     if not (dt > 0 and np.all(np.abs(np.diff(t) - dt) <= tol)):
         raise ConfigError("trajectory time axis t is not uniform and increasing")
-    return Trajectory(*data.T)
+    return Trajectory(data.T)
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -423,21 +421,32 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(*_flag_spellings(key), dest=key, default=None, help=f"override {key}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that takes flags by their full spelling only.
+
+    Flags are spelled as _VALUE_FLAGS lists them, parse errors are
+    configuration errors, and the subparsers share the class.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{message} (see {self.prog} --help)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sprayflow",
         description="Closed-loop flow-control simulation: PID and adaptive fuzzy-PID.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Flags are matched by their full spelling only, as _VALUE_FLAGS lists them.
     for name, text in (
         ("simulate", "run one closed loop and export its trajectory CSV"),
         ("compare", "run PID and fuzzy-PID on the same scenario"),
     ):
-        _add_override_flags(sub.add_parser(name, help=text, allow_abbrev=False))
-    rules = sub.add_parser(
-        "rules", help="print the rule table in the override-file format", allow_abbrev=False
-    )
+        _add_override_flags(sub.add_parser(name, help=text))
+    rules = sub.add_parser("rules", help="print the rule table in the override-file format")
     rules.add_argument("--rules-file", "--rules_file", dest="rules_file", default=None)
     metrics = sub.add_parser("metrics", help="recompute metrics from a trajectory CSV")
     metrics.add_argument("csv_path")
@@ -477,9 +486,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(_attach_negative_values(argv))
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    try:
         if args.command == "rules":
             return cmd_rules(args.rules_file)
         if args.command == "metrics":
@@ -490,6 +496,10 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(scenario, output)
         return cmd_compare(scenario, fuzzy)
+    except SystemExit:
+        # Only --help exits the parser, once it has printed the help; a
+        # parse error raises ConfigError.
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -143,27 +143,29 @@ def _check_controller(controller: object) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly sampled closed-loop record, one row per sample."""
+    """Uniformly sampled closed-loop record, one column per sample.
 
-    t: np.ndarray
-    r: np.ndarray
-    e: np.ndarray
-    u: np.ndarray
-    y: np.ndarray
-    kp: np.ndarray
-    ki: np.ndarray
-    kd: np.ndarray
+    data is a float64 array with one row per name in COLUMNS, and traj.t
+    to traj.kd are read-only views of those rows. The CSV writer formats
+    the rows by float64 arithmetic, so no other dtype is taken.
+    """
+
+    data: np.ndarray
     blown_up: bool = False
 
     def __post_init__(self) -> None:
-        for name in COLUMNS:
-            column = getattr(self, name)
-            if len(column) != len(self.t):
-                raise ValueError(f"column {name} has mismatched length")
-            column.setflags(write=False)
+        if self.data.ndim != 2 or len(self.data) != len(COLUMNS) or self.data.dtype != "float64":
+            raise ValueError(f"data must be a float64 array of {len(COLUMNS)} rows, one per column")
+        self.data.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return self.data.shape[1]
+
+
+# traj.t to traj.kd, named once, in COLUMNS.
+for _row, _name in enumerate(COLUMNS):
+    setattr(Trajectory, _name, property(lambda traj, row=_row: traj.data[row]))
+del _row, _name
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ class StepMetrics:
     the settled flag reports whether the final 5% of samples stayed within
     1% of y_final. overshoot_pct and rise_time, both relative to y_final,
     are None exactly when y_final is zero. The figures come from a y with
-    no NaN (`compute_metrics` rejects one).
+    no NaN and a finite last sample (`compute_metrics` rejects others).
 
     Every figure covers the whole run as one step response. With a
     disturbance the peak and overshoot can come from the disturbance
@@ -249,7 +251,7 @@ def _run(scenario: SimScenario, controller: PidConfig | FuzzyPidController) -> T
         n_rows, dt, r, u_dists, y_dists, *logs, rows, c, controller
     )
     np.subtract(r, y_log, out=e_log)
-    return Trajectory(*block[:, :n_logged], blown_up=n_logged < n_rows)
+    return Trajectory(block[:, :n_logged], blown_up=n_logged < n_rows)
 
 
 # One entry per plant order, controller kind and disturbance count per port:
@@ -335,7 +337,7 @@ def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
 
 
 def compute_metrics(traj: Trajectory) -> StepMetrics:
-    """Step-response metrics of a non-empty trajectory whose y holds no NaN.
+    """Step-response metrics of a non-empty trajectory: no NaN in y, a finite last y.
 
     The steady value is the last sample, the step's direction its sign
     (up for zero), and the peak the first extreme in that direction;
@@ -344,8 +346,8 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
     sample stays inside a 2% band, and the rise time the gap between the
     first 10% and 90% crossings. All of them span the whole run,
     disturbances included (see StepMetrics). A run logs finite rows only,
-    so only a hand-built trajectory can hold a NaN, which raises
-    ValueError.
+    so only a hand-built trajectory can hold a NaN or end at an infinity;
+    either raises ValueError.
     """
     import numpy as np
 
@@ -354,6 +356,8 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
     if len(y) == 0:
         raise ValueError("trajectory is empty")
     y_final = float(y[-1])
+    if math.isinf(y_final):
+        raise ValueError("trajectory output y ends at an infinity")
     sign = 1.0 if y_final >= 0.0 else -1.0
     toward = sign * y
     # argmax returns the first NaN if there is one, so the peak is NaN

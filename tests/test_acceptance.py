@@ -54,10 +54,8 @@ def _synthetic(y_values):
     n = len(y)
     zeros = np.zeros(n)
     r = np.full(n, y[-1])
-    return sf.Trajectory(
-        t=np.arange(n, dtype=float), r=r, e=r - y, u=zeros.copy(), y=y,
-        kp=zeros.copy(), ki=zeros.copy(), kd=zeros.copy(),
-    )
+    t = np.arange(n, dtype=float)
+    return sf.Trajectory(np.stack([t, r, r - y, zeros, y, zeros, zeros, zeros]))
 
 
 def test_criterion_01_metric_formula_reproduction():

@@ -162,6 +162,43 @@ class TestCompare:
         pid_value, fuzzy_value = (float(v) for v in row[16:].split())
         assert fuzzy_value < pid_value
 
+    # Every row of the shipped step and disturbance comparisons, to the last
+    # printed digit: (label, pid, fuzzy-pid).
+    @pytest.mark.parametrize(
+        "flags, rows",
+        [
+            ([], [
+                ("peak output", "5.555666191", "5.435461472"),
+                ("peak time", "0.019600000", "0.026000000"),
+                ("settling time", "0.117600000", "0.143200000"),
+                ("rise time", "0.008600000", "0.011900000"),
+                ("final value", "5.001045445", "5.001452559"),
+                ("overshoot %", "11.090096099", "8.677657292"),
+                ("settled", "yes", "yes"),
+            ]),
+            ([
+                "--duration", "2", "--disturbance-time", "0.5", "--disturbance-magnitude", "0.001",
+            ], [
+                ("peak output", "5.555666191", "5.435461472"),
+                ("peak time", "0.019600000", "0.026000000"),
+                ("settling time", "0.579600000", "0.579700000"),
+                ("rise time", "0.008600000", "0.011900000"),
+                ("final value", "5.000000004", "4.999999759"),
+                ("overshoot %", "11.113323733", "8.709234691"),
+                ("settled", "yes", "yes"),
+                ("peak deviation", "0.219776478", "0.208775468"),
+            ]),
+        ],
+        ids=("step", "disturbance"),
+    )
+    def test_shipped_report(self, capsys, flags, rows):
+        assert run_cli(["compare", *flags]) == 0
+        expected = "".join(
+            f"{label:<16}{pid:<20}{fuzzy:<20}\n"
+            for label, pid, fuzzy in [("metric", "pid", "fuzzy-pid"), *rows]
+        )
+        assert capsys.readouterr().out == expected
+
     # A step down is a mirror image for PID, not for fuzzy-PID: its
     # consequents are mostly odd, so it gets the opposite gain corrections.
     @pytest.mark.parametrize(
@@ -556,7 +593,7 @@ class TestTrajectoryCsvIO:
     def test_writer_bytes_equal_per_value_format(self, tmp_path):
         for case, columns in _writer_cases().items():
             path = tmp_path / f"{case}.csv"
-            write_trajectory_csv(Trajectory(*columns), str(path))
+            write_trajectory_csv(Trajectory(np.array(columns)), str(path))
             expected = CSV_HEADER + "\n" + "".join(
                 ",".join(_fmt9(float(v)) for v in row) + "\n" for row in zip(*columns)
             )
@@ -581,7 +618,7 @@ class TestTrajectoryCsvIO:
         rows = np.array(values[: len(values) // 8 * 8]).reshape(-1, 8)
         path = tmp_path_factory.getbasetemp() / "any-floats.csv"
         with mock.patch.object(cli, "_CSV_CHUNK_ROWS", 4):
-            write_trajectory_csv(Trajectory(*rows.T), str(path))
+            write_trajectory_csv(Trajectory(rows.T), str(path))
         expected = CSV_HEADER + "\n" + "".join(
             ",".join(_fmt9(float(v)) for v in row) + "\n" for row in rows
         )
@@ -662,6 +699,9 @@ CONFIG_ERRORS = {
         {},
         "cannot write output file",
     ),
+    # --he is not taken for --help, before a subcommand or after one.
+    "abbreviated-help": (["--he"], {}, "required: command"),
+    "abbreviated-help-of-metrics": (["metrics", "--he"], {}, "required: csv_path"),
 }
 
 

@@ -51,10 +51,7 @@ def synthetic_trajectory(y_values, dt=1.0, r=None):
     r_value = float(y[-1]) if r is None else float(r)
     r_col = np.full(n, r_value)
     zeros = np.zeros(n)
-    return Trajectory(
-        t=t, r=r_col, e=r_col - y, u=zeros.copy(), y=y,
-        kp=zeros.copy(), ki=zeros.copy(), kd=zeros.copy(),
-    )
+    return Trajectory(np.stack([t, r_col, r_col - y, zeros, y, zeros, zeros, zeros]))
 
 
 _FUZZY = presets.default_fuzzy_controller()
@@ -536,10 +533,22 @@ class TestRunClosedLoop:
 class TestTrajectory:
     @pytest.mark.parametrize("name", COLUMNS[1:])
     def test_rejects_mismatched_column_lengths(self, name):
-        columns = {column: np.zeros(3) for column in COLUMNS}
-        columns[name] = np.zeros(2)
-        with pytest.raises(ValueError, match=f"column {name} has mismatched length"):
-            Trajectory(**columns)
+        # The rows of one block share their length, so a column can only be
+        # missing, and a block without its row has the wrong shape.
+        data = np.delete(np.zeros((len(COLUMNS), 3)), COLUMNS.index(name), axis=0)
+        with pytest.raises(ValueError, match="data must be a float64 array of 8 rows"):
+            Trajectory(data)
+
+    # The CSV writer's arithmetic is float64: float32 rows would be
+    # formatted to other bytes than each value on its own.
+    @pytest.mark.parametrize(
+        "data",
+        [np.zeros(8), np.zeros((3, 8)), np.zeros((8, 3), np.float32), np.zeros((8, 3), np.int64)],
+        ids=("flat", "transposed", "float32", "int64"),
+    )
+    def test_rejects_data_of_another_shape_or_dtype(self, data):
+        with pytest.raises(ValueError, match="data must be a float64 array of 8 rows"):
+            Trajectory(data)
 
 
 class TestComputeMetrics:
@@ -585,6 +594,12 @@ class TestComputeMetrics:
         metrics = compute_metrics(traj)
         assert metrics.settling_time == 2.0
 
+    def test_settling_band_is_two_percent(self):
+        # The 2% band of y_final = 100 is +-2, and 102.5 lies between it and
+        # the 3% band, so the response settles after it, at t = 3.
+        traj = synthetic_trajectory([0.0, 104.0, 102.5, 101.0, 100.0, 100.0], dt=1.0)
+        assert compute_metrics(traj).settling_time == 3.0
+
     def test_settling_time_zero_when_never_outside(self):
         traj = synthetic_trajectory([5.0, 5.0, 5.0, 5.0], dt=0.1)
         assert compute_metrics(traj).settling_time == 0.0
@@ -597,6 +612,13 @@ class TestComputeMetrics:
         assert metrics.rise_time == 8.0
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rise_time_from_samples_on_the_levels(self, sign):
+        # y_final = 10: the samples 1.0 and 9.0 lie exactly on the 10% and
+        # 90% levels, so they are the crossings (t = 2 and t = 4).
+        y = sign * np.array([0.0, 0.5, 1.0, 5.0, 9.0, 10.0, 10.0])
+        assert compute_metrics(synthetic_trajectory(y, dt=1.0)).rise_time == 2.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_rise_time_takes_the_last_sample(self, sign):
         # Only the last sample reaches 90% of the final value, 4.5.
         y = sign * np.arange(6.0)
@@ -605,10 +627,18 @@ class TestComputeMetrics:
         assert metrics.rise_time == 4.0
 
     @pytest.mark.parametrize(
-        "y", [[0.0, 4.0, 5.0, math.nan], [0.0, math.nan, 5.0, 5.0]], ids=("end", "middle")
+        "y, message",
+        [
+            ([0.0, 4.0, 5.0, math.nan], "holds a NaN"),
+            ([0.0, math.nan, 5.0, 5.0], "holds a NaN"),
+            # y - y_final would be inf - inf, a NaN with a RuntimeWarning.
+            ([0.0, 1.0, math.inf], "ends at an infinity"),
+            ([0.0, -1.0, -math.inf], "ends at an infinity"),
+        ],
+        ids=("end", "middle", "end-inf", "end-minus-inf"),
     )
-    def test_rejects_nan_output(self, y):
-        with pytest.raises(ValueError, match="holds a NaN"):
+    def test_rejects_nan_output(self, y, message):
+        with pytest.raises(ValueError, match=message):
             compute_metrics(synthetic_trajectory(y, r=5.0))
 
     def test_settled_flag(self):
@@ -616,6 +646,20 @@ class TestComputeMetrics:
         assert compute_metrics(settled).settled
         drifting = synthetic_trajectory(list(np.linspace(0, 5, 100)), dt=1.0)
         assert not compute_metrics(drifting).settled
+
+    # 100 samples settle at 100 but one, whose deviation is exactly the 1%
+    # band (1.0) or between the 1% and 1.5% bands (1.2). The settled tail
+    # is the last 5%, samples 95 on.
+    @pytest.mark.parametrize(
+        "index, value, settled",
+        [(97, 101.0, True), (97, 101.2, False), (94, 101.2, True), (95, 101.2, False)],
+        ids=("on-band", "outside-band", "before-tail", "tail-start"),
+    )
+    def test_settled_flag_band_and_tail(self, index, value, settled):
+        y = np.full(100, 100.0)
+        y[0] = 0.0
+        y[index] = value
+        assert compute_metrics(synthetic_trajectory(y, dt=1.0)).settled is settled
 
     def test_zero_final_value_reports_undefined_percentages(self):
         traj = synthetic_trajectory([0.0, 1.0, 0.5, 0.0], r=5.0)
