@@ -16,8 +16,11 @@ All CSV output is byte-reproducible: fixed-point with nine fractional
 digits, comma separated, LF terminated, one column per name in
 harness.COLUMNS. The writer formats a chunk of rows at a time with numpy
 integer arithmetic, to the bytes that formatting each value on its own
-gives. numpy is imported by the writer and the reader, not with the
-module, so `rules`, `--help` and a configuration error load no numpy.
+gives. The reader hands np.loadtxt the lines of the open file as it
+reads them, so `metrics` holds the parsed rows, never the text; lines end
+in LF, CRLF or CR. numpy is imported by the writer and the reader, not
+with the module, so `rules`, `--help` and a configuration error load no
+numpy.
 
 Exit codes: 0 success, 1 configuration error (an argument error
 included), 2 numerical blow-up.
@@ -25,11 +28,15 @@ included), 2 numerical blow-up.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import math
 import os
 import stat
 import sys
-from typing import TYPE_CHECKING, NoReturn
+import warnings
+from collections.abc import Iterator
+from typing import TYPE_CHECKING, NoReturn, TextIO
 
 from . import presets
 from .adaptive import FuzzyPidController
@@ -62,20 +69,28 @@ class ConfigError(ValueError):
     """Bad configuration file, key or value."""
 
 
-def _read_text(path: str, kind: str) -> str:
-    """The ASCII text of a regular input file.
+@contextlib.contextmanager
+def _input_file(path: str, kind: str) -> Iterator[TextIO]:
+    """A regular input file, open as ASCII text.
 
     The file type is checked before the path is opened: a device such as
     /dev/zero would be read until memory runs out, and a FIFO with no
-    writer would block.
+    writer would block. An error in opening, reading or decoding the file
+    is a ConfigError.
     """
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise ConfigError(f"cannot read {kind} file: {path!r} is not a regular file")
         with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+            yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {kind} file: {exc}") from exc
+
+
+def _read_text(path: str, kind: str) -> str:
+    """The ASCII text of a regular input file."""
+    with _input_file(path, kind) as fh:
+        return fh.read()
 
 
 def _fmt9(value: float) -> str:
@@ -169,30 +184,49 @@ def read_trajectory_csv(path: str) -> Trajectory:
     """Read a trajectory CSV produced by write_trajectory_csv.
 
     The file needs at least two data rows of finite values and a uniform,
-    increasing time axis; dt is taken from its end points.
+    increasing time axis; dt is taken from its end points. Lines end in
+    LF, CRLF or CR. np.loadtxt parses the rows as they are read, so the
+    reader holds the parsed array, not the text of the file.
     """
     import numpy as np
 
-    lines = _read_text(path, "trajectory").splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"trajectory file must start with header {CSV_HEADER!r}")
-    if len(lines) < 3:
-        raise ConfigError("trajectory file needs at least two data rows to define dt")
-    try:
-        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"malformed trajectory row: {exc}") from exc
+    with _input_file(path, "trajectory") as fh:
+        if fh.readline().removesuffix("\n") != CSV_HEADER:
+            raise ConfigError(f"trajectory file must start with header {CSV_HEADER!r}")
+        # zip draws a line before its count, so next(counts) is the number
+        # of data lines read.
+        counts = itertools.count()
+        lines = (line for line, _ in zip(fh, counts))
+        first = list(itertools.islice(lines, 2))
+        if len(first) < 2:
+            raise ConfigError("trajectory file needs at least two data rows to define dt")
+        rows = itertools.chain(first, lines)
+        try:
+            with warnings.catch_warnings():
+                # Data lines that are all blank parse to no rows, which the
+                # shape check below reports.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except UnicodeDecodeError:
+            raise  # a read error, which _input_file reports as one
+        except ValueError as exc:
+            raise ConfigError(f"malformed trajectory row: {exc}") from exc
+        n_rows = next(counts)
     # loadtxt skips blank lines; count them as malformed rows.
-    if data.shape != (len(lines) - 1, len(COLUMNS)):
+    if data.shape != (n_rows, len(COLUMNS)):
         raise ConfigError(f"trajectory rows must have {len(COLUMNS)} fields, with no blank lines")
     if not np.all(np.isfinite(data)):
         raise ConfigError("trajectory values must be finite")
     t = data[:, 0]
-    dt = float(t[-1] - t[0]) / (len(t) - 1)
     # Nine decimals round each t by up to 5e-10 and parsing adds half an ulp,
     # so an interval of a uniform axis reads up to 1e-9 + 1 ulp off dt.
     tol = 2e-9 + 4.0 * np.spacing(np.max(np.abs(t)))
-    if not (dt > 0 and np.all(np.abs(np.diff(t) - dt) <= tol)):
+    # A t that spans more than the float range makes dt or an interval inf,
+    # which fails the check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = float(t[-1] - t[0]) / (len(t) - 1)
+        uniform = dt > 0 and np.all(np.abs(np.diff(t) - dt) <= tol)
+    if not uniform:
         raise ConfigError("trajectory time axis t is not uniform and increasing")
     return Trajectory(data.T)
 

@@ -368,7 +368,9 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
         raise ValueError("trajectory output y holds a NaN")
     peak_time = float(t[peak_idx])
 
-    deviation = np.abs(y - y_final)
+    # Finite samples more than the float range apart deviate by inf.
+    with np.errstate(over="ignore"):
+        deviation = np.abs(y - y_final)
     tail_start = (19 * len(y)) // 20
     settled = bool(np.all(deviation[tail_start:] <= 0.01 * abs(y_final)))
 

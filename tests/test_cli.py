@@ -349,6 +349,31 @@ class TestRules:
         assert run_cli(["rules", "--rules-file", str(tmp_path / "nope.txt")]) == 1
 
 
+# Three-row t columns around the reader's interval tolerance,
+# tol = 2e-9 + 4 * ulp(max |t|), and whether the reader accepts them.
+# From t = 1.0 (ulp u = 2**-52, dt = 1e-4 to a multiple of u) the middle
+# sample is off dt by 9007203 u, inside tol = 9007203.25 u, or by
+# 9007204 u, outside tol but inside 2e-9 + 6 u. From t = 0 it is off
+# dt = 3e-9 by exactly tol. A constant t has dt = 0.
+TIME_AXES = {
+    "inside-tolerance": ([1.0, 1.0001000020000008, 1.0002], True),
+    "outside-tolerance": ([1.0, 1.000100002000001, 1.0002], False),
+    "on-tolerance": ([0.0, 5.000000000000003e-09, 6e-09], True),
+    "constant": ([1.0, 1.0, 1.0], False),
+}
+
+
+def check_time_axis(directory, t, accepted):
+    """Read a CSV of the t column t, zeros elsewhere: t back, or the time-axis error."""
+    path = directory / "axis.csv"
+    path.write_text(CSV_HEADER + "\n" + "".join(f"{v!r},0,0,0,0,0,0,0\n" for v in t), "ascii")
+    try:
+        got = read_trajectory_csv(str(path)).t.tolist()
+    except ConfigError as exc:
+        got = str(exc)
+    assert got == (t if accepted else "trajectory time axis t is not uniform and increasing")
+
+
 class TestMetricsCommand:
     def test_recomputes_from_csv(self, tmp_path, capsys):
         # Nine decimals put each re-read sample within 5e-10 of the run's.
@@ -380,10 +405,11 @@ class TestMetricsCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["metrics", str(tmp_path / "gone.csv")]) == 1
 
-    def test_bad_header(self, tmp_path):
+    def test_bad_header(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("time,out\n1,2\n", encoding="ascii")
         assert run_cli(["metrics", str(path)]) == 1
+        assert "must start with header" in capsys.readouterr().err
 
     def test_single_row_rejected(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
@@ -414,6 +440,25 @@ class TestMetricsCommand:
             capsys.readouterr()
             assert run_cli(["metrics", str(path)]) == 1
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t, accepted", TIME_AXES.values(), ids=TIME_AXES)
+    def test_time_axis_tolerance(self, tmp_path, t, accepted):
+        check_time_axis(tmp_path, t, accepted)
+
+    def test_non_ascii_byte_in_last_row(self, tmp_path, capsys):
+        # The byte lies far past the first 8 KiB that the header is read
+        # from, so it is decoded while np.loadtxt draws the rows.
+        path = tmp_path / "run.csv"
+        assert run_cli(["simulate", "--duration", "0.1", "--output", str(path)]) == 0
+        capsys.readouterr()
+        path.write_bytes(path.read_bytes()[:-2] + b"\xff\n")
+        assert run_cli(["metrics", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: cannot read trajectory file: 'ascii' codec can't decode byte 0xff"
+        )
+        assert "Traceback" not in captured.err
 
 
 class TestConfigFile:
@@ -641,6 +686,31 @@ class TestTrajectoryCsvIO:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=("crlf", "cr"))
+    def test_line_endings_read_the_same(self, tmp_path, newline):
+        lf = tmp_path / "lf.csv"
+        write_trajectory_csv(run_closed_loop(presets.default_scenario()), str(lf))
+        other = tmp_path / "other.csv"
+        other.write_bytes(lf.read_bytes().replace(b"\n", newline))
+        want = read_trajectory_csv(str(lf)).data.tobytes()
+        assert read_trajectory_csv(str(other)).data.tobytes() == want
+
+    def test_reader_memory_is_bounded_by_the_result(self, tmp_path):
+        # np.loadtxt parses the rows as the reader draws them, so reading
+        # the 20,001-row PID disturbance run (1.28 MB of values) peaks near
+        # 1.5 MiB; reading the text whole and splitting it into lines first
+        # took it to 4.8 MiB.
+        path = tmp_path / "d.csv"
+        write_trajectory_csv(run_closed_loop(presets.disturbance_scenario()), str(path))
+        tracemalloc.start()
+        try:
+            traj = read_trajectory_csv(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 20_001
+        assert peak < traj.data.nbytes + 2**19
+
 
 RULE_ROW = ",".join(["ZO/ZO/ZO"] * 7)
 
@@ -694,6 +764,27 @@ CONFIG_ERRORS = {
         ["rules", "--rules-file", "/dev/null"], {}, "not a regular file",
     ),
     "trajectory-not-a-regular-file": (["metrics", "/dev/null"], {}, "not a regular file"),
+    "trajectory-empty": (["metrics", "{tmp}/e.csv"], {"e.csv": ""}, "must start with header"),
+    "trajectory-header-only": (
+        ["metrics", "{tmp}/h.csv"], {"h.csv": CSV_HEADER + "\n"}, "two data rows",
+    ),
+    # Blank data lines only: np.loadtxt finds no data, which it warns of.
+    "trajectory-blank-lines-only": (
+        ["metrics", "{tmp}/b.csv"], {"b.csv": CSV_HEADER + "\n\n\n"}, "no blank lines",
+    ),
+    # \v is no line break: the first line holds 15 fields.
+    "trajectory-row-split-by-vt": (
+        ["metrics", "{tmp}/v.csv"],
+        {"v.csv": CSV_HEADER + "\n" + "\v".join(["0" + ",0" * 7, "1" + ",0" * 7]) + "\n"
+         + "2" + ",0" * 7 + "\n"},
+        "malformed trajectory row",
+    ),
+    # t - t[0] and an interval overflow to inf.
+    "trajectory-time-axis-past-float-range": (
+        ["metrics", "{tmp}/w.csv"],
+        {"w.csv": CSV_HEADER + "\n-1.7e308" + ",0" * 7 + "\n1.7e308" + ",0" * 7 + "\n"},
+        "not uniform and increasing",
+    ),
     "unwritable-output": (
         ["simulate", "--duration", "0.01", "--output", "{tmp}/missing/run.csv"],
         {},

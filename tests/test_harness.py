@@ -14,6 +14,7 @@ from sprayflow.harness import (
     MAX_STEPS,
     PidConfig,
     SimScenario,
+    StepMetrics,
     Trajectory,
     compare_controllers,
     compute_metrics,
@@ -640,6 +641,21 @@ class TestComputeMetrics:
     def test_rejects_nan_output(self, y, message):
         with pytest.raises(ValueError, match=message):
             compute_metrics(synthetic_trajectory(y, r=5.0))
+
+    def test_deviation_past_the_float_range_is_inf(self):
+        # y - y_final overflows to -inf at the -1e308 sample, which lies
+        # outside the settling band; numpy's overflow warning would be an
+        # error here.
+        traj = synthetic_trajectory([0.0, 1e308, -1e308, 1e308], dt=1.0, r=0.0)
+        assert compute_metrics(traj) == StepMetrics(
+            y_peak=1e308,
+            peak_time=1.0,
+            settling_time=3.0,
+            rise_time=0.0,
+            y_final=1e308,
+            overshoot_pct=0.0,
+            settled=True,
+        )
 
     def test_settled_flag(self):
         settled = synthetic_trajectory([0.0] + [5.0] * 99, dt=1.0)

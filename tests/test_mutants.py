@@ -14,7 +14,9 @@ The plant's RK4 map is plain Python, not generated code. Each mutant of
 `MAP_MUTANTS` is a text edit of the source of `plant.rk4_zoh`, executed
 in a copy of the module's namespace; the function it defines replaces
 `rk4_zoh` in `test_plant` while the gate runs, and must be killed by it
-in the same way.
+in the same way. The time-axis check of `cli.read_trajectory_csv` is
+plain Python too, and its mutants in `READER_MUTANTS` are made and run
+the same way against `test_cli`.
 
 Mutants known to be equivalent are listed in `EQUIVALENT` with the
 reason; they are not run. Out of scope: mutants of `_compile_kernel`'s
@@ -33,11 +35,12 @@ from pathlib import Path
 import pytest
 
 import sprayflow
-from sprayflow import _codegen, fuzzy, harness, plant
+from sprayflow import _codegen, cli, fuzzy, harness, plant
 from sprayflow.adaptive import FuzzyPidController
 from sprayflow.fuzzy import RuleTable
 from sprayflow.plant import MAX_ORDER
 
+import test_cli
 import test_fuzzy
 import test_harness
 import test_plant
@@ -195,6 +198,23 @@ MAP_MUTANTS = {
     ),
 }
 
+
+def time_axes(directory):
+    """`test_cli::TestMetricsCommand::test_time_axis_tolerance`, all its cases."""
+    for t, accepted in test_cli.TIME_AXES.values():
+        test_cli.check_time_axis(directory, t, accepted)
+
+
+# name: edit of the source of `cli.read_trajectory_csv`, killed by time_axes.
+READER_MUTANTS = {
+    "interval-tolerance-3e-9": lambda s: s.replace("tol = 2e-9 +", "tol = 3e-9 +"),
+    "interval-tolerance-6-ulp": lambda s: s.replace(" 4.0 * np.spacing", " 6.0 * np.spacing"),
+    "interval-tolerance-minus-4-ulp": lambda s: s.replace("2e-9 + 4.0", "2e-9 - 4.0"),
+    "interval-strictly-inside-tolerance": lambda s: s.replace("<= tol", "< tol"),
+    "dt-from-sum-of-ends": lambda s: s.replace("t[-1] - t[0]", "t[-1] + t[0]"),
+    "dt-zero-accepted": lambda s: s.replace("dt > 0", "dt >= 0"),
+}
+
 # Equivalent mutants, by name: the reason. Not run, and not counted.
 EQUIVALENT = {
     # infer and loop: the ladder's cuts `if s < k:` as `if s <= k:`.
@@ -217,6 +237,11 @@ EQUIVALENT = {
     "map-entry-without-leading-zero": (
         "it changes only the sign of an entry that is zero, and a zero's sign never "
         "reaches Phi or Gamma, whose sums start at +0.0 or 1.0"
+    ),
+    # reader: the two data lines drawn before parsing as `islice(lines, 3)`.
+    "reader-draws-three-lines-first": (
+        "`len(first) < 2` decides the same on up to three lines, and chaining them "
+        "before the rest gives np.loadtxt the same lines in the same order"
     ),
 }
 
@@ -258,17 +283,30 @@ def test_mutant_is_killed(name, mutate):
     assert killed, f"{name} survives {gate.__doc__}"
 
 
+def define_mutant(name, func, edit, **names):
+    """The function that an edit of func's source defines in a copy of its module's namespace."""
+    source = inspect.getsource(func)
+    mutant = edit(source)
+    assert mutant != source, f"{name} edits no source of {func.__module__}.{func.__name__}"
+    namespace = {**vars(inspect.getmodule(func)), **names}
+    exec(mutant, namespace)
+    return namespace[func.__name__]
+
+
 @pytest.mark.parametrize("name", MAP_MUTANTS)
 def test_map_mutant_is_killed(name, monkeypatch):
     edit, gate = MAP_MUTANTS[name]
-    source = inspect.getsource(plant.rk4_zoh)
-    mutant = edit(source)
-    assert mutant != source, f"{name} edits no source of plant.rk4_zoh"
-    namespace = {**vars(plant), "fma": fma}
-    exec(mutant, namespace)
-    monkeypatch.setattr(test_plant, "rk4_zoh", namespace["rk4_zoh"])
+    monkeypatch.setattr(test_plant, "rk4_zoh", define_mutant(name, plant.rk4_zoh, edit, fma=fma))
     with pytest.raises(AssertionError):
         gate()
+
+
+@pytest.mark.parametrize("name", READER_MUTANTS)
+def test_reader_mutant_is_killed(name, monkeypatch, tmp_path):
+    mutant = define_mutant(name, cli.read_trajectory_csv, READER_MUTANTS[name])
+    monkeypatch.setattr(test_cli, "read_trajectory_csv", mutant)
+    with pytest.raises(AssertionError):
+        time_axes(tmp_path)
 
 
 def test_generated_code_has_one_compile_point():
