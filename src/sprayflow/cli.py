@@ -14,8 +14,9 @@ file (config, rules, trajectory CSV) must be a regular file.
 
 All CSV output is byte-reproducible: fixed-point with nine fractional
 digits, comma separated, LF terminated, one column per name in
-harness.COLUMNS. The writer formats a chunk of rows at a time with numpy
-integer arithmetic, to the bytes that formatting each value on its own
+harness.COLUMNS. The writer formats a chunk of rows at a time, with numpy
+integer arithmetic where it covers every value of the chunk and with one
+%-format otherwise, to the bytes that formatting each value on its own
 gives. The reader hands np.loadtxt the lines of the open file as it
 reads them, so `metrics` holds the parsed rows, never the text; lines end
 in LF, CRLF or CR. numpy is imported by the writer and the reader, not
@@ -93,9 +94,13 @@ def _read_text(path: str, kind: str) -> str:
         return fh.read()
 
 
+# Fixed point with nine fractional digits: every printed number and CSV value.
+_FIXED9 = "%.9f"
+
+
 def _fmt9(value: float) -> str:
     # Adding positive zero folds -0.0 into 0.0 before formatting.
-    return f"{value + 0.0:.9f}"
+    return _FIXED9 % (value + 0.0)
 
 
 # Rows formatted per write, which bounds the memory the writer adds.
@@ -107,14 +112,15 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 
     Every value is written as _fmt9 writes it: the exact value v * 10**9
     rounded to an integer, ties to even, printed with nine fractional
-    digits. The writer gets that integer from numpy arithmetic on a chunk
-    of rows at a time (_csv_rows), which is exact: let x be v * 1e9 in
-    float64 and n = rint(x). If |x| < 2**52 and |x - n| != 0.5, n is the
-    integer _fmt9 prints: ulp(x) <= 0.5, so x - n and 0.5 are both
-    multiples of ulp(x) and |x - n| <= 0.5 - ulp(x), while the exact
-    product lies within ulp(x) / 2 of x, hence strictly within 0.5 of n.
-    Every other value (not finite, |x| >= 2**52, or x on a tie) is
-    formatted by _fmt9 itself.
+    digits. The writer formats a chunk of rows at a time (_csv_rows). When
+    numpy arithmetic covers every value of the chunk, it gets that integer
+    from the arithmetic, which is exact: let x be v * 1e9 in float64 and
+    n = rint(x). If |x| < 2**52 and |x - n| != 0.5, n is the integer _fmt9
+    prints: ulp(x) <= 0.5, so x - n and 0.5 are both multiples of ulp(x)
+    and |x - n| <= 0.5 - ulp(x), while the exact product lies within
+    ulp(x) / 2 of x, hence strictly within 0.5 of n. A chunk that holds any
+    other value (not finite, |x| >= 2**52, or x on a tie) is formatted as a
+    whole by the format _fmt9 applies to each value.
     """
     rows = traj.data.T
     with open(path, "wb") as fh:
@@ -126,12 +132,14 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 def _csv_rows(block: np.ndarray) -> bytes:
     """The CSV rows of a non-empty (rows, columns) block of float64 values.
 
-    Each value has a slot of bytes: a sign, the whole part of |n| (n as in
-    write_trajectory_csv; at most 7 digits, as |n| < 2**52), the point,
-    9 fraction digits and the separator. A slot holds NUL for the leading zeros of the whole part
-    and for the sign of a value that is not below zero, so -0.0 prints
-    unsigned and -4e-10 as -0.000000000, as _fmt9 prints them. Dropping
-    the NULs leaves the rows.
+    If the arithmetic does not cover every value (see
+    write_trajectory_csv), one %-format of all the values, each plus 0.0,
+    writes the rows. Otherwise each value has a slot of bytes: a sign, the
+    whole part of |n| (at most 7 digits, as |n| < 2**52), the point, 9
+    fraction digits and the separator. A slot holds NUL for the leading
+    zeros of the whole part and for the sign of a value that is not below
+    zero, so -0.0 prints unsigned and -4e-10 as -0.000000000, as _fmt9
+    prints them. Dropping the NULs leaves the rows.
     """
     import numpy as np
 
@@ -140,8 +148,10 @@ def _csv_rows(block: np.ndarray) -> bytes:
         x = values * 1e9
         n = np.rint(x)
         exact = (np.abs(x) < 2.0**52) & (np.abs(x - n) != 0.5)
-        minus = values < 0
-    scaled = np.where(exact, np.abs(n), 0.0).astype(np.int64)
+    if not exact.all():
+        row = ",".join([_FIXED9] * block.shape[1]) + "\n"
+        return (row * block.shape[0] % tuple((values + 0.0).tolist())).encode("ascii")
+    scaled = np.abs(n).astype(np.int64)
     whole = scaled // 10**9
     frac = (scaled - whole * 10**9).astype(np.int32)
     whole = whole.astype(np.int32)
@@ -168,16 +178,8 @@ def _csv_rows(block: np.ndarray) -> bytes:
             digit *= whole != 0
         buf[:, pos] = digit
         whole = q
-    buf[:, 0] = minus * ord("-")
-    # A value the arithmetic does not cover leaves only the byte 1, which
-    # no number contains, to be replaced by its _fmt9 text.
-    slow = np.flatnonzero(~exact)
-    buf[slow, :-1] = 0
-    buf[slow, 0] = 1
-    pieces = [b""] * (2 * len(slow) + 1)
-    pieces[::2] = buf[buf != 0].tobytes().split(b"\x01")
-    pieces[1::2] = [_fmt9(float(values[i])).encode("ascii") for i in slow]
-    return b"".join(pieces)
+    buf[:, 0] = (values < 0) * ord("-")
+    return buf[buf != 0].tobytes()
 
 
 def read_trajectory_csv(path: str) -> Trajectory:

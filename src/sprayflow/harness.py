@@ -399,13 +399,24 @@ def compute_metrics(traj: Trajectory) -> StepMetrics:
 
 
 def peak_deviation(traj: Trajectory, after_time: float) -> float:
-    """Largest |y - r| at or after a given time; gauges disturbance rejection."""
+    """Largest |y - r| at or after a given time; gauges disturbance rejection.
+
+    Finite y and r more than the float range apart deviate by inf, as in
+    compute_metrics. A run logs finite rows only, so only a hand-built
+    trajectory can hold a NaN; one in y or r at or after after_time raises
+    ValueError, and one before it is ignored.
+    """
     import numpy as np
 
     mask = traj.t >= after_time
     if not np.any(mask):
         raise ValueError(f"no samples at or after t={after_time!r}")
-    return float(np.max(np.abs(traj.y[mask] - traj.r[mask])))
+    with np.errstate(over="ignore"):
+        peak = float(np.max(np.abs(traj.y[mask] - traj.r[mask])))
+    # np.max returns NaN if any deviation is NaN.
+    if math.isnan(peak):
+        raise ValueError(f"trajectory y or r holds a NaN at or after t={after_time!r}")
+    return peak
 
 
 @dataclass(frozen=True)

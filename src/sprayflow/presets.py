@@ -10,6 +10,8 @@ ScalingFactors itself has no defaults.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .adaptive import FuzzyPidController
 from .fuzzy import ScalingFactors
 from .harness import PidConfig, SimScenario
@@ -50,12 +52,9 @@ def default_scenario(controller=None) -> SimScenario:
 
 def disturbance_scenario(controller=None) -> SimScenario:
     """Default scenario plus an input step disturbance after settling."""
-    return SimScenario(
-        setpoint=DEFAULT_SETPOINT,
+    return replace(
+        default_scenario(controller),
         duration=DISTURBANCE_DURATION,
-        dt=DEFAULT_DT,
-        controller=controller if controller is not None else default_pid_config(),
-        plant=PIPELINE_TF,
         disturbances=(
             Disturbance(time=DISTURBANCE_TIME, magnitude=DISTURBANCE_MAGNITUDE, port=PLANT_INPUT),
         ),

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -581,12 +582,17 @@ class TestConfigFile:
         assert err == "error: setpoint: not a number: 'slow'\n"
 
 
-# Values the writer's integer arithmetic hands to _fmt9, or that sit at the
+# Values the writer's integer arithmetic does not cover, or that sit at the
 # edge of it: ties of v * 1e9 such as 976562.5, products at or above 2**52,
 # values that overflow it, non-finite values, the smallest subnormal, and
-# products that round up to the next whole number.
+# products that round up to the next whole number. For two the float
+# product rounds to another integer than the exact one: 0.9999999995, whose
+# exact product lies just below the tie 999999999.5 that the float lands
+# on and rint takes up, and 12345678.123456789, whose exact product
+# 12345678123456789.18 has the float 12345678123456790, as floats past
+# 2**53 are even.
 _FMT9_VALUES = (0.0009765625, -0.0009765625, 1e7, -1e20, 1e300, math.nan, math.inf,
-                -math.inf, 5e-324, 0.9999999995, -9999999.999999999)
+                -math.inf, 5e-324, 0.9999999995, -9999999.999999999, 12345678.123456789)
 
 
 def _writer_cases():
@@ -595,12 +601,32 @@ def _writer_cases():
     Negative zero, negatives, values above 1e4 and below 1e-9 in size,
     over more rows than one write chunk; the same with the values of
     _FMT9_VALUES mixed in; then columns that hold one value on every row,
-    and columns that nearly do.
+    and columns that nearly do. The writer formats a chunk by integer
+    arithmetic only when that covers every value of the chunk, so cases
+    also hold values it covers only: over two chunks, the second ending
+    in a value it does not cover, and one row per value of _FMT9_VALUES
+    among them. A row of ties, of which only +-0.0009765625 are exact,
+    and a PID run at setpoint 1e7, where every chunk holds r and y past
+    2**52 / 1e9, close the list.
     """
     values = np.array([-0.0, 0.0, -1.5, 12345.678901234, 3e-10, -4e-10, 1e-12,
                        -2.5e-9, 98765.4321, -7.0000000004, 0.1234567895])
     n = _CSV_CHUNK_ROWS + 3
     mixed = [np.resize(np.roll(values, shift), n) for shift in range(8)]
+    # -2.5e-9 and 0.1234567895 times 1e9 are ties in float64.
+    covered = np.delete(values, [7, 10])
+    exact = [np.resize(np.roll(covered, shift), n) for shift in range(8)]
+    exact_then_not = [column.copy() for column in exact]
+    exact_then_not[5][-1] = 0.1234567895
+    one_each = {
+        f"fmt9-value-{i}-among-exact": [
+            np.array([v if column == i % 8 else covered[column]]) for column in range(8)
+        ]
+        for i, v in enumerate(_FMT9_VALUES)
+    }
+    ties = [0.0009765625, -0.0009765625, 0.9999999995, -0.9999999995, 0.1234567895,
+            -0.1234567895, 2.5e-9, -2.5e-9]
+    far = replace(presets.default_scenario(), setpoint=1e7)
     edges = np.concatenate([values, _FMT9_VALUES])
     with_edges = [np.resize(np.roll(edges, 3 * shift), n) for shift in range(8)]
     last_row_differs = np.full(n, 2.5)
@@ -619,6 +645,11 @@ def _writer_cases():
         "every-column-constant": [np.full(n, v) for v in values[:8]],
         "one-row": [values[i : i + 1] for i in range(8)],
         "no-rows": [np.empty(0) for _ in range(8)],
+        "exact": exact,
+        "exact-then-tie": exact_then_not,
+        **one_each,
+        "ties-only": [np.array([v]) for v in ties],
+        "pid-setpoint-1e7": list(run_closed_loop(far).data),
     }
 
 
@@ -669,12 +700,15 @@ class TestTrajectoryCsvIO:
         )
         assert path.read_bytes() == expected.encode("ascii")
 
-    def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path):
+    @pytest.mark.parametrize("setpoint", [5.0, 1e7], ids=("setpoint-5", "setpoint-1e7"))
+    def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path, setpoint):
         # The writer formats one chunk of rows at a time, so on a 100k-row
         # PID run (6.4 MB of columns) it peaks near 0.7 MiB; formatting the
-        # columns whole would take it to tens of MiB.
+        # columns whole would take it to tens of MiB. At setpoint 1e7 every
+        # chunk holds values the integer arithmetic does not cover, and is
+        # formatted by one %-format.
         scenario = SimScenario(
-            setpoint=5.0, duration=10.0, dt=1e-4, controller=presets.default_pid_config()
+            setpoint=setpoint, duration=10.0, dt=1e-4, controller=presets.default_pid_config()
         )
         traj = run_closed_loop(scenario)
         assert len(traj) == 100_001

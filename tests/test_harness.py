@@ -734,6 +734,26 @@ class TestPeakDeviation:
         with pytest.raises(ValueError):
             peak_deviation(traj, 100.0)
 
+    def test_deviation_past_the_float_range_is_inf(self):
+        # y - r overflows to -inf at the -1e308 sample; numpy's overflow
+        # warning would be an error here. The helper's e = r - y overflows
+        # there too.
+        with np.errstate(over="ignore"):
+            traj = synthetic_trajectory([0.0, -1e308, 1e308], dt=1.0, r=1e308)
+        assert peak_deviation(traj, 0.0) == math.inf
+        assert peak_deviation(traj, 2.0) == 0.0
+
+    @pytest.mark.parametrize("row", [COLUMNS.index("y"), COLUMNS.index("r")], ids=("y", "r"))
+    def test_nan_in_the_window_is_rejected(self, row):
+        traj = synthetic_trajectory([5.0, 5.0, 6.5, 5.0], dt=1.0, r=5.0)
+        data = traj.data.copy()
+        data[row, 1] = math.nan
+        traj = Trajectory(data)
+        with pytest.raises(ValueError, match="holds a NaN at or after t=1.0"):
+            peak_deviation(traj, 1.0)
+        # A NaN before the window is ignored.
+        assert peak_deviation(traj, 2.0) == 1.5
+
 
 class TestCompareControllers:
     def test_degenerate_equivalence(self):

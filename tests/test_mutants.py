@@ -16,14 +16,14 @@ in a copy of the module's namespace; the function it defines replaces
 `rk4_zoh` in `test_plant` while the gate runs, and must be killed by it
 in the same way. The time-axis check of `cli.read_trajectory_csv` is
 plain Python too, and its mutants in `READER_MUTANTS` are made and run
-the same way against `test_cli`.
+the same way against `test_cli`, as are the mutants of the CSV writer's
+`cli._csv_rows` in `WRITER_MUTANTS`.
 
 Mutants known to be equivalent are listed in `EQUIVALENT` with the
 reason; they are not run. Out of scope: mutants of `_compile_kernel`'s
 logic that are no single edit of its output (a label clipped at the
 smallest instead of the largest index of its rules, an overlap at the
-larger instead of the smaller of two indices), and mutants of the CSV
-writer, which is not generated code.
+larger instead of the smaller of two indices).
 """
 import ast
 import inspect
@@ -32,6 +32,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sprayflow
@@ -215,6 +216,26 @@ READER_MUTANTS = {
     "dt-zero-accepted": lambda s: s.replace("dt > 0", "dt >= 0"),
 }
 
+
+def writer_cases(directory):
+    """`test_cli::TestTrajectoryCsvIO::test_writer_bytes_equal_per_value_format`"""
+    test_cli.TestTrajectoryCsvIO().test_writer_bytes_equal_per_value_format(directory)
+
+
+# name: edit of the source of `cli._csv_rows`, killed by writer_cases. The
+# first three widen what the integer arithmetic formats, and a chunk of
+# values it covers but one of _FMT9_VALUES kills each.
+WRITER_MUTANTS = {
+    "bound-3-to-the-52": lambda s: s.replace("< 2.0**52", "< 3.0**52"),
+    "tie-distance-0.75": lambda s: s.replace("!= 0.5", "!= 0.75"),
+    "tie-distance-from-sum": lambda s: s.replace("np.abs(x - n)", "np.abs(x + n)"),
+    # Only a chunk of ties takes the arithmetic, which the row of ties kills.
+    "ties-only-exact": lambda s: s.replace("!= 0.5", "== 0.5"),
+    "sign-byte-divided": lambda s: s.replace('(values < 0) * ord("-")', '(values < 0) / ord("-")'),
+    "minus-zero-signed": lambda s: s.replace("(values < 0)", "(values <= 0)"),
+    "fallback-keeps-minus-zero": lambda s: s.replace("values + 0.0", "values - 0.0"),
+}
+
 # Equivalent mutants, by name: the reason. Not run, and not counted.
 EQUIVALENT = {
     # infer and loop: the ladder's cuts `if s < k:` as `if s <= k:`.
@@ -242,6 +263,21 @@ EQUIVALENT = {
     "reader-draws-three-lines-first": (
         "`len(first) < 2` decides the same on up to three lines, and chaining them "
         "before the rest gives np.loadtxt the same lines in the same order"
+    ),
+    # writer: the bound `np.abs(x) < 2.0**52` as `np.abs(x) < 2.0**53`.
+    "writer-bound-2-to-the-53": (
+        "floats in [2**52, 2**53) are the integers, so there x = n and x is the "
+        "exact product rounded to an integer, ties to even, as _fmt9 rounds it; "
+        "the whole part stays below 10**7"
+    ),
+    # writer: the same bound as `np.abs(x) <= 2.0**52`.
+    "writer-bound-at-2-to-the-52": (
+        "an exact product whose float is 2**52 lies in [2**52 - 0.25, 2**52 + 0.5], "
+        "which rounds to the integer 2**52, ties to even"
+    ),
+    # writer: the slot width `whole_digits + 12` as `whole_digits + 13`.
+    "writer-slot-one-byte-wider": (
+        "the extra byte, before the sign, stays NUL and is dropped with the others"
     ),
 }
 
@@ -307,6 +343,16 @@ def test_reader_mutant_is_killed(name, monkeypatch, tmp_path):
     monkeypatch.setattr(test_cli, "read_trajectory_csv", mutant)
     with pytest.raises(AssertionError):
         time_axes(tmp_path)
+
+
+@pytest.mark.parametrize("name", WRITER_MUTANTS)
+def test_writer_mutant_is_killed(name, monkeypatch, tmp_path):
+    # The mutant's source is compiled here, without the postponed
+    # annotations of its module, so its `np.ndarray` annotation needs np.
+    mutant = define_mutant(name, cli._csv_rows, WRITER_MUTANTS[name], np=np)
+    monkeypatch.setattr(cli, "_csv_rows", mutant)
+    with pytest.raises(AssertionError):
+        writer_cases(tmp_path)
 
 
 def test_generated_code_has_one_compile_point():
