@@ -18,10 +18,12 @@ harness.COLUMNS. The writer formats a chunk of rows at a time, with numpy
 integer arithmetic where it covers every value of the chunk and with one
 %-format otherwise, to the bytes that formatting each value on its own
 gives. The reader hands np.loadtxt the lines of the open file as it
-reads them, so `metrics` holds the parsed rows, never the text; lines end
-in LF, CRLF or CR. numpy is imported by the writer and the reader, not
-with the module, so `rules`, `--help` and a configuration error load no
-numpy.
+reads them, in batches of about 16 KiB, so `metrics` holds the parsed
+rows, never the whole text; lines end in LF, CRLF or CR. It checks each
+batch first, and refuses a blank line and a line past the MAX_STEPS + 1
+rows a run logs at most; np.loadtxt parses neither. numpy is imported
+by the writer and the reader, not with the module, so `rules`, `--help`
+and a configuration error load no numpy.
 
 Exit codes: 0 success, 1 configuration error (an argument error
 included), 2 numerical blow-up.
@@ -30,12 +32,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import os
 import stat
 import sys
-import warnings
 from collections.abc import Iterator
 from typing import TYPE_CHECKING, NoReturn, TextIO
 
@@ -44,6 +44,7 @@ from .adaptive import FuzzyPidController
 from .fuzzy import DEFAULT_RULE_TABLE, RuleTable, ScalingFactors
 from .harness import (
     COLUMNS,
+    MAX_STEPS,
     PidConfig,
     SimScenario,
     StepMetrics,
@@ -182,41 +183,64 @@ def _csv_rows(block: np.ndarray) -> bytes:
     return buf[buf != 0].tobytes()
 
 
+_ROW_SHAPE = f"trajectory rows must have {len(COLUMNS)} fields, with no blank lines"
+
+
+# _data_lines reads and checks the lines a batch of about this many bytes
+# at a time, about 170 rows of a written CSV, so that the work per line
+# stays in C: checking each line in Python made the benchmark's
+# pid_disturbance_cli scenario about 4% slower (2-core Xeon).
+_LINE_BATCH_BYTES = 2**14
+
+
+def _data_lines(fh: TextIO) -> Iterator[str]:
+    """The data lines of an open trajectory file, checked as they are read.
+
+    A blank line is refused: np.loadtxt would skip it, and it is the only
+    line that np.loadtxt skips with comments=None. So is a line past
+    MAX_STEPS + 1, the most rows a run logs, before np.loadtxt parses any
+    line of its batch. After the last line, fewer than two lines are
+    refused.
+    """
+    most = MAX_STEPS + 1
+    n = 0
+    while lines := fh.readlines(_LINE_BATCH_BYTES):
+        n += len(lines)
+        if n > most:
+            raise ConfigError(f"trajectory file exceeds the bound of {most} data rows")
+        if "\n" in lines:
+            # The lines ahead of it are parsed first, so a malformed row
+            # among them is reported, as it is when the lines come one by one.
+            yield from lines[: lines.index("\n")]
+            raise ConfigError(_ROW_SHAPE)
+        yield from lines
+    if n < 2:
+        raise ConfigError("trajectory file needs at least two data rows to define dt")
+
+
 def read_trajectory_csv(path: str) -> Trajectory:
     """Read a trajectory CSV produced by write_trajectory_csv.
 
-    The file needs at least two data rows of finite values and a uniform,
-    increasing time axis; dt is taken from its end points. Lines end in
-    LF, CRLF or CR. np.loadtxt parses the rows as they are read, so the
-    reader holds the parsed array, not the text of the file.
+    The file needs at least two and at most MAX_STEPS + 1 data rows of
+    finite values, no blank line, and a uniform, increasing time axis; dt
+    is taken from its end points. Lines end in LF, CRLF or CR. np.loadtxt
+    parses the lines as _data_lines reads and checks them, so the reader
+    holds the parsed array and one batch of lines, not the text of the
+    file.
     """
     import numpy as np
 
     with _input_file(path, "trajectory") as fh:
         if fh.readline().removesuffix("\n") != CSV_HEADER:
             raise ConfigError(f"trajectory file must start with header {CSV_HEADER!r}")
-        # zip draws a line before its count, so next(counts) is the number
-        # of data lines read.
-        counts = itertools.count()
-        lines = (line for line, _ in zip(fh, counts))
-        first = list(itertools.islice(lines, 2))
-        if len(first) < 2:
-            raise ConfigError("trajectory file needs at least two data rows to define dt")
-        rows = itertools.chain(first, lines)
         try:
-            with warnings.catch_warnings():
-                # Data lines that are all blank parse to no rows, which the
-                # shape check below reports.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        except UnicodeDecodeError:
-            raise  # a read error, which _input_file reports as one
+            data = np.loadtxt(_data_lines(fh), delimiter=",", comments=None, ndmin=2)
+        except (ConfigError, UnicodeDecodeError):
+            raise  # a line _data_lines refused, or a read error _input_file reports
         except ValueError as exc:
             raise ConfigError(f"malformed trajectory row: {exc}") from exc
-        n_rows = next(counts)
-    # loadtxt skips blank lines; count them as malformed rows.
-    if data.shape != (n_rows, len(COLUMNS)):
-        raise ConfigError(f"trajectory rows must have {len(COLUMNS)} fields, with no blank lines")
+    if data.shape[1] != len(COLUMNS):
+        raise ConfigError(_ROW_SHAPE)
     if not np.all(np.isfinite(data)):
         raise ConfigError("trajectory values must be finite")
     t = data[:, 0]
@@ -506,11 +530,14 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
     argparse takes a token that starts with '-' for an option unless it
     looks like a plain negative number such as -0.001, so a value in
-    exponent notation such as -1e-3 would leave its flag without a value.
+    exponent notation such as -1e-3, or a coefficient list such as -1,2,
+    would leave its flag without a value. A token is a value if its first
+    comma-separated part is a number.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _VALUE_FLAGS and token.startswith("-") and _is_number(token):
+        head = token.split(",")[0]
+        if out and out[-1] in _VALUE_FLAGS and head.startswith("-") and _is_number(head):
             out[-1] += "=" + token
         else:
             out.append(token)

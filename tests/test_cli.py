@@ -322,6 +322,15 @@ class TestCompare:
         spaced = capsys.readouterr().out
         assert run_cli(["compare", "--duration", "0.05", "--setpoint=-5e0"]) == 0
         assert spaced == capsys.readouterr().out
+        # A coefficient list may start with a negative number: the pipeline
+        # plant with both polynomials negated.
+        assert run_cli(["compare", "--duration", "0.05"]) == 0
+        plain = capsys.readouterr().out
+        assert run_cli([
+            "compare", "--duration", "0.05",
+            "--plant-num", "-43956", "--plant-den", "-0.0037,-1,0",
+        ]) == 0
+        assert capsys.readouterr().out == plain
         # A value that is not a number is still an error.
         assert run_cli(["compare", "--setpoint", "-abc"]) == 1
         assert "expected one argument" in capsys.readouterr().err
@@ -373,6 +382,24 @@ def check_time_axis(directory, t, accepted):
     except ConfigError as exc:
         got = str(exc)
     assert got == (t if accepted else "trajectory time axis t is not uniform and increasing")
+
+
+# The row bound of the reader, cli.MAX_STEPS + 1 rows, is 10**7 + 1: it
+# is tested at MAX_STEPS = 2, which allows three rows.
+LOW_MAX_STEPS = 2
+
+
+def check_row_bound(directory):
+    """With cli.MAX_STEPS at LOW_MAX_STEPS: two and three rows read, four are refused."""
+    path = directory / "bound.csv"
+    for n_rows, want in ((2, 2), (3, 3), (4, "trajectory file exceeds the bound of 3 data rows")):
+        rows = "".join(f"{k},0,0,0,0,0,0,0\n" for k in range(n_rows))
+        path.write_text(CSV_HEADER + "\n" + rows, "ascii")
+        try:
+            got = len(read_trajectory_csv(str(path)))
+        except ConfigError as exc:
+            got = str(exc)
+        assert got == want, n_rows
 
 
 class TestMetricsCommand:
@@ -445,6 +472,10 @@ class TestMetricsCommand:
     @pytest.mark.parametrize("t, accepted", TIME_AXES.values(), ids=TIME_AXES)
     def test_time_axis_tolerance(self, tmp_path, t, accepted):
         check_time_axis(tmp_path, t, accepted)
+
+    def test_row_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_STEPS", LOW_MAX_STEPS)
+        check_row_bound(tmp_path)
 
     def test_non_ascii_byte_in_last_row(self, tmp_path, capsys):
         # The byte lies far past the first 8 KiB that the header is read
@@ -802,9 +833,31 @@ CONFIG_ERRORS = {
     "trajectory-header-only": (
         ["metrics", "{tmp}/h.csv"], {"h.csv": CSV_HEADER + "\n"}, "two data rows",
     ),
-    # Blank data lines only: np.loadtxt finds no data, which it warns of.
+    # np.loadtxt would skip the blank line and read two rows. This case
+    # comes before the next: where blank lines are read, np.loadtxt warns
+    # there of no data, an error in the tests, which would end the reader
+    # gate of test_mutants before this case.
+    "trajectory-blank-line-between-rows": (
+        ["metrics", "{tmp}/g.csv"],
+        {"g.csv": CSV_HEADER + "\n0" + ",0" * 7 + "\n\n1" + ",0" * 7 + "\n"},
+        "no blank lines",
+    ),
+    # The reader refuses the first blank line it reads, once np.loadtxt has
+    # parsed the lines ahead of it.
+    "trajectory-malformed-row-before-blank-line": (
+        ["metrics", "{tmp}/n.csv"],
+        {"n.csv": CSV_HEADER + "\n0" + ",0" * 7 + "\n1" + ",x" * 7 + "\n\n2" + ",0" * 7 + "\n"},
+        "malformed trajectory row",
+    ),
     "trajectory-blank-lines-only": (
         ["metrics", "{tmp}/b.csv"], {"b.csv": CSV_HEADER + "\n\n\n"}, "no blank lines",
+    ),
+    # np.loadtxt parses a line before it draws the next, so the malformed
+    # row is reported before the file is found one row short.
+    "trajectory-one-malformed-row": (
+        ["metrics", "{tmp}/m.csv"],
+        {"m.csv": CSV_HEADER + "\n" + ",".join(["x"] * 8) + "\n"},
+        "malformed trajectory row",
     ),
     # \v is no line break: the first line holds 15 fields.
     "trajectory-row-split-by-vt": (

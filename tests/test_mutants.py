@@ -14,10 +14,11 @@ The plant's RK4 map is plain Python, not generated code. Each mutant of
 `MAP_MUTANTS` is a text edit of the source of `plant.rk4_zoh`, executed
 in a copy of the module's namespace; the function it defines replaces
 `rk4_zoh` in `test_plant` while the gate runs, and must be killed by it
-in the same way. The time-axis check of `cli.read_trajectory_csv` is
-plain Python too, and its mutants in `READER_MUTANTS` are made and run
-the same way against `test_cli`, as are the mutants of the CSV writer's
-`cli._csv_rows` in `WRITER_MUTANTS`.
+in the same way. The trajectory reader, `cli.read_trajectory_csv` and
+the line checks of `cli._data_lines`, is plain Python too, and its
+mutants in `READER_MUTANTS` are made and run the same way against
+`test_cli`, as are the mutants of the CSV writer's `cli._csv_rows` in
+`WRITER_MUTANTS`.
 
 Mutants known to be equivalent are listed in `EQUIVALENT` with the
 reason; they are not run. Out of scope: mutants of `_compile_kernel`'s
@@ -200,20 +201,60 @@ MAP_MUTANTS = {
 }
 
 
-def time_axes(directory):
-    """`test_cli::TestMetricsCommand::test_time_axis_tolerance`, all its cases."""
+def reader_cases(directory):
+    """`test_cli::TestMetricsCommand`'s `test_row_bound` and
+    `test_time_axis_tolerance`, then the cases of `test_config_error_exits_1`
+    that read a trajectory file, each read by `read_trajectory_csv`.
+
+    The caller lowers `cli.MAX_STEPS` to `test_cli.LOW_MAX_STEPS`.
+    """
+    test_cli.check_row_bound(directory)
     for t, accepted in test_cli.TIME_AXES.values():
         test_cli.check_time_axis(directory, t, accepted)
+    for argv, files, message in test_cli.CONFIG_ERRORS.values():
+        if argv[0] == "metrics" and files:
+            (name, text), = files.items()
+            path = directory / name
+            path.write_text(text, "ascii")
+            got = ""
+            try:
+                test_cli.read_trajectory_csv(str(path))
+            except cli.ConfigError as exc:
+                got = str(exc)
+            assert message in got, name
 
 
-# name: edit of the source of `cli.read_trajectory_csv`, killed by time_axes.
+READ, LINES = cli.read_trajectory_csv, cli._data_lines
+
+# name: (READ or LINES, edit of its source), killed by reader_cases.
 READER_MUTANTS = {
-    "interval-tolerance-3e-9": lambda s: s.replace("tol = 2e-9 +", "tol = 3e-9 +"),
-    "interval-tolerance-6-ulp": lambda s: s.replace(" 4.0 * np.spacing", " 6.0 * np.spacing"),
-    "interval-tolerance-minus-4-ulp": lambda s: s.replace("2e-9 + 4.0", "2e-9 - 4.0"),
-    "interval-strictly-inside-tolerance": lambda s: s.replace("<= tol", "< tol"),
-    "dt-from-sum-of-ends": lambda s: s.replace("t[-1] - t[0]", "t[-1] + t[0]"),
-    "dt-zero-accepted": lambda s: s.replace("dt > 0", "dt >= 0"),
+    "interval-tolerance-3e-9": (READ, lambda s: s.replace("tol = 2e-9 +", "tol = 3e-9 +")),
+    "interval-tolerance-6-ulp": (
+        READ, lambda s: s.replace(" 4.0 * np.spacing", " 6.0 * np.spacing")
+    ),
+    "interval-tolerance-minus-4-ulp": (READ, lambda s: s.replace("2e-9 + 4.0", "2e-9 - 4.0")),
+    "interval-strictly-inside-tolerance": (READ, lambda s: s.replace("<= tol", "< tol")),
+    "dt-from-sum-of-ends": (READ, lambda s: s.replace("t[-1] - t[0]", "t[-1] + t[0]")),
+    "dt-zero-accepted": (READ, lambda s: s.replace("dt > 0", "dt >= 0")),
+    "two-rows-refused": (LINES, lambda s: s.replace("n < 2", "n < 3")),
+    "count-starts-at-1": (LINES, lambda s: s.replace("n = 0\n", "n = 1\n")),
+    "batches-counted-not-lines": (LINES, lambda s: s.replace("n += len(lines)", "n += 1")),
+    "blank-check-inverted": (
+        LINES, lambda s: s.replace('"\\n" in lines', '"\\n" not in lines')
+    ),
+    "blank-line-refused-before-the-lines-ahead": (
+        LINES, lambda s: s.replace('yield from lines[: lines.index("\\n")]', "pass")
+    ),
+    "blank-line-refused-after-one-line-less": (
+        LINES, lambda s: s.replace('lines.index("\\n")]', 'lines.index("\\n") - 1]')
+    ),
+    # A blank line as it reads in binary mode: the file is read as text,
+    # which ends every line in LF, so no blank line is caught.
+    "blank-line-as-crlf": (LINES, lambda s: s.replace('"\\n" in lines', '"\\r\\n" in lines')),
+    "row-bound-minus-one": (LINES, lambda s: s.replace("MAX_STEPS + 1", "MAX_STEPS")),
+    "row-bound-plus-half": (LINES, lambda s: s.replace("MAX_STEPS + 1", "MAX_STEPS + 1.5")),
+    "row-bound-plus-one": (LINES, lambda s: s.replace("MAX_STEPS + 1", "MAX_STEPS + 2")),
+    "row-bound-refused": (LINES, lambda s: s.replace("n > most", "n >= most")),
 }
 
 
@@ -258,11 +299,6 @@ EQUIVALENT = {
     "map-entry-without-leading-zero": (
         "it changes only the sign of an entry that is zero, and a zero's sign never "
         "reaches Phi or Gamma, whose sums start at +0.0 or 1.0"
-    ),
-    # reader: the two data lines drawn before parsing as `islice(lines, 3)`.
-    "reader-draws-three-lines-first": (
-        "`len(first) < 2` decides the same on up to three lines, and chaining them "
-        "before the rest gives np.loadtxt the same lines in the same order"
     ),
     # writer: the bound `np.abs(x) < 2.0**52` as `np.abs(x) < 2.0**53`.
     "writer-bound-2-to-the-53": (
@@ -339,10 +375,13 @@ def test_map_mutant_is_killed(name, monkeypatch):
 
 @pytest.mark.parametrize("name", READER_MUTANTS)
 def test_reader_mutant_is_killed(name, monkeypatch, tmp_path):
-    mutant = define_mutant(name, cli.read_trajectory_csv, READER_MUTANTS[name])
-    monkeypatch.setattr(test_cli, "read_trajectory_csv", mutant)
+    func, edit = READER_MUTANTS[name]
+    # define_mutant copies the namespace of cli, so the row bound is lowered first.
+    monkeypatch.setattr(cli, "MAX_STEPS", test_cli.LOW_MAX_STEPS)
+    monkeypatch.setattr(cli, func.__name__, define_mutant(name, func, edit))
+    monkeypatch.setattr(test_cli, "read_trajectory_csv", cli.read_trajectory_csv)
     with pytest.raises(AssertionError):
-        time_axes(tmp_path)
+        reader_cases(tmp_path)
 
 
 @pytest.mark.parametrize("name", WRITER_MUTANTS)
