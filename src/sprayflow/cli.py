@@ -9,8 +9,11 @@ Configuration is a flat key = value text file with '#' comments;
 command-line flags with the same names override file values. CONFIG_KEYS
 declares the format once: each key's parser and default, in --help order.
 Values are parsed in that order, so of several values that do not parse
-the first is reported. Flags must be spelled in full, and every input
-file (config, rules, trajectory CSV) must be a regular file.
+the first is reported. Flags must be spelled in full. The token after a
+flag that takes a value is its value, whatever it starts with, unless it
+is a long option ('--...'): --output -x.csv writes -x.csv and --kp -1e-3
+sets kp, as --output=-x.csv and --kp=-1e-3 do. Every input file (config,
+rules, trajectory CSV) must be a regular file.
 
 All CSV output is byte-reproducible: fixed-point with nine fractional
 digits, comma separated, LF terminated, one column per name in
@@ -183,9 +186,6 @@ def _csv_rows(block: np.ndarray) -> bytes:
     return buf[buf != 0].tobytes()
 
 
-_ROW_SHAPE = f"trajectory rows must have {len(COLUMNS)} fields, with no blank lines"
-
-
 # _data_lines reads and checks the lines a batch of about this many bytes
 # at a time, about 170 rows of a written CSV, so that the work per line
 # stays in C: checking each line in Python made the benchmark's
@@ -212,7 +212,7 @@ def _data_lines(fh: TextIO) -> Iterator[str]:
             # The lines ahead of it are parsed first, so a malformed row
             # among them is reported, as it is when the lines come one by one.
             yield from lines[: lines.index("\n")]
-            raise ConfigError(_ROW_SHAPE)
+            raise ConfigError("trajectory file must have no blank lines")
         yield from lines
     if n < 2:
         raise ConfigError("trajectory file needs at least two data rows to define dt")
@@ -240,7 +240,7 @@ def read_trajectory_csv(path: str) -> Trajectory:
         except ValueError as exc:
             raise ConfigError(f"malformed trajectory row: {exc}") from exc
     if data.shape[1] != len(COLUMNS):
-        raise ConfigError(_ROW_SHAPE)
+        raise ConfigError(f"trajectory rows must have {len(COLUMNS)} fields, not {data.shape[1]}")
     if not np.all(np.isfinite(data)):
         raise ConfigError("trajectory values must be finite")
     t = data[:, 0]
@@ -484,8 +484,8 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument parser that takes flags by their full spelling only.
 
-    Flags are spelled as _VALUE_FLAGS lists them, parse errors are
-    configuration errors, and the subparsers share the class.
+    Flags are spelled in full, parse errors are configuration errors,
+    and the subparsers share the class.
     """
 
     def __init__(self, **kwargs) -> None:
@@ -513,31 +513,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Every override flag takes one value.
-_VALUE_FLAGS = frozenset(flag for key in CONFIG_KEYS for flag in _flag_spellings(key))
+# The flags that take one value: --config and every override flag.
+_VALUE_FLAGS = frozenset(["--config"]).union(*map(_flag_spellings, CONFIG_KEYS))
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+def _attach_values(argv: list[str]) -> list[str]:
+    """Write each value flag and the token after it as '--flag=value'.
 
-
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Write '--flag -1e-3' as '--flag=-1e-3' for every override flag.
-
-    argparse takes a token that starts with '-' for an option unless it
-    looks like a plain negative number such as -0.001, so a value in
-    exponent notation such as -1e-3, or a coefficient list such as -1,2,
-    would leave its flag without a value. A token is a value if its first
-    comma-separated part is a number.
+    The token after a flag that takes a value is its value, whatever it
+    starts with, as getopt takes an option's required argument, unless it
+    is a long option ('--...'): argparse then reports the flag without its
+    value. Left apart, a token such as -1e-3, -1,2 or -x.csv would be taken
+    by argparse for an option; joined to its flag, it is never a guess.
     """
     out: list[str] = []
     for token in argv:
-        head = token.split(",")[0]
-        if out and out[-1] in _VALUE_FLAGS and head.startswith("-") and _is_number(head):
+        if out and out[-1] in _VALUE_FLAGS and not token.startswith("--"):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -548,7 +539,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
+        args = parser.parse_args(_attach_values(argv))
         if args.command == "rules":
             return cmd_rules(args.rules_file)
         if args.command == "metrics":

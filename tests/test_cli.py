@@ -77,13 +77,19 @@ class TestSimulate:
         assert not out.exists()
         assert "shorter than one step" in capsys.readouterr().err
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         args = ["simulate", "--controller", "fuzzy-pid", "--duration", "0.05"]
         assert run_cli(args + ["--output", str(a)]) == 0
         assert run_cli(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        # A path that starts with '-' follows its flag as it follows '='.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(args + ["--output", "-x.csv"]) == 0
+        assert run_cli(args + ["--output=-y.csv"]) == 0
+        assert (tmp_path / "-x.csv").read_bytes() == a.read_bytes()
+        assert (tmp_path / "-y.csv").read_bytes() == a.read_bytes()
 
     def test_blow_up_exit_code(self, tmp_path, capsys):
         out = tmp_path / "partial.csv"
@@ -331,9 +337,16 @@ class TestCompare:
             "--plant-num", "-43956", "--plant-den", "-0.0037,-1,0",
         ]) == 0
         assert capsys.readouterr().out == plain
-        # A value that is not a number is still an error.
+        # So may the keys' underscore spellings.
+        assert run_cli([
+            "compare", "--duration", "0.05",
+            "--plant_num", "-43956", "--plant_den", "-0.0037,-1,0",
+        ]) == 0
+        assert capsys.readouterr().out == plain
+        # The token after a value flag is its value, so one that is not a
+        # number is reported as such.
         assert run_cli(["compare", "--setpoint", "-abc"]) == 1
-        assert "expected one argument" in capsys.readouterr().err
+        assert "setpoint: not a number: '-abc'" in capsys.readouterr().err
 
 
 class TestRules:
@@ -353,6 +366,8 @@ class TestRules:
         path.write_text(text, encoding="ascii")
         assert RuleTable.parse(path.read_text("ascii")) == DEFAULT_RULE_TABLE
         assert run_cli(["rules", "--rules-file", str(path)]) == 0
+        assert capsys.readouterr().out == text
+        assert run_cli(["rules", "--rules_file", str(path)]) == 0
         assert capsys.readouterr().out == text
 
     def test_missing_rules_file(self, tmp_path, capsys):
@@ -494,8 +509,9 @@ class TestMetricsCommand:
 
 
 class TestConfigFile:
-    def test_file_values_and_flag_precedence(self, tmp_path, capsys):
-        cfg = tmp_path / "scenario.cfg"
+    def test_file_values_and_flag_precedence(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "-scenario.cfg"
         cfg.write_text(
             "# demo scenario\n"
             "setpoint = 2.0\n"
@@ -506,12 +522,19 @@ class TestConfigFile:
             encoding="ascii",
         )
         out = tmp_path / "run.csv"
-        code = run_cli(["simulate", "--config", str(cfg), "--setpoint", "3.0",
+        code = run_cli(["simulate", "--config", "-scenario.cfg", "--setpoint", "3.0",
                         "--output", str(out)])
         assert code == 0
         traj = read_trajectory_csv(str(out))
         assert traj.r[0] == 3.0  # flag beats file
         assert len(traj.t) == 201
+        # A path that starts with '-' follows its flag as it follows '='.
+        report = capsys.readouterr().out
+        code = run_cli(["simulate", "--config=-scenario.cfg", "--setpoint", "3.0",
+                        "--output", "eq.csv"])
+        assert code == 0
+        assert capsys.readouterr().out == report
+        assert (tmp_path / "eq.csv").read_bytes() == out.read_bytes()
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -865,6 +888,12 @@ CONFIG_ERRORS = {
         {"v.csv": CSV_HEADER + "\n" + "\v".join(["0" + ",0" * 7, "1" + ",0" * 7]) + "\n"
          + "2" + ",0" * 7 + "\n"},
         "malformed trajectory row",
+    ),
+    # Rows of one field too few each parse to an array of the wrong width.
+    "trajectory-rows-of-seven-fields": (
+        ["metrics", "{tmp}/s.csv"],
+        {"s.csv": CSV_HEADER + "\n0" + ",0" * 6 + "\n1" + ",0" * 6 + "\n"},
+        "trajectory rows must have 8 fields, not 7",
     ),
     # t - t[0] and an interval overflow to inf.
     "trajectory-time-axis-past-float-range": (

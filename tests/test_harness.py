@@ -517,7 +517,7 @@ class TestRunClosedLoop:
 
     def test_scenario_validation(self):
         controller = PidConfig(gains=PidGains(0.001, 0.0, 0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duration must be positive"):
             SimScenario(setpoint=1.0, duration=0.0, dt=1e-4, controller=controller)
         with pytest.raises(ValueError):
             SimScenario(setpoint=1.0, duration=1.0, dt=0.0, controller=controller)
@@ -527,6 +527,14 @@ class TestRunClosedLoop:
             SimScenario(setpoint=1.0, duration=1e6, dt=1e-4, controller=controller)
         with pytest.raises(ValueError, match="shorter than one step"):
             SimScenario(setpoint=1.0, duration=0.5, dt=1.0, controller=controller)
+        # One step is the shortest run: it logs two rows.
+        one_step = SimScenario(setpoint=1.0, duration=1e-4, dt=1e-4, controller=controller)
+        assert len(run_closed_loop(one_step)) == 2
+        # duration / dt is 4999.999999994: the relative tolerance of 1e-12
+        # lifts it by 5e-9, short of 5000, so it floors to 4999; one of
+        # 1.5e-12 would lift it past 5000.
+        short = SimScenario(setpoint=1.0, duration=0.5 - 6e-13, dt=1e-4, controller=controller)
+        assert short.steps == 4999
         with pytest.raises(ValueError):
             SimScenario(setpoint=1.0, duration=1.0, dt=1e-4, controller="bang-bang")
 

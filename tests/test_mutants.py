@@ -18,7 +18,8 @@ in the same way. The trajectory reader, `cli.read_trajectory_csv` and
 the line checks of `cli._data_lines`, is plain Python too, and its
 mutants in `READER_MUTANTS` are made and run the same way against
 `test_cli`, as are the mutants of the CSV writer's `cli._csv_rows` in
-`WRITER_MUTANTS`.
+`WRITER_MUTANTS` and those of the command line's value rule,
+`cli._attach_values`, in `VALUE_MUTANTS`.
 
 Mutants known to be equivalent are listed in `EQUIVALENT` with the
 reason; they are not run. Out of scope: mutants of `_compile_kernel`'s
@@ -315,6 +316,10 @@ EQUIVALENT = {
     "writer-slot-one-byte-wider": (
         "the extra byte, before the sign, stays NUL and is dropped with the others"
     ),
+    # quantize: the clamp `x < UNIVERSE_MIN` as `x <= UNIVERSE_MIN`.
+    "quantize-clamps-at-minimum": "at x = -6.0 both branches return -6.0, with the same bits",
+    # quantize: the clamp `x > UNIVERSE_MAX` as `x >= UNIVERSE_MAX`.
+    "quantize-clamps-at-maximum": "at x = 6.0 both branches return 6.0, with the same bits",
 }
 
 
@@ -392,6 +397,26 @@ def test_writer_mutant_is_killed(name, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_csv_rows", mutant)
     with pytest.raises(AssertionError):
         writer_cases(tmp_path)
+
+
+def value_cases(capsys):
+    """`test_cli::TestCompare::test_negative_values_in_exponent_notation`"""
+    test_cli.TestCompare().test_negative_values_in_exponent_notation(capsys)
+
+
+# name: edit of the source of `cli._attach_values`, killed by value_cases.
+VALUE_MUTANTS = {
+    "single-dash-token-left-apart": lambda s: s.replace('startswith("--")', 'startswith("-")'),
+    "only-long-options-attached": lambda s: s.replace(" not token.", " token."),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_MUTANTS)
+def test_value_mutant_is_killed(name, monkeypatch, capsys):
+    mutant = define_mutant(name, cli._attach_values, VALUE_MUTANTS[name])
+    monkeypatch.setattr(cli, "_attach_values", mutant)
+    with pytest.raises(AssertionError):
+        value_cases(capsys)
 
 
 def test_generated_code_has_one_compile_point():
