@@ -12,8 +12,9 @@ Values are parsed in that order, so of several values that do not parse
 the first is reported. Flags must be spelled in full. The token after a
 flag that takes a value is its value, whatever it starts with, unless it
 is a long option ('--...'): --output -x.csv writes -x.csv and --kp -1e-3
-sets kp, as --output=-x.csv and --kp=-1e-3 do. Every input file (config,
-rules, trajectory CSV) must be a regular file.
+sets kp, as --output=-x.csv and --kp=-1e-3 do. Every token after a bare
+'--' is an operand: metrics -- -x.csv reads -x.csv. Every input file
+(config, rules, trajectory CSV) must be a regular file.
 
 All CSV output is byte-reproducible: fixed-point with nine fractional
 digits, comma separated, LF terminated, one column per name in
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import stat
@@ -495,7 +497,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(f"{message} (see {self.prog} --help)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Parsing leaves the parser as it was, so every call of `main` in a
+    process parses with the same one; do not modify it.
+    """
     parser = _ArgumentParser(
         prog="sprayflow",
         description="Closed-loop flow-control simulation: PID and adaptive fuzzy-PID.",
@@ -507,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         _add_override_flags(sub.add_parser(name, help=text))
     rules = sub.add_parser("rules", help="print the rule table in the override-file format")
-    rules.add_argument("--rules-file", "--rules_file", dest="rules_file", default=None)
+    rules.add_argument(*_flag_spellings("rules_file"), dest="rules_file", default=None)
     metrics = sub.add_parser("metrics", help="recompute metrics from a trajectory CSV")
     metrics.add_argument("csv_path")
     return parser
@@ -525,9 +533,13 @@ def _attach_values(argv: list[str]) -> list[str]:
     is a long option ('--...'): argparse then reports the flag without its
     value. Left apart, a token such as -1e-3, -1,2 or -x.csv would be taken
     by argparse for an option; joined to its flag, it is never a guess.
+    As for getopt, every token after a bare '--' is an operand, passed on
+    as it is.
     """
     out: list[str] = []
-    for token in argv:
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + argv[i:]
         if out and out[-1] in _VALUE_FLAGS and not token.startswith("--"):
             out[-1] += "=" + token
         else:

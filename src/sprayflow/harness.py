@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from ._codegen import define
@@ -97,7 +97,7 @@ class SimScenario:
     plant: TransferFunction = PIPELINE_TF
     disturbances: tuple[Disturbance, ...] = ()
     # The plant's RK4 step at dt as (rows, c), computed once per instance
-    # here and used by `run_closed_loop` and `compare_controllers`.
+    # here and used by `run_closed_loop`.
     rk4_step: tuple[tuple[tuple[float, ...], ...], tuple[float, ...]] = field(
         init=False, repr=False, compare=False
     )
@@ -119,7 +119,8 @@ class SimScenario:
             )
         # A plant whose step is not finite would blow up before any sample.
         object.__setattr__(self, "rk4_step", rk4_zoh(self.plant, self.dt))
-        _check_controller(self.controller)
+        if not isinstance(self.controller, (PidConfig, FuzzyPidController)):
+            raise ValueError(f"unsupported controller {self.controller!r}")
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
         for d in self.disturbances:
             limit = (self.steps - 1 if d.port == PLANT_INPUT else self.steps) * self.dt
@@ -134,11 +135,6 @@ class SimScenario:
         # A relative tolerance, so an exact multiple is not floored away by
         # roundoff at any step count up to MAX_STEPS.
         return int(math.floor(self.duration / self.dt * (1.0 + 1e-12)))
-
-
-def _check_controller(controller: object) -> None:
-    if not isinstance(controller, (PidConfig, FuzzyPidController)):
-        raise ValueError(f"unsupported controller {controller!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,13 +207,9 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     called once with the scenario's values: its `rk4_step` and its
     controller.
     """
-    return _run(scenario, scenario.controller)
-
-
-def _run(scenario: SimScenario, controller: PidConfig | FuzzyPidController) -> Trajectory:
-    """`run_closed_loop` of the scenario with another controller, on its `rk4_step`."""
     import numpy as np
 
+    controller = scenario.controller
     n_rows = scenario.steps + 1
     dt = scenario.dt
     r = float(scenario.setpoint)
@@ -440,13 +432,12 @@ def compare_controllers(
 ) -> ComparisonResult:
     """Run both controllers on the same scenario, each from rest.
 
-    Both runs use the scenario's `rk4_step`, so the plant map is not
-    computed again. Either controller may be of either kind.
+    Each run is `run_closed_loop` of the scenario with its controller
+    replaced. Either controller may be of either kind; both are checked
+    before either runs.
     """
-    _check_controller(pid_config)
-    _check_controller(fuzzy_config)
-    pid_traj = _run(scenario, pid_config)
-    fuzzy_traj = _run(scenario, fuzzy_config)
+    runs = [replace(scenario, controller=c) for c in (pid_config, fuzzy_config)]
+    pid_traj, fuzzy_traj = map(run_closed_loop, runs)
     return ComparisonResult(
         pid_metrics=compute_metrics(pid_traj) if len(pid_traj) else None,
         fuzzy_metrics=compute_metrics(fuzzy_traj) if len(fuzzy_traj) else None,

@@ -32,10 +32,12 @@ PLANT_INPUT = "plant-input"
 PLANT_OUTPUT = "plant-output"
 
 # A step costs about order^2 operations. At order 16 a PID step of the
-# closed loop takes about 7 us, against 0.4 us at order 2 and about 1.8 us
+# closed loop takes about 6 us, against 0.4 us at order 2 and about 1.6 us
 # for a whole fuzzy-PID step on the pipeline plant (CPython 3.11, 2 shared
-# cores). Building the loop of an order takes about 2 ms, once per process,
-# controller kind and disturbance count per port. The RK4 map of an
+# cores; the least of 40 in-process `run_closed_loop` calls on the 0.5 s
+# default scenario, in each of 6 processes: 5.5-6.0, 0.33-0.39 and
+# 1.57-1.72 us). Building the loop of an order takes about 2 ms, once per
+# process, controller kind and disturbance count per port. The RK4 map of an
 # order-16 plant (`rk4_zoh`, about 8 * n^2 multiply-adds in plain floats)
 # takes about 0.4 ms, once per scenario.
 MAX_ORDER = 16

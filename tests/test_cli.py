@@ -445,6 +445,15 @@ class TestMetricsCommand:
             del got[overshoot], want[overshoot]
             assert got == want, controller
 
+    def test_operand_after_double_dash(self, tmp_path, capsys, monkeypatch):
+        # A path that starts with '-' follows a bare --, as for getopt.
+        monkeypatch.chdir(tmp_path)
+        write_trajectory_csv(run_closed_loop(presets.default_scenario()), "-x.csv")
+        assert run_cli(["metrics", str(tmp_path / "-x.csv")]) == 0
+        want = capsys.readouterr().out
+        assert run_cli(["metrics", "--", "-x.csv"]) == 0
+        assert capsys.readouterr().out == want
+
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["metrics", str(tmp_path / "gone.csv")]) == 1
 
@@ -909,6 +918,11 @@ CONFIG_ERRORS = {
     # --he is not taken for --help, before a subcommand or after one.
     "abbreviated-help": (["--he"], {}, "required: command"),
     "abbreviated-help-of-metrics": (["metrics", "--he"], {}, "required: csv_path"),
+    # After a bare --, --output is the path and x.csv an operand too many;
+    # joined to --output, the two would read a file named --output=x.csv.
+    "value-flag-after-double-dash": (
+        ["metrics", "--", "--output", "x.csv"], {}, "unrecognized arguments: x.csv",
+    ),
 }
 
 
@@ -922,6 +936,29 @@ def test_config_error_exits_1(tmp_path, capsys, argv, files, message):
     assert captured.err.startswith("error: ")
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_cached_parser_parses_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # main parses every argv with one parser per process; help, a parse
+    # error and a good argv, in turn and twice over, give the output and
+    # exit code that a parser built for each call gives.
+    monkeypatch.chdir(tmp_path)
+    argvs = [["--help"], ["simulate", "--kp"], ["compare", "--duration", "0.01"]] * 2
+
+    def outcomes():
+        got = []
+        for argv in argvs:
+            code = run_cli(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    cached = outcomes()
+    assert [code for code, _, _ in cached] == [0, 1, 0] * 2
+    assert build_parser() is build_parser()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert outcomes() == cached
 
 
 def test_console_entry_point_runs():

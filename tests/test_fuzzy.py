@@ -1,5 +1,6 @@
 import copy
 import inspect
+import itertools
 import json
 import math
 import pickle
@@ -481,6 +482,22 @@ def kernel_index(e, ec):
     j, v = _locate(ec)
     pattern = 4 * (w > 1.0 - w) + 2 * (v > 1.0 - v) + (min(w, 1.0 - w) < min(v, 1.0 - v))
     return 8 * (6 * i + j) + pattern
+
+
+def test_rule_heights_index_each_fired_rules_strength():
+    # Rule n pairs e's label i + (n >> 1) with ec's label j + (n & 1) and
+    # fires at the smaller of their degrees: one of lo and hi, the two
+    # smaller degrees in order, or big, the smaller of the two larger ones.
+    patterns = {}
+    for w, v in itertools.product((0.125, 0.25, 0.75, 0.875), repeat=2):
+        e, ec = (1.0 - w, w), (1.0 - v, v)
+        if min(e) == min(ec):
+            continue
+        pattern = 4 * (w > 1.0 - w) + 2 * (v > 1.0 - v) + (min(e) < min(ec))
+        heights = (*sorted((min(e), min(ec))), min(max(e), max(ec)))
+        got = tuple(heights.index(min(e[n >> 1], ec[n & 1])) for n in range(4))
+        assert patterns.setdefault(pattern, got) == got
+    assert fuzzy._RULE_HEIGHTS == tuple(patterns[pattern] for pattern in range(8))
 
 
 def test_kernels_are_built_on_first_use_per_table():

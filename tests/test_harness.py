@@ -784,7 +784,8 @@ class TestCompareControllers:
             )
 
     def test_plant_map_is_computed_once_per_scenario(self, monkeypatch):
-        # Building the scenario computes the RK4 map; both runs reuse it.
+        # Building a scenario computes the RK4 map and a run reuses it;
+        # compare_controllers builds one scenario per controller.
         calls = []
 
         def counting(plant, dt):
@@ -797,8 +798,13 @@ class TestCompareControllers:
             setpoint=5.0, duration=0.01, dt=1e-4, controller=PidConfig(gains=gains)
         )
         assert calls == [(PIPELINE_TF, 1e-4)]
-        result = compare_controllers(scenario, PidConfig(gains=gains), _FUZZY)
+        pid_traj = run_closed_loop(scenario)
         assert calls == [(PIPELINE_TF, 1e-4)]
+        result = compare_controllers(scenario, PidConfig(gains=gains), _FUZZY)
+        assert calls == [(PIPELINE_TF, 1e-4)] * 3
+        assert np.array_equal(result.pid_trajectory.data, pid_traj.data)
+        fuzzy_traj = run_closed_loop(replace(scenario, controller=_FUZZY))
+        assert np.array_equal(result.fuzzy_trajectory.data, fuzzy_traj.data)
         assert len(result.pid_trajectory) == len(result.fuzzy_trajectory) == 101
 
     def test_loop_is_built_once_per_order_and_kind(self, monkeypatch):

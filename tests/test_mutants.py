@@ -19,7 +19,9 @@ the line checks of `cli._data_lines`, is plain Python too, and its
 mutants in `READER_MUTANTS` are made and run the same way against
 `test_cli`, as are the mutants of the CSV writer's `cli._csv_rows` in
 `WRITER_MUTANTS` and those of the command line's value rule,
-`cli._attach_values`, in `VALUE_MUTANTS`.
+`cli._attach_values`, in `VALUE_MUTANTS`. The clip-height table
+`fuzzy._RULE_HEIGHTS` is built at import, so each mutant of
+`fuzzy._rule_heights` in `HEIGHT_MUTANTS` rebuilds it while its gate runs.
 
 Mutants known to be equivalent are listed in `EQUIVALENT` with the
 reason; they are not run. Out of scope: mutants of `_compile_kernel`'s
@@ -399,24 +401,49 @@ def test_writer_mutant_is_killed(name, monkeypatch, tmp_path):
         writer_cases(tmp_path)
 
 
-def value_cases(capsys):
-    """`test_cli::TestCompare::test_negative_values_in_exponent_notation`"""
+def value_cases(tmp_path, capsys, monkeypatch):
+    """`test_cli::TestCompare::test_negative_values_in_exponent_notation`,
+    `test_cli::TestMetricsCommand::test_operand_after_double_dash` and the
+    case "value-flag-after-double-dash" of `test_config_error_exits_1`."""
     test_cli.TestCompare().test_negative_values_in_exponent_notation(capsys)
+    test_cli.TestMetricsCommand().test_operand_after_double_dash(tmp_path, capsys, monkeypatch)
+    argv, files, message = test_cli.CONFIG_ERRORS["value-flag-after-double-dash"]
+    test_cli.test_config_error_exits_1(tmp_path, capsys, argv, files, message)
 
 
 # name: edit of the source of `cli._attach_values`, killed by value_cases.
 VALUE_MUTANTS = {
     "single-dash-token-left-apart": lambda s: s.replace('startswith("--")', 'startswith("-")'),
     "only-long-options-attached": lambda s: s.replace(" not token.", " token."),
+    "double-dash-not-checked": lambda s: s.replace('token == "--"', "token is None"),
+    "double-dash-dropped": lambda s: s.replace("argv[i:]", "argv[i + 1:]"),
 }
 
 
 @pytest.mark.parametrize("name", VALUE_MUTANTS)
-def test_value_mutant_is_killed(name, monkeypatch, capsys):
+def test_value_mutant_is_killed(name, monkeypatch, capsys, tmp_path):
     mutant = define_mutant(name, cli._attach_values, VALUE_MUTANTS[name])
     monkeypatch.setattr(cli, "_attach_values", mutant)
     with pytest.raises(AssertionError):
-        value_cases(capsys)
+        value_cases(tmp_path, capsys, monkeypatch)
+
+
+# name: edit of the source of `fuzzy._rule_heights`, killed by
+# `test_fuzzy::test_rule_heights_index_each_fired_rules_strength`.
+HEIGHT_MUTANTS = {
+    # A fifth height, which no kernel reads: only the table shows it.
+    "five-rules": lambda s: s.replace("range(4)", "range(5)"),
+    "e-small-inverted": lambda s: s.replace("(n >> 1) != e_right", "(n >> 1) == e_right"),
+    "ec-small-inverted": lambda s: s.replace("(n & 1) != ec_right", "(n & 1) == ec_right"),
+}
+
+
+@pytest.mark.parametrize("name", HEIGHT_MUTANTS)
+def test_height_mutant_is_killed(name, monkeypatch):
+    mutant = define_mutant(name, fuzzy._rule_heights, HEIGHT_MUTANTS[name])
+    monkeypatch.setattr(fuzzy, "_RULE_HEIGHTS", tuple(map(mutant, range(8))))
+    with pytest.raises(AssertionError):
+        test_fuzzy.test_rule_heights_index_each_fired_rules_strength()
 
 
 def test_generated_code_has_one_compile_point():
