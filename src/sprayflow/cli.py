@@ -14,7 +14,8 @@ flag that takes a value is its value, whatever it starts with, unless it
 is a long option ('--...'): --output -x.csv writes -x.csv and --kp -1e-3
 sets kp, as --output=-x.csv and --kp=-1e-3 do. Every token after a bare
 '--' is an operand: metrics -- -x.csv reads -x.csv. Every input file
-(config, rules, trajectory CSV) must be a regular file.
+(config, rules, trajectory CSV) must be a regular file, and a config or
+rules file holds at most MAX_TEXT_CHARS (65,536) characters.
 
 All CSV output is byte-reproducible: fixed-point with nine fractional
 digits, comma separated, LF terminated, one column per name in
@@ -22,12 +23,13 @@ harness.COLUMNS. The writer formats a chunk of rows at a time, with numpy
 integer arithmetic where it covers every value of the chunk and with one
 %-format otherwise, to the bytes that formatting each value on its own
 gives. The reader hands np.loadtxt the lines of the open file as it
-reads them, in batches of about 16 KiB, so `metrics` holds the parsed
+reads them, in reads of about 16 KiB, so `metrics` holds the parsed
 rows, never the whole text; lines end in LF, CRLF or CR. It checks each
-batch first, and refuses a blank line and a line past the MAX_STEPS + 1
-rows a run logs at most; np.loadtxt parses neither. numpy is imported
-by the writer and the reader, not with the module, so `rules`, `--help`
-and a configuration error load no numpy.
+batch first, and refuses a line longer than the 2,567 characters of the
+longest row the writer writes, a blank line and a line past the
+MAX_STEPS + 1 rows a run logs at most; np.loadtxt parses none of them.
+numpy is imported by the writer and the reader, not with the module, so
+`rules`, `--help` and a configuration error load no numpy.
 
 Exit codes: 0 success, 1 configuration error (an argument error
 included), 2 numerical blow-up.
@@ -94,10 +96,18 @@ def _input_file(path: str, kind: str) -> Iterator[TextIO]:
         raise ConfigError(f"cannot read {kind} file: {exc}") from exc
 
 
+# The most characters a config or rules file may hold. Both are a few
+# hundred characters; the bound keeps a huge file from being read whole.
+MAX_TEXT_CHARS = 2**16
+
+
 def _read_text(path: str, kind: str) -> str:
-    """The ASCII text of a regular input file."""
+    """The ASCII text of a regular input file of at most MAX_TEXT_CHARS characters."""
     with _input_file(path, kind) as fh:
-        return fh.read()
+        text = fh.read(MAX_TEXT_CHARS + 1)
+    if len(text) > MAX_TEXT_CHARS:
+        raise ConfigError(f"{kind} file exceeds {MAX_TEXT_CHARS} characters")
+    return text
 
 
 # Fixed point with nine fractional digits: every printed number and CSV value.
@@ -188,11 +198,34 @@ def _csv_rows(block: np.ndarray) -> bytes:
     return buf[buf != 0].tobytes()
 
 
-# _data_lines reads and checks the lines a batch of about this many bytes
-# at a time, about 170 rows of a written CSV, so that the work per line
-# stays in C: checking each line in Python made the benchmark's
-# pid_disturbance_cli scenario about 4% slower (2-core Xeon).
-_LINE_BATCH_BYTES = 2**14
+# _line_batches reads about this many characters at a time, about 170 rows
+# of a written CSV, so that the work per line stays in C: checking each
+# line in Python made the benchmark's pid_disturbance_cli scenario about
+# 4% slower (2-core Xeon).
+_LINE_BATCH_CHARS = 2**14
+
+# The longest row write_trajectory_csv writes: one value per column and a
+# comma between two. A finite value prints as at most 320 characters, a
+# sign, 309 whole digits, the point and nine fraction digits.
+_MAX_ROW_CHARS = len(COLUMNS) * 320 + len(COLUMNS) - 1
+
+
+def _line_batches(fh: TextIO) -> Iterator[list[str]]:
+    """The lines of an open text file without their ends, a batch per read.
+
+    A line longer than _MAX_ROW_CHARS is refused at the first read that
+    takes it past that length, so the reader holds at most one read and
+    the part of a line before it.
+    """
+    tail = ""
+    while chunk := fh.read(_LINE_BATCH_CHARS):
+        lines = (tail + chunk).split("\n")
+        if max(map(len, lines)) > _MAX_ROW_CHARS:
+            raise ConfigError(f"trajectory file has a line longer than {_MAX_ROW_CHARS} characters")
+        tail = lines.pop()
+        yield lines
+    if tail:
+        yield [tail]
 
 
 def _data_lines(fh: TextIO) -> Iterator[str]:
@@ -206,14 +239,14 @@ def _data_lines(fh: TextIO) -> Iterator[str]:
     """
     most = MAX_STEPS + 1
     n = 0
-    while lines := fh.readlines(_LINE_BATCH_BYTES):
+    for lines in _line_batches(fh):
         n += len(lines)
         if n > most:
             raise ConfigError(f"trajectory file exceeds the bound of {most} data rows")
-        if "\n" in lines:
+        if "" in lines:
             # The lines ahead of it are parsed first, so a malformed row
             # among them is reported, as it is when the lines come one by one.
-            yield from lines[: lines.index("\n")]
+            yield from lines[: lines.index("")]
             raise ConfigError("trajectory file must have no blank lines")
         yield from lines
     if n < 2:
@@ -225,15 +258,15 @@ def read_trajectory_csv(path: str) -> Trajectory:
 
     The file needs at least two and at most MAX_STEPS + 1 data rows of
     finite values, no blank line, and a uniform, increasing time axis; dt
-    is taken from its end points. Lines end in LF, CRLF or CR. np.loadtxt
-    parses the lines as _data_lines reads and checks them, so the reader
-    holds the parsed array and one batch of lines, not the text of the
-    file.
+    is taken from its end points. Lines end in LF, CRLF or CR, and none is
+    longer than the longest row the writer writes. np.loadtxt parses the
+    lines as _data_lines reads and checks them, so the reader holds the
+    parsed array and one batch of lines, not the text of the file.
     """
     import numpy as np
 
     with _input_file(path, "trajectory") as fh:
-        if fh.readline().removesuffix("\n") != CSV_HEADER:
+        if fh.readline(len(CSV_HEADER) + 1).removesuffix("\n") != CSV_HEADER:
             raise ConfigError(f"trajectory file must start with header {CSV_HEADER!r}")
         try:
             data = np.loadtxt(_data_lines(fh), delimiter=",", comments=None, ndmin=2)
@@ -576,4 +609,4 @@ def entry_point() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -33,6 +33,8 @@ from sprayflow.fuzzy import DEFAULT_RULE_TABLE, RuleTable
 from sprayflow.harness import PidConfig, SimScenario, Trajectory, run_closed_loop
 from sprayflow.pid import PidGains
 
+from test_plant import ORDER_16_TF
+
 ROW_PATTERN = re.compile(r"^-?\d+\.\d{9}(,-?\d+\.\d{9}){7}$")
 
 
@@ -44,6 +46,12 @@ def run_cli(args):
 OVERFLOW_FLAGS = (
     "--setpoint", "1e308", "--disturbance-time", "0",
     "--disturbance-magnitude=-1e308", "--disturbance-port", "plant-output",
+)
+# Setpoint 0 against an output disturbance of 1.5e308 from t = 0.1 ms: the
+# error stays finite while its rate overflows.
+RATE_OVERFLOW_FLAGS = (
+    "--setpoint", "0", "--disturbance-time", "0.0001",
+    "--disturbance-magnitude", "1.5e308", "--disturbance-port", "plant-output",
 )
 
 
@@ -102,18 +110,29 @@ class TestSimulate:
         assert out.exists()
         assert "blow-up" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("controller", ["pid", "fuzzy-pid"])
-    def test_overflowing_error_is_a_blow_up(self, tmp_path, capsys, controller):
-        # Row 0's error r - y = 1e308 + 1e308 overflows, so no row is finite.
+    # Row 0's error r - y = 1e308 + 1e308 overflows, so no row is finite.
+    # Where only the error rate overflows, at step 2, rows 0 and 1 are.
+    @pytest.mark.parametrize(
+        "controller, flags, rows",
+        [
+            ("pid", OVERFLOW_FLAGS, 0),
+            ("fuzzy-pid", OVERFLOW_FLAGS, 0),
+            ("pid", RATE_OVERFLOW_FLAGS, 2),
+            ("fuzzy-pid", RATE_OVERFLOW_FLAGS, 2),
+        ],
+        ids=("pid", "fuzzy-pid", "pid-rate", "fuzzy-pid-rate"),
+    )
+    def test_overflowing_error_is_a_blow_up(self, tmp_path, capsys, controller, flags, rows):
         out = tmp_path / "partial.csv"
-        code = run_cli(["simulate", "--controller", controller, *OVERFLOW_FLAGS,
-                        "--output", str(out)])
+        code = run_cli(["simulate", "--controller", controller, *flags, "--output", str(out)])
         captured = capsys.readouterr()
         assert code == 2
         assert "numerical blow-up" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
-        assert out.read_text("ascii") == CSV_HEADER + "\n"
+        lines = out.read_text("ascii").splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 1 + rows
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert run_cli(["simulate", "--warp-speed", "9"]) == 1
@@ -270,8 +289,12 @@ class TestCompare:
             [],
             ["--setpoint", "0"],
             ["--disturbance-time", "0.02", "--disturbance-magnitude", "0.001"],
+            [
+                "--plant-num", " ".join(map(repr, ORDER_16_TF.num)),
+                "--plant-den", " ".join(map(repr, ORDER_16_TF.den)),
+            ],
         ],
-        ids=("step", "zero-setpoint", "disturbance"),
+        ids=("step", "zero-setpoint", "disturbance", "order-16"),
     )
     def test_columns_equal_simulate_cell_for_cell(self, tmp_path, capsys, args):
         args = ["--duration", "0.05", *args]
@@ -404,6 +427,21 @@ def check_time_axis(directory, t, accepted):
 LOW_MAX_STEPS = 2
 
 
+def check_row_length(directory):
+    """A row of 2,567 characters, the longest the writer writes, reads; one
+    of 2,568 is refused. The padding is leading zeros of the first t."""
+    path = directory / "long.csv"
+    refused = "trajectory file has a line longer than 2567 characters"
+    for length, want in ((2567, 2), (2568, refused)):
+        first = "0" * (length - 14) + ",0" * 7
+        path.write_text(CSV_HEADER + "\n" + first + "\n1" + ",0" * 7 + "\n", "ascii")
+        try:
+            got = len(read_trajectory_csv(str(path)))
+        except ConfigError as exc:
+            got = str(exc)
+        assert got == want, length
+
+
 def check_row_bound(directory):
     """With cli.MAX_STEPS at LOW_MAX_STEPS: two and three rows read, four are refused."""
     path = directory / "bound.csv"
@@ -426,14 +464,16 @@ class TestMetricsCommand:
         # are samples, sample times or their differences, printed to the same
         # nine decimals, and come out equal here (a time figure can move by
         # one sample only when a sample lies within 5e-10 of its threshold).
+        # At setpoint 1e7 the writer formats every chunk by %.9f.
         def figures(text):
             return {line[:16].strip(): line[16:] for line in text.splitlines()}
 
-        for controller in ("pid", "fuzzy-pid"):
-            out = tmp_path / f"{controller}.csv"
+        for controller, setpoint in (("pid", "5"), ("fuzzy-pid", "5"), ("pid", "-2"),
+                                     ("pid", "1e7")):
+            out = tmp_path / f"{controller}-{setpoint}.csv"
             assert run_cli([
-                "simulate", "--controller", controller, "--duration", "0.2",
-                "--output", str(out),
+                "simulate", "--controller", controller, "--setpoint", setpoint,
+                "--duration", "0.2", "--output", str(out),
             ]) == 0
             want = figures(capsys.readouterr().out)
             assert run_cli(["metrics", str(out)]) == 0
@@ -441,9 +481,9 @@ class TestMetricsCommand:
             assert len(want) == 7 and got.keys() == want.keys()
             bound = 1e-9 + 1e-7 / abs(float(want["final value"]))
             overshoot = "overshoot %"
-            assert abs(float(got[overshoot]) - float(want[overshoot])) <= bound, controller
+            assert abs(float(got[overshoot]) - float(want[overshoot])) <= bound, setpoint
             del got[overshoot], want[overshoot]
-            assert got == want, controller
+            assert got == want, (controller, setpoint)
 
     def test_operand_after_double_dash(self, tmp_path, capsys, monkeypatch):
         # A path that starts with '-' follows a bare --, as for getopt.
@@ -500,6 +540,9 @@ class TestMetricsCommand:
     def test_row_bound(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "MAX_STEPS", LOW_MAX_STEPS)
         check_row_bound(tmp_path)
+
+    def test_row_length_bound(self, tmp_path):
+        check_row_length(tmp_path)
 
     def test_non_ascii_byte_in_last_row(self, tmp_path, capsys):
         # The byte lies far past the first 8 KiB that the header is read
@@ -558,6 +601,15 @@ class TestConfigFile:
 
     def test_non_finite_number(self, capsys):
         assert run_cli(["simulate", "--setpoint", "inf"]) == 1
+
+    def test_file_of_the_most_characters_runs(self, tmp_path, capsys):
+        # Padded with a comment to 65,536 characters, cli.MAX_TEXT_CHARS.
+        text = "duration = 0.01\n"
+        cfg = tmp_path / "padded.cfg"
+        cfg.write_text(text + "#" * (65536 - len(text)), "ascii")
+        out = tmp_path / "run.csv"
+        assert run_cli(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
+        assert len(read_trajectory_csv(str(out))) == 101
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["simulate", "--config", str(tmp_path / "none.cfg")]) == 1
@@ -808,6 +860,22 @@ class TestTrajectoryCsvIO:
         assert len(traj) == 20_001
         assert peak < traj.data.nbytes + 2**19
 
+    @pytest.mark.parametrize("header", [True, False], ids=("header", "row"))
+    def test_reader_memory_is_bounded_on_a_long_line(self, tmp_path, header):
+        # A 1 MiB header or data row is refused after one read of the file,
+        # so the reader never holds the line whole.
+        long_line = "0" * 2**20 + "\n"
+        path = tmp_path / "long.csv"
+        path.write_text(long_line if header else CSV_HEADER + "\n" + long_line, "ascii")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError):
+                read_trajectory_csv(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**17
+
 
 RULE_ROW = ",".join(["ZO/ZO/ZO"] * 7)
 
@@ -851,6 +919,16 @@ CONFIG_ERRORS = {
         {"rules.txt": "\n".join([RULE_ROW.replace("ZO/ZO/ZO", "ZO/ZO", 1)] + [RULE_ROW] * 6)
          + "\n"},
         "bad rules file",
+    ),
+    "config-file-too-long": (
+        ["simulate", "--config", "{tmp}/long.cfg"],
+        {"long.cfg": "#" * 65537},
+        "config file exceeds 65536 characters",
+    ),
+    "rules-file-too-long": (
+        ["rules", "--rules-file", "{tmp}/long.txt"],
+        {"long.txt": "#" * 65537},
+        "rules file exceeds 65536 characters",
     ),
     "config-not-a-regular-file": (
         ["simulate", "--config", "/dev/null", "--output", "{tmp}/never.csv"],
@@ -961,13 +1039,29 @@ def test_cached_parser_parses_as_a_fresh_one(tmp_path, capsys, monkeypatch):
         assert outcomes() == cached
 
 
-def test_console_entry_point_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "sprayflow.cli", "rules"],
+def run_python(args, cwd):
+    """Run Python in a fresh process that imports this checkout's package."""
+    src = Path(sprayflow.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60,
     )
-    assert result.returncode == 0
-    assert result.stdout.splitlines()[0].startswith("PB/NB/PS")
+
+
+# Running the module exits through entry_point, the console script's function.
+@pytest.mark.parametrize(
+    "argv, code, stream, first_line",
+    [
+        (["rules"], 0, "stdout", "PB/NB/PS"),
+        (["--he"], 1, "stderr", "error: "),
+        (["simulate", *OVERFLOW_FLAGS, "--output", "b.csv"], 2, "stderr", "numerical blow-up"),
+    ],
+    ids=("ok", "config-error", "blow-up"),
+)
+def test_console_entry_point_runs(tmp_path, argv, code, stream, first_line):
+    result = run_python(["-m", "sprayflow.cli", *argv], tmp_path)
+    assert result.returncode == code, result.stderr
+    assert getattr(result, stream).startswith(first_line)
 
 
 # Imports the package, builds the shipped scenarios, dumps the rule table
@@ -990,11 +1084,25 @@ assert "numpy" in sys.modules
 """
 
 
-def test_import_scenarios_rules_and_config_errors_load_no_numpy():
-    src = Path(sprayflow.__file__).resolve().parent.parent
-    result = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE_SCRIPT],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60,
-    )
+def test_import_scenarios_rules_and_config_errors_load_no_numpy(tmp_path):
+    result = run_python(["-c", _NUMPY_FREE_SCRIPT], tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+# numpy is the one runtime dependency: compare, simulate and metrics load
+# no test dependency.
+_NO_TEST_DEPENDENCY_SCRIPT = """
+import contextlib, io, sys
+from sprayflow.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["compare", "--duration", "0.05"]) == 0
+    assert main(["simulate", "--duration", "0.05", "--output", "m.csv"]) == 0
+    assert main(["metrics", "m.csv"]) == 0
+loaded = {"scipy", "hypothesis", "pytest"} & set(sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_subcommands_load_no_test_dependency(tmp_path):
+    result = run_python(["-c", _NO_TEST_DEPENDENCY_SCRIPT], tmp_path)
     assert result.returncode == 0, result.stderr

@@ -244,6 +244,10 @@ HAND_CASES = {
     # rate overflows to -inf at step 2: rows 0 and 1 are logged.
     "pid-rate-overflow": hand_case(_PID, _RATE_OVERFLOW, setpoint=0.0),
     "fuzzy-rate-overflow": hand_case(_FUZZY_SMALL, _RATE_OVERFLOW, setpoint=0.0),
+    # The shipped 0.5 s step, whose loop bits tests/bits.json pins, so
+    # hand-stepping pid_law, adapted_gains and the plant step gives them too.
+    "pid-default-step": presets.default_scenario(),
+    "fuzzy-default-step": presets.default_scenario(presets.default_fuzzy_controller()),
 }
 
 

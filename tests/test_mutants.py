@@ -14,10 +14,10 @@ The plant's RK4 map is plain Python, not generated code. Each mutant of
 `MAP_MUTANTS` is a text edit of the source of `plant.rk4_zoh`, executed
 in a copy of the module's namespace; the function it defines replaces
 `rk4_zoh` in `test_plant` while the gate runs, and must be killed by it
-in the same way. The trajectory reader, `cli.read_trajectory_csv` and
-the line checks of `cli._data_lines`, is plain Python too, and its
-mutants in `READER_MUTANTS` are made and run the same way against
-`test_cli`, as are the mutants of the CSV writer's `cli._csv_rows` in
+in the same way. The trajectory reader, `cli.read_trajectory_csv`, the
+line checks of `cli._data_lines` and the line reads of
+`cli._line_batches`, is plain Python too, and its mutants in
+`READER_MUTANTS` are made and run the same way against `test_cli`, as are the mutants of the CSV writer's `cli._csv_rows` in
 `WRITER_MUTANTS` and those of the command line's value rule,
 `cli._attach_values`, in `VALUE_MUTANTS`. The clip-height table
 `fuzzy._RULE_HEIGHTS` is built at import, so each mutant of
@@ -205,13 +205,15 @@ MAP_MUTANTS = {
 
 
 def reader_cases(directory):
-    """`test_cli::TestMetricsCommand`'s `test_row_bound` and
-    `test_time_axis_tolerance`, then the cases of `test_config_error_exits_1`
-    that read a trajectory file, each read by `read_trajectory_csv`.
+    """`test_cli::TestMetricsCommand`'s `test_row_bound`, `test_row_length_bound`
+    and `test_time_axis_tolerance`, then the cases of
+    `test_config_error_exits_1` that read a trajectory file, each read by
+    `read_trajectory_csv`.
 
     The caller lowers `cli.MAX_STEPS` to `test_cli.LOW_MAX_STEPS`.
     """
     test_cli.check_row_bound(directory)
+    test_cli.check_row_length(directory)
     for t, accepted in test_cli.TIME_AXES.values():
         test_cli.check_time_axis(directory, t, accepted)
     for argv, files, message in test_cli.CONFIG_ERRORS.values():
@@ -227,9 +229,9 @@ def reader_cases(directory):
             assert message in got, name
 
 
-READ, LINES = cli.read_trajectory_csv, cli._data_lines
+READ, LINES, BATCHES = cli.read_trajectory_csv, cli._data_lines, cli._line_batches
 
-# name: (READ or LINES, edit of its source), killed by reader_cases.
+# name: (READ, LINES or BATCHES, edit of its source), killed by reader_cases.
 READER_MUTANTS = {
     "interval-tolerance-3e-9": (READ, lambda s: s.replace("tol = 2e-9 +", "tol = 3e-9 +")),
     "interval-tolerance-6-ulp": (
@@ -242,22 +244,27 @@ READER_MUTANTS = {
     "two-rows-refused": (LINES, lambda s: s.replace("n < 2", "n < 3")),
     "count-starts-at-1": (LINES, lambda s: s.replace("n = 0\n", "n = 1\n")),
     "batches-counted-not-lines": (LINES, lambda s: s.replace("n += len(lines)", "n += 1")),
-    "blank-check-inverted": (
-        LINES, lambda s: s.replace('"\\n" in lines', '"\\n" not in lines')
-    ),
+    "blank-check-inverted": (LINES, lambda s: s.replace('"" in lines', '"" not in lines')),
     "blank-line-refused-before-the-lines-ahead": (
-        LINES, lambda s: s.replace('yield from lines[: lines.index("\\n")]', "pass")
+        LINES, lambda s: s.replace('yield from lines[: lines.index("")]', "pass")
     ),
     "blank-line-refused-after-one-line-less": (
-        LINES, lambda s: s.replace('lines.index("\\n")]', 'lines.index("\\n") - 1]')
+        LINES, lambda s: s.replace('lines.index("")]', 'lines.index("") - 1]')
     ),
-    # A blank line as it reads in binary mode: the file is read as text,
-    # which ends every line in LF, so no blank line is caught.
-    "blank-line-as-crlf": (LINES, lambda s: s.replace('"\\n" in lines', '"\\r\\n" in lines')),
+    # A blank line as it reads in binary mode, CR before the LF split off:
+    # the file is read as text, which ends every line in LF, so no blank
+    # line is caught.
+    "blank-line-as-crlf": (LINES, lambda s: s.replace('"" in lines', '"\\r" in lines')),
     "row-bound-minus-one": (LINES, lambda s: s.replace("MAX_STEPS + 1", "MAX_STEPS")),
     "row-bound-plus-half": (LINES, lambda s: s.replace("MAX_STEPS + 1", "MAX_STEPS + 1.5")),
     "row-bound-plus-one": (LINES, lambda s: s.replace("MAX_STEPS + 1", "MAX_STEPS + 2")),
     "row-bound-refused": (LINES, lambda s: s.replace("n > most", "n >= most")),
+    "longest-row-refused": (
+        BATCHES, lambda s: s.replace("> _MAX_ROW_CHARS", ">= _MAX_ROW_CHARS")
+    ),
+    "row-length-bound-plus-one": (
+        BATCHES, lambda s: s.replace("> _MAX_ROW_CHARS", "> _MAX_ROW_CHARS + 1")
+    ),
 }
 
 

@@ -6,9 +6,6 @@ import struct
 import numpy as np
 import pytest
 
-from sprayflow import presets
-from sprayflow.adaptive import adapted_gains
-from sprayflow.pid import pid_law
 from sprayflow.plant import (
     MAX_ORDER,
     PIPELINE_TF,
@@ -22,8 +19,8 @@ from sprayflow.plant import (
 from _oracles import advance, dense_rk4_map
 
 
-# The pipeline plant's step at dt = 1e-4 as (rows, c), written out: the
-# loop pins below step it, and TestRk4Zoh pins rk4_zoh to it.
+# The pipeline plant's step at dt = 1e-4 as (rows, c), written out:
+# TestRk4Zoh pins rk4_zoh to it.
 _h = float.fromhex
 PIPELINE_STEP_BITS = (
     (
@@ -33,9 +30,10 @@ PIPELINE_STEP_BITS = (
     (_h("0x1.6a8c800000000p+23"), 0.0),
 )
 
-# The plant of order MAX_ORDER that CI's smoke run steps: the pipeline
-# model with fourteen more 0.1 ms lags.
-CI_ORDER_16_TF = TransferFunction(
+# A plant of order MAX_ORDER, the pipeline model with fourteen more 0.1 ms
+# lags, written in decimal: TestRk4Zoh pins its map, and test_cli runs it
+# through `sprayflow compare`.
+ORDER_16_TF = TransferFunction(
     num=(43956.0,),
     den=(
         3.7e-59, 5.19e-54, 3.381e-49, 1.3559e-44, 3.7401e-40, 7.5075e-36, 1.13113e-31,
@@ -195,46 +193,6 @@ class TestPlantStep:
         assert x == (math.inf,)
         assert y == math.inf
 
-    def test_pid_loop_bits_are_pinned(self):
-        # 5,000 steps of the default PID loop through pid_law and
-        # compile_step must give these exact output bits on every
-        # interpreter; a compensated sum in the step changes most of them.
-        step = compile_step(*PIPELINE_STEP_BITS)
-        dt, r = 1e-4, 5.0
-        x, y, integral, e_prev = (0.0, 0.0), 0.0, 0.0, None
-        outputs = []
-        for _ in range(5000):
-            e = r - y
-            derivative = 0.0 if e_prev is None else (e - e_prev) / dt
-            e_prev = e
-            u, integral = pid_law(0.0045, 0.05, 5e-6, e, derivative, integral, dt)
-            x, y = step(x, u)
-            outputs.append(y)
-        digest = hashlib.sha256(struct.pack("<5000d", *outputs)).hexdigest()
-        assert digest == "cdda5a87d6581016e5a8b0c7f2a0060e7a60734dabc094280c8aa54d29eb7ab9"
-
-    def test_fuzzy_pid_loop_bits_are_pinned(self):
-        # 5,000 steps of the default fuzzy-PID loop through adapted_gains,
-        # pid_law and compile_step must give these exact bits of y, kp, ki
-        # and kd on every interpreter, whatever lines the fuzzy inference
-        # is generated as.
-        step = compile_step(*PIPELINE_STEP_BITS)
-        ctrl = presets.default_fuzzy_controller()
-        dt, r = 1e-4, 5.0
-        x, y, integral, e_prev = (0.0, 0.0), 0.0, 0.0, None
-        columns = ([], [], [], [])
-        for _ in range(5000):
-            e = r - y
-            rate = 0.0 if e_prev is None else (e - e_prev) / dt
-            e_prev = e
-            kp, ki, kd = adapted_gains(ctrl, e, rate)
-            u, integral = pid_law(kp, ki, kd, e, rate, integral, dt)
-            x, y = step(x, u)
-            for column, value in zip(columns, (y, kp, ki, kd)):
-                column.append(value)
-        digest = hashlib.sha256(struct.pack("<20000d", *sum(columns, []))).hexdigest()
-        assert digest == "383c11f182c6c8695aa82c94d41d9366375a198b94e936db07a811edc306cd64"
-
 
 def _bits(values):
     """The bytes of values, with every nan written as math.nan.
@@ -383,7 +341,7 @@ class TestRk4Zoh:
         # The map is plain floats, each entry of a product with hA its two
         # non-zero products added left to right from 0.0, so these bits
         # hold on every machine.
-        text = map_hex(*rk4_zoh(CI_ORDER_16_TF, 1e-4))
+        text = map_hex(*rk4_zoh(ORDER_16_TF, 1e-4))
         digest = hashlib.sha256(text.encode("ascii")).hexdigest()
         assert digest == "5d629241695ce44b2f790da73a92c402fa727528e5b895166126d96a15a9c8e1"
 
