@@ -835,12 +835,18 @@ class TestTrajectoryCsvIO:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=("crlf", "cr"))
-    def test_line_endings_read_the_same(self, tmp_path, newline):
+    # Each line ends in newline, the last in end: a file of CRLF or CR
+    # lines, and one whose last row has no line end.
+    @pytest.mark.parametrize(
+        "newline, end",
+        [(b"\r\n", b"\r\n"), (b"\r", b"\r"), (b"\n", b"")],
+        ids=("crlf", "cr", "lf-unended"),
+    )
+    def test_line_endings_read_the_same(self, tmp_path, newline, end):
         lf = tmp_path / "lf.csv"
         write_trajectory_csv(run_closed_loop(presets.default_scenario()), str(lf))
         other = tmp_path / "other.csv"
-        other.write_bytes(lf.read_bytes().replace(b"\n", newline))
+        other.write_bytes(lf.read_bytes()[:-1].replace(b"\n", newline) + end)
         want = read_trajectory_csv(str(lf)).data.tobytes()
         assert read_trajectory_csv(str(other)).data.tobytes() == want
 

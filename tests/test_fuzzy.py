@@ -426,6 +426,17 @@ class TestBitwiseReference:
         assert all(map(built, table.kernels))
 
     @every_table
+    def test_cell_interiors(self, table):
+        # Off the label centers all four rules of a cell fire, so no clip
+        # height and no label's mass is zero: a kernel that clips a label at
+        # the wrong rule's height gives wrong bits here, not a zero division.
+        interior = [x for x in QUARTER_LATTICE if x % 2.0]
+        for e in interior:
+            for ec in interior:
+                got = packed(infer_deltas(e, ec, table))
+                assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
+
+    @every_table
     def test_fine_lattice(self, table):
         for fine in FINE_LATTICE:
             for sparse in FINE_SPARSE:
@@ -497,7 +508,9 @@ def test_rule_heights_index_each_fired_rules_strength():
         heights = (*sorted((min(e), min(ec))), min(max(e), max(ec)))
         got = tuple(heights.index(min(e[n >> 1], ec[n & 1])) for n in range(4))
         assert patterns.setdefault(pattern, got) == got
-    assert fuzzy._RULE_HEIGHTS == tuple(patterns[pattern] for pattern in range(8))
+    want = tuple(patterns[pattern] for pattern in range(8))
+    assert tuple(map(fuzzy._rule_heights, range(8))) == want
+    assert fuzzy._RULE_HEIGHTS == want
 
 
 def test_kernels_are_built_on_first_use_per_table():

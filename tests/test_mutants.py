@@ -1,42 +1,41 @@
-"""Mutant catalogue of the generated code and of the plant's RK4 map.
+"""Mutant catalogue of the generated code and of the hand-written arithmetic.
 
-The loop, the plant step, the inference and the rule kernels are written
-as source text and compiled at one point, `sprayflow._codegen.define`.
-Each mutant here is a text edit of the source that one of those builders
-emits, made by a source-editing `exec` set on `_codegen`. It must be
-killed by the fast gate that guards that builder: the gate, an existing
-test run on fresh inputs, must fail an assertion. Every rule table a gate
-uses is built for the mutant, and the caches of `harness._loop` and
-`fuzzy._inference` are cleared before and after it, so no mutant kernel,
-loop or inference outlives its test.
+Each entry of `MUTANTS` is a text edit of one source and the gate that
+must kill it: an existing test, run on fresh inputs, must fail an
+assertion. The edit's target is of one of two kinds.
 
-The plant's RK4 map is plain Python, not generated code. Each mutant of
-`MAP_MUTANTS` is a text edit of the source of `plant.rk4_zoh`, executed
-in a copy of the module's namespace; the function it defines replaces
-`rk4_zoh` in `test_plant` while the gate runs, and must be killed by it
-in the same way. The trajectory reader, `cli.read_trajectory_csv`, the
-line checks of `cli._data_lines` and the line reads of
-`cli._line_batches`, is plain Python too, and its mutants in
-`READER_MUTANTS` are made and run the same way against `test_cli`, as are the mutants of the CSV writer's `cli._csv_rows` in
-`WRITER_MUTANTS` and those of the command line's value rule,
-`cli._attach_values`, in `VALUE_MUTANTS`. The clip-height table
-`fuzzy._RULE_HEIGHTS` is built at import, so each mutant of
-`fuzzy._rule_heights` in `HEIGHT_MUTANTS` rebuilds it while its gate runs.
+- A builder, named by the function it emits: "loop" (`harness._loop`),
+  "factory" (`plant.compile_step`), "infer" (`fuzzy._inference`) or
+  "kernel" (`fuzzy._compile_kernel`). Generated code is compiled at one
+  point, `sprayflow._codegen.define`, so the edit rewrites each source
+  of that builder through an `exec` set on `_codegen`.
+- A function of the package. The edit rewrites its source, which is
+  compiled with postponed annotations, as its module is, and run in that
+  module's own namespace, where the module's callers look the name up.
+  Every other module global bound to the original, such as a test
+  module's `from sprayflow.cli import read_trajectory_csv`, is bound to
+  the mutant too. One name is added to the namespace for the test,
+  `fma`, which an edit may call.
+
+`monkeypatch` restores every name it set, so the original function is
+back after the test. Every rule table a gate uses is built for the
+mutant, and the caches of `harness._loop` and `fuzzy._inference` are
+cleared before and after it, so no mutant kernel, loop or inference
+outlives its test. A gate takes the pytest fixtures it needs as its
+parameters.
 
 Mutants known to be equivalent are listed in `EQUIVALENT` with the
-reason; they are not run. Out of scope: mutants of `_compile_kernel`'s
-logic that are no single edit of its output (a label clipped at the
-smallest instead of the largest index of its rules, an overlap at the
-larger instead of the smaller of two indices).
+reason; they are not run.
 """
+import __future__
 import ast
 import inspect
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import sprayflow
@@ -68,6 +67,12 @@ def fine_lattice():
         test_fuzzy.TestBitwiseReference().test_fine_lattice(fresh(table))
 
 
+def cell_interiors():
+    """`test_fuzzy::TestBitwiseReference::test_cell_interiors`, all its tables."""
+    for table in test_fuzzy.TABLES.values():
+        test_fuzzy.TestBitwiseReference().test_cell_interiors(fresh(table))
+
+
 def hand_stepping(*ids):
     """A gate of the named cases of `test_harness::TestRunClosedLoop`'s
     `test_equals_hand_stepping_bitwise`."""
@@ -93,6 +98,64 @@ def compiled_step():
     for n in (1, 2, 3, 4, MAX_ORDER):
         gate.test_random_steps(n)
     gate.test_rk4_steps()
+
+
+def order_16_map():
+    """`test_plant::TestRk4Zoh::test_order_16_map_bits`"""
+    test_plant.TestRk4Zoh().test_order_16_map_bits()
+
+
+def rule_heights():
+    """`test_fuzzy::test_rule_heights_index_each_fired_rules_strength`"""
+    test_fuzzy.test_rule_heights_index_each_fired_rules_strength()
+
+
+def reader_cases(tmp_path, monkeypatch):
+    """`test_cli::TestMetricsCommand`'s `test_row_bound`, `test_row_length_bound`
+    and `test_time_axis_tolerance`, then the cases of
+    `test_config_error_exits_1` that read a trajectory file, each read by
+    `read_trajectory_csv`."""
+    monkeypatch.setattr(cli, "MAX_STEPS", test_cli.LOW_MAX_STEPS)
+    test_cli.check_row_bound(tmp_path)
+    test_cli.check_row_length(tmp_path)
+    for t, accepted in test_cli.TIME_AXES.values():
+        test_cli.check_time_axis(tmp_path, t, accepted)
+    for argv, files, message in test_cli.CONFIG_ERRORS.values():
+        if argv[0] == "metrics" and files:
+            (name, text), = files.items()
+            path = tmp_path / name
+            path.write_text(text, "ascii")
+            got = ""
+            try:
+                cli.read_trajectory_csv(str(path))
+            except cli.ConfigError as exc:
+                got = str(exc)
+            assert message in got, name
+
+
+def unended_last_line(tmp_path):
+    """`test_cli::TestTrajectoryCsvIO::test_line_endings_read_the_same[lf-unended]`"""
+    test_cli.TestTrajectoryCsvIO().test_line_endings_read_the_same(tmp_path, b"\n", b"")
+
+
+def writer_cases(tmp_path):
+    """`test_cli::TestTrajectoryCsvIO::test_writer_bytes_equal_per_value_format`"""
+    test_cli.TestTrajectoryCsvIO().test_writer_bytes_equal_per_value_format(tmp_path)
+
+
+def value_cases(tmp_path, capsys, monkeypatch):
+    """`test_cli::TestCompare::test_negative_values_in_exponent_notation`,
+    `test_cli::TestMetricsCommand::test_operand_after_double_dash` and the
+    case "value-flag-after-double-dash" of `test_config_error_exits_1`."""
+    test_cli.TestCompare().test_negative_values_in_exponent_notation(capsys)
+    test_cli.TestMetricsCommand().test_operand_after_double_dash(tmp_path, capsys, monkeypatch)
+    argv, files, message = test_cli.CONFIG_ERRORS["value-flag-after-double-dash"]
+    test_cli.test_config_error_exits_1(tmp_path, capsys, argv, files, message)
+
+
+def sub(old, new):
+    """An edit that replaces the text old by new."""
+    return lambda source: source.replace(old, new)
 
 
 def swap(a, b):
@@ -123,10 +186,14 @@ def drop_in_place_state(source):
     return re.sub(r"\bn(\d+) = ", r"x\1 = ", source)
 
 
-# name: (builder, edit, gate). builder is the name of the function whose
-# source the edit rewrites: "loop" (`harness._loop`), "factory"
-# (`plant.compile_step`), "infer" (`fuzzy._inference`) or "kernel"
-# (`fuzzy._compile_kernel`).
+def fma(x, y, z):
+    """x * y + z with one rounding, emulated exactly through Fraction."""
+    return float(Fraction(x) * Fraction(y) + Fraction(z))
+
+
+READ, LINES, BATCHES = cli.read_trajectory_csv, cli._data_lines, cli._line_batches
+
+# name: (target, edit, gate); the target is a builder's name or a function.
 MUTANTS = {
     # The order of addition fixes the bits once both act (see _TWO_PER_PORT).
     "input-disturbances-reversed": (
@@ -149,142 +216,110 @@ MUTANTS = {
     ),
     # Only the midpoints -1.0 and 1.0 fold exactly.
     "midpoint-3.0-folded-as-1.0": (
-        "kernel", lambda s: s.replace(" - 3.0 * overlap_", " - overlap_"), quarter_lattice
+        "kernel", sub(" - 3.0 * overlap_", " - overlap_"), quarter_lattice
     ),
     "midpoint-minus-3.0-folded-as-minus-1.0": (
-        "kernel", lambda s: s.replace(" - -3.0 * overlap_", " + overlap_"), quarter_lattice
+        "kernel", sub(" - -3.0 * overlap_", " + overlap_"), quarter_lattice
     ),
     "fold-of-1.0-sign-swapped": (
-        "kernel",
-        in_moments(lambda m: m.replace(" - overlap_", " + overlap_")),
-        quarter_lattice,
+        "kernel", in_moments(sub(" - overlap_", " + overlap_")), quarter_lattice
     ),
     "fold-of-minus-1.0-sign-swapped": (
-        "kernel",
-        in_moments(lambda m: m.replace(" + overlap_", " - overlap_")),
+        "kernel", in_moments(sub(" + overlap_", " - overlap_")), quarter_lattice
+    ),
+    # The firing plans that `fuzzy._compile_kernel` works out. A label
+    # clipped at the smallest index of its rules may clip every label of
+    # an output at a zero height: test_cell_interiors fires every rule.
+    "label-clipped-at-smallest-index": (
+        fuzzy._compile_kernel, sub("max(k, clips.get", "min(k, clips.get"), cell_interiors
+    ),
+    "overlap-clipped-at-larger-index": (
+        fuzzy._compile_kernel,
+        sub("g = min(clips[label - 1], k)", "g = max(clips[label - 1], k)"),
         quarter_lattice,
     ),
     # The leading 0.0 turns a sum of -0.0 terms into 0.0.
-    "step-without-leading-zero": (
-        "factory", lambda s: s.replace(" = 0.0 + ", " = "), compiled_step
-    ),
+    "step-without-leading-zero": ("factory", sub(" = 0.0 + ", " = "), compiled_step),
     "step-state-updated-in-place": ("factory", drop_in_place_state, compiled_step),
     "loop-step-without-leading-zero": (
-        "loop",
-        lambda s: s.replace(" = 0.0 + ", " = "),
-        hand_stepping("pid-negative-gain-at-rest"),
+        "loop", sub(" = 0.0 + ", " = "), hand_stepping("pid-negative-gain-at-rest")
     ),
     "loop-state-updated-in-place": (
         "loop", drop_in_place_state, hand_stepping("pid-order-3", "fuzzy-order-3")
     ),
-}
-
-
-def fma(x, y, z):
-    """x * y + z with one rounding, emulated exactly through Fraction."""
-    return float(Fraction(x) * Fraction(y) + Fraction(z))
-
-
-def order_16_map():
-    """`test_plant::TestRk4Zoh::test_order_16_map_bits`"""
-    test_plant.TestRk4Zoh().test_order_16_map_bits()
-
-
-# name: (edit of the source of `plant.rk4_zoh`, gate).
-MAP_MUTANTS = {
-    # The second product of an entry of term . hA fused with the sum of
-    # the first, as a compiler that contracts to FMA would compute it.
+    # The plant's RK4 map: the second product of an entry of term . hA
+    # fused with the sum of the first, as a compiler that contracts to FMA
+    # would compute it.
     "map-dot-fused-multiply-add": (
-        lambda s: s.replace(
+        plant.rk4_zoh,
+        sub(
             "0.0 + row[j - 1] * dt + row[-1] * last[j]",
             "fma(row[-1], last[j], 0.0 + row[j - 1] * dt)",
         ),
         order_16_map,
     ),
-}
-
-
-def reader_cases(directory):
-    """`test_cli::TestMetricsCommand`'s `test_row_bound`, `test_row_length_bound`
-    and `test_time_axis_tolerance`, then the cases of
-    `test_config_error_exits_1` that read a trajectory file, each read by
-    `read_trajectory_csv`.
-
-    The caller lowers `cli.MAX_STEPS` to `test_cli.LOW_MAX_STEPS`.
-    """
-    test_cli.check_row_bound(directory)
-    test_cli.check_row_length(directory)
-    for t, accepted in test_cli.TIME_AXES.values():
-        test_cli.check_time_axis(directory, t, accepted)
-    for argv, files, message in test_cli.CONFIG_ERRORS.values():
-        if argv[0] == "metrics" and files:
-            (name, text), = files.items()
-            path = directory / name
-            path.write_text(text, "ascii")
-            got = ""
-            try:
-                test_cli.read_trajectory_csv(str(path))
-            except cli.ConfigError as exc:
-                got = str(exc)
-            assert message in got, name
-
-
-READ, LINES, BATCHES = cli.read_trajectory_csv, cli._data_lines, cli._line_batches
-
-# name: (READ, LINES or BATCHES, edit of its source), killed by reader_cases.
-READER_MUTANTS = {
-    "interval-tolerance-3e-9": (READ, lambda s: s.replace("tol = 2e-9 +", "tol = 3e-9 +")),
-    "interval-tolerance-6-ulp": (
-        READ, lambda s: s.replace(" 4.0 * np.spacing", " 6.0 * np.spacing")
-    ),
-    "interval-tolerance-minus-4-ulp": (READ, lambda s: s.replace("2e-9 + 4.0", "2e-9 - 4.0")),
-    "interval-strictly-inside-tolerance": (READ, lambda s: s.replace("<= tol", "< tol")),
-    "dt-from-sum-of-ends": (READ, lambda s: s.replace("t[-1] - t[0]", "t[-1] + t[0]")),
-    "dt-zero-accepted": (READ, lambda s: s.replace("dt > 0", "dt >= 0")),
-    "two-rows-refused": (LINES, lambda s: s.replace("n < 2", "n < 3")),
-    "count-starts-at-1": (LINES, lambda s: s.replace("n = 0\n", "n = 1\n")),
-    "batches-counted-not-lines": (LINES, lambda s: s.replace("n += len(lines)", "n += 1")),
-    "blank-check-inverted": (LINES, lambda s: s.replace('"" in lines', '"" not in lines')),
+    # The trajectory reader: `cli.read_trajectory_csv`, the line checks of
+    # `cli._data_lines` and the line reads of `cli._line_batches`.
+    "interval-tolerance-3e-9": (READ, sub("tol = 2e-9 +", "tol = 3e-9 +"), reader_cases),
+    "interval-tolerance-6-ulp": (READ, sub(" 4.0 * np.spacing", " 6.0 * np.spacing"), reader_cases),
+    "interval-tolerance-minus-4-ulp": (READ, sub("2e-9 + 4.0", "2e-9 - 4.0"), reader_cases),
+    "interval-strictly-inside-tolerance": (READ, sub("<= tol", "< tol"), reader_cases),
+    "dt-from-sum-of-ends": (READ, sub("t[-1] - t[0]", "t[-1] + t[0]"), reader_cases),
+    "dt-zero-accepted": (READ, sub("dt > 0", "dt >= 0"), reader_cases),
+    "two-rows-refused": (LINES, sub("n < 2", "n < 3"), reader_cases),
+    "count-starts-at-1": (LINES, sub("n = 0\n", "n = 1\n"), reader_cases),
+    "batches-counted-not-lines": (LINES, sub("n += len(lines)", "n += 1"), reader_cases),
+    "blank-check-inverted": (LINES, sub('"" in lines', '"" not in lines'), reader_cases),
     "blank-line-refused-before-the-lines-ahead": (
-        LINES, lambda s: s.replace('yield from lines[: lines.index("")]', "pass")
+        LINES, sub('yield from lines[: lines.index("")]', "pass"), reader_cases
     ),
     "blank-line-refused-after-one-line-less": (
-        LINES, lambda s: s.replace('lines.index("")]', 'lines.index("") - 1]')
+        LINES, sub('lines.index("")]', 'lines.index("") - 1]'), reader_cases
     ),
     # A blank line as it reads in binary mode, CR before the LF split off:
     # the file is read as text, which ends every line in LF, so no blank
     # line is caught.
-    "blank-line-as-crlf": (LINES, lambda s: s.replace('"" in lines', '"\\r" in lines')),
-    "row-bound-minus-one": (LINES, lambda s: s.replace("MAX_STEPS + 1", "MAX_STEPS")),
-    "row-bound-plus-half": (LINES, lambda s: s.replace("MAX_STEPS + 1", "MAX_STEPS + 1.5")),
-    "row-bound-plus-one": (LINES, lambda s: s.replace("MAX_STEPS + 1", "MAX_STEPS + 2")),
-    "row-bound-refused": (LINES, lambda s: s.replace("n > most", "n >= most")),
-    "longest-row-refused": (
-        BATCHES, lambda s: s.replace("> _MAX_ROW_CHARS", ">= _MAX_ROW_CHARS")
-    ),
+    "blank-line-as-crlf": (LINES, sub('"" in lines', '"\\r" in lines'), reader_cases),
+    "row-bound-minus-one": (LINES, sub("MAX_STEPS + 1", "MAX_STEPS"), reader_cases),
+    "row-bound-plus-half": (LINES, sub("MAX_STEPS + 1", "MAX_STEPS + 1.5"), reader_cases),
+    "row-bound-plus-one": (LINES, sub("MAX_STEPS + 1", "MAX_STEPS + 2"), reader_cases),
+    "row-bound-refused": (LINES, sub("n > most", "n >= most"), reader_cases),
+    "longest-row-refused": (BATCHES, sub("> _MAX_ROW_CHARS", ">= _MAX_ROW_CHARS"), reader_cases),
     "row-length-bound-plus-one": (
-        BATCHES, lambda s: s.replace("> _MAX_ROW_CHARS", "> _MAX_ROW_CHARS + 1")
+        BATCHES, sub("> _MAX_ROW_CHARS", "> _MAX_ROW_CHARS + 1"), reader_cases
     ),
-}
-
-
-def writer_cases(directory):
-    """`test_cli::TestTrajectoryCsvIO::test_writer_bytes_equal_per_value_format`"""
-    test_cli.TestTrajectoryCsvIO().test_writer_bytes_equal_per_value_format(directory)
-
-
-# name: edit of the source of `cli._csv_rows`, killed by writer_cases. The
-# first three widen what the integer arithmetic formats, and a chunk of
-# values it covers but one of _FMT9_VALUES kills each.
-WRITER_MUTANTS = {
-    "bound-3-to-the-52": lambda s: s.replace("< 2.0**52", "< 3.0**52"),
-    "tie-distance-0.75": lambda s: s.replace("!= 0.5", "!= 0.75"),
-    "tie-distance-from-sum": lambda s: s.replace("np.abs(x - n)", "np.abs(x + n)"),
+    "last-line-without-end-dropped": (BATCHES, sub("yield [tail]", "pass"), unended_last_line),
+    # The CSV writer, `cli._csv_rows`. The first three widen what the
+    # integer arithmetic formats, and a chunk of values it covers but one
+    # of _FMT9_VALUES kills each.
+    "bound-3-to-the-52": (cli._csv_rows, sub("< 2.0**52", "< 3.0**52"), writer_cases),
+    "tie-distance-0.75": (cli._csv_rows, sub("!= 0.5", "!= 0.75"), writer_cases),
+    "tie-distance-from-sum": (cli._csv_rows, sub("np.abs(x - n)", "np.abs(x + n)"), writer_cases),
     # Only a chunk of ties takes the arithmetic, which the row of ties kills.
-    "ties-only-exact": lambda s: s.replace("!= 0.5", "== 0.5"),
-    "sign-byte-divided": lambda s: s.replace('(values < 0) * ord("-")', '(values < 0) / ord("-")'),
-    "minus-zero-signed": lambda s: s.replace("(values < 0)", "(values <= 0)"),
-    "fallback-keeps-minus-zero": lambda s: s.replace("values + 0.0", "values - 0.0"),
+    "ties-only-exact": (cli._csv_rows, sub("!= 0.5", "== 0.5"), writer_cases),
+    "sign-byte-divided": (
+        cli._csv_rows, sub('(values < 0) * ord("-")', '(values < 0) / ord("-")'), writer_cases
+    ),
+    "minus-zero-signed": (cli._csv_rows, sub("(values < 0)", "(values <= 0)"), writer_cases),
+    "fallback-keeps-minus-zero": (cli._csv_rows, sub("values + 0.0", "values - 0.0"), writer_cases),
+    # The command line's value rule, `cli._attach_values`.
+    "single-dash-token-left-apart": (
+        cli._attach_values, sub('startswith("--")', 'startswith("-")'), value_cases
+    ),
+    "only-long-options-attached": (cli._attach_values, sub(" not token.", " token."), value_cases),
+    "double-dash-not-checked": (
+        cli._attach_values, sub('token == "--"', "token is None"), value_cases
+    ),
+    "double-dash-dropped": (cli._attach_values, sub("argv[i:]", "argv[i + 1:]"), value_cases),
+    # The clip-height rows of `fuzzy._rule_heights`. A fifth height, which
+    # no kernel reads: only the table shows it.
+    "five-rules": (fuzzy._rule_heights, sub("range(4)", "range(5)"), rule_heights),
+    "e-small-inverted": (
+        fuzzy._rule_heights, sub("(n >> 1) != e_right", "(n >> 1) == e_right"), rule_heights
+    ),
+    "ec-small-inverted": (
+        fuzzy._rule_heights, sub("(n & 1) != ec_right", "(n & 1) == ec_right"), rule_heights
+    ),
 }
 
 # Equivalent mutants, by name: the reason. Not run, and not counted.
@@ -332,14 +367,13 @@ EQUIVALENT = {
 }
 
 
-@pytest.fixture
-def mutate(monkeypatch):
-    """Compile every source of one builder with an edit; report if any changed."""
+def install(target, edit, monkeypatch):
+    """Install the edit of a target; return, per source it rewrote so
+    far, whether the edit changed it."""
     edited = []
-
-    def install(builder, edit):
+    if isinstance(target, str):
         def mutating_exec(source, namespace):
-            if source.startswith(f"def {builder}("):
+            if source.startswith(f"def {target}("):
                 mutant = edit(source)
                 edited.append(mutant != source)
                 source = mutant
@@ -347,110 +381,39 @@ def mutate(monkeypatch):
 
         monkeypatch.setattr(_codegen, "exec", mutating_exec, raising=False)
         return edited
-
-    harness._loop.cache_clear()
-    fuzzy._inference.cache_clear()
-    yield install
-    harness._loop.cache_clear()
-    fuzzy._inference.cache_clear()
+    source = inspect.getsource(target)
+    mutant = edit(source)
+    edited.append(mutant != source)
+    name, namespace = target.__name__, vars(sys.modules[target.__module__])
+    monkeypatch.setitem(namespace, name, target)
+    monkeypatch.setitem(namespace, "fma", fma)
+    flags = __future__.annotations.compiler_flag
+    exec(compile(mutant, f"<mutant of {name}>", "exec", flags, dont_inherit=True), namespace)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get(name) is target:
+            monkeypatch.setattr(module, name, namespace[name])
+    return edited
 
 
 @pytest.mark.parametrize("name", MUTANTS)
-def test_mutant_is_killed(name, mutate):
-    builder, edit, gate = MUTANTS[name]
-    edited = mutate(builder, edit)
+def test_mutant_is_killed(name, monkeypatch, request):
+    target, edit, gate = MUTANTS[name]
+    harness._loop.cache_clear()
+    fuzzy._inference.cache_clear()
     try:
-        gate()
-    except AssertionError:
-        killed = True
-    else:
-        killed = False
-    assert any(edited), f"{name} edits no source of {builder}"
+        edited = install(target, edit, monkeypatch)
+        fixtures = map(request.getfixturevalue, inspect.signature(gate).parameters)
+        try:
+            gate(*fixtures)
+        except AssertionError:
+            killed = True
+        else:
+            killed = False
+    finally:
+        harness._loop.cache_clear()
+        fuzzy._inference.cache_clear()
+    assert any(edited), f"{name} edits no source of {getattr(target, '__name__', target)}"
     assert killed, f"{name} survives {gate.__doc__}"
-
-
-def define_mutant(name, func, edit, **names):
-    """The function that an edit of func's source defines in a copy of its module's namespace."""
-    source = inspect.getsource(func)
-    mutant = edit(source)
-    assert mutant != source, f"{name} edits no source of {func.__module__}.{func.__name__}"
-    namespace = {**vars(inspect.getmodule(func)), **names}
-    exec(mutant, namespace)
-    return namespace[func.__name__]
-
-
-@pytest.mark.parametrize("name", MAP_MUTANTS)
-def test_map_mutant_is_killed(name, monkeypatch):
-    edit, gate = MAP_MUTANTS[name]
-    monkeypatch.setattr(test_plant, "rk4_zoh", define_mutant(name, plant.rk4_zoh, edit, fma=fma))
-    with pytest.raises(AssertionError):
-        gate()
-
-
-@pytest.mark.parametrize("name", READER_MUTANTS)
-def test_reader_mutant_is_killed(name, monkeypatch, tmp_path):
-    func, edit = READER_MUTANTS[name]
-    # define_mutant copies the namespace of cli, so the row bound is lowered first.
-    monkeypatch.setattr(cli, "MAX_STEPS", test_cli.LOW_MAX_STEPS)
-    monkeypatch.setattr(cli, func.__name__, define_mutant(name, func, edit))
-    monkeypatch.setattr(test_cli, "read_trajectory_csv", cli.read_trajectory_csv)
-    with pytest.raises(AssertionError):
-        reader_cases(tmp_path)
-
-
-@pytest.mark.parametrize("name", WRITER_MUTANTS)
-def test_writer_mutant_is_killed(name, monkeypatch, tmp_path):
-    # The mutant's source is compiled here, without the postponed
-    # annotations of its module, so its `np.ndarray` annotation needs np.
-    mutant = define_mutant(name, cli._csv_rows, WRITER_MUTANTS[name], np=np)
-    monkeypatch.setattr(cli, "_csv_rows", mutant)
-    with pytest.raises(AssertionError):
-        writer_cases(tmp_path)
-
-
-def value_cases(tmp_path, capsys, monkeypatch):
-    """`test_cli::TestCompare::test_negative_values_in_exponent_notation`,
-    `test_cli::TestMetricsCommand::test_operand_after_double_dash` and the
-    case "value-flag-after-double-dash" of `test_config_error_exits_1`."""
-    test_cli.TestCompare().test_negative_values_in_exponent_notation(capsys)
-    test_cli.TestMetricsCommand().test_operand_after_double_dash(tmp_path, capsys, monkeypatch)
-    argv, files, message = test_cli.CONFIG_ERRORS["value-flag-after-double-dash"]
-    test_cli.test_config_error_exits_1(tmp_path, capsys, argv, files, message)
-
-
-# name: edit of the source of `cli._attach_values`, killed by value_cases.
-VALUE_MUTANTS = {
-    "single-dash-token-left-apart": lambda s: s.replace('startswith("--")', 'startswith("-")'),
-    "only-long-options-attached": lambda s: s.replace(" not token.", " token."),
-    "double-dash-not-checked": lambda s: s.replace('token == "--"', "token is None"),
-    "double-dash-dropped": lambda s: s.replace("argv[i:]", "argv[i + 1:]"),
-}
-
-
-@pytest.mark.parametrize("name", VALUE_MUTANTS)
-def test_value_mutant_is_killed(name, monkeypatch, capsys, tmp_path):
-    mutant = define_mutant(name, cli._attach_values, VALUE_MUTANTS[name])
-    monkeypatch.setattr(cli, "_attach_values", mutant)
-    with pytest.raises(AssertionError):
-        value_cases(tmp_path, capsys, monkeypatch)
-
-
-# name: edit of the source of `fuzzy._rule_heights`, killed by
-# `test_fuzzy::test_rule_heights_index_each_fired_rules_strength`.
-HEIGHT_MUTANTS = {
-    # A fifth height, which no kernel reads: only the table shows it.
-    "five-rules": lambda s: s.replace("range(4)", "range(5)"),
-    "e-small-inverted": lambda s: s.replace("(n >> 1) != e_right", "(n >> 1) == e_right"),
-    "ec-small-inverted": lambda s: s.replace("(n & 1) != ec_right", "(n & 1) == ec_right"),
-}
-
-
-@pytest.mark.parametrize("name", HEIGHT_MUTANTS)
-def test_height_mutant_is_killed(name, monkeypatch):
-    mutant = define_mutant(name, fuzzy._rule_heights, HEIGHT_MUTANTS[name])
-    monkeypatch.setattr(fuzzy, "_RULE_HEIGHTS", tuple(map(mutant, range(8))))
-    with pytest.raises(AssertionError):
-        test_fuzzy.test_rule_heights_index_each_fired_rules_strength()
 
 
 def test_generated_code_has_one_compile_point():
