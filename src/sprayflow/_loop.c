@@ -1,0 +1,197 @@
+/* The closed loop of `harness.run_closed_loop` in C, bit for bit.
+
+   `_native` builds this file with -O2 -ffp-contract=off and without
+   -ffast-math, and defines MAX_ORDER as plant.MAX_ORDER. Every double
+   operation below is then one IEEE operation on the operands and in the
+   order of the Python loop (`harness._python_loop`): no multiply-add is
+   fused, no sum reassociated. It holds no mutable static state, so
+   threads may run it at once.
+
+   sprayflow_loop runs one scenario:
+   - the plant step of `plant.step_lines`, as loops over the order: each
+     dot product is accumulated left to right from 0.0 (`dot`);
+   - the disturbances of each port, in declaration order;
+   - the PID law of `pid.pid_law`, and for fuzzy-PID the gain update of
+     `adaptive.gain_lines` with its floor at zero;
+   - the fuzzy inference as the test oracle `_oracles.reference_deltas`
+     computes it: both inputs located, the four rule strengths, each
+     output label clipped at the largest strength naming it, and one
+     centroid per output over all seven labels (`centroid`). The
+     docstring of `fuzzy` shows that the rule kernels of the Python loop
+     give the same bits as that walk.
+   The sum tables are `fuzzy._P_SUMS` and `fuzzy._R_SUMS`, passed in. */
+
+#include <math.h>
+#include <stdint.h>
+
+/* Defuzzification grid intervals per label spacing, fuzzy.GRID_INTERVALS. */
+#define N 200.0
+
+/* a[0] * x[0] + ... + a[n-1] * x[n-1], left to right from 0.0. The
+   leading 0.0 turns a sum of -0.0 terms into 0.0. */
+static double dot(const double *a, const double *x, int64_t n)
+{
+    double acc = 0.0;
+    for (int64_t j = 0; j < n; j++)
+        acc += a[j] * x[j];
+    return acc;
+}
+
+/* The label k of a universe value x, and the degree w = s - k of label
+   k + 1, where s = (x + 6.0) * 0.5 is clamped to [0, 6] as
+   `fuzzy.inference_lines` clamps it; label k has degree 1.0 - w. */
+static int64_t locate(double x, double *w)
+{
+    double s = (x + 6.0) * 0.5;
+    if (s < 0.0)
+        s = 0.0;
+    if (s > 6.0)
+        s = 6.0;
+    int64_t k = (int64_t)s;
+    if (k > 5)
+        k = 5;
+    *w = s - (double)k;
+    return k;
+}
+
+/* The discrete centroid of one output's aggregate from its seven clip
+   heights, as `_oracles._centroid`. A row of p_sums holds, for
+   q = floor(N - N h), the plateau length p = min(q + 1, N), the ramp sum,
+   the plateau moment and the ramp moment; a row of r_sums, for
+   r = floor(N g), the tent sum and the flat points of an overlap. */
+static double centroid(const double heights[7], const double *p_sums, const double *r_sums)
+{
+    double mass = 0.0, moment = 0.0, prev = 0.0;
+    for (int k = 0; k < 7; k++) {
+        double h = heights[k];
+        if (h > 0.0) {
+            const double *p = p_sums + 4 * (int64_t)(N - N * h);
+            double side = p[0] * h + p[1];
+            double center = -6.0 + 2.0 * k;
+            if (k == 0 || k == 6) {
+                /* Cut at the universe edge: only the inner side remains. */
+                double side_moment = h * p[2] + p[3];
+                mass += side;
+                moment += center * side + (k == 0 ? 0.01 : -0.01) * side_moment;
+            } else {
+                /* Both sides share the center point. */
+                double full = side + side - h;
+                mass += full;
+                moment += center * full;
+            }
+            if (prev > 0.0) {
+                double g = prev < h ? prev : h;
+                const double *r = r_sums + 2 * (int64_t)(N * g);
+                double overlap = r[0] + r[1] * g + (g < 0.5 ? g : 0.5);
+                mass -= overlap;
+                moment -= (center - 1.0) * overlap;
+            }
+        }
+        prev = h;
+    }
+    return moment / mass;
+}
+
+/* The crisp (dKp, dKi, dKd) of the universe values qe and qec, each
+   finite or an infinity. cells[3 * (7 * e + ec) + out] is the label of
+   output out in the rule of error label e and rate label ec. */
+static void infer(double qe, double qec, const unsigned char *cells,
+                  const double *p_sums, const double *r_sums, double delta[3])
+{
+    double w, v;
+    int64_t i = locate(qe, &w);
+    int64_t j = locate(qec, &v);
+    double a = 1.0 - w, b = w, c = 1.0 - v, d = v;
+    int64_t rule[4] = {7 * i + j, 7 * i + j + 1, 7 * (i + 1) + j, 7 * (i + 1) + j + 1};
+    double strength[4] = {a < c ? a : c, a < d ? a : d, b < c ? b : c, b < d ? b : d};
+    double clips[3][7] = {{0.0}};
+    for (int n = 0; n < 4; n++) {
+        for (int out = 0; out < 3; out++) {
+            double *h = &clips[out][cells[3 * rule[n] + out]];
+            if (strength[n] > *h)
+                *h = strength[n];
+        }
+    }
+    for (int out = 0; out < 3; out++)
+        delta[out] = centroid(clips[out], p_sums, r_sums);
+}
+
+/* Logs rows 0 to n_rows - 1 into u_log and y_log (and, for fuzzy-PID,
+   the gains into kp_log, ki_log and kd_log) and returns the number of rows
+   logged, as the loop of `harness._loop` does. An input disturbance n
+   acts from step us[n] on, an output one from step ys[n] on. rows holds
+   the order rows of the plant step, order + 1 entries each, and c the
+   output row. gains holds the resting kp, ki and kd; factors is NULL for
+   PID and otherwise holds ke, kec, kup, kui and kud, with the rule labels
+   in cells (see `infer`). Returns -1 for an order out of 1 .. MAX_ORDER. */
+int64_t sprayflow_loop(int64_t n_rows, double dt, double r,
+                       int64_t n_u, const int64_t *us, const double *um,
+                       int64_t n_y, const int64_t *ys, const double *ym,
+                       double *u_log, double *y_log,
+                       double *kp_log, double *ki_log, double *kd_log,
+                       int64_t order, const double *rows, const double *c,
+                       const double *gains, const double *factors,
+                       const unsigned char *cells,
+                       const double *p_sums, const double *r_sums)
+{
+    /* The state, then the input: a row of rows dotted with it is the
+       next value of one state entry. */
+    double x[MAX_ORDER + 1], next[MAX_ORDER];
+    double kp = gains[0], ki = gains[1], kd = gains[2];
+    if (order < 1 || order > MAX_ORDER)
+        return -1;
+    for (int64_t i = 0; i < order; i++)
+        x[i] = 0.0;
+    double y = 0.0;
+    for (int64_t n = 0; n < n_y; n++)
+        if (ys[n] <= 0)
+            y += ym[n];
+    double e = r - y;
+    if (!isfinite(e))
+        return 0;
+    y_log[0] = y;
+    /* e - e is +0.0 for a finite e, so the first step's rate is 0.0. */
+    double e_prev = e;
+    double integral = 0.0;
+    for (int64_t k = 1; k < n_rows; k++) {
+        /* Step k: the controller acts on row k-1, then the plant advances. */
+        double rate = (e - e_prev) / dt;
+        e_prev = e;
+        if (factors) {
+            double delta[3];
+            infer(e * factors[0], rate * factors[1], cells, p_sums, r_sums, delta);
+            kp = gains[0] + factors[2] * delta[0];
+            if (!(kp > 0.0))
+                kp = 0.0;
+            ki = gains[1] + factors[3] * delta[1];
+            if (!(ki > 0.0))
+                ki = 0.0;
+            kd = gains[2] + factors[4] * delta[2];
+            if (!(kd > 0.0))
+                kd = 0.0;
+            kp_log[k] = kp;
+            ki_log[k] = ki;
+            kd_log[k] = kd;
+        }
+        integral += e * dt;
+        double u = kp * e + ki * integral + kd * rate;
+        for (int64_t n = 0; n < n_u; n++)
+            if (k >= us[n])
+                u += um[n];
+        x[order] = u;
+        for (int64_t i = 0; i < order; i++)
+            next[i] = dot(rows + i * (order + 1), x, order + 1);
+        for (int64_t i = 0; i < order; i++)
+            x[i] = next[i];
+        y = dot(c, x, order);
+        for (int64_t n = 0; n < n_y; n++)
+            if (k >= ys[n])
+                y += ym[n];
+        e = r - y;
+        if (!isfinite(e))
+            return k;
+        u_log[k] = u;
+        y_log[k] = y;
+    }
+    return n_rows;
+}

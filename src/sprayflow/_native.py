@@ -1,0 +1,158 @@
+"""The closed loop in C: `_loop.c`, compiled once per source and cached.
+
+`loop()` builds the library on its first call, not at import, and
+returns the C loop as a function of the 13 arguments of a loop of
+`harness._loop`, or None where no library can be built or loaded. The
+library is `cc` output for FLAGS, which keep every double operation of
+the source one IEEE operation in source order (-ffp-contract=off, no
+-ffast-math), so its runs have the bits of the Python loop.
+
+It is cached as $XDG_CACHE_HOME/sprayflow/loop-<sha256>.so, by default
+under ~/.cache, named by the sha256 of the source, the flags and the
+machine type, so a second process loads it without running a compiler,
+and an edited source or flag builds a library of its own. The compiler
+writes a temporary name that replaces the cached one only when complete.
+Where that directory cannot be written, the library is built in a
+temporary directory, loaded and deleted, once per process. Only where no
+cached library exists and no `cc` is found is there no library; a
+compiler that fails warns.
+
+The modules that building and loading need, ctypes and subprocess among
+them, are imported when `loop()` first runs, not with the package.
+"""
+from __future__ import annotations
+
+import functools
+import os
+import warnings
+from collections.abc import Callable
+from itertools import chain
+from pathlib import Path
+
+from .adaptive import FuzzyPidController
+from .fuzzy import _P_SUMS, _R_SUMS
+from .plant import MAX_ORDER
+
+SOURCE = Path(__file__).with_name("_loop.c")
+# After the source on the command line, so that the linker keeps libm.
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", f"-DMAX_ORDER={MAX_ORDER}", "-lm")
+
+
+@functools.cache
+def loop() -> Callable[..., int] | None:
+    """The C loop, with the arguments and result of a loop of `harness._loop`, or None.
+
+    The first call builds or loads the library (see the module docstring).
+    """
+    import ctypes
+
+    lib = _library()
+    if lib is None:
+        return None
+    doubles = ctypes.POINTER(ctypes.c_double)
+    run = lib.sprayflow_loop
+    run.restype = ctypes.c_int64
+    run.argtypes = (
+        ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64, ctypes.POINTER(ctypes.c_int64), doubles,
+        ctypes.c_int64, ctypes.POINTER(ctypes.c_int64), doubles,
+        doubles, doubles, doubles, doubles, doubles,
+        ctypes.c_int64, doubles, doubles,
+        doubles, doubles, ctypes.c_char_p, doubles, doubles,
+    )
+
+    def array(kind, values):
+        values = tuple(values)
+        return (kind * len(values))(*values)
+
+    p_sums = array(ctypes.c_double, chain.from_iterable(_P_SUMS))
+    r_sums = array(ctypes.c_double, chain.from_iterable(_R_SUMS))
+
+    def c_loop(n_rows, dt, r, u_dists, y_dists, u_log, y_log, kp_log, ki_log, kd_log,
+               rows, c, ctrl):
+        order = len(rows)
+        flat = array(ctypes.c_double, chain.from_iterable(rows))
+        if not 1 <= order <= MAX_ORDER or len(flat) != order * (order + 1) or len(c) != order:
+            raise ValueError(f"not a plant step of an order from 1 to {MAX_ORDER}: {rows!r}, {c!r}")
+        # Each log is a writable buffer of n_rows doubles, which from_buffer checks.
+        logs = [(ctypes.c_double * n_rows).from_buffer(log)
+                for log in (u_log, y_log, kp_log, ki_log, kd_log)]
+        fuzzy = isinstance(ctrl, FuzzyPidController)
+        base = ctrl.base if fuzzy else ctrl.gains
+        factors = cells = None
+        if fuzzy:
+            f = ctrl.factors
+            factors = array(ctypes.c_double, (f.ke, f.kec, f.kup, f.kui, f.kud))
+            # The label of output out of the rule (e, ec) at 3 * (7 * e + ec) + out.
+            cells = bytes(label for row in ctrl.table.cells for triple in row for label in triple)
+        return run(
+            n_rows, dt, r,
+            len(u_dists), array(ctypes.c_int64, (s for s, _ in u_dists)),
+            array(ctypes.c_double, (m for _, m in u_dists)),
+            len(y_dists), array(ctypes.c_int64, (s for s, _ in y_dists)),
+            array(ctypes.c_double, (m for _, m in y_dists)),
+            *logs, order, flat, array(ctypes.c_double, c),
+            array(ctypes.c_double, (base.kp, base.ki, base.kd)), factors, cells,
+            p_sums, r_sums,
+        )
+
+    return c_loop
+
+
+def _library():
+    """The loaded library: cached, else built (see the module docstring), else None."""
+    import ctypes
+    import hashlib
+    import platform
+    import shutil
+    import tempfile
+
+    # The machine too, for a cache directory that hosts of two kinds share.
+    salt = "\0".join((*FLAGS, platform.machine()))
+    key = hashlib.sha256(SOURCE.read_bytes() + salt.encode()).hexdigest()
+    name = f"loop-{key}.so"
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    cached = Path(cache, "sprayflow", name)
+    if cached.is_file():
+        return ctypes.CDLL(str(cached))
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        cached.parent.mkdir(parents=True, exist_ok=True)
+        writable = os.access(cached.parent, os.W_OK)
+    except OSError:
+        writable = False
+    if writable:
+        return _build(cc, cached)
+    with tempfile.TemporaryDirectory() as directory:
+        return _build(cc, Path(directory, name))
+
+
+def _build(cc: str, target: Path):
+    """Compile SOURCE to target and load it; None, with a warning, when
+    the compiler fails. The compiler writes a temporary file beside
+    target, which replaces target only when complete."""
+    import ctypes
+    import subprocess
+    import tempfile
+
+    fd, partial = tempfile.mkstemp(suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        result = subprocess.run(
+            [cc, str(SOURCE), "-o", partial, *FLAGS],
+            capture_output=True, text=True, timeout=300,
+        )
+        if result.returncode != 0:
+            warnings.warn(
+                f"{cc} could not build the C loop, so runs take the Python loop:\n"
+                f"{result.stderr}",
+                RuntimeWarning,
+            )
+            return None
+        os.replace(partial, target)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+    return ctypes.CDLL(str(target))

@@ -6,7 +6,8 @@ are recomputed from the absolute base gains every step (they are not
 integrated), and effective gains are floored at zero before actuation.
 The controller is configuration only; the closed loop
 (`harness.run_closed_loop`) holds the running state and runs the gain
-update inlined, as the lines of `gain_lines`.
+update inlined: the Python loop as the lines of `gain_lines`, the C loop
+as the same operations in the same order.
 """
 from __future__ import annotations
 

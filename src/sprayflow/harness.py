@@ -8,19 +8,22 @@ ports, and the plant advances by one RK4 step. The logged u
 column is the effective plant input and the y column the measured output,
 both including any active disturbances, so e = r - y holds row-wise.
 
-The loop runs on plain floats as one function of straight-line code,
-built once per process for each plant order, controller kind and number
-of disturbances on each port (`_loop`) and called once per run with the
-scenario's values: the plant step that `plant.rk4_zoh` precomputes once
-per scenario from its plant and dt as (rows, c), kept as
-`SimScenario.rk4_step`, the disturbances and the controller; setup lines
-unpack the step, the disturbances, the gains and, for fuzzy-PID, the
-factors and rule kernels into locals once per run. The plant state lives
-in locals and the plant step (`plant.step_lines`), each disturbance, the
-PID law and the gain update (`adaptive.gain_lines`) are written out;
-only a firing-plan kernel of the rule table remains a call. A run's
-trajectory is the rows of one float64 array, in `COLUMNS` order, and the
-loop logs through memoryviews of its rows u to kd. It holds the
+The loop is called once per run with the scenario's values: the plant
+step that `plant.rk4_zoh` precomputes once per scenario from its plant
+and dt as (rows, c), kept as `SimScenario.rk4_step`, the disturbances
+and the controller. `_loop` alone picks its engine: the C loop of
+`_native` wherever its library builds or loads (see there), otherwise
+the Python loop of `_python_loop`, the reference of the C loop's bits:
+one function of straight-line code per plant order, controller kind and
+number of disturbances on each port. Its setup lines unpack the step,
+the disturbances, the gains and, for fuzzy-PID, the factors and rule
+kernels into locals once per run. The plant state lives in locals and
+the plant step (`plant.step_lines`), each disturbance, the PID law and
+the gain update (`adaptive.gain_lines`) are written out; only a
+firing-plan kernel of the rule table remains a call.
+
+A run's trajectory is the rows of one float64 array, in `COLUMNS` order,
+and the loop logs through memoryviews of its rows u to kd. It holds the
 controller state, the integral and the previous error; their backward
 difference, zero on the first step, is both the derivative and the fuzzy
 error rate. A run is bit-identical to stepping `plant.compile_step`,
@@ -38,8 +41,9 @@ non-finite u makes every state entry and y non-finite, and the error
 check of the same step stops the run before its row.
 
 numpy is imported inside the functions that make arrays (a run, whose
-columns are numpy arrays, and the metrics), not with the module, so
-importing the package and building a scenario load no numpy.
+columns are numpy arrays, and the metrics), not with the module, and
+`_native` on the first run, so importing the package and building a
+scenario load neither numpy nor ctypes.
 """
 from __future__ import annotations
 
@@ -203,9 +207,8 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     row 0's error overflows), with blown_up set. A step whose error rate
     overflows is such a step (see the module docstring).
 
-    The whole loop is one function of straight-line code (see `_loop`),
-    called once with the scenario's values: its `rk4_step` and its
-    controller.
+    The whole loop is one call of the engine that `_loop` picks, with the
+    scenario's values: its `rk4_step` and its controller.
     """
     import numpy as np
 
@@ -236,8 +239,9 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
         else:
             y_dists.append((start, d.magnitude))
 
-    # The loop logs through memoryviews of the rows u to kd, which write
-    # the same 8 bytes as numpy's item assignment at about half the cost.
+    # The loop logs through memoryviews of the rows u to kd: the Python
+    # loop writes the same 8 bytes through them as numpy's item assignment
+    # at about half the cost, and the C loop writes to their buffers.
     logs = map(memoryview, (u_log, y_log, kp_log, ki_log, kd_log))
     n_logged = _loop(len(rows), fuzzy, len(u_dists), len(y_dists))(
         n_rows, dt, r, u_dists, y_dists, *logs, rows, c, controller
@@ -246,12 +250,24 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     return Trajectory(block[:, :n_logged], blown_up=n_logged < n_rows)
 
 
+def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
+    """The closed loop of a plant order, controller kind and disturbance counts.
+
+    The C loop, which takes every order, kind and count, where its
+    library builds or loads, else the Python loop. Both take the arguments
+    that `_python_loop` describes and give the same bits.
+    """
+    from . import _native
+
+    return _native.loop() or _python_loop(order, fuzzy, n_u, n_y)
+
+
 # One entry per plant order, controller kind and disturbance count per port:
 # at most 3 * 2 * plant.MAX_ORDER = 96 for the CLI, which takes at most one
 # disturbance. A library caller may use any counts, so the cache is bounded.
 @functools.lru_cache(maxsize=128)
-def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
-    """The closed loop of a plant order, controller kind and disturbance counts.
+def _python_loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
+    """The Python loop of a plant order, controller kind and disturbance counts.
 
     loop(n_rows, dt, r, u_dists, y_dists, u_log, y_log, kp_log, ki_log,
     kd_log, rows, c, ctrl) logs rows 0 to n_rows - 1 into u_log and y_log

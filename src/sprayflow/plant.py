@@ -14,9 +14,10 @@ not finite. This module imports no numpy.
 `step_lines` writes the step of an order as straight-line code on plain
 floats, which checks nothing: a caller that must stop at a blow-up
 checks the output, which is not finite whenever any state entry is not.
-The closed loop (`harness.run_closed_loop`) writes those lines into its
-own body; `compile_step` builds them into a function step(x, u) for
-stepping by hand, with the same bits. The shipped pipeline model has a
+The Python closed loop (`harness._python_loop`) writes those lines into
+its own body, and the C loop (`_loop.c`) performs their operations in
+the same order; `compile_step` builds them into a function step(x, u)
+for stepping by hand, with the same bits. The shipped pipeline model has a
 pure integrator and a 3.7 ms lag, so the default step of 1e-4 s resolves
 its fast pole. A plant's order is bounded by MAX_ORDER.
 """
@@ -31,15 +32,18 @@ from ._codegen import define
 PLANT_INPUT = "plant-input"
 PLANT_OUTPUT = "plant-output"
 
-# A step costs about order^2 operations. At order 16 a PID step of the
-# closed loop takes about 6 us, against 0.4 us at order 2 and about 1.6 us
-# for a whole fuzzy-PID step on the pipeline plant (CPython 3.11, 2 shared
+# A step costs about order^2 operations. In the C loop of the harness, at
+# order 16 a PID step takes about 0.17 us, against 40 ns at order 2 and
+# 0.11 us for a whole fuzzy-PID step on the pipeline plant; in the Python
+# loop, about 5.5 us, 0.3 us and 1.5 us (CPython 3.11, gcc 12, 2 shared
 # cores; the least of 40 in-process `run_closed_loop` calls on the 0.5 s
-# default scenario, in each of 6 processes: 5.5-6.0, 0.33-0.39 and
-# 1.57-1.72 us). Building the loop of an order takes about 2 ms, once per
-# process, controller kind and disturbance count per port. The RK4 map of an
-# order-16 plant (`rk4_zoh`, about 8 * n^2 multiply-adds in plain floats)
-# takes about 0.4 ms, once per scenario.
+# default scenario, in each of 6 processes: C 158-264, 40-48 and 111-117
+# ns, Python 5.41-5.56, 0.30-0.49 and 1.43-2.15 us). The C loop takes
+# every order; the state it holds is sized by MAX_ORDER. Building the
+# Python loop of an order takes about 2 ms, once per process, controller
+# kind and disturbance count per port. The RK4 map of an order-16 plant
+# (`rk4_zoh`, about 8 * n^2 multiply-adds in plain floats) takes about
+# 0.4 ms, once per scenario.
 MAX_ORDER = 16
 
 
@@ -175,9 +179,10 @@ def step_lines(n: int) -> tuple[list[str], list[str]]:
     per term, so its bits do not depend on the interpreter: from CPython
     3.12 on the builtin sum() of floats is compensated. No path whose bits
     are pinned may use sum, math.fsum, math.sumprod or a numpy reduction;
-    every plant step is built from these lines, by `compile_step` and by
-    the closed loop (`harness.run_closed_loop`). The leading 0.0 turns a
-    sum of -0.0 terms into 0.0.
+    every plant step in Python is built from these lines, by
+    `compile_step` and by the Python closed loop (`harness._python_loop`),
+    and the C loop's `dot` adds the same terms in the same order. The
+    leading 0.0 turns a sum of -0.0 terms into 0.0.
 
     Plain arithmetic, with no finiteness check. y is not finite whenever
     some x_i is not, even where c_i = 0 (0 * inf is nan), so checking y

@@ -10,8 +10,11 @@ blown_up flag and its columns packed as little-endian doubles in
 `harness.COLUMNS` order; for the CSV group, the length and bytes of each
 file that `sprayflow simulate` writes. A failing group names what
 changed. Metrics are left out, so a change to `compute_metrics` moves no
-digest. `test_bits.py` checks every group but `sweep-full` (all 32
-designs of the benchmark's sweep, about 7 s), which CI checks with this
+digest. Runs take the engine that `harness._loop` picks: the C loop
+wherever a C compiler or a cached library exists, else the Python loop.
+`test_bits.py` checks every group but `sweep-full` (all 32 designs of the
+benchmark's sweep, about 1.5 s through the C loop and 6 s through the
+Python loop) through both engines, and CI checks `sweep-full` with this
 script. Regenerate only when the simulated bits are meant to change.
 """
 from __future__ import annotations

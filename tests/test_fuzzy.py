@@ -460,10 +460,11 @@ class TestBitwiseReference:
         assert got == packed(reference_deltas(e, ec, table.cells))
 
 
-# Imports the package, then runs the default fuzzy step, and reports the
-# kernels of the default table that are built (as `built` tells) after the
-# import and after the run, the loops and inference functions built by the
-# import, and the run's dt and logged error column.
+# Imports the package, then runs the default fuzzy step through the Python
+# loop, whose kernels these are, and reports the kernels of the default
+# table that are built (as `built` tells) after the import and after the
+# run, the loops and inference functions built by the import, and the run's
+# dt and logged error column.
 KERNELS_SCRIPT = """
 import inspect
 import json
@@ -474,8 +475,9 @@ def built():
     return [n for n, entry in enumerate(table.kernels) if inspect.isfunction(entry)
             and entry.__name__ == "kernel"]
 after_import = built()
-loops_after_import = harness._loop.cache_info().currsize
+loops_after_import = harness._python_loop.cache_info().currsize
 inference_after_import = fuzzy._inference.cache_info().currsize
+harness._loop = harness._python_loop
 scenario = presets.default_scenario(presets.default_fuzzy_controller())
 traj = sprayflow.run_closed_loop(scenario)
 after_run = built()
@@ -559,7 +561,7 @@ def test_generated_inference_makes_one_kernel_call(monkeypatch):
         exec(source, namespace)
 
     monkeypatch.setattr(_codegen, "exec", recording_exec, raising=False)
-    harness._loop.__wrapped__(2, True, 0, 0)
+    harness._python_loop.__wrapped__(2, True, 0, 0)
     fuzzy._inference.__wrapped__()
     loop, infer = sources
     call = "dp, di, dd = kernels[index](lo, hi, big)"

@@ -812,10 +812,10 @@ class TestCompareControllers:
         assert len(result.pid_trajectory) == len(result.fuzzy_trajectory) == 101
 
     def test_loop_is_built_once_per_order_and_kind(self, monkeypatch):
-        # A fresh process has built no loop after the import.
+        # A fresh process has built no Python loop after the import.
         result = subprocess.run(
             [sys.executable, "-W", "error", "-c",
-             "import sprayflow; print(sprayflow.harness._loop.cache_info().currsize)"],
+             "import sprayflow; print(sprayflow.harness._python_loop.cache_info().currsize)"],
             capture_output=True, text=True, timeout=120, check=True,
         )
         assert result.stdout == "0\n"
@@ -826,7 +826,8 @@ class TestCompareControllers:
             builds.append(order)
             return step_lines(order)
 
-        harness._loop.cache_clear()
+        harness._python_loop.cache_clear()
+        monkeypatch.setattr(harness, "_loop", harness._python_loop)
         monkeypatch.setattr(harness, "step_lines", counting)
         scenario = hand_case(_PID)
         run_closed_loop(scenario)
@@ -843,7 +844,7 @@ class TestCompareControllers:
         assert builds == [2, 2, 2]
         compare_controllers(replace(scenario, plant=ORDER_3), _PID, _FUZZY)
         assert builds == [2, 2, 2, 3, 3]
-        assert harness._loop.cache_info().currsize == 5
+        assert harness._python_loop.cache_info().currsize == 5
 
     @pytest.mark.parametrize("slot", [0, 1])
     def test_rejects_unsupported_controller(self, slot):

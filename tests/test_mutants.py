@@ -2,13 +2,17 @@
 
 Each entry of `MUTANTS` is a text edit of one source and the gate that
 must kill it: an existing test, run on fresh inputs, must fail an
-assertion. The edit's target is of one of two kinds.
+assertion. The edit's target is of one of three kinds.
 
-- A builder, named by the function it emits: "loop" (`harness._loop`),
-  "factory" (`plant.compile_step`), "infer" (`fuzzy._inference`) or
-  "kernel" (`fuzzy._compile_kernel`). Generated code is compiled at one
-  point, `sprayflow._codegen.define`, so the edit rewrites each source
-  of that builder through an `exec` set on `_codegen`.
+- A builder, named by the function it emits: "loop"
+  (`harness._python_loop`), "factory" (`plant.compile_step`), "infer"
+  (`fuzzy._inference`) or "kernel" (`fuzzy._compile_kernel`). Generated
+  code is compiled at one point, `sprayflow._codegen.define`, so the edit
+  rewrites each source of that builder through an `exec` set on
+  `_codegen`.
+- "c", the C loop: the edit rewrites `_loop.c` into a file of the test's
+  own, which `_native` compiles into a cache directory of the test's
+  own. Runs take the mutant C loop.
 - A function of the package. The edit rewrites its source, which is
   compiled with postponed annotations, as its module is, and run in that
   module's own namespace, where the module's callers look the name up.
@@ -17,12 +21,14 @@ assertion. The edit's target is of one of two kinds.
   the mutant too. One name is added to the namespace for the test,
   `fma`, which an edit may call.
 
+Runs of every other target take the Python loop (`harness._loop` is
+pinned to `harness._python_loop`), whose code the edits reach.
 `monkeypatch` restores every name it set, so the original function is
 back after the test. Every rule table a gate uses is built for the
-mutant, and the caches of `harness._loop` and `fuzzy._inference` are
-cleared before and after it, so no mutant kernel, loop or inference
-outlives its test. A gate takes the pytest fixtures it needs as its
-parameters.
+mutant, and the caches of `harness._python_loop`, `fuzzy._inference` and
+`_native.loop` are cleared before and after it, so no mutant kernel,
+loop or inference outlives its test. A gate takes the pytest fixtures it
+needs as its parameters.
 
 Mutants known to be equivalent are listed in `EQUIVALENT` with the
 reason; they are not run.
@@ -39,7 +45,7 @@ from pathlib import Path
 import pytest
 
 import sprayflow
-from sprayflow import _codegen, cli, fuzzy, harness, plant
+from sprayflow import _codegen, _native, cli, fuzzy, harness, plant
 from sprayflow.adaptive import FuzzyPidController
 from sprayflow.fuzzy import RuleTable
 from sprayflow.plant import MAX_ORDER
@@ -47,6 +53,7 @@ from sprayflow.plant import MAX_ORDER
 import test_cli
 import test_fuzzy
 import test_harness
+import test_native
 import test_plant
 
 
@@ -151,6 +158,12 @@ def value_cases(tmp_path, capsys, monkeypatch):
     test_cli.TestMetricsCommand().test_operand_after_double_dash(tmp_path, capsys, monkeypatch)
     argv, files, message = test_cli.CONFIG_ERRORS["value-flag-after-double-dash"]
     test_cli.test_config_error_exits_1(tmp_path, capsys, argv, files, message)
+
+
+def engines():
+    """`test_native::test_engines_give_the_same_bytes`, every group."""
+    for group in test_native.SCENARIOS:
+        test_native.test_engines_give_the_same_bytes(group)
 
 
 def sub(old, new):
@@ -320,6 +333,20 @@ MUTANTS = {
     "ec-small-inverted": (
         fuzzy._rule_heights, sub("(n & 1) != ec_right", "(n & 1) == ec_right"), rule_heights
     ),
+    # The C loop, `_loop.c`: a compiler that contracts to FMA, a reordered
+    # sum, a disturbance one step late, the overlap clipped at the larger
+    # height, and a float where a double belongs.
+    "c-dot-fused-multiply-add": (
+        "c", sub("acc += a[j] * x[j];", "acc = fma(a[j], x[j], acc);"), engines
+    ),
+    "c-dot-right-to-left": (
+        "c", sub("for (int64_t j = 0; j < n; j++)", "for (int64_t j = n - 1; j >= 0; j--)"), engines
+    ),
+    "c-input-disturbance-one-step-late": ("c", sub("k >= us[n]", "k > us[n]"), engines),
+    "c-overlap-clipped-at-larger-height": (
+        "c", sub("prev < h ? prev : h", "prev > h ? prev : h"), engines
+    ),
+    "c-rate-single-precision": ("c", sub("double rate =", "float rate ="), engines),
 }
 
 # Equivalent mutants, by name: the reason. Not run, and not counted.
@@ -367,10 +394,21 @@ EQUIVALENT = {
 }
 
 
-def install(target, edit, monkeypatch):
+def install(target, edit, monkeypatch, tmp_path):
     """Install the edit of a target; return, per source it rewrote so
     far, whether the edit changed it."""
     edited = []
+    if target == "c":
+        source = _native.SOURCE.read_text("ascii")
+        mutant = edit(source)
+        edited.append(mutant != source)
+        path = tmp_path / "c-mutant" / _native.SOURCE.name
+        path.parent.mkdir()
+        path.write_text(mutant, "ascii")
+        monkeypatch.setattr(_native, "SOURCE", path)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(path.parent))
+        return edited
+    monkeypatch.setattr(harness, "_loop", harness._python_loop)
     if isinstance(target, str):
         def mutating_exec(source, namespace):
             if source.startswith(f"def {target}("):
@@ -396,12 +434,13 @@ def install(target, edit, monkeypatch):
 
 
 @pytest.mark.parametrize("name", MUTANTS)
-def test_mutant_is_killed(name, monkeypatch, request):
+def test_mutant_is_killed(name, monkeypatch, request, tmp_path):
     target, edit, gate = MUTANTS[name]
-    harness._loop.cache_clear()
-    fuzzy._inference.cache_clear()
+    caches = (harness._python_loop, fuzzy._inference, _native.loop)
+    for cache in caches:
+        cache.cache_clear()
     try:
-        edited = install(target, edit, monkeypatch)
+        edited = install(target, edit, monkeypatch, tmp_path)
         fixtures = map(request.getfixturevalue, inspect.signature(gate).parameters)
         try:
             gate(*fixtures)
@@ -410,8 +449,8 @@ def test_mutant_is_killed(name, monkeypatch, request):
         else:
             killed = False
     finally:
-        harness._loop.cache_clear()
-        fuzzy._inference.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert any(edited), f"{name} edits no source of {getattr(target, '__name__', target)}"
     assert killed, f"{name} survives {gate.__doc__}"
 

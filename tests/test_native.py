@@ -1,0 +1,204 @@
+"""The C engine of the closed loop (`_native`, `_loop.c`) against the Python loop.
+
+`harness._loop` picks the engine: the C loop where its library builds or
+loads, otherwise `harness._python_loop`. Both must give the same bytes.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import sprayflow
+from sprayflow import _native, harness, presets
+from sprayflow.plant import MAX_ORDER, PIPELINE_TF, TransferFunction
+
+import bits
+
+
+def python_run(scenario):
+    """`run_closed_loop` of the scenario through the Python loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_loop", harness._python_loop)
+        return sprayflow.run_closed_loop(scenario)
+
+
+def _every_order():
+    # A first-order lag, then the pipeline model with 0 to 14 poles of
+    # 0.1 ms added: orders 1 to MAX_ORDER.
+    plants = [TransferFunction(num=(100.0,), den=(0.0037, 1.0))]
+    den = np.array(PIPELINE_TF.den)
+    for _ in range(2, MAX_ORDER + 1):
+        plants.append(TransferFunction(num=PIPELINE_TF.num, den=tuple(den.tolist())))
+        den = np.convolve(den, (1e-4, 1.0))
+    for plant in plants:
+        for controller in bits.CONTROLLERS:
+            yield bits._case(controller, plant=plant)
+
+
+# The scenarios of every group of the bit manifest but the CSV files and
+# the sweep, and every plant order.
+SCENARIOS = {
+    "presets": bits._presets,
+    "disturbances-0-to-40": bits._disturbances,
+    "blow-ups": bits._blow_ups,
+    "plant-orders": bits._plant_orders,
+    "integer-gains": bits._integer_gains,
+    "orders-1-to-16": _every_order,
+}
+
+
+def c_loop():
+    """The C loop, skipping the test where no library builds."""
+    loop = _native.loop()
+    if loop is None:
+        pytest.skip("no C compiler and no cached library: runs take the Python loop")
+    return loop
+
+
+@pytest.mark.parametrize("group", SCENARIOS)
+def test_engines_give_the_same_bytes(group):
+    assert harness._loop(2, True, 0, 0) is c_loop()
+    # A run logs finite rows only, so no logged value is a nan, whose sign
+    # bit the Python loop does not fix (see CHANGES.md): equal bytes are
+    # the test.
+    for scenario in SCENARIOS[group]():
+        c_traj = sprayflow.run_closed_loop(scenario)
+        py_traj = python_run(scenario)
+        assert np.all(np.isfinite(c_traj.data))
+        assert c_traj.blown_up == py_traj.blown_up
+        assert c_traj.data.tobytes() == py_traj.data.tobytes(), scenario
+
+
+def test_c_engine_is_in_use_where_cc_exists():
+    # So a library that fails to build cannot leave a machine with a
+    # compiler, such as CI's, checking the Python loop alone.
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    assert _native.loop() is not None
+    assert harness._loop(1, False, 0, 0) is harness._loop(16, True, 3, 2) is _native.loop()
+
+
+def test_without_a_compiler_runs_take_the_python_loop(monkeypatch, tmp_path):
+    scenario = presets.disturbance_scenario(presets.default_fuzzy_controller())
+    want = sprayflow.run_closed_loop(scenario).data.tobytes()
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _native.loop.cache_clear()
+    try:
+        assert _native.loop() is None
+        assert harness._loop(2, True, 0, 1) is harness._python_loop(2, True, 0, 1)
+        assert sprayflow.run_closed_loop(scenario).data.tobytes() == want
+    finally:
+        _native.loop.cache_clear()
+    assert not any(tmp_path.iterdir())
+
+
+def test_unwritable_cache_builds_in_a_temporary_directory(monkeypatch, tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    (tmp_path / "file").write_text("")
+    # No directory can be made under a file, whoever runs the test.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file" / "cache"))
+    _native.loop.cache_clear()
+    try:
+        scenario = presets.default_scenario(presets.default_fuzzy_controller())
+        assert harness._loop(2, True, 0, 0) is _native.loop() is not None
+        want = python_run(scenario).data.tobytes()
+        assert sprayflow.run_closed_loop(scenario).data.tobytes() == want
+    finally:
+        _native.loop.cache_clear()
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
+
+def test_failing_compiler_warns_and_runs_take_the_python_loop(monkeypatch, tmp_path):
+    false = shutil.which("false")
+    if false is None:
+        pytest.skip("no false on PATH")
+    monkeypatch.setattr(shutil, "which", lambda name: false)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _native.loop.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="could not build the C loop"):
+            assert _native.loop() is None
+    finally:
+        _native.loop.cache_clear()
+    # The compiler's output file is removed with the failure.
+    assert not any((tmp_path / "sprayflow").iterdir())
+
+
+def test_threads_run_the_c_loop_at_once():
+    # The C loop holds no state of its own and runs without the
+    # interpreter lock, so runs in threads overlap and keep their bits.
+    c_loop()
+    scenario = presets.disturbance_scenario(presets.default_fuzzy_controller())
+    want = python_run(scenario).data.tobytes()
+    results = [None] * 4
+
+    def work(n):
+        results[n] = [sprayflow.run_closed_loop(scenario).data.tobytes() for _ in range(5)]
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[want] * 5] * 4
+
+
+def python(code, **env):
+    """Run code in a fresh interpreter with the given environment additions."""
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True, text=True, timeout=120, check=True, env={**os.environ, **env},
+    )
+
+
+def test_import_loads_no_ctypes_or_subprocess():
+    code = (
+        "import sys, sprayflow, sprayflow.cli; "
+        "print('ctypes' in sys.modules, 'subprocess' in sys.modules)"
+    )
+    assert python(code).stdout == "False False\n"
+
+
+def test_second_process_loads_the_cached_library(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    code = (
+        "import sys; from sprayflow import _native; "
+        "print(_native.loop() is not None, 'subprocess' in sys.modules)"
+    )
+    # The first process runs the compiler; the second finds the library
+    # and imports no subprocess module, so it runs none.
+    assert python(code, XDG_CACHE_HOME=str(tmp_path)).stdout == "True True\n"
+    (library,) = (tmp_path / "sprayflow").iterdir()
+    assert library.name.startswith("loop-") and library.suffix == ".so"
+    built = library.stat().st_mtime_ns
+    assert python(code, XDG_CACHE_HOME=str(tmp_path)).stdout == "True False\n"
+    assert [path.name for path in (tmp_path / "sprayflow").iterdir()] == [library.name]
+    assert library.stat().st_mtime_ns == built
+
+
+
+@pytest.mark.parametrize(
+    "rows, c",
+    [
+        (((1.0, 0.0, 1.0),), (1.0,)),
+        (((1.0, 1.0),), (1.0, 0.0)),
+        (((1.0, 1.0),) * (MAX_ORDER + 1), (1.0,) * (MAX_ORDER + 1)),
+        ((), ()),
+    ],
+    ids=["long-row", "long-output-row", "order-above-bound", "order-0"],
+)
+def test_c_loop_refuses_a_step_of_another_shape(rows, c):
+    # Its state holds MAX_ORDER entries, and it reads order * (order + 1)
+    # entries of rows and order of c.
+    logs = [memoryview(np.zeros(3)) for _ in range(5)]
+    ctrl = presets.default_pid_config()
+    with pytest.raises(ValueError, match="not a plant step"):
+        c_loop()(3, 1e-4, 1.0, [], [], *logs, rows, c, ctrl)
