@@ -1,13 +1,15 @@
-/* The closed loop of `harness.run_closed_loop` in C, bit for bit.
+/* The closed loop of `harness.run_closed_loop` and the trajectory CSV of
+   `cli`, in C, bit for bit and byte for byte.
 
    `_native` builds this file with -O2 -ffp-contract=off and without
    -ffast-math, and defines MAX_ORDER as plant.MAX_ORDER. Every double
    operation below is then one IEEE operation on the operands and in the
-   order of the Python loop (`harness._python_loop`): no multiply-add is
-   fused, no sum reassociated. It holds no mutable static state, so
-   threads may run it at once.
+   order of the Python code it stands for: no multiply-add is fused, no
+   sum reassociated. It holds no mutable static state, so threads may run
+   it at once.
 
-   sprayflow_loop runs one scenario:
+   sprayflow_loop runs one scenario, as the Python loop
+   (`harness._python_loop`) does:
    - the plant step of `plant.step_lines`, as loops over the order: each
      dot product is accumulated left to right from 0.0 (`dot`);
    - the disturbances of each port, in declaration order;
@@ -19,10 +21,16 @@
      centroid per output over all seven labels (`centroid`). The
      docstring of `fuzzy` shows that the rule kernels of the Python loop
      give the same bits as that walk.
-   The sum tables are `fuzzy._P_SUMS` and `fuzzy._R_SUMS`, passed in. */
+   The sum tables are `fuzzy._P_SUMS` and `fuzzy._R_SUMS`, passed in.
+
+   sprayflow_format_rows writes CSV rows by the integer arithmetic of
+   `cli._csv_rows`, and refuses a block that arithmetic does not cover;
+   sprayflow_parse_rows reads the rows the writer writes, and refuses any
+   other text. `cli` takes its Python path where either refuses. */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Defuzzification grid intervals per label spacing, fuzzy.GRID_INTERVALS. */
 #define N 200.0
@@ -194,4 +202,142 @@ int64_t sprayflow_loop(int64_t n_rows, double dt, double r,
         y_log[k] = y;
     }
     return n_rows;
+}
+
+
+/* The digits of 0 to 99, two per number. */
+static const char DIGITS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Writes the CSV rows of a block of n_rows rows of n_cols doubles into
+   out and returns the number of bytes written, at most 19 per value.
+   Value (i, j) is the double at values + i * row_step + j * col_step
+   bytes, so a transposed or sliced array is read in place. Each value v
+   is written as `cli._csv_rows` writes it: with x = v * 1e9 and
+   n = rint(x), a '-' when v < 0, the whole part of |n| / 10**9 with no
+   leading zero, the point, nine fraction digits and a comma, or LF after
+   the last value of a row. Returns -1, having written part of out, where
+   a value is not finite or has |x| >= 2**52 or |x - n| == 0.5, which
+   that arithmetic does not cover (see `cli.write_trajectory_csv`). */
+int64_t sprayflow_format_rows(const char *values, int64_t n_rows, int64_t n_cols,
+                              int64_t row_step, int64_t col_step, char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n_rows; i++) {
+        for (int64_t j = 0; j < n_cols; j++) {
+            double v;
+            memcpy(&v, values + i * row_step + j * col_step, sizeof v);
+            double x = v * 1e9;
+            double n = rint(x);
+            if (!(fabs(x) < 0x1p52 && fabs(x - n) != 0.5))
+                return -1;
+            /* |n| < 2**52, so the whole part has at most 7 digits. */
+            int64_t scaled = (int64_t)fabs(n);
+            int32_t whole = (int32_t)(scaled / 1000000000);
+            int32_t frac = (int32_t)(scaled - (int64_t)whole * 1000000000);
+            if (v < 0.0)
+                *p++ = '-';
+            char digits[7];
+            int k = 7;
+            do {
+                digits[--k] = (char)('0' + whole % 10);
+                whole /= 10;
+            } while (whole);
+            memcpy(p, digits + k, (size_t)(7 - k));
+            p += 7 - k;
+            *p++ = '.';
+            /* The first 4 and the last 5 fraction digits, in two chains
+               of divisions that do not wait on each other. */
+            int32_t hi = frac / 100000, lo = frac - 100000 * hi;
+            memcpy(p + 2, DIGITS + 2 * (hi % 100), 2);
+            memcpy(p, DIGITS + 2 * (hi / 100), 2);
+            memcpy(p + 7, DIGITS + 2 * (lo % 100), 2);
+            memcpy(p + 5, DIGITS + 2 * (lo / 100 % 100), 2);
+            p[4] = (char)('0' + lo / 10000);
+            p += 9;
+            *p++ = j + 1 < n_cols ? ',' : '\n';
+        }
+    }
+    return p - out;
+}
+
+/* 2**53: every integer below it is a double. */
+#define EXACT_LIMIT 9007199254740992u
+
+/* Reads the field at *at: an optional '-', 1 to 7 whole digits, the
+   point, 9 fraction digits, then the byte sep. Stores its value, moves
+   *at past sep and returns 1; returns 0 where the field may go on past
+   end, and -1 where a byte differs from that form or the integer n of all
+   its digits is 2**53 or more. The value is n / 1e9, negated after a '-':
+   n and 1e9 are doubles, so the one division rounds the decimal value
+   correctly, to the bits of Python's float() of the field. */
+static int field(const char **at, const char *end, char sep, double *value)
+{
+    const char *p = *at;
+    int negative = p < end && *p == '-';
+    p += negative;
+    uint64_t whole = 0;
+    int digits = 0;
+    while (p < end && *p >= '0' && *p <= '9') {
+        if (++digits > 7)
+            return -1;
+        whole = 10 * whole + (uint64_t)(*p++ - '0');
+    }
+    if (p == end)
+        return 0;
+    if (digits == 0 || *p++ != '.')
+        return -1;
+    if (end - p < 10)
+        return 0;
+    uint32_t hi = 0, lo = 0;
+    for (int k = 0; k < 4; k++) {
+        uint32_t d = (uint32_t)(unsigned char)p[k] - '0';
+        if (d > 9)
+            return -1;
+        hi = 10 * hi + d;
+    }
+    for (int k = 4; k < 9; k++) {
+        uint32_t d = (uint32_t)(unsigned char)p[k] - '0';
+        if (d > 9)
+            return -1;
+        lo = 10 * lo + d;
+    }
+    uint64_t n = (whole * 10000 + hi) * 100000 + lo;
+    if (p[9] != sep || n >= EXACT_LIMIT)
+        return -1;
+    /* Through int64_t, whose conversion to double is one instruction on
+       x86-64 where that of uint64_t is not; n < 2**53 either way. */
+    double v = (double)(int64_t)n / 1e9;
+    *value = negative ? -v : v;
+    *at = p + 10;
+    return 1;
+}
+
+/* Reads the whole rows of text[0 .. len) into values, n_cols fields per
+   row (see `field`), the last followed by LF and every other by a comma,
+   and sets *used to the end of the last whole row read. Returns the
+   number of rows read, at most max_rows, or -1 where a byte differs from
+   that form or more than max_rows rows begin. A row cut off by the end
+   of text is left unread, for the caller to pass again with the text
+   that follows it. */
+int64_t sprayflow_parse_rows(const char *text, int64_t len, int64_t n_cols,
+                             double *values, int64_t max_rows, int64_t *used)
+{
+    const char *p = text, *end = text + len;
+    int64_t rows = 0;
+    *used = 0;
+    while (p < end) {
+        if (rows == max_rows)
+            return -1;
+        for (int64_t j = 0; j < n_cols; j++) {
+            int status = field(&p, end, j + 1 < n_cols ? ',' : '\n', values + rows * n_cols + j);
+            if (status <= 0)
+                return status < 0 ? -1 : rows;
+        }
+        rows++;
+        *used = p - text;
+    }
+    return rows;
 }

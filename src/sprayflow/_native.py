@@ -1,11 +1,13 @@
-"""The closed loop in C: `_loop.c`, compiled once per source and cached.
+"""The C library of the package: `_loop.c`, compiled once per source and cached.
 
-`loop()` builds the library on its first call, not at import, and
-returns the C loop as a function of the 13 arguments of a loop of
-`harness._loop`, or None where no library can be built or loaded. The
-library is `cc` output for FLAGS, which keep every double operation of
-the source one IEEE operation in source order (-ffp-contract=off, no
--ffast-math), so its runs have the bits of the Python loop.
+One library serves the closed loop and the trajectory CSV. Each of
+`loop()`, `format_rows()` and `parse_rows()` returns a function of the
+library, or None where no library can be built or loaded; the library is
+built or loaded on the first such call, not at import, and once per
+process. The library is `cc` output for FLAGS, which keep every double
+operation of the source one IEEE operation in source order
+(-ffp-contract=off, no -ffast-math), so its runs have the bits of the
+Python loop and its CSV the bytes of the Python writer and reader.
 
 It is cached as $XDG_CACHE_HOME/sprayflow/loop-<sha256>.so, by default
 under ~/.cache, named by the sha256 of the source, the flags and the
@@ -18,7 +20,7 @@ cached library exists and no `cc` is found is there no library; a
 compiler that fails warns.
 
 The modules that building and loading need, ctypes and subprocess among
-them, are imported when `loop()` first runs, not with the package.
+them, are imported on the first call, not with the package.
 """
 from __future__ import annotations
 
@@ -99,6 +101,76 @@ def loop() -> Callable[..., int] | None:
     return c_loop
 
 
+# The most bytes sprayflow_format_rows writes per value: a sign, 7 whole
+# digits, the point, 9 fraction digits and a separator.
+FIELD_BYTES = 19
+
+
+@functools.cache
+def format_rows() -> Callable[..., int] | None:
+    """The C row formatter of the CSV writer, or None.
+
+    format_rows(block, out) writes the CSV rows of a (rows, columns)
+    float64 array, which may be a transposed or sliced view, as
+    `cli._csv_rows` writes them, to the start of out, a bytearray of at
+    least FIELD_BYTES bytes per value, and returns the number of bytes
+    written; it returns -1 where a value is one that arithmetic does not
+    cover (see `cli.write_trajectory_csv`).
+    """
+    import ctypes
+
+    lib = _library()
+    if lib is None:
+        return None
+    run = lib.sprayflow_format_rows
+    run.restype = ctypes.c_int64
+    run.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                    ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+
+    def c_format_rows(block, out):
+        if block.ndim != 2 or block.dtype != "float64" or len(out) < block.size * FIELD_BYTES:
+            raise ValueError(f"not a 2-D float64 block of {len(out) // FIELD_BYTES} values "
+                             f"at most: {block.dtype} of shape {block.shape}")
+        buffer = (ctypes.c_char * len(out)).from_buffer(out)
+        return run(block.ctypes.data, *block.shape, *block.strides, buffer)
+
+    return c_format_rows
+
+
+@functools.cache
+def parse_rows() -> Callable[..., tuple[int, int]] | None:
+    """The C row parser of the CSV reader, or None.
+
+    parse_rows(text, out, start) reads the whole rows of the bytes text
+    that have the form the writer writes (see sprayflow_parse_rows in
+    `_loop.c`) into the rows of out from start on, and returns the number
+    of rows read and the number of bytes they take; the rows are -1 where
+    text has another form or more rows begin than out has from start on.
+    out is a C-contiguous writable float64 array of (rows, fields).
+    """
+    import ctypes
+
+    lib = _library()
+    if lib is None:
+        return None
+    run = lib.sprayflow_parse_rows
+    run.restype = ctypes.c_int64
+    run.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                    ctypes.c_int64, ctypes.POINTER(ctypes.c_int64))
+
+    def c_parse_rows(text, out, start):
+        if not (out.ndim == 2 and out.dtype == "float64" and out.flags.c_contiguous
+                and out.flags.writeable and 0 <= start <= len(out)):
+            raise ValueError(f"not a writable float64 row array and a row of it: {start}")
+        used = ctypes.c_int64()
+        rows = run(text, len(text), out.shape[1], out.ctypes.data + start * out.strides[0],
+                   len(out) - start, ctypes.byref(used))
+        return rows, used.value
+
+    return c_parse_rows
+
+
+@functools.cache
 def _library():
     """The loaded library: cached, else built (see the module docstring), else None."""
     import ctypes
@@ -146,7 +218,8 @@ def _build(cc: str, target: Path):
         )
         if result.returncode != 0:
             warnings.warn(
-                f"{cc} could not build the C loop, so runs take the Python loop:\n"
+                f"{cc} could not build the C library, so runs take the Python loop "
+                f"and the CSV the Python writer and reader:\n"
                 f"{result.stderr}",
                 RuntimeWarning,
             )

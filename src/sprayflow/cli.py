@@ -19,17 +19,22 @@ rules file holds at most MAX_TEXT_CHARS (65,536) characters.
 
 All CSV output is byte-reproducible: fixed-point with nine fractional
 digits, comma separated, LF terminated, one column per name in
-harness.COLUMNS. The writer formats a chunk of rows at a time, with numpy
+harness.COLUMNS. The writer formats a chunk of rows at a time, with
 integer arithmetic where it covers every value of the chunk and with one
 %-format otherwise, to the bytes that formatting each value on its own
-gives. The reader hands np.loadtxt the lines of the open file as it
-reads them, in reads of about 16 KiB, so `metrics` holds the parsed
-rows, never the whole text; lines end in LF, CRLF or CR. It checks each
-batch first, and refuses a line longer than the 2,567 characters of the
-longest row the writer writes, a blank line and a line past the
-MAX_STEPS + 1 rows a run logs at most; np.loadtxt parses none of them.
-numpy is imported by the writer and the reader, not with the module, so
-`rules`, `--help` and a configuration error load no numpy.
+gives. The reader reads the file about 16 KiB at a time, so `metrics`
+holds the parsed rows, never the whole text. Each has two paths to the
+same bytes and bits: C where the library of `_native` builds or loads,
+and Python, which is the reference, runs everywhere else and takes what
+C refuses. The C writer does the integer arithmetic of a chunk; the C
+reader takes a file only in the writer's own form. Any other file goes
+to np.loadtxt, which is handed the lines of the open file as they are
+read; lines end in LF, CRLF or CR. Each batch of lines is checked first:
+a line longer than the 2,567 characters of the longest row the writer
+writes, a blank line and a line past the MAX_STEPS + 1 rows a run logs
+at most are refused, and np.loadtxt parses none of them. numpy and
+`_native` are imported by the writer and the reader, not with the
+module, so `rules`, `--help` and a configuration error load neither.
 
 Exit codes: 0 success, 1 configuration error (an argument error
 included), 2 numerical blow-up.
@@ -44,7 +49,7 @@ import os
 import stat
 import sys
 from collections.abc import Iterator
-from typing import TYPE_CHECKING, NoReturn, TextIO
+from typing import TYPE_CHECKING, BinaryIO, NoReturn, TextIO
 
 from . import presets
 from .adaptive import FuzzyPidController
@@ -68,6 +73,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 CSV_HEADER = ",".join(COLUMNS)
+_HEADER_LINE = CSV_HEADER.encode("ascii") + b"\n"
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -128,34 +134,49 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 
     Every value is written as _fmt9 writes it: the exact value v * 10**9
     rounded to an integer, ties to even, printed with nine fractional
-    digits. The writer formats a chunk of rows at a time (_csv_rows). When
-    numpy arithmetic covers every value of the chunk, it gets that integer
-    from the arithmetic, which is exact: let x be v * 1e9 in float64 and
+    digits. The writer formats a chunk of rows at a time. Where integer
+    arithmetic covers every value of the chunk, it gets that integer from
+    the arithmetic, which is exact: let x be v * 1e9 in float64 and
     n = rint(x). If |x| < 2**52 and |x - n| != 0.5, n is the integer _fmt9
     prints: ulp(x) <= 0.5, so x - n and 0.5 are both multiples of ulp(x)
     and |x - n| <= 0.5 - ulp(x), while the exact product lies within
     ulp(x) / 2 of x, hence strictly within 0.5 of n. A chunk that holds any
     other value (not finite, |x| >= 2**52, or x on a tie) is formatted as a
     whole by the format _fmt9 applies to each value.
+
+    The C formatter of `_native.format_rows`, where its library builds or
+    loads, does that arithmetic and reads the chunk in place; it refuses a
+    chunk that holds another value, which _csv_rows then formats, as it
+    formats every chunk where there is no library.
     """
+    from . import _native
+
+    format_rows = _native.format_rows()
     rows = traj.data.T
+    # One buffer for every chunk the C formatter writes: a fresh one per
+    # chunk took about 1 ms more per 20,001-row file, in page faults.
+    out = bytearray(_native.FIELD_BYTES * rows[:_CSV_CHUNK_ROWS].size if format_rows else 0)
     with open(path, "wb") as fh:
-        fh.write(CSV_HEADER.encode("ascii") + b"\n")
+        fh.write(_HEADER_LINE)
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
-            fh.write(_csv_rows(rows[start : start + _CSV_CHUNK_ROWS]))
+            block = rows[start : start + _CSV_CHUNK_ROWS]
+            size = format_rows(block, out) if format_rows else -1
+            fh.write(_csv_rows(block) if size < 0 else memoryview(out)[:size])
 
 
 def _csv_rows(block: np.ndarray) -> bytes:
     """The CSV rows of a non-empty (rows, columns) block of float64 values.
 
-    If the arithmetic does not cover every value (see
-    write_trajectory_csv), one %-format of all the values, each plus 0.0,
-    writes the rows. Otherwise each value has a slot of bytes: a sign, the
-    whole part of |n| (at most 7 digits, as |n| < 2**52), the point, 9
-    fraction digits and the separator. A slot holds NUL for the leading
-    zeros of the whole part and for the sign of a value that is not below
-    zero, so -0.0 prints unsigned and -4e-10 as -0.000000000, as _fmt9
-    prints them. Dropping the NULs leaves the rows.
+    This is the writer's Python path: the reference of the C formatter,
+    and what formats a chunk the C formatter refuses. If the arithmetic
+    does not cover every value (see write_trajectory_csv), one %-format of
+    all the values, each plus 0.0, writes the rows. Otherwise each value
+    has a slot of bytes: a sign, the whole part of |n| (at most 7 digits,
+    as |n| < 2**52), the point, 9 fraction digits and the separator. A
+    slot holds NUL for the leading zeros of the whole part and for the
+    sign of a value that is not below zero, so -0.0 prints unsigned and
+    -4e-10 as -0.000000000, as _fmt9 prints them. Dropping the NULs
+    leaves the rows.
     """
     import numpy as np
 
@@ -201,7 +222,8 @@ def _csv_rows(block: np.ndarray) -> bytes:
 # _line_batches reads about this many characters at a time, about 170 rows
 # of a written CSV, so that the work per line stays in C: checking each
 # line in Python made the benchmark's pid_disturbance_cli scenario about
-# 4% slower (2-core Xeon).
+# 4% slower (2-core Xeon). _canonical_rows reads as many bytes at a time,
+# so that it too holds about one read when it refuses a long line.
 _LINE_BATCH_CHARS = 2**14
 
 # The longest row write_trajectory_csv writes: one value per column and a
@@ -253,27 +275,90 @@ def _data_lines(fh: TextIO) -> Iterator[str]:
         raise ConfigError("trajectory file needs at least two data rows to define dt")
 
 
+# The shortest row the writer writes: eight values of one whole digit,
+# each with its point, nine fraction digits and a comma or the LF.
+_MIN_ROW_BYTES = len(COLUMNS) * 12
+
+
+def _canonical_rows(fh: BinaryIO) -> np.ndarray | None:
+    """The data rows of an open trajectory file as the writer writes them, or None.
+
+    The file must be the header line, then at least two rows of
+    len(COLUMNS) fields, each an optional '-', one to seven whole digits,
+    the point and nine fraction digits, with the integer of all its digits
+    below 2**53, joined by commas and ended by LF. The C parser of
+    `_native.parse_rows` reads them from reads of _LINE_BATCH_CHARS bytes
+    into an array that grows in place up to the rows the file could hold,
+    min(size // _MIN_ROW_BYTES + 1, MAX_STEPS + 1). Where there is no C
+    parser, or a byte, line or row count of the file differs from that
+    form, None is returned with part of the file read, for the caller to
+    read it again from the start with np.loadtxt (_parsed_rows).
+    """
+    import numpy as np
+
+    from . import _native
+
+    parse = _native.parse_rows()
+    if parse is None or fh.read(len(_HEADER_LINE)) != _HEADER_LINE:
+        return None
+    most = min(os.fstat(fh.fileno()).st_size // _MIN_ROW_BYTES + 1, MAX_STEPS + 1)
+    data = np.empty((min(512, most), len(COLUMNS)))
+    n = 0
+    text = b""
+    while chunk := fh.read(_LINE_BATCH_CHARS):
+        text += chunk
+        # Room for every row text could begin, unless the file cannot hold them.
+        room = min(n + len(text) // _MIN_ROW_BYTES + 1, most)
+        if room > len(data):
+            # No view of data exists, so it may move.
+            data.resize((min(max(room, 2 * len(data)), most), len(COLUMNS)), refcheck=False)
+        rows, used = parse(text, data, n)
+        if rows < 0:
+            return None
+        n += rows
+        text = text[used:]
+    if text or n < 2:
+        return None
+    data.resize((n, len(COLUMNS)), refcheck=False)
+    return data
+
+
+def _parsed_rows(fh: TextIO) -> np.ndarray:
+    """The data rows of an open trajectory file, which np.loadtxt parses
+    as _data_lines reads and checks them."""
+    import numpy as np
+
+    if fh.readline(len(CSV_HEADER) + 1).removesuffix("\n") != CSV_HEADER:
+        raise ConfigError(f"trajectory file must start with header {CSV_HEADER!r}")
+    try:
+        return np.loadtxt(_data_lines(fh), delimiter=",", comments=None, ndmin=2)
+    except (ConfigError, UnicodeDecodeError):
+        raise  # a line _data_lines refused, or a read error _input_file reports
+    except ValueError as exc:
+        raise ConfigError(f"malformed trajectory row: {exc}") from exc
+
+
 def read_trajectory_csv(path: str) -> Trajectory:
     """Read a trajectory CSV produced by write_trajectory_csv.
 
     The file needs at least two and at most MAX_STEPS + 1 data rows of
     finite values, no blank line, and a uniform, increasing time axis; dt
     is taken from its end points. Lines end in LF, CRLF or CR, and none is
-    longer than the longest row the writer writes. np.loadtxt parses the
-    lines as _data_lines reads and checks them, so the reader holds the
-    parsed array and one batch of lines, not the text of the file.
+    longer than the longest row the writer writes. A file of the writer's
+    own bytes is read by C (_canonical_rows). Any other file, or every file
+    where there is no C parser, is read again from the start by
+    np.loadtxt, which parses the lines as _data_lines reads and checks
+    them (_parsed_rows). Either way the reader holds the parsed array and
+    one read of the file, not its text, and the values have the bits of
+    float() of their fields.
     """
     import numpy as np
 
     with _input_file(path, "trajectory") as fh:
-        if fh.readline(len(CSV_HEADER) + 1).removesuffix("\n") != CSV_HEADER:
-            raise ConfigError(f"trajectory file must start with header {CSV_HEADER!r}")
-        try:
-            data = np.loadtxt(_data_lines(fh), delimiter=",", comments=None, ndmin=2)
-        except (ConfigError, UnicodeDecodeError):
-            raise  # a line _data_lines refused, or a read error _input_file reports
-        except ValueError as exc:
-            raise ConfigError(f"malformed trajectory row: {exc}") from exc
+        data = _canonical_rows(fh.buffer)
+        if data is None:
+            fh.seek(0)
+            data = _parsed_rows(fh)
     if data.shape[1] != len(COLUMNS):
         raise ConfigError(f"trajectory rows must have {len(COLUMNS)} fields, not {data.shape[1]}")
     if not np.all(np.isfinite(data)):

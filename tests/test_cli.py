@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sprayflow
-from sprayflow import cli, presets
+from sprayflow import _native, cli, presets
 from sprayflow.cli import (
     _CSV_CHUNK_ROWS,
     CONFIG_KEYS,
@@ -33,6 +34,7 @@ from sprayflow.fuzzy import DEFAULT_RULE_TABLE, RuleTable
 from sprayflow.harness import PidConfig, SimScenario, Trajectory, run_closed_loop
 from sprayflow.pid import PidGains
 
+import bits
 from test_plant import ORDER_16_TF
 
 ROW_PATTERN = re.compile(r"^-?\d+\.\d{9}(,-?\d+\.\d{9}){7}$")
@@ -443,16 +445,18 @@ def check_row_length(directory):
 
 
 def check_row_bound(directory):
-    """With cli.MAX_STEPS at LOW_MAX_STEPS: two and three rows read, four are refused."""
+    """With cli.MAX_STEPS at LOW_MAX_STEPS: two and three rows read, four are
+    refused, in short fields and in the writer's own."""
     path = directory / "bound.csv"
-    for n_rows, want in ((2, 2), (3, 3), (4, "trajectory file exceeds the bound of 3 data rows")):
-        rows = "".join(f"{k},0,0,0,0,0,0,0\n" for k in range(n_rows))
-        path.write_text(CSV_HEADER + "\n" + rows, "ascii")
-        try:
-            got = len(read_trajectory_csv(str(path)))
-        except ConfigError as exc:
-            got = str(exc)
-        assert got == want, n_rows
+    refused = "trajectory file exceeds the bound of 3 data rows"
+    for row in ("{},0,0,0,0,0,0,0\n", "{}.000000000" + ",0.000000000" * 7 + "\n"):
+        for n_rows, want in ((2, 2), (3, 3), (4, refused)):
+            path.write_text(CSV_HEADER + "\n" + "".join(map(row.format, range(n_rows))), "ascii")
+            try:
+                got = len(read_trajectory_csv(str(path)))
+            except ConfigError as exc:
+                got = str(exc)
+            assert got == want, (row, n_rows)
 
 
 class TestMetricsCommand:
@@ -705,9 +709,12 @@ class TestConfigFile:
 # exact product lies just below the tie 999999999.5 that the float lands
 # on and rint takes up, and 12345678.123456789, whose exact product
 # 12345678123456789.18 has the float 12345678123456790, as floats past
-# 2**53 are even.
+# 2**53 are even. 4503599.627370496 times 1e9 is 2**52, the first product
+# not covered, and 4.999999999999999e-10 times 1e9 is 0.5 - 2**-54, the
+# largest below the tie 0.5, which x + 0.5 would round up to 1.0.
 _FMT9_VALUES = (0.0009765625, -0.0009765625, 1e7, -1e20, 1e300, math.nan, math.inf,
-                -math.inf, 5e-324, 0.9999999995, -9999999.999999999, 12345678.123456789)
+                -math.inf, 5e-324, 0.9999999995, -9999999.999999999, 12345678.123456789,
+                4503599.627370496, 4.999999999999999e-10, -4.999999999999999e-10)
 
 
 def _writer_cases():
@@ -805,15 +812,18 @@ class TestTrajectoryCsvIO:
     @settings(max_examples=150, deadline=None)
     def test_writer_bytes_equal_per_value_format_for_any_floats(self, tmp_path_factory, values):
         # Up to 13 rows of arbitrary float64 values, written 4 rows a chunk,
-        # so that they end inside a chunk or on its end, after up to 3 chunks.
+        # so that they end inside a chunk or on its end, after up to 3 chunks,
+        # by the writer's C path where its library builds or loads and by its
+        # Python path.
         rows = np.array(values[: len(values) // 8 * 8]).reshape(-1, 8)
         path = tmp_path_factory.getbasetemp() / "any-floats.csv"
-        with mock.patch.object(cli, "_CSV_CHUNK_ROWS", 4):
-            write_trajectory_csv(Trajectory(rows.T), str(path))
         expected = CSV_HEADER + "\n" + "".join(
             ",".join(_fmt9(float(v)) for v in row) + "\n" for row in rows
         )
-        assert path.read_bytes() == expected.encode("ascii")
+        for pinned in (contextlib.nullcontext(), python_csv()):
+            with pinned, mock.patch.object(cli, "_CSV_CHUNK_ROWS", 4):
+                write_trajectory_csv(Trajectory(rows.T), str(path))
+            assert path.read_bytes() == expected.encode("ascii")
 
     @pytest.mark.parametrize("setpoint", [5.0, 1e7], ids=("setpoint-5", "setpoint-1e7"))
     def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path, setpoint):
@@ -881,6 +891,183 @@ class TestTrajectoryCsvIO:
         finally:
             tracemalloc.stop()
         assert peak < 2**17
+
+
+def pin_python_csv(monkeypatch):
+    """Make the CSV writer and reader take their Python paths, as on a
+    host with no C library."""
+    monkeypatch.setattr(_native, "format_rows", lambda: None)
+    monkeypatch.setattr(_native, "parse_rows", lambda: None)
+
+
+@contextlib.contextmanager
+def python_csv():
+    """A context in which the CSV takes its Python paths (pin_python_csv)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        pin_python_csv(monkeypatch)
+        yield
+
+
+class TestTrajectoryCsvIOInPython(TestTrajectoryCsvIO):
+    """Every test of TestTrajectoryCsvIO through the Python writer and
+    reader, which TestTrajectoryCsvIO checks only where there is no C library."""
+
+    @pytest.fixture(autouse=True)
+    def pinned(self, monkeypatch):
+        pin_python_csv(monkeypatch)
+
+    # It runs both writers itself, and hypothesis runs a test from one class only.
+    test_writer_bytes_equal_per_value_format_for_any_floats = None
+
+    # At setpoint 1e7 the C formatter refuses every chunk, so both classes
+    # would time the same %-format, the slowest test of the suite.
+    @pytest.mark.parametrize("setpoint", [5.0], ids=("setpoint-5",))
+    def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path, setpoint):
+        super().test_writer_memory_is_bounded_by_the_chunk(tmp_path, setpoint)
+
+
+def c_csv():
+    """Skip the test where no library builds, so the CSV takes its Python paths only."""
+    if _native.format_rows() is None:
+        pytest.skip("no C compiler and no cached library: the CSV takes the Python paths")
+
+
+def spy(monkeypatch, name):
+    """Count the calls of the function name of cli in the list returned."""
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def outcome(read, path):
+    """The bytes of the data that read reads from path, or its ConfigError message."""
+    try:
+        return read(str(path)).data.tobytes()
+    except ConfigError as exc:
+        return str(exc)
+
+
+# Trajectories by group, each written and read through both paths: the
+# runs of the presets, the PID run at setpoint 1e7, in which the C
+# formatter refuses every chunk and the C parser every file, and the
+# blow-up runs of the bit manifest, of one row or of values far past 1e7.
+CSV_GROUPS = {
+    "presets": lambda: map(run_closed_loop, bits._presets()),
+    "setpoint-1e7": lambda: [run_closed_loop(replace(presets.default_scenario(), setpoint=1e7))],
+    "blow-ups": lambda: map(run_closed_loop, bits._blow_ups()),
+}
+
+
+@pytest.mark.parametrize("group", CSV_GROUPS)
+def test_c_and_python_paths_give_the_same_bytes(tmp_path, monkeypatch, group):
+    c_csv()
+    formatted, parsed = spy(monkeypatch, "_csv_rows"), spy(monkeypatch, "_parsed_rows")
+    c_file, python_file = tmp_path / "c.csv", tmp_path / "python.csv"
+    for traj in CSV_GROUPS[group]():
+        del formatted[:], parsed[:]
+        write_trajectory_csv(traj, str(c_file))
+        got = outcome(read_trajectory_csv, c_file)
+        # Every value of these runs is below 2**52 / 1e9 in size or at
+        # least 1e7, and C refuses the runs that hold a value of 1e7 or more.
+        far = bool(np.any(np.abs(traj.data) >= 1e7))
+        chunks = -(-len(traj) // _CSV_CHUNK_ROWS)
+        assert formatted == ["_csv_rows"] * (chunks if far else 0)
+        assert parsed == ["_parsed_rows"] * (far or len(traj) < 2)
+        with python_csv():
+            write_trajectory_csv(traj, str(python_file))
+            assert python_file.read_bytes() == c_file.read_bytes()
+            assert outcome(read_trajectory_csv, c_file) == got
+
+
+@given(
+    columns=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=-1e7, max_value=1e7),
+        ),
+        min_size=7 * 2,
+        max_size=7 * 13,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_c_and_python_readers_read_any_finite_values_the_same(tmp_path_factory, columns):
+    # Up to 13 rows of finite values on a uniform time axis, read by the
+    # C parser where the file is in its form, else by np.loadtxt, and by
+    # np.loadtxt: the same bits, those of float() of each field.
+    values = np.array(columns[: len(columns) // 7 * 7]).reshape(-1, 7)
+    t = np.arange(len(values)) * 1e-4
+    path = tmp_path_factory.getbasetemp() / "any-finite.csv"
+    write_trajectory_csv(Trajectory(np.column_stack([t, values]).T), str(path))
+    fields = [line.split(",") for line in path.read_text("ascii").splitlines()[1:]]
+    want = np.array([[float(field) for field in row] for row in fields]).tobytes()
+    assert read_trajectory_csv(str(path)).data.T.tobytes() == want
+    with python_csv():
+        assert read_trajectory_csv(str(path)).data.T.tobytes() == want
+
+
+# A field of the y column and whether the C parser reads it: the largest
+# integer of digits below 2**53 and 2**53 itself, seven and eight whole
+# digits, and -0.0.
+EDGE_FIELDS = {
+    "below-2-to-the-53": ("9007199.254740991", True),
+    "2-to-the-53": ("9007199.254740992", False),
+    "seven-whole-digits": ("-1234567.000000001", True),
+    "eight-whole-digits": ("12345678.000000001", False),
+    "minus-zero": ("-0.000000000", True),
+}
+
+
+def check_edge_fields(directory, monkeypatch):
+    """Read files of EDGE_FIELDS and of CRLF and CR lines by the path each
+    names, to the bits of np.loadtxt and float()."""
+    c_csv()
+    parsed = spy(monkeypatch, "_parsed_rows")
+    path = directory / "edge.csv"
+
+    def text(y, newline=b"\n"):
+        zero = "0.000000000"
+        rows = ([zero] * 4 + [y] + [zero] * 3, ["0.000100000"] + [zero] * 7)
+        lines = [CSV_HEADER, *map(",".join, rows)]
+        return b"".join(line.encode("ascii") + newline for line in lines)
+
+    files = {name: (text(field), by_c) for name, (field, by_c) in EDGE_FIELDS.items()}
+    files["crlf"] = (text("0.000000000", b"\r\n"), False)
+    files["cr"] = (text("0.000000000", b"\r"), False)
+    for name, (content, by_c) in files.items():
+        path.write_bytes(content)
+        del parsed[:]
+        got = read_trajectory_csv(str(path)).y
+        assert parsed == ([] if by_c else ["_parsed_rows"]), name
+        with python_csv():
+            assert read_trajectory_csv(str(path)).y.tobytes() == got.tobytes(), name
+        if name in EDGE_FIELDS:
+            assert got[0].tobytes() == np.float64(EDGE_FIELDS[name][0]).tobytes(), name
+
+
+def test_edge_fields_take_their_paths(tmp_path, monkeypatch):
+    check_edge_fields(tmp_path, monkeypatch)
+
+
+def check_formatter_refusals():
+    """The C formatter refuses a block exactly where the arithmetic of
+    cli._csv_rows does not cover one of its values."""
+    c_csv()
+    for v in (*_FMT9_VALUES, -0.0, 1.5, -7.0000000004, 0.1234567895, 9007199.254740991):
+        x = v * 1e9
+        with np.errstate(invalid="ignore"):
+            covered = abs(x) < 2.0**52 and abs(x - np.rint(x)) != 0.5
+        out = bytearray(2 * 8 * _native.FIELD_BYTES)
+        assert (_native.format_rows()(np.full((2, 8), v), out) >= 0) == covered, v
+
+
+def test_c_formatter_refuses_what_the_arithmetic_does_not_cover():
+    check_formatter_refusals()
 
 
 RULE_ROW = ",".join(["ZO/ZO/ZO"] * 7)

@@ -10,9 +10,10 @@ assertion. The edit's target is of one of three kinds.
   code is compiled at one point, `sprayflow._codegen.define`, so the edit
   rewrites each source of that builder through an `exec` set on
   `_codegen`.
-- "c", the C loop: the edit rewrites `_loop.c` into a file of the test's
-  own, which `_native` compiles into a cache directory of the test's
-  own. Runs take the mutant C loop.
+- "c", the C library: the edit rewrites `_loop.c` into a file of the
+  test's own, which `_native` compiles into a cache directory of the
+  test's own. Runs take the mutant C loop, and the CSV writer and reader
+  its C paths.
 - A function of the package. The edit rewrites its source, which is
   compiled with postponed annotations, as its module is, and run in that
   module's own namespace, where the module's callers look the name up.
@@ -22,13 +23,14 @@ assertion. The edit's target is of one of three kinds.
   `fma`, which an edit may call.
 
 Runs of every other target take the Python loop (`harness._loop` is
-pinned to `harness._python_loop`), whose code the edits reach.
-`monkeypatch` restores every name it set, so the original function is
-back after the test. Every rule table a gate uses is built for the
-mutant, and the caches of `harness._python_loop`, `fuzzy._inference` and
-`_native.loop` are cleared before and after it, so no mutant kernel,
-loop or inference outlives its test. A gate takes the pytest fixtures it
-needs as its parameters.
+pinned to `harness._python_loop`) and the Python CSV writer and reader
+(`test_cli.pin_python_csv`), whose code the edits reach. `monkeypatch`
+restores every name it set, so the original function is back after the
+test. Every rule table a gate uses is built for the mutant, and the
+caches of `harness._python_loop`, `fuzzy._inference` and `_native` are
+cleared before and after it, so no mutant kernel, loop, inference or
+library outlives its test. A gate takes the pytest fixtures it needs as
+its parameters.
 
 Mutants known to be equivalent are listed in `EQUIVALENT` with the
 reason; they are not run.
@@ -164,6 +166,18 @@ def engines():
     """`test_native::test_engines_give_the_same_bytes`, every group."""
     for group in test_native.SCENARIOS:
         test_native.test_engines_give_the_same_bytes(group)
+
+
+def c_writer_cases(tmp_path):
+    """`test_cli::TestTrajectoryCsvIO::test_writer_bytes_equal_per_value_format`
+    and `test_cli::test_c_formatter_refuses_what_the_arithmetic_does_not_cover`"""
+    writer_cases(tmp_path)
+    test_cli.check_formatter_refusals()
+
+
+def edge_fields(tmp_path, monkeypatch):
+    """`test_cli::test_edge_fields_take_their_paths`"""
+    test_cli.check_edge_fields(tmp_path, monkeypatch)
 
 
 def sub(old, new):
@@ -347,6 +361,21 @@ MUTANTS = {
         "c", sub("prev < h ? prev : h", "prev > h ? prev : h"), engines
     ),
     "c-rate-single-precision": ("c", sub("double rate =", "float rate ="), engines),
+    # The CSV formatter and parser of `_loop.c`. rint rounds ties to even;
+    # a rounding of half away from zero as trunc(x + 0.5 * sign) also moves
+    # x = 0.5 - 2**-54, which x + 0.5 rounds up to 1.0. (round() in place of
+    # rint moves only ties, which both refuse.)
+    "c-half-away-from-zero": (
+        "c", sub("double n = rint(x);", "double n = trunc(x + copysign(0.5, x));"), c_writer_cases
+    ),
+    "c-bound-at-2-to-the-52": (
+        "c", sub("fabs(x) < 0x1p52", "fabs(x) <= 0x1p52"), c_writer_cases
+    ),
+    "c-minus-zero-signed": ("c", sub("if (v < 0.0)", "if (v <= 0.0)"), c_writer_cases),
+    "c-parser-bound-above-2-to-the-53": (
+        "c", sub("n >= EXACT_LIMIT", "n > EXACT_LIMIT"), edge_fields
+    ),
+    "c-parser-sign-dropped": ("c", sub("negative ? -v : v", "v"), edge_fields),
 }
 
 # Equivalent mutants, by name: the reason. Not run, and not counted.
@@ -409,6 +438,7 @@ def install(target, edit, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(path.parent))
         return edited
     monkeypatch.setattr(harness, "_loop", harness._python_loop)
+    test_cli.pin_python_csv(monkeypatch)
     if isinstance(target, str):
         def mutating_exec(source, namespace):
             if source.startswith(f"def {target}("):
@@ -436,7 +466,7 @@ def install(target, edit, monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", MUTANTS)
 def test_mutant_is_killed(name, monkeypatch, request, tmp_path):
     target, edit, gate = MUTANTS[name]
-    caches = (harness._python_loop, fuzzy._inference, _native.loop)
+    caches = (harness._python_loop, fuzzy._inference, *test_native.NATIVE_CACHES)
     for cache in caches:
         cache.cache_clear()
     try:

@@ -1,8 +1,11 @@
-"""The C engine of the closed loop (`_native`, `_loop.c`) against the Python loop.
+"""The C library (`_native`, `_loop.c`) against the Python code it stands for.
 
 `harness._loop` picks the engine: the C loop where its library builds or
 loads, otherwise `harness._python_loop`. Both must give the same bytes.
+The CSV writer and reader take their C paths from the same library;
+`test_cli` compares them with the Python paths.
 """
+import json
 import os
 import shutil
 import subprocess
@@ -51,6 +54,16 @@ SCENARIOS = {
 }
 
 
+# The functools caches of `_native`: the library and each function of it.
+NATIVE_CACHES = (_native._library, _native.loop, _native.format_rows, _native.parse_rows)
+
+
+def clear_native():
+    """Forget the library, so that the next call of `_native` builds or loads it again."""
+    for cache in NATIVE_CACHES:
+        cache.cache_clear()
+
+
 def c_loop():
     """The C loop, skipping the test where no library builds."""
     loop = _native.loop()
@@ -75,11 +88,13 @@ def test_engines_give_the_same_bytes(group):
 
 def test_c_engine_is_in_use_where_cc_exists():
     # So a library that fails to build cannot leave a machine with a
-    # compiler, such as CI's, checking the Python loop alone.
+    # compiler, such as CI's, checking the Python loop and CSV paths alone.
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
     assert _native.loop() is not None
     assert harness._loop(1, False, 0, 0) is harness._loop(16, True, 3, 2) is _native.loop()
+    assert _native.format_rows() is not None
+    assert _native.parse_rows() is not None
 
 
 def test_without_a_compiler_runs_take_the_python_loop(monkeypatch, tmp_path):
@@ -87,14 +102,55 @@ def test_without_a_compiler_runs_take_the_python_loop(monkeypatch, tmp_path):
     want = sprayflow.run_closed_loop(scenario).data.tobytes()
     monkeypatch.setattr(shutil, "which", lambda name: None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    _native.loop.cache_clear()
+    clear_native()
     try:
-        assert _native.loop() is None
+        assert _native.loop() is _native.format_rows() is _native.parse_rows() is None
         assert harness._loop(2, True, 0, 1) is harness._python_loop(2, True, 0, 1)
         assert sprayflow.run_closed_loop(scenario).data.tobytes() == want
     finally:
-        _native.loop.cache_clear()
+        clear_native()
     assert not any(tmp_path.iterdir())
+
+
+_NO_COMPILER_SCRIPT = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import bits
+from sprayflow import _native, cli
+assert _native.loop() is _native.format_rows() is _native.parse_rows() is None
+print(bits.digest("csv"))
+for controller in ("pid", "fuzzy-pid"):
+    argv = ["simulate", "--controller", controller, "--duration", "2",
+            "--disturbance-time", "0.5", "--disturbance-magnitude", "0.001"]
+    path = f"{sys.argv[2]}/{controller}.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--output", path]) == 0
+    assert cli.main(["metrics", path]) == 0
+"""
+
+
+def test_host_without_a_compiler_writes_and_reads_the_same_bytes(tmp_path, capsys):
+    # A fresh process with no cc on PATH and an empty cache takes the
+    # Python loop, writer and reader: `simulate` writes the bytes of the
+    # manifest's CSV group, and `metrics` prints what it prints here.
+    cache, out, empty = tmp_path / "cache", tmp_path / "out", tmp_path / "bin"
+    for directory in (cache, out, empty):
+        directory.mkdir()
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-X", "dev", "-c", _NO_COMPILER_SCRIPT, tests, str(out)],
+        capture_output=True, text=True, timeout=300, check=True,
+        env={**os.environ, "PATH": str(empty), "XDG_CACHE_HOME": str(cache), "PYTHONPATH": src},
+    )
+    digest, *printed = result.stdout.splitlines(keepends=True)
+    assert digest == json.loads(bits.MANIFEST.read_text("ascii"))["csv"] + "\n"
+    want = []
+    for controller in ("pid", "fuzzy-pid"):
+        assert sprayflow.cli.main(["metrics", str(out / f"{controller}.csv")]) == 0
+        want.append(capsys.readouterr().out)
+    assert "".join(printed) == "".join(want)
+    assert not any(cache.iterdir())
 
 
 def test_unwritable_cache_builds_in_a_temporary_directory(monkeypatch, tmp_path):
@@ -103,14 +159,14 @@ def test_unwritable_cache_builds_in_a_temporary_directory(monkeypatch, tmp_path)
     (tmp_path / "file").write_text("")
     # No directory can be made under a file, whoever runs the test.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file" / "cache"))
-    _native.loop.cache_clear()
+    clear_native()
     try:
         scenario = presets.default_scenario(presets.default_fuzzy_controller())
         assert harness._loop(2, True, 0, 0) is _native.loop() is not None
         want = python_run(scenario).data.tobytes()
         assert sprayflow.run_closed_loop(scenario).data.tobytes() == want
     finally:
-        _native.loop.cache_clear()
+        clear_native()
     assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
@@ -120,12 +176,12 @@ def test_failing_compiler_warns_and_runs_take_the_python_loop(monkeypatch, tmp_p
         pytest.skip("no false on PATH")
     monkeypatch.setattr(shutil, "which", lambda name: false)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    _native.loop.cache_clear()
+    clear_native()
     try:
-        with pytest.warns(RuntimeWarning, match="could not build the C loop"):
+        with pytest.warns(RuntimeWarning, match="could not build the C library"):
             assert _native.loop() is None
     finally:
-        _native.loop.cache_clear()
+        clear_native()
     # The compiler's output file is removed with the failure.
     assert not any((tmp_path / "sprayflow").iterdir())
 
