@@ -8,19 +8,17 @@
    sum reassociated. It holds no mutable static state, so threads may run
    it at once.
 
-   sprayflow_loop runs one scenario, as the Python loop
-   (`harness._python_loop`) does:
-   - the plant step of `plant.step_lines`, as loops over the order: each
-     dot product is accumulated left to right from 0.0 (`dot`);
+   sprayflow_loop runs one scenario, statement for statement as the
+   plain Python loop (`harness._plain_loop`) does:
+   - the plant step of `plant.step`: each dot product is accumulated
+     left to right from 0.0 (`dot`, as `plant.dot`);
    - the disturbances of each port, in declaration order;
    - the PID law of `pid.pid_law`, and for fuzzy-PID the gain update of
-     `adaptive.gain_lines` with its floor at zero;
-   - the fuzzy inference as the test oracle `_oracles.reference_deltas`
-     computes it: both inputs located, the four rule strengths, each
-     output label clipped at the largest strength naming it, and one
-     centroid per output over all seven labels (`centroid`). The
-     docstring of `fuzzy` shows that the rule kernels of the Python loop
-     give the same bits as that walk.
+     `adaptive.floored_gains` with its floor at zero;
+   - the fuzzy inference of `fuzzy.infer`: both inputs located (`locate`,
+     as `fuzzy.locate`), the four rule strengths, each output label
+     clipped at the largest strength naming it, and one centroid per
+     output over all seven labels (`centroid`, as `fuzzy.centroid`).
    The sum tables are `fuzzy._P_SUMS` and `fuzzy._R_SUMS`, passed in.
 
    sprayflow_format_rows writes CSV rows by the integer arithmetic of
@@ -46,8 +44,8 @@ static double dot(const double *a, const double *x, int64_t n)
 }
 
 /* The label k of a universe value x, and the degree w = s - k of label
-   k + 1, where s = (x + 6.0) * 0.5 is clamped to [0, 6] as
-   `fuzzy.inference_lines` clamps it; label k has degree 1.0 - w. */
+   k + 1, where s = (x + 6.0) * 0.5 is clamped to [0, 6], as in
+   `fuzzy.locate`; label k has degree 1.0 - w. */
 static int64_t locate(double x, double *w)
 {
     double s = (x + 6.0) * 0.5;
@@ -63,7 +61,7 @@ static int64_t locate(double x, double *w)
 }
 
 /* The discrete centroid of one output's aggregate from its seven clip
-   heights, as `_oracles._centroid`. A row of p_sums holds, for
+   heights, as `fuzzy.centroid`. A row of p_sums holds, for
    q = floor(N - N h), the plateau length p = min(q + 1, N), the ramp sum,
    the plateau moment and the ramp moment; a row of r_sums, for
    r = floor(N g), the tent sum and the flat points of an overlap. */
@@ -126,7 +124,7 @@ static void infer(double qe, double qec, const unsigned char *cells,
 
 /* Logs rows 0 to n_rows - 1 into u_log and y_log (and, for fuzzy-PID,
    the gains into kp_log, ki_log and kd_log) and returns the number of rows
-   logged, as the loop of `harness._loop` does. An input disturbance n
+   logged, as `harness._plain_loop` does. An input disturbance n
    acts from step us[n] on, an output one from step ys[n] on. rows holds
    the order rows of the plant step, order + 1 entries each, and c the
    output row. gains holds the resting kp, ki and kd; factors is NULL for

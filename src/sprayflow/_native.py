@@ -7,7 +7,7 @@ built or loaded on the first such call, not at import, and once per
 process. The library is `cc` output for FLAGS, which keep every double
 operation of the source one IEEE operation in source order
 (-ffp-contract=off, no -ffast-math), so its runs have the bits of the
-Python loop and its CSV the bytes of the Python writer and reader.
+plain Python loop and its CSV the bytes of the Python writer and reader.
 
 It is cached as $XDG_CACHE_HOME/sprayflow/loop-<sha256>.so, by default
 under ~/.cache, named by the sha256 of the source, the flags and the
@@ -42,7 +42,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", f"-DMAX_ORDER={MAX_ORDE
 
 @functools.cache
 def loop() -> Callable[..., int] | None:
-    """The C loop, with the arguments and result of a loop of `harness._loop`, or None.
+    """The C loop, with the arguments and result of `harness._plain_loop`, or None.
 
     The first call builds or loads the library (see the module docstring).
     """

@@ -13,32 +13,28 @@ step that `plant.rk4_zoh` precomputes once per scenario from its plant
 and dt as (rows, c), kept as `SimScenario.rk4_step`, the disturbances
 and the controller. `_loop` alone picks its engine: the C loop of
 `_native` wherever its library builds or loads (see there), otherwise
-the Python loop of `_python_loop`, the reference of the C loop's bits:
-one function of straight-line code per plant order, controller kind and
-number of disturbances on each port. Its setup lines unpack the step,
-the disturbances, the gains and, for fuzzy-PID, the factors and rule
-kernels into locals once per run. The plant state lives in locals and
-the plant step (`plant.step_lines`), each disturbance, the PID law and
-the gain update (`adaptive.gain_lines`) are written out; only a
-firing-plan kernel of the rule table remains a call.
+`_plain_loop`, which calls the functions that step a loop by hand:
+`plant.step`, `pid.pid_law`, and for fuzzy-PID `fuzzy.infer` and
+`adaptive.floored_gains`. The C loop performs their operations in the
+same order, so both engines give the same bits.
 
 A run's trajectory is the rows of one float64 array, in `COLUMNS` order,
 and the loop logs through memoryviews of its rows u to kd. It holds the
 controller state, the integral and the previous error; their backward
 difference, zero on the first step, is both the derivative and the fuzzy
-error rate. A run is bit-identical to stepping `plant.compile_step`,
+error rate. A run is bit-identical to stepping `plant.step`,
 `pid.pid_law` and `adaptive.adapted_gains` by hand.
 
 The loop alone decides a blow-up, the same way for both controllers: it
 stops before a row whose error e = r - y is not finite. With a finite
 setpoint a finite error means a finite output, state and input (see
-`plant.step_lines`), so every logged row is finite. An error rate that
+`plant.step`), so every logged row is finite. An error rate that
 overflows needs no check of its own. The error and the previous error are
 finite and dt > 0, so the rate is never nan, at worst an infinity. Then
 kd * rate is an infinity, or nan for kd = 0, and so is u; the fuzzy
-inputs are clamped into the universe, so the gains stay finite. A
-non-finite u makes every state entry and y non-finite, and the error
-check of the same step stops the run before its row.
+inputs are clamped into the universe (`fuzzy.locate`), so the gains
+stay finite. A non-finite u makes every state entry and y non-finite,
+and the error check of the same step stops the run before its row.
 
 numpy is imported inside the functions that make arrays (a run, whose
 columns are numpy arrays, and the metrics), not with the module, and
@@ -47,22 +43,21 @@ scenario load neither numpy nor ctypes.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from ._codegen import define
-from .adaptive import FuzzyPidController, gain_lines
-from .pid import PidGains
+from .adaptive import FuzzyPidController, floored_gains
+from .fuzzy import infer
+from .pid import PidGains, pid_law
 from .plant import (
     PIPELINE_TF,
     PLANT_INPUT,
     Disturbance,
     TransferFunction,
     rk4_zoh,
-    step_lines,
+    step,
 )
 
 if TYPE_CHECKING:
@@ -239,109 +234,81 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
         else:
             y_dists.append((start, d.magnitude))
 
-    # The loop logs through memoryviews of the rows u to kd: the Python
+    # The loop logs through memoryviews of the rows u to kd: the plain
     # loop writes the same 8 bytes through them as numpy's item assignment
     # at about half the cost, and the C loop writes to their buffers.
     logs = map(memoryview, (u_log, y_log, kp_log, ki_log, kd_log))
-    n_logged = _loop(len(rows), fuzzy, len(u_dists), len(y_dists))(
-        n_rows, dt, r, u_dists, y_dists, *logs, rows, c, controller
-    )
+    n_logged = _loop()(n_rows, dt, r, u_dists, y_dists, *logs, rows, c, controller)
     np.subtract(r, y_log, out=e_log)
     return Trajectory(block[:, :n_logged], blown_up=n_logged < n_rows)
 
 
-def _loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
-    """The closed loop of a plant order, controller kind and disturbance counts.
+def _loop() -> Callable[..., int]:
+    """The closed loop: the C loop where its library builds or loads, else `_plain_loop`.
 
-    The C loop, which takes every order, kind and count, where its
-    library builds or loads, else the Python loop. Both take the arguments
-    that `_python_loop` describes and give the same bits.
+    Both take the arguments that `_plain_loop` describes and give the same bits.
     """
     from . import _native
 
-    return _native.loop() or _python_loop(order, fuzzy, n_u, n_y)
+    return _native.loop() or _plain_loop
 
 
-# One entry per plant order, controller kind and disturbance count per port:
-# at most 3 * 2 * plant.MAX_ORDER = 96 for the CLI, which takes at most one
-# disturbance. A library caller may use any counts, so the cache is bounded.
-@functools.lru_cache(maxsize=128)
-def _python_loop(order: int, fuzzy: bool, n_u: int, n_y: int) -> Callable[..., int]:
-    """The Python loop of a plant order, controller kind and disturbance counts.
+def _plain_loop(
+    n_rows, dt, r, u_dists, y_dists, u_log, y_log, kp_log, ki_log, kd_log, rows, c, ctrl
+) -> int:
+    """Log rows 0 to n_rows - 1 of a run and return the number of rows logged.
 
-    loop(n_rows, dt, r, u_dists, y_dists, u_log, y_log, kp_log, ki_log,
-    kd_log, rows, c, ctrl) logs rows 0 to n_rows - 1 into u_log and y_log
-    (and, for fuzzy-PID, the gains into kp_log, ki_log and kd_log), writable
-    float64 buffers such as memoryviews of arrays, and returns the number
-    of rows logged. rows and c are the plant step (see `plant.rk4_zoh`),
-    ctrl the scenario's controller, and u_dists and y_dists hold the n_u
-    and n_y (first step, magnitude) pairs of each port. Before the loop,
-    the setup lines of `plant.step_lines` and, for fuzzy-PID,
-    `adaptive.gain_lines` read the values from rows, c and ctrl, and
-    further lines unpack the pairs into the locals us0, um0, us1, um1 and
-    so on for the input, and ys0, ym0 and so on for the output.
-
-    The body is straight-line code: the plant state lives in the locals
-    x0 .. x{order-1}, the PID law and, for fuzzy-PID, the gain update are
-    written out, each disturbance is one line, `if k >= us0: u += um0`,
-    in declaration order per port, and only a firing-plan kernel remains
-    a call. Each performs the operations of `plant.compile_step`,
-    `pid.pid_law` and `adaptive.adapted_gains` on the same operands in the
-    same order, so a run is bit-identical to stepping those by hand. The
-    one check is that of the error: step k returns k, before logging row
-    k, when its error is not finite. Where the error rate overflows, the
-    lines run on: the clamping ladders of `fuzzy.inference_lines` locate
-    it at an edge of the universe, whose entry may build its kernel,
+    u_log and y_log (and, for fuzzy-PID, kp_log, ki_log and kd_log, the
+    gains) are writable float64 buffers such as memoryviews of arrays.
+    rows and c are the plant step (see `plant.rk4_zoh`), ctrl the
+    scenario's controller, and u_dists and y_dists hold the (first step,
+    magnitude) pairs of each port, added in declaration order. The one
+    check is that of the error: step k returns k, before logging row k,
+    when its error is not finite. Where the error rate overflows, the
+    step runs on: `fuzzy.locate` places it at an edge of the universe,
     and u and then the error are not finite, so the step returns the k
-    that a rate check would have (see the module docstring). The source
-    depends on the order, the kind and the counts only and holds
-    generated names; every value arrives as an argument.
+    that a rate check would have (see the module docstring).
     """
-    setup, plant = step_lines(order)
-    setup += [f"us{n}, um{n} = u_dists[{n}]" for n in range(n_u)]
-    setup += [f"ys{n}, ym{n} = y_dists[{n}]" for n in range(n_y)]
-    if fuzzy:
-        gain_setup, gains = gain_lines()
-        setup += gain_setup
-        gains += ["kp_log[k] = kp", "ki_log[k] = ki", "kd_log[k] = kd"]
-    else:
-        setup += ["kp = ctrl.gains.kp", "ki = ctrl.gains.ki", "kd = ctrl.gains.kd"]
-        gains = []
-    step = [
+    fuzzy = isinstance(ctrl, FuzzyPidController)
+    base = ctrl.base if fuzzy else ctrl.gains
+    f = ctrl.factors if fuzzy else None
+    kp, ki, kd = base.kp, base.ki, base.kd
+    x = (0.0,) * len(rows)
+    y = 0.0
+    for ys, ym in y_dists:
+        if ys <= 0:
+            y += ym
+    e = r - y
+    if not math.isfinite(e):
+        return 0
+    y_log[0] = y
+    # e - e is +0.0 for a finite e, so the first step's rate is 0.0.
+    e_prev = e
+    integral = 0.0
+    for k in range(1, n_rows):
         # Step k: the controller acts on row k-1, then the plant advances.
-        "rate = (e - e_prev) / dt",
-        "e_prev = e",
-        *gains,
-        # pid_law
-        "integral += e * dt",
-        "u = kp * e + ki * integral + kd * rate",
-        *(f"if k >= us{n}: u += um{n}" for n in range(n_u)),
-        *plant,
-        *(f"if k >= ys{n}: y += ym{n}" for n in range(n_y)),
-        "e = r - y",
-        "if not isfinite(e):",
-        "    return k",
-        "u_log[k] = u",
-        "y_log[k] = y",
-    ]
-    body = [
-        *setup,
-        *(f"x{i} = 0.0" for i in range(order)),
-        "y = 0.0",
-        *(f"if ys{n} <= 0: y += ym{n}" for n in range(n_y)),
-        "e = r - y",
-        "if not isfinite(e):",
-        "    return 0",
-        "y_log[0] = y",
-        # e - e is +0.0 for a finite e, so the first step's rate is 0.0.
-        "e_prev = e",
-        "integral = 0.0",
-        "for k in range(1, n_rows):",
-        *(f"    {line}" for line in step),
-        "return n_rows",
-    ]
-    params = "n_rows, dt, r, u_dists, y_dists, u_log, y_log, kp_log, ki_log, kd_log, rows, c, ctrl"
-    return define("loop", params, body, isfinite=math.isfinite)
+        rate = (e - e_prev) / dt
+        e_prev = e
+        if fuzzy:
+            deltas = infer(e * f.ke, rate * f.kec, ctrl.table.cells)
+            kp, ki, kd = floored_gains(base, f, *deltas)
+            kp_log[k] = kp
+            ki_log[k] = ki
+            kd_log[k] = kd
+        u, integral = pid_law(kp, ki, kd, e, rate, integral, dt)
+        for us, um in u_dists:
+            if k >= us:
+                u += um
+        x, y = step(rows, c, x, u)
+        for ys, ym in y_dists:
+            if k >= ys:
+                y += ym
+        e = r - y
+        if not math.isfinite(e):
+            return k
+        u_log[k] = u
+        y_log[k] = y
+    return n_rows
 
 
 def compute_metrics(traj: Trajectory) -> StepMetrics:

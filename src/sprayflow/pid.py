@@ -4,8 +4,7 @@ The integral uses the rectangular rule, the derivative a backward
 difference on the error. `pid_law` takes the accumulator and the
 derivative and returns the control value and the new accumulator, so the
 caller holds the state. The closed loop (`harness.run_closed_loop`)
-writes the same two operations out in its own body and sets the
-derivative to zero on its first step.
+calls it too, with a derivative of zero on its first step.
 """
 from __future__ import annotations
 

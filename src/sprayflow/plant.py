@@ -11,39 +11,34 @@ left to right from 0.0, as in the step itself, so the map's bits depend
 neither on the interpreter nor on a BLAS build. It hands them over, with
 the output row, as tuples of plain floats, and rejects a step that is
 not finite. This module imports no numpy.
-`step_lines` writes the step of an order as straight-line code on plain
-floats, which checks nothing: a caller that must stop at a blow-up
-checks the output, which is not finite whenever any state entry is not.
-The Python closed loop (`harness._python_loop`) writes those lines into
-its own body, and the C loop (`_loop.c`) performs their operations in
-the same order; `compile_step` builds them into a function step(x, u)
-for stepping by hand, with the same bits. The shipped pipeline model has a
-pure integrator and a 3.7 ms lag, so the default step of 1e-4 s resolves
-its fast pole. A plant's order is bounded by MAX_ORDER.
+`step` advances the state by one step on plain floats, each entry and
+the output one left-to-right dot product (`dot`), and checks nothing: a
+caller that must stop at a blow-up checks the output, which is not
+finite whenever any state entry is not. The closed loop
+(`harness.run_closed_loop`) calls it, and the C loop (`_loop.c`)
+performs its operations in the same order. The shipped pipeline model
+has a pure integrator and a 3.7 ms lag, so the default step of 1e-4 s
+resolves its fast pole. A plant's order is bounded by MAX_ORDER.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-from ._codegen import define
 
 PLANT_INPUT = "plant-input"
 PLANT_OUTPUT = "plant-output"
 
 # A step costs about order^2 operations. In the C loop of the harness, at
-# order 16 a PID step takes about 0.17 us, against 40 ns at order 2 and
-# 0.11 us for a whole fuzzy-PID step on the pipeline plant; in the Python
-# loop, about 5.5 us, 0.3 us and 1.5 us (CPython 3.11, gcc 12, 2 shared
-# cores; the least of 40 in-process `run_closed_loop` calls on the 0.5 s
-# default scenario, in each of 6 processes: C 158-264, 40-48 and 111-117
-# ns, Python 5.41-5.56, 0.30-0.49 and 1.43-2.15 us). The C loop takes
-# every order; the state it holds is sized by MAX_ORDER. Building the
-# Python loop of an order takes about 2 ms, once per process, controller
-# kind and disturbance count per port. The RK4 map of an order-16 plant
-# (`rk4_zoh`, about 8 * n^2 multiply-adds in plain floats) takes about
-# 0.4 ms, once per scenario.
+# order 16 a PID step takes about 0.19 us, against 45 ns at order 2 and
+# 0.13 us for a whole fuzzy-PID step on the pipeline plant; in the plain
+# Python loop, about 26 us, 2-3.5 us and 10-17 us (CPython 3.11, gcc 12,
+# 2 shared cores; the least of 40 in-process `run_closed_loop` calls on
+# the 0.5 s default scenario in C, and of 7 in Python, in each of 3 to 5
+# processes). The C loop takes every order; the state it holds is sized
+# by MAX_ORDER. The RK4 map of an order-16 plant (`rk4_zoh`, about
+# 8 * n^2 multiply-adds in plain floats) takes about 0.4 ms, once per
+# scenario.
 MAX_ORDER = 16
 
 
@@ -112,7 +107,7 @@ def rk4_zoh(
 ) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
     """One RK4 step of the plant under zero-order hold, as plain floats.
 
-    Returns (rows, c) for `compile_step`. Row i holds (Phi[i, 0], ...,
+    Returns (rows, c) for `step`. Row i holds (Phi[i, 0], ...,
     Phi[i, n-1], Gamma[i]), so the next state is
     x+[i] = sum(row[j] * (x + [u])[j]), and c is the output row of the
     canonical realization (see tf_to_ss); the state has len(rows) entries.
@@ -157,74 +152,35 @@ def rk4_zoh(
     return rows, c
 
 
-def step_lines(n: int) -> tuple[list[str], list[str]]:
-    """Straight-line code of one plant step of order n, as (setup, lines).
+def dot(a: Sequence[float], x: Sequence[float]) -> float:
+    """a[0] * x[0] + a[1] * x[1] + ..., accumulated left to right from 0.0.
 
-    The setup unpacks the locals rows and c, a step as `rk4_zoh` returns
-    it, into the names r{i}_{j} = rows[i][j] and c{i} = c[i]; it runs once
-    and fails on a step of another order. The lines advance the state
-    locals x0 .. x{n-1} by one step on the input u and set the output y;
-    for n = 2:
-
-        (r0_0, r0_1, r0_2), (r1_0, r1_1, r1_2), = rows
-        c0, c1, = c
-
-        n0 = 0.0 + r0_0 * x0 + r0_1 * x1 + r0_2 * u
-        n1 = 0.0 + r1_0 * x0 + r1_1 * x1 + r1_2 * u
-        x0 = n0
-        x1 = n1
-        y = 0.0 + c0 * x0 + c1 * x1
-
-    Each dot product is accumulated left to right from 0.0, one rounding
-    per term, so its bits do not depend on the interpreter: from CPython
-    3.12 on the builtin sum() of floats is compensated. No path whose bits
-    are pinned may use sum, math.fsum, math.sumprod or a numpy reduction;
-    every plant step in Python is built from these lines, by
-    `compile_step` and by the Python closed loop (`harness._python_loop`),
-    and the C loop's `dot` adds the same terms in the same order. The
-    leading 0.0 turns a sum of -0.0 terms into 0.0.
-
-    Plain arithmetic, with no finiteness check. y is not finite whenever
-    some x_i is not, even where c_i = 0 (0 * inf is nan), so checking y
-    covers the state; a non-finite u makes every x_i non-finite.
+    One rounding per term, so the bits do not depend on the interpreter:
+    from CPython 3.12 on the builtin sum() of floats is compensated. No
+    path whose bits are pinned may use sum, math.fsum, math.sumprod or a
+    numpy reduction; the C loop's `dot` adds the same terms in the same
+    order. The leading 0.0 turns a sum of -0.0 terms into 0.0.
     """
-    inputs = [f"x{j}" for j in range(n)] + ["u"]
-    rows = "".join("(" + ", ".join(f"r{i}_{j}" for j in range(n + 1)) + "), " for i in range(n))
-    setup = [f"{rows}= rows", "".join(f"c{i}, " for i in range(n)) + "= c"]
-    lines = [
-        f"n{i} = 0.0 + " + " + ".join(f"r{i}_{j} * {v}" for j, v in enumerate(inputs))
-        for i in range(n)
-    ]
-    lines += [f"x{i} = n{i}" for i in range(n)]
-    lines.append("y = 0.0 + " + " + ".join(f"c{i} * x{i}" for i in range(n)))
-    return setup, lines
+    acc = 0.0
+    for p, q in zip(a, x):
+        acc += p * q
+    return acc
 
 
-def compile_step(
-    rows: tuple[tuple[float, ...], ...], c: tuple[float, ...]
-) -> Callable[[Sequence[float], float], tuple[tuple[float, ...], float]]:
-    """The precomputed RK4 step (see rk4_zoh) as a function step(x, u).
+def step(
+    rows: Sequence[Sequence[float]], c: Sequence[float], x: Sequence[float], u: float
+) -> tuple[tuple[float, ...], float]:
+    """One precomputed RK4 step (see rk4_zoh): the next state, a tuple, and the output.
 
-    step(x, u) returns the next state, a tuple, and the output. Its body
-    unpacks x into x0 .. x{n-1}, runs the lines of `step_lines` and
-    returns the state locals and y, so it gives the closed loop's bits.
-
-    The source holds generated names only. The values reach the body as
-    closure cells of a factory(rows, c) that runs the setup of
-    `step_lines`, so inf and nan entries step like any other and nothing
-    of the plant is formatted into code.
+    Entry i of the next state is row i dotted with the state followed by
+    u, and the output is c dotted with the next state. Plain arithmetic,
+    with no finiteness check. y is not finite whenever some x_i is not,
+    even where c_i = 0 (0 * inf is nan), so checking y covers the state;
+    a non-finite u makes every x_i non-finite.
     """
-    n = len(rows)
-    setup, body = step_lines(n)
-    state = "".join(f"x{i}, " for i in range(n))
-    return define("factory", "rows, c", [
-        *setup,
-        "def step(x, u):",
-        f"    {state}= x",
-        *(f"    {line}" for line in body),
-        f"    return ({state}), y",
-        "return step",
-    ])(rows, c)
+    xu = [*x, u]
+    x = [dot(row, xu) for row in rows]
+    return tuple(x), dot(c, x)
 
 
 @dataclass(frozen=True)

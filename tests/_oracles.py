@@ -161,7 +161,7 @@ def _centroid(heights):
 
 
 # The plant step as it stood before it was built as straight-line code,
-# kept verbatim as the bitwise reference for `plant.compile_step`.
+# kept verbatim as the bitwise reference for `plant.step`.
 def advance(
     rows: tuple[tuple[float, ...], ...], c: tuple[float, ...], x: list[float], u: float
 ) -> tuple[list[float], float]:
@@ -196,7 +196,7 @@ def advance(
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     """The dot product of u and v, accumulated left to right from 0.0.
 
-    One rounding per term, as in `step_lines`, so the bits do not depend
+    One rounding per term, as in `plant.dot`, so the bits do not depend
     on the interpreter or on a BLAS build.
     """
     acc = 0.0
@@ -210,7 +210,7 @@ def dense_rk4_map(
 ) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
     """One RK4 step of the plant under zero-order hold, as plain floats.
 
-    Returns (rows, c) for `compile_step`. Row i holds (Phi[i, 0], ...,
+    Returns (rows, c) for `plant.step`. Row i holds (Phi[i, 0], ...,
     Phi[i, n-1], Gamma[i]), so the next state is
     x+[i] = sum(row[j] * (x + [u])[j]), and c is the output row of the
     canonical realization (see tf_to_ss); the state has len(rows) entries.

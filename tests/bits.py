@@ -11,11 +11,13 @@ blown_up flag and its columns packed as little-endian doubles in
 file that `sprayflow simulate` writes. A failing group names what
 changed. Metrics are left out, so a change to `compute_metrics` moves no
 digest. Runs take the engine that `harness._loop` picks: the C loop
-wherever a C compiler or a cached library exists, else the Python loop.
-`test_bits.py` checks every group but `sweep-full` (all 32 designs of the
-benchmark's sweep, about 1.5 s through the C loop and 6 s through the
-Python loop) through both engines, and CI checks `sweep-full` with this
-script. Regenerate only when the simulated bits are meant to change.
+wherever a C compiler or a cached library exists, else the plain Python
+loop. `test_bits.py` checks every group but `sweep-full` (all 32 designs
+of the benchmark's sweep, about 1.5 s through the C loop and 30-40 s
+through the plain loop) through both engines, and CI checks `sweep-full`
+with this script through each: with its compiler, and with PATH and the
+cache directory emptied. Regenerate only when the simulated bits are
+meant to change.
 """
 from __future__ import annotations
 

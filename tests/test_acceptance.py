@@ -22,7 +22,7 @@ from sprayflow.harness import (
     run_closed_loop,
 )
 from sprayflow.pid import PidGains
-from sprayflow.plant import PIPELINE_TF, compile_step, rk4_zoh, tf_to_ss
+from sprayflow.plant import PIPELINE_TF, rk4_zoh, step, tf_to_ss
 
 from _oracles import (
     GOLDEN_RULE_ROWS_BY_EC,
@@ -215,14 +215,13 @@ def test_criterion_09_rk4_vs_exact_discretization():
     steps = 10000
     phi, gamma = exact_zoh_discretization(a, b, dt)
     rows, c = rk4_zoh(PIPELINE_TF, dt)
-    step = compile_step(rows, c)
     x = (0.0,) * len(rows)
     x_exact = np.zeros(len(rows))
     max_err = 0.0
     max_ref = 0.0
     for k in range(steps):
         u = math.sin(2.0 * math.pi * 5.0 * k * dt)
-        x, y = step(x, u)
+        x, y = step(rows, c, x, u)
         x_exact = phi @ x_exact + gamma * u
         y_exact = float(c_exact @ x_exact)
         max_err = max(max_err, abs(y - y_exact))

@@ -825,18 +825,24 @@ class TestTrajectoryCsvIO:
                 write_trajectory_csv(Trajectory(rows.T), str(path))
             assert path.read_bytes() == expected.encode("ascii")
 
-    @pytest.mark.parametrize("setpoint", [5.0, 1e7], ids=("setpoint-5", "setpoint-1e7"))
-    def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path, setpoint):
-        # The writer formats one chunk of rows at a time, so on a 100k-row
-        # PID run (6.4 MB of columns) it peaks near 0.7 MiB; formatting the
-        # columns whole would take it to tens of MiB. At setpoint 1e7 every
-        # chunk holds values the integer arithmetic does not cover, and is
-        # formatted by one %-format.
+    @pytest.mark.parametrize(
+        "setpoint, rows", [(5.0, 100_001), (1e7, 10_001)], ids=("setpoint-5", "setpoint-1e7")
+    )
+    def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path, setpoint, rows):
+        # The writer formats one chunk of rows at a time, so it peaks below
+        # 1 MiB; formatting the columns whole would take it past the bound.
+        # At setpoint 5 that takes the 100k-row PID run (6.4 MB of columns):
+        # the C formatter's whole output buffer, 19 bytes a value, would be
+        # only 1.46 MiB on a 10k-row run. At setpoint 1e7 every chunk holds
+        # values the integer arithmetic does not cover, and is formatted by
+        # one %-format, which on the 10k-row run peaks at 0.76 MiB a chunk
+        # at a time and at 7.35 MiB whole.
         scenario = SimScenario(
-            setpoint=setpoint, duration=10.0, dt=1e-4, controller=presets.default_pid_config()
+            setpoint=setpoint, duration=(rows - 1) * 1e-4, dt=1e-4,
+            controller=presets.default_pid_config(),
         )
         traj = run_closed_loop(scenario)
-        assert len(traj) == 100_001
+        assert len(traj) == rows
         tracemalloc.start()
         try:
             write_trajectory_csv(traj, str(tmp_path / "m.csv"))
@@ -921,9 +927,9 @@ class TestTrajectoryCsvIOInPython(TestTrajectoryCsvIO):
 
     # At setpoint 1e7 the C formatter refuses every chunk, so both classes
     # would time the same %-format, the slowest test of the suite.
-    @pytest.mark.parametrize("setpoint", [5.0], ids=("setpoint-5",))
-    def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path, setpoint):
-        super().test_writer_memory_is_bounded_by_the_chunk(tmp_path, setpoint)
+    @pytest.mark.parametrize("setpoint, rows", [(5.0, 100_001)], ids=("setpoint-5",))
+    def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path, setpoint, rows):
+        super().test_writer_memory_is_bounded_by_the_chunk(tmp_path, setpoint, rows)
 
 
 def c_csv():

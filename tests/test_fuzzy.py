@@ -1,11 +1,7 @@
 import copy
-import inspect
-import itertools
-import json
 import math
 import pickle
 import struct
-import subprocess
 import sys
 import threading
 
@@ -14,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sprayflow import _codegen, fuzzy, harness, presets
 from sprayflow.fuzzy import (
     DEFAULT_RULE_TABLE,
     Label,
     RuleTable,
     ScalingFactors,
+    infer,
     infer_deltas,
+    locate,
     quantize,
 )
 
@@ -81,10 +78,9 @@ def random_table(seed):
     )
 
 
-# Output label NS, ZO or PS by (e + 2 ec + output) mod 3, so the four rules
-# of every anchor cell name all three for every output: each kernel adds
-# ZO's center 0.0 and the overlaps at the midpoints -1.0 and 1.0, the
-# terms `fuzzy._compile_kernel` folds.
+# Output label NS, ZO or PS by (e + 2 ec + output) mod 3, so any four rules
+# that fire together name all three for every output: each centroid adds
+# ZO's center 0.0 and the overlaps at the midpoints -1.0 and 1.0.
 ZERO_NEIGHBOURS_TABLE = RuleTable(
     cells=tuple(
         tuple(tuple(Label(2 + (e + 2 * ec + out) % 3) for out in range(3)) for ec in range(7))
@@ -98,8 +94,9 @@ TABLES = {
     "random": random_table(20240601),
     "zero-neighbours": ZERO_NEIGHBOURS_TABLE,
 }
-# The quarter lattice reaches every kernel of a table, so it checks every
-# kernel of eight more random tables too.
+# The quarter lattice fires every four rules that can fire together, in
+# every order of the input degrees, so it checks eight more random tables
+# too.
 QUARTER_LATTICE_TABLES = TABLES | {f"random-{seed}": random_table(seed) for seed in range(8)}
 
 
@@ -154,9 +151,8 @@ def degrees(x):
 
 class TestFuzzify:
     """Fuzzification by the index arithmetic of `_oracles._locate`.
-    Inference runs the `fuzzy._locate_lines` ladder instead, which gives
-    the bits of `quantize` followed by that arithmetic (see
-    `fuzzy.inference_lines`)."""
+    Inference runs `fuzzy.locate` instead, which gives the bits of
+    `quantize` followed by that arithmetic."""
 
     def test_one_hot_at_every_center(self):
         for label in Label:
@@ -195,16 +191,21 @@ class TestFuzzify:
         assert np.count_nonzero(got) <= 2
         assert got.sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "x", [math.inf, -math.inf, 1e308 * 5.0, 6.0 + 2.0**-50, -6.0 - 2.0**-50, -0.0, 4.5]
+    )
+    def test_locate_clamps_as_quantize_does(self, x):
+        # The closed loop locates e * ke and rate * kec unquantized, and an
+        # overflowed rate is an infinity, which lands at an edge.
+        clamped = min(max(x, -6.0), 6.0)
+        assert locate(x) == _locate(clamped)
+        if math.isfinite(x):
+            assert locate(x) == locate(quantize(x, 1.0))
+        cells = DEFAULT_RULE_TABLE.cells
+        assert packed(infer(x, -x, cells)) == packed(reference_deltas(clamped, -clamped, cells))
+
 
 DEFAULT_CELLS = DEFAULT_RULE_TABLE.cells
-
-
-def built(entry):
-    """Whether a `kernels` entry is a built kernel, not a first-use entry.
-
-    A kernel is a generated function named kernel (`fuzzy._compile_kernel`).
-    """
-    return inspect.isfunction(entry) and entry.__name__ == "kernel"
 
 
 def with_first_cell(cell):
@@ -221,32 +222,6 @@ class TestRuleTable:
 
     def test_suspect_cells_flagged(self):
         assert DEFAULT_RULE_TABLE.suspect == frozenset(SUSPECT_CELLS)
-
-    def test_construction_computes_no_plan(self, monkeypatch):
-        calls = []
-        original = fuzzy._compile_kernel
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(fuzzy, "_compile_kernel", counting)
-        table = RuleTable.parse(DEFAULT_RULE_TABLE.dump())
-        assert calls == [] and not any(map(built, table.kernels))
-        # The first inference builds one kernel, in one call, and stores it
-        # at its anchor cell and pattern.
-        infer_deltas(0.3, -2.7, table)
-        assert len(calls) == 1
-        index = kernel_index(0.3, -2.7)
-        assert [n for n, entry in enumerate(table.kernels) if built(entry)] == [index]
-        # A second inference at the same anchor cell and pattern builds
-        # nothing, and gives the reference bits.
-        assert kernel_index(0.32, -2.72) == index
-        for e, ec in ((0.3, -2.7), (0.32, -2.72)):
-            assert packed(infer_deltas(e, ec, table)) == packed(
-                reference_deltas(e, ec, table.cells)
-            )
-        assert len(calls) == 1
 
     def test_dump_parse_round_trip(self):
         text = DEFAULT_RULE_TABLE.dump()
@@ -411,8 +386,8 @@ every_table = pytest.mark.parametrize("table", TABLES.values(), ids=TABLES.keys(
 
 
 class TestBitwiseReference:
-    """Firing plans and per-height terms reproduce the closed-form
-    inference they replaced exactly, not to a tolerance."""
+    """`infer_deltas` reproduces the closed-form inference of
+    `_oracles.reference_deltas` exactly, not to a tolerance."""
 
     @pytest.mark.parametrize(
         "table", QUARTER_LATTICE_TABLES.values(), ids=QUARTER_LATTICE_TABLES.keys()
@@ -422,14 +397,12 @@ class TestBitwiseReference:
             for ec in QUARTER_LATTICE:
                 got = packed(infer_deltas(e, ec, table))
                 assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
-        # Every kernel was built, so every kernel was checked.
-        assert all(map(built, table.kernels))
 
     @every_table
     def test_cell_interiors(self, table):
         # Off the label centers all four rules of a cell fire, so no clip
-        # height and no label's mass is zero: a kernel that clips a label at
-        # the wrong rule's height gives wrong bits here, not a zero division.
+        # height and no label's mass is zero: a label clipped at the wrong
+        # rule's height gives wrong bits here, not a zero division.
         interior = [x for x in QUARTER_LATTICE if x % 2.0]
         for e in interior:
             for ec in interior:
@@ -460,121 +433,9 @@ class TestBitwiseReference:
         assert got == packed(reference_deltas(e, ec, table.cells))
 
 
-# Imports the package, then runs the default fuzzy step through the Python
-# loop, whose kernels these are, and reports the kernels of the default
-# table that are built (as `built` tells) after the import and after the
-# run, the loops and inference functions built by the import, and the run's
-# dt and logged error column.
-KERNELS_SCRIPT = """
-import inspect
-import json
-import sprayflow
-from sprayflow import fuzzy, harness, presets
-from sprayflow.fuzzy import DEFAULT_RULE_TABLE as table
-def built():
-    return [n for n, entry in enumerate(table.kernels) if inspect.isfunction(entry)
-            and entry.__name__ == "kernel"]
-after_import = built()
-loops_after_import = harness._python_loop.cache_info().currsize
-inference_after_import = fuzzy._inference.cache_info().currsize
-harness._loop = harness._python_loop
-scenario = presets.default_scenario(presets.default_fuzzy_controller())
-traj = sprayflow.run_closed_loop(scenario)
-after_run = built()
-print(json.dumps({
-    "after_import": after_import, "loops_after_import": loops_after_import,
-    "inference_after_import": inference_after_import, "dt": scenario.dt,
-    "e": traj.e.tolist(), "after_run": after_run,
-}))
-"""
-
-
-def kernel_index(e, ec):
-    """Anchor cell and ordering pattern of a pair of universe values."""
-    i, w = _locate(e)
-    j, v = _locate(ec)
-    pattern = 4 * (w > 1.0 - w) + 2 * (v > 1.0 - v) + (min(w, 1.0 - w) < min(v, 1.0 - v))
-    return 8 * (6 * i + j) + pattern
-
-
-def test_rule_heights_index_each_fired_rules_strength():
-    # Rule n pairs e's label i + (n >> 1) with ec's label j + (n & 1) and
-    # fires at the smaller of their degrees: one of lo and hi, the two
-    # smaller degrees in order, or big, the smaller of the two larger ones.
-    patterns = {}
-    for w, v in itertools.product((0.125, 0.25, 0.75, 0.875), repeat=2):
-        e, ec = (1.0 - w, w), (1.0 - v, v)
-        if min(e) == min(ec):
-            continue
-        pattern = 4 * (w > 1.0 - w) + 2 * (v > 1.0 - v) + (min(e) < min(ec))
-        heights = (*sorted((min(e), min(ec))), min(max(e), max(ec)))
-        got = tuple(heights.index(min(e[n >> 1], ec[n & 1])) for n in range(4))
-        assert patterns.setdefault(pattern, got) == got
-    want = tuple(patterns[pattern] for pattern in range(8))
-    assert tuple(map(fuzzy._rule_heights, range(8))) == want
-    assert fuzzy._RULE_HEIGHTS == want
-
-
-def test_kernels_are_built_on_first_use_per_table():
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-c", KERNELS_SCRIPT],
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    report = json.loads(result.stdout)
-    # Nothing is built at import: no kernel, loop or inference function.
-    assert report["after_import"] == []
-    assert report["loops_after_import"] == 0
-    assert report["inference_after_import"] == 0
-    # Step k infers from row k-1's error and its backward difference,
-    # zero on the first step; the last row feeds no step.
-    e, dt, factors = report["e"], report["dt"], presets.DEFAULT_FACTORS
-    rates = [0.0] + [(e[k] - e[k - 1]) / dt for k in range(1, len(e) - 1)]
-    touched = {
-        kernel_index(quantize(x, factors.ke), quantize(rate, factors.kec))
-        for x, rate in zip(e, rates)
-    }
-    assert report["after_run"] == sorted(touched)
-    assert len(touched) == 36
-    # Another table builds its own kernels and gives the reference bits,
-    # also where the default table's kernels exist; those stay out of its
-    # equality and of dump/parse.
-    infer_deltas(0.3, -2.7)
-    table = rewritten_suspects_table()
-    for e in QUARTER_LATTICE:
-        for ec in QUARTER_LATTICE:
-            got = packed(infer_deltas(e, ec, table))
-            assert got == packed(reference_deltas(e, ec, table.cells)), (e, ec)
-    assert all(map(built, table.kernels))
-    assert not any(a is b for a, b in zip(table.kernels, DEFAULT_RULE_TABLE.kernels))
-    assert RuleTable.parse(table.dump()) == table
-    assert table != DEFAULT_RULE_TABLE
-
-
-def test_generated_inference_makes_one_kernel_call(monkeypatch):
-    # The sources of the fuzzy-PID loop and of the inference, compiled
-    # afresh past their caches: each calls one kernel entry, once per step
-    # of the loop, and tests no entry.
-    sources = []
-
-    def recording_exec(source, namespace):
-        sources.append(source)
-        exec(source, namespace)
-
-    monkeypatch.setattr(_codegen, "exec", recording_exec, raising=False)
-    harness._python_loop.__wrapped__(2, True, 0, 0)
-    fuzzy._inference.__wrapped__()
-    loop, infer = sources
-    call = "dp, di, dd = kernels[index](lo, hi, big)"
-    assert loop.count("kernels[") == 1 and infer.count("kernels[") == 1
-    assert f"\n        {call}\n" in loop and f"\n    {call}\n" in infer
-    for source in (loop, infer):
-        assert "None" not in source and "build" not in source
-
-
-def test_concurrent_first_use_gives_the_reference_bits():
-    # Threads race on the first-use entries of a fresh table; each builds
-    # an equal kernel, and whichever an entry keeps, every result is the
-    # reference's.
+def test_concurrent_inference_gives_the_reference_bits():
+    # Inference holds no state between calls: threads that switch every
+    # microsecond, all on one table, each get the reference's bits.
     table = rewritten_suspects_table()
     points = [(e, ec) for e in QUARTER_LATTICE[::2] for ec in QUARTER_LATTICE]
     want = [packed(reference_deltas(e, ec, table.cells)) for e, ec in points]

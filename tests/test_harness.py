@@ -1,7 +1,5 @@
 import math
 import struct
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -28,9 +26,8 @@ from sprayflow.plant import (
     PLANT_OUTPUT,
     Disturbance,
     TransferFunction,
-    compile_step,
     rk4_zoh,
-    step_lines,
+    step,
 )
 
 from _oracles import (
@@ -78,7 +75,6 @@ def hand_stepped(scenario):
     """
     dt, r, dists = scenario.dt, scenario.setpoint, scenario.disturbances
     rows, c = rk4_zoh(scenario.plant, dt)
-    step = compile_step(rows, c)
     ctrl = scenario.controller
     fuzzy = isinstance(ctrl, FuzzyPidController)
     gains = ctrl.base if fuzzy else ctrl.gains
@@ -100,7 +96,7 @@ def hand_stepped(scenario):
             kp, ki, kd = adapted_gains(ctrl, e, derivative)
         u, integral = pid_law(kp, ki, kd, e, derivative, integral, dt)
         u, _ = apply_disturbances(u, 0.0, dists, (k - 1) * dt)
-        x, y = step(x, u)
+        x, y = step(rows, c, x, u)
         _, y = apply_disturbances(0.0, y, dists, k * dt)
         if not math.isfinite(r - y):
             break
@@ -217,7 +213,7 @@ HAND_CASES = {
     ),
     "pid-two-per-port": hand_case(_PID, _TWO_PER_PORT),
     "fuzzy-two-per-port": hand_case(_FUZZY_SMALL, _TWO_PER_PORT),
-    # Each plant order builds its own loop.
+    # Plant orders 1, 3 and 16, with disturbances.
     "pid-order-1": hand_case(_PID, _OUTPUT, ORDER_1),
     "fuzzy-order-1": hand_case(_FUZZY_SMALL, _INPUT, ORDER_1),
     "pid-order-3": hand_case(_PID, _INPUT, ORDER_3),
@@ -810,41 +806,6 @@ class TestCompareControllers:
         fuzzy_traj = run_closed_loop(replace(scenario, controller=_FUZZY))
         assert np.array_equal(result.fuzzy_trajectory.data, fuzzy_traj.data)
         assert len(result.pid_trajectory) == len(result.fuzzy_trajectory) == 101
-
-    def test_loop_is_built_once_per_order_and_kind(self, monkeypatch):
-        # A fresh process has built no Python loop after the import.
-        result = subprocess.run(
-            [sys.executable, "-W", "error", "-c",
-             "import sprayflow; print(sprayflow.harness._python_loop.cache_info().currsize)"],
-            capture_output=True, text=True, timeout=120, check=True,
-        )
-        assert result.stdout == "0\n"
-        # Each build reads the plant-step lines once.
-        builds = []
-
-        def counting(order):
-            builds.append(order)
-            return step_lines(order)
-
-        harness._python_loop.cache_clear()
-        monkeypatch.setattr(harness, "_loop", harness._python_loop)
-        monkeypatch.setattr(harness, "step_lines", counting)
-        scenario = hand_case(_PID)
-        run_closed_loop(scenario)
-        run_closed_loop(scenario)
-        assert builds == [2]
-        compare_controllers(scenario, _PID, _FUZZY)
-        assert builds == [2, 2]
-        compare_controllers(scenario, _PID, _FUZZY_SMALL)
-        assert builds == [2, 2]
-        # One loop per count of disturbances on each port, whatever their values.
-        run_closed_loop(replace(scenario, disturbances=_INPUT + _OUTPUT))
-        assert builds == [2, 2, 2]
-        run_closed_loop(replace(scenario, disturbances=_TWO_PER_PORT[1:3]))
-        assert builds == [2, 2, 2]
-        compare_controllers(replace(scenario, plant=ORDER_3), _PID, _FUZZY)
-        assert builds == [2, 2, 2, 3, 3]
-        assert harness._python_loop.cache_info().currsize == 5
 
     @pytest.mark.parametrize("slot", [0, 1])
     def test_rejects_unsupported_controller(self, slot):

@@ -1,15 +1,9 @@
-"""Mutant catalogue of the generated code and of the hand-written arithmetic.
+"""Mutant catalogue of the package's arithmetic, in Python and in C.
 
 Each entry of `MUTANTS` is a text edit of one source and the gate that
 must kill it: an existing test, run on fresh inputs, must fail an
-assertion. The edit's target is of one of three kinds.
+assertion. The edit's target is of one of two kinds.
 
-- A builder, named by the function it emits: "loop"
-  (`harness._python_loop`), "factory" (`plant.compile_step`), "infer"
-  (`fuzzy._inference`) or "kernel" (`fuzzy._compile_kernel`). Generated
-  code is compiled at one point, `sprayflow._codegen.define`, so the edit
-  rewrites each source of that builder through an `exec` set on
-  `_codegen`.
 - "c", the C library: the edit rewrites `_loop.c` into a file of the
   test's own, which `_native` compiles into a cache directory of the
   test's own. Runs take the mutant C loop, and the CSV writer and reader
@@ -22,15 +16,17 @@ assertion. The edit's target is of one of three kinds.
   the mutant too. One name is added to the namespace for the test,
   `fma`, which an edit may call.
 
-Runs of every other target take the Python loop (`harness._loop` is
-pinned to `harness._python_loop`) and the Python CSV writer and reader
-(`test_cli.pin_python_csv`), whose code the edits reach. `monkeypatch`
-restores every name it set, so the original function is back after the
-test. Every rule table a gate uses is built for the mutant, and the
-caches of `harness._python_loop`, `fuzzy._inference` and `_native` are
-cleared before and after it, so no mutant kernel, loop, inference or
-library outlives its test. A gate takes the pytest fixtures it needs as
-its parameters.
+Runs of a function's mutant take the plain Python loop (`harness._loop`
+returns `harness._plain_loop`) and the Python CSV writer and reader
+(`test_cli.pin_python_csv`), whose code the edits reach. The plain loop
+and stepping by hand (`test_harness.hand_stepped`) call the same
+`plant.step` and `fuzzy.infer`, so a mutant of those moves both alike:
+its gate compares with a reference of `_oracles` or with the C loop
+(`test_native.assert_engines_agree`), which no Python edit reaches.
+`monkeypatch` restores every name it set, so the original function is
+back after the test. The caches of `_native` are cleared before and
+after each mutant, so no mutant library outlives its test. A gate takes
+the pytest fixtures it needs as its parameters.
 
 Mutants known to be equivalent are listed in `EQUIVALENT` with the
 reason; they are not run.
@@ -38,18 +34,14 @@ reason; they are not run.
 import __future__
 import ast
 import inspect
-import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sprayflow
-from sprayflow import _codegen, _native, cli, fuzzy, harness, plant
-from sprayflow.adaptive import FuzzyPidController
-from sprayflow.fuzzy import RuleTable
+from sprayflow import _native, cli, fuzzy, harness, plant
 from sprayflow.plant import MAX_ORDER
 
 import test_cli
@@ -59,27 +51,16 @@ import test_native
 import test_plant
 
 
-def fresh(table):
-    """A copy of a rule table with none of its kernels built."""
-    return RuleTable(cells=table.cells, suspect=table.suspect)
-
-
 def quarter_lattice():
     """`test_fuzzy::TestBitwiseReference::test_quarter_lattice`, all its tables."""
     for table in test_fuzzy.QUARTER_LATTICE_TABLES.values():
-        test_fuzzy.TestBitwiseReference().test_quarter_lattice(fresh(table))
-
-
-def fine_lattice():
-    """`test_fuzzy::TestBitwiseReference::test_fine_lattice`, all its tables."""
-    for table in test_fuzzy.TABLES.values():
-        test_fuzzy.TestBitwiseReference().test_fine_lattice(fresh(table))
+        test_fuzzy.TestBitwiseReference().test_quarter_lattice(table)
 
 
 def cell_interiors():
     """`test_fuzzy::TestBitwiseReference::test_cell_interiors`, all its tables."""
     for table in test_fuzzy.TABLES.values():
-        test_fuzzy.TestBitwiseReference().test_cell_interiors(fresh(table))
+        test_fuzzy.TestBitwiseReference().test_cell_interiors(table)
 
 
 def hand_stepping(*ids):
@@ -87,18 +68,24 @@ def hand_stepping(*ids):
     `test_equals_hand_stepping_bitwise`."""
     def gate():
         for case in ids:
-            scenario = test_harness.HAND_CASES[case]
-            controller = scenario.controller
-            if isinstance(controller, FuzzyPidController):
-                controller = replace(controller, table=fresh(controller.table))
             test_harness.TestRunClosedLoop().test_equals_hand_stepping_bitwise(
-                replace(scenario, controller=controller)
+                test_harness.HAND_CASES[case]
             )
     gate.__doc__ = f"`test_harness::TestRunClosedLoop`'s hand-stepping cases {', '.join(ids)}"
     return gate
 
 
 two_per_port = hand_stepping("pid-two-per-port", "fuzzy-two-per-port")
+
+
+def engines_on(*ids):
+    """A gate of `test_native.assert_engines_agree` on the named cases of
+    `test_harness.HAND_CASES`."""
+    def gate():
+        for case in ids:
+            test_native.assert_engines_agree(test_harness.HAND_CASES[case])
+    gate.__doc__ = f"the C loop and the plain loop on the hand-stepping cases {', '.join(ids)}"
+    return gate
 
 
 def compiled_step():
@@ -112,11 +99,6 @@ def compiled_step():
 def order_16_map():
     """`test_plant::TestRk4Zoh::test_order_16_map_bits`"""
     test_plant.TestRk4Zoh().test_order_16_map_bits()
-
-
-def rule_heights():
-    """`test_fuzzy::test_rule_heights_index_each_fired_rules_strength`"""
-    test_fuzzy.test_rule_heights_index_each_fired_rules_strength()
 
 
 def reader_cases(tmp_path, monkeypatch):
@@ -185,34 +167,6 @@ def sub(old, new):
     return lambda source: source.replace(old, new)
 
 
-def swap(a, b):
-    """An edit that exchanges the texts a and b."""
-    return lambda source: source.replace(a, "\0").replace(b, a).replace("\0", b)
-
-
-def in_moments(edit):
-    """An edit applied to the moment sums of a kernel only, not to its masses.
-
-    A kernel returns one line `(moment) / mass,` per output, and no moment
-    holds the text ") / ".
-    """
-    def apply(source):
-        lines = []
-        for line in source.splitlines():
-            if ") / " in line:
-                moment, mass = line.rsplit(") / ", 1)
-                line = f"{edit(moment)}) / {mass}"
-            lines.append(line)
-        return "\n".join(lines)
-    return apply
-
-
-def drop_in_place_state(source):
-    """Write each next state entry straight into x{i}, not via n{i}."""
-    source = re.sub(r"\n *x\d+ = n\d+(?=\n)", "", source)
-    return re.sub(r"\bn(\d+) = ", r"x\1 = ", source)
-
-
 def fma(x, y, z):
     """x * y + z with one rounding, emulated exactly through Fraction."""
     return float(Fraction(x) * Fraction(y) + Fraction(z))
@@ -220,59 +174,57 @@ def fma(x, y, z):
 
 READ, LINES, BATCHES = cli.read_trajectory_csv, cli._data_lines, cli._line_batches
 
-# name: (target, edit, gate); the target is a builder's name or a function.
+# The in-place mutant of `plant.step`: each next state entry written over
+# the state, where the following rows read it.
+_NEXT_STATE = "    x = [dot(row, xu) for row in rows]\n"
+_IN_PLACE = "    for i, row in enumerate(rows):\n        xu[i] = dot(row, xu)\n    x = xu[:-1]\n"
+
+# name: (target, edit, gate); the target is "c" or a function.
 MUTANTS = {
-    # The order of addition fixes the bits once both act (see _TWO_PER_PORT).
+    # The plain loop, `harness._plain_loop`. The order of addition fixes the
+    # bits once both disturbances of a port act (see _TWO_PER_PORT).
     "input-disturbances-reversed": (
-        "loop", swap("if k >= us0: u += um0", "if k >= us1: u += um1"), two_per_port
+        harness._plain_loop, sub("in u_dists:", "in reversed(u_dists):"), two_per_port
     ),
     "output-disturbances-reversed": (
-        "loop", swap("if k >= ys0: y += ym0", "if k >= ys1: y += ym1"), two_per_port
+        harness._plain_loop, sub("in y_dists:", "in reversed(y_dists):"), two_per_port
     ),
-    # Sum-table indices off by one.
-    "P-index-minus-one": (
-        "kernel", lambda s: re.sub(r"P\[(floor\([^]]*\))\]", r"P[\1 - 1]", s), quarter_lattice
-    ),
-    # On the quarter lattice every clip height is a multiple of 1/200, where
-    # the ramp point at the clip sums the same as a plateau point.
-    "F-index-minus-one": (
-        "kernel", lambda s: re.sub(r"F\[(floor\([^]]*\))\]", r"F[\1 - 1]", s), fine_lattice
-    ),
-    "R-index-plus-one": (
-        "kernel", lambda s: re.sub(r"R\[(floor\([^]]*\))\]", r"R[\1 + 1]", s), quarter_lattice
-    ),
-    # Only the midpoints -1.0 and 1.0 fold exactly.
-    "midpoint-3.0-folded-as-1.0": (
-        "kernel", sub(" - 3.0 * overlap_", " - overlap_"), quarter_lattice
-    ),
-    "midpoint-minus-3.0-folded-as-minus-1.0": (
-        "kernel", sub(" - -3.0 * overlap_", " + overlap_"), quarter_lattice
-    ),
-    "fold-of-1.0-sign-swapped": (
-        "kernel", in_moments(sub(" - overlap_", " + overlap_")), quarter_lattice
-    ),
-    "fold-of-minus-1.0-sign-swapped": (
-        "kernel", in_moments(sub(" + overlap_", " - overlap_")), quarter_lattice
-    ),
-    # The firing plans that `fuzzy._compile_kernel` works out. A label
-    # clipped at the smallest index of its rules may clip every label of
-    # an output at a zero height: test_cell_interiors fires every rule.
-    "label-clipped-at-smallest-index": (
-        fuzzy._compile_kernel, sub("max(k, clips.get", "min(k, clips.get"), cell_interiors
-    ),
-    "overlap-clipped-at-larger-index": (
-        fuzzy._compile_kernel,
-        sub("g = min(clips[label - 1], k)", "g = max(clips[label - 1], k)"),
-        quarter_lattice,
-    ),
-    # The leading 0.0 turns a sum of -0.0 terms into 0.0.
-    "step-without-leading-zero": ("factory", sub(" = 0.0 + ", " = "), compiled_step),
-    "step-state-updated-in-place": ("factory", drop_in_place_state, compiled_step),
+    # The twin of c-input-disturbance-one-step-late.
+    "input-disturbance-one-step-late": (harness._plain_loop, sub("k >= us", "k > us"), engines),
+    # The plant step, `plant.dot` and `plant.step`, which stepping by hand
+    # and the plain loop share: each mutant once against
+    # `_oracles.advance`, and once as the loop's against the C loop. A
+    # sum from -0.0 is a sum without the leading 0.0, which turns a sum
+    # of -0.0 terms into 0.0.
+    "step-without-leading-zero": (plant.dot, sub("acc = 0.0", "acc = -0.0"), compiled_step),
+    "step-state-updated-in-place": (plant.step, sub(_NEXT_STATE, _IN_PLACE), compiled_step),
     "loop-step-without-leading-zero": (
-        "loop", sub(" = 0.0 + ", " = "), hand_stepping("pid-negative-gain-at-rest")
+        plant.dot, sub("acc = 0.0", "acc = -0.0"), engines_on("pid-negative-gain-at-rest")
     ),
     "loop-state-updated-in-place": (
-        "loop", drop_in_place_state, hand_stepping("pid-order-3", "fuzzy-order-3")
+        plant.step, sub(_NEXT_STATE, _IN_PLACE), engines_on("pid-order-3", "fuzzy-order-3")
+    ),
+    # The twin of c-dot-right-to-left.
+    "dot-right-to-left": (plant.dot, sub("in zip(a, x)", "in reversed(list(zip(a, x)))"), engines),
+    # The inference, `fuzzy.infer`: the degrees of one input's two labels
+    # exchanged, and a label clipped at the smallest strength of the rules
+    # that name it, not the largest. test_cell_interiors fires every rule,
+    # so no label is left at a zero height.
+    "e-small-inverted": (fuzzy.infer, sub("= 1.0 - w, w,", "= w, 1.0 - w,"), quarter_lattice),
+    "ec-small-inverted": (fuzzy.infer, sub("1.0 - v, v\n", "v, 1.0 - v\n"), quarter_lattice),
+    "label-clipped-at-smallest-strength": (
+        fuzzy.infer,
+        sub("if strength > heights[label]:", "if not heights[label] or strength < heights[label]:"),
+        cell_interiors,
+    ),
+    # The centroid, `fuzzy.centroid`: its sum-table indices off by one, and
+    # the twin of c-overlap-clipped-at-larger-height.
+    "P-index-minus-one": (
+        fuzzy.centroid, sub("int(_N - _N * h)]", "int(_N - _N * h) - 1]"), quarter_lattice
+    ),
+    "R-index-plus-one": (fuzzy.centroid, sub("int(_N * g)]", "int(_N * g) + 1]"), quarter_lattice),
+    "overlap-clipped-at-larger-height": (
+        fuzzy.centroid, sub("prev if prev < h", "prev if prev > h"), engines
     ),
     # The plant's RK4 map: the second product of an entry of term . hA
     # fused with the sum of the first, as a compiler that contracts to FMA
@@ -338,15 +290,6 @@ MUTANTS = {
         cli._attach_values, sub('token == "--"', "token is None"), value_cases
     ),
     "double-dash-dropped": (cli._attach_values, sub("argv[i:]", "argv[i + 1:]"), value_cases),
-    # The clip-height rows of `fuzzy._rule_heights`. A fifth height, which
-    # no kernel reads: only the table shows it.
-    "five-rules": (fuzzy._rule_heights, sub("range(4)", "range(5)"), rule_heights),
-    "e-small-inverted": (
-        fuzzy._rule_heights, sub("(n >> 1) != e_right", "(n >> 1) == e_right"), rule_heights
-    ),
-    "ec-small-inverted": (
-        fuzzy._rule_heights, sub("(n & 1) != ec_right", "(n & 1) == ec_right"), rule_heights
-    ),
     # The C loop, `_loop.c`: a compiler that contracts to FMA, a reordered
     # sum, a disturbance one step late, the overlap clipped at the larger
     # height, and a float where a double belongs.
@@ -380,12 +323,11 @@ MUTANTS = {
 
 # Equivalent mutants, by name: the reason. Not run, and not counted.
 EQUIVALENT = {
-    # infer and loop: the ladder's cuts `if s < k:` as `if s <= k:`.
-    "ladder-cuts-s-le-k": (
-        "s == k then locates at label k - 1 with degree 1.0 for label k, the same "
-        "memberships; the rules of row k - 1 fire at 0.0, whose terms change no bit"
+    # locate: the clamps `s < 0.0` and `s > 6.0` as `s <= 0.0` and `s >= 6.0`.
+    "locate-clamps-at-the-edges": (
+        "at s = 0.0 and s = 6.0 both branches leave s as it is, and s is never -0.0"
     ),
-    # factory and loop: each `0.0 + a + b` as `sum((a, b))`.
+    # dot: the loop as `sum(p * q for p, q in zip(a, x))`.
     "step-by-builtin-sum": (
         "before CPython 3.12, sum() of floats adds left to right from the int 0, and "
         "0 + -0.0 is 0.0, so it gives the bits of the leading 0.0; from 3.12 on it is "
@@ -437,18 +379,8 @@ def install(target, edit, monkeypatch, tmp_path):
         monkeypatch.setattr(_native, "SOURCE", path)
         monkeypatch.setenv("XDG_CACHE_HOME", str(path.parent))
         return edited
-    monkeypatch.setattr(harness, "_loop", harness._python_loop)
+    monkeypatch.setattr(harness, "_loop", lambda: harness._plain_loop)
     test_cli.pin_python_csv(monkeypatch)
-    if isinstance(target, str):
-        def mutating_exec(source, namespace):
-            if source.startswith(f"def {target}("):
-                mutant = edit(source)
-                edited.append(mutant != source)
-                source = mutant
-            exec(source, namespace)
-
-        monkeypatch.setattr(_codegen, "exec", mutating_exec, raising=False)
-        return edited
     source = inspect.getsource(target)
     mutant = edit(source)
     edited.append(mutant != source)
@@ -466,7 +398,7 @@ def install(target, edit, monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", MUTANTS)
 def test_mutant_is_killed(name, monkeypatch, request, tmp_path):
     target, edit, gate = MUTANTS[name]
-    caches = (harness._python_loop, fuzzy._inference, *test_native.NATIVE_CACHES)
+    caches = test_native.NATIVE_CACHES
     for cache in caches:
         cache.cache_clear()
     try:
@@ -485,9 +417,9 @@ def test_mutant_is_killed(name, monkeypatch, request, tmp_path):
     assert killed, f"{name} survives {gate.__doc__}"
 
 
-def test_generated_code_has_one_compile_point():
-    # exec, eval and compile are called in _codegen.define only, so every
-    # generated function passes the point where the mutants are made.
+def test_package_calls_no_exec_eval_or_compile():
+    # Every function of the package is written out in its source, where
+    # the mutants above can reach it.
     calls = []
     package = Path(sprayflow.__file__).parent
     for path in sorted(package.rglob("*.py")):
@@ -501,4 +433,4 @@ def test_generated_code_has_one_compile_point():
                 name = getattr(func, "id", None)
             if name in ("exec", "eval", "compile"):
                 calls.append((path.relative_to(package).as_posix(), name))
-    assert calls == [("_codegen.py", "exec")]
+    assert calls == []

@@ -1,7 +1,7 @@
 """The C library (`_native`, `_loop.c`) against the Python code it stands for.
 
 `harness._loop` picks the engine: the C loop where its library builds or
-loads, otherwise `harness._python_loop`. Both must give the same bytes.
+loads, otherwise `harness._plain_loop`. Both must give the same bytes.
 The CSV writer and reader take their C paths from the same library;
 `test_cli` compares them with the Python paths.
 """
@@ -23,10 +23,30 @@ import bits
 
 
 def python_run(scenario):
-    """`run_closed_loop` of the scenario through the Python loop."""
+    """`run_closed_loop` of the scenario through the plain Python loop."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_loop", harness._python_loop)
+        patch.setattr(harness, "_loop", lambda: harness._plain_loop)
         return sprayflow.run_closed_loop(scenario)
+
+
+def c_run(scenario):
+    """`run_closed_loop` of the scenario through the C loop, which must exist."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_loop", c_loop)
+        return sprayflow.run_closed_loop(scenario)
+
+
+def assert_engines_agree(scenario):
+    """The C loop and the plain loop log the same bytes for the scenario.
+
+    A run logs finite rows only, so no logged value is a nan, whose sign
+    bit the plain loop does not fix (see CHANGES.md): equal bytes are the
+    test.
+    """
+    c_traj, py_traj = c_run(scenario), python_run(scenario)
+    assert np.all(np.isfinite(c_traj.data))
+    assert c_traj.blown_up == py_traj.blown_up
+    assert c_traj.data.tobytes() == py_traj.data.tobytes(), scenario
 
 
 def _every_order():
@@ -74,16 +94,8 @@ def c_loop():
 
 @pytest.mark.parametrize("group", SCENARIOS)
 def test_engines_give_the_same_bytes(group):
-    assert harness._loop(2, True, 0, 0) is c_loop()
-    # A run logs finite rows only, so no logged value is a nan, whose sign
-    # bit the Python loop does not fix (see CHANGES.md): equal bytes are
-    # the test.
     for scenario in SCENARIOS[group]():
-        c_traj = sprayflow.run_closed_loop(scenario)
-        py_traj = python_run(scenario)
-        assert np.all(np.isfinite(c_traj.data))
-        assert c_traj.blown_up == py_traj.blown_up
-        assert c_traj.data.tobytes() == py_traj.data.tobytes(), scenario
+        assert_engines_agree(scenario)
 
 
 def test_c_engine_is_in_use_where_cc_exists():
@@ -92,7 +104,7 @@ def test_c_engine_is_in_use_where_cc_exists():
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
     assert _native.loop() is not None
-    assert harness._loop(1, False, 0, 0) is harness._loop(16, True, 3, 2) is _native.loop()
+    assert harness._loop() is _native.loop()
     assert _native.format_rows() is not None
     assert _native.parse_rows() is not None
 
@@ -105,7 +117,7 @@ def test_without_a_compiler_runs_take_the_python_loop(monkeypatch, tmp_path):
     clear_native()
     try:
         assert _native.loop() is _native.format_rows() is _native.parse_rows() is None
-        assert harness._loop(2, True, 0, 1) is harness._python_loop(2, True, 0, 1)
+        assert harness._loop() is harness._plain_loop
         assert sprayflow.run_closed_loop(scenario).data.tobytes() == want
     finally:
         clear_native()
@@ -162,7 +174,7 @@ def test_unwritable_cache_builds_in_a_temporary_directory(monkeypatch, tmp_path)
     clear_native()
     try:
         scenario = presets.default_scenario(presets.default_fuzzy_controller())
-        assert harness._loop(2, True, 0, 0) is _native.loop() is not None
+        assert harness._loop() is _native.loop() is not None
         want = python_run(scenario).data.tobytes()
         assert sprayflow.run_closed_loop(scenario).data.tobytes() == want
     finally:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import re
@@ -6,12 +7,12 @@ import struct
 import numpy as np
 import pytest
 
+from sprayflow import plant
 from sprayflow.plant import (
     MAX_ORDER,
     PIPELINE_TF,
     Disturbance,
     TransferFunction,
-    compile_step,
     rk4_zoh,
     tf_to_ss,
 )
@@ -111,8 +112,9 @@ class TestTfToSs:
 
 
 def stepper(tf, dt):
-    """The plant's RK4 step at one dt, with Phi and Gamma computed once."""
-    return compile_step(*rk4_zoh(tf, dt))
+    """The plant's RK4 step at one dt as a function step(x, u), with Phi
+    and Gamma computed once."""
+    return functools.partial(plant.step, *rk4_zoh(tf, dt))
 
 
 class TestPlantStep:
@@ -207,7 +209,7 @@ def _bits(values):
 
 
 class TestCompiledStepBitwise:
-    """compile_step against the reference step, compared as bytes.
+    """`plant.step` against the reference step, compared as bytes.
 
     == takes -0.0 for 0.0, so both results are packed with struct and
     compared whole.
@@ -216,7 +218,7 @@ class TestCompiledStepBitwise:
     @staticmethod
     def assert_same_bits(rows, c, x, u):
         x_ref, y_ref = advance(rows, c, list(x), u)
-        x_next, y = compile_step(rows, c)(x, u)
+        x_next, y = plant.step(rows, c, x, u)
         assert type(x_next) is tuple
         assert _bits(x_next + (y,)) == _bits(tuple(x_ref) + (y_ref,)), (rows, c, x, u)
 
@@ -263,7 +265,7 @@ class TestCompiledStepBitwise:
                 self.assert_same_bits(rows, c, x, u)
 
     def test_non_finite_entries_are_values_not_source(self):
-        # rk4_zoh rejects such a step; compile_step takes it as it is.
+        # rk4_zoh rejects such a step; plant.step takes it as it is.
         rows = (
             (math.inf, -0.0, 1.0),
             (math.nan, 2.0, -math.inf),
@@ -310,7 +312,7 @@ class TestRk4Zoh:
         gamma_ref = classical_rk4_step(a, b, np.zeros(n), 1.0, dt)
         for got, want in ((phi, phi_ref), (gamma, gamma_ref)):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        step = compile_step(rows.tolist(), c)
+        step = functools.partial(plant.step, rows.tolist(), c)
         rng = np.random.default_rng(17)
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, size=n)
