@@ -21,8 +21,8 @@
      output over all seven labels (`centroid`, as `fuzzy.centroid`).
    The sum tables are `fuzzy._P_SUMS` and `fuzzy._R_SUMS`, passed in.
 
-   sprayflow_format_rows writes CSV rows by the integer arithmetic of
-   `cli._csv_rows`, and refuses a block that arithmetic does not cover;
+   sprayflow_format_rows writes CSV rows as `cli._csv_rows` writes them,
+   by integer arithmetic, and refuses a block it does not cover;
    sprayflow_parse_rows reads the rows the writer writes, and refuses any
    other text. `cli` takes its Python path where either refuses. */
 
@@ -213,12 +213,18 @@ static const char DIGITS[] =
    out and returns the number of bytes written, at most 19 per value.
    Value (i, j) is the double at values + i * row_step + j * col_step
    bytes, so a transposed or sliced array is read in place. Each value v
-   is written as `cli._csv_rows` writes it: with x = v * 1e9 and
-   n = rint(x), a '-' when v < 0, the whole part of |n| / 10**9 with no
-   leading zero, the point, nine fraction digits and a comma, or LF after
-   the last value of a row. Returns -1, having written part of out, where
-   a value is not finite or has |x| >= 2**52 or |x - n| == 0.5, which
-   that arithmetic does not cover (see `cli.write_trajectory_csv`). */
+   is written as `cli._csv_rows` writes it, the exact value v * 10**9
+   rounded to an integer, ties to even, printed with nine fractional
+   digits: with x = v * 1e9 and n = rint(x), a '-' when v < 0, the whole
+   part of |n| / 10**9 with no leading zero, the point, nine fraction
+   digits and a comma, or LF after the last value of a row. That n is
+   the integer `cli._csv_rows` prints when |x| < 2**52 and
+   |x - n| != 0.5: then ulp(x) <= 0.5, so x - n and 0.5 are both
+   multiples of ulp(x) and |x - n| <= 0.5 - ulp(x), while the exact
+   product lies within ulp(x) / 2 of x, hence strictly within 0.5 of n.
+   Returns -1, having written part of out, where a value is not finite
+   or has |x| >= 2**52 or |x - n| == 0.5, which that arithmetic does not
+   cover. */
 int64_t sprayflow_format_rows(const char *values, int64_t n_rows, int64_t n_cols,
                               int64_t row_step, int64_t col_step, char *out)
 {

@@ -114,8 +114,8 @@ def format_rows() -> Callable[..., int] | None:
     float64 array, which may be a transposed or sliced view, as
     `cli._csv_rows` writes them, to the start of out, a bytearray of at
     least FIELD_BYTES bytes per value, and returns the number of bytes
-    written; it returns -1 where a value is one that arithmetic does not
-    cover (see `cli.write_trajectory_csv`).
+    written; it returns -1 where a value is one its integer arithmetic
+    does not cover (see sprayflow_format_rows in `_loop.c`).
     """
     import ctypes
 

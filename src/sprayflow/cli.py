@@ -19,22 +19,22 @@ rules file holds at most MAX_TEXT_CHARS (65,536) characters.
 
 All CSV output is byte-reproducible: fixed-point with nine fractional
 digits, comma separated, LF terminated, one column per name in
-harness.COLUMNS. The writer formats a chunk of rows at a time, with
-integer arithmetic where it covers every value of the chunk and with one
-%-format otherwise, to the bytes that formatting each value on its own
-gives. The reader reads the file about 16 KiB at a time, so `metrics`
-holds the parsed rows, never the whole text. Each has two paths to the
-same bytes and bits: C where the library of `_native` builds or loads,
-and Python, which is the reference, runs everywhere else and takes what
-C refuses. The C writer does the integer arithmetic of a chunk; the C
-reader takes a file only in the writer's own form. Any other file goes
-to np.loadtxt, which is handed the lines of the open file as they are
-read; lines end in LF, CRLF or CR. Each batch of lines is checked first:
-a line longer than the 2,567 characters of the longest row the writer
-writes, a blank line and a line past the MAX_STEPS + 1 rows a run logs
-at most are refused, and np.loadtxt parses none of them. numpy and
-`_native` are imported by the writer and the reader, not with the
-module, so `rules`, `--help` and a configuration error load neither.
+harness.COLUMNS. The writer formats a chunk of rows at a time and the
+reader reads a line or 16 KiB at a time, so `metrics` holds the parsed
+rows, never the whole text. Each has two paths to the same bytes and
+bits: C where the library of `_native` builds or loads, and Python,
+which is the reference, runs everywhere else and takes what C refuses.
+The C writer formats a chunk by integer arithmetic and refuses one that
+holds a value the arithmetic does not cover; the Python writer formats
+a chunk by one %-format of its values. The C reader takes a file only in
+the writer's own form. Any other file goes to np.loadtxt, which is
+handed the lines of the open file as they are read; lines end in LF,
+CRLF or CR. Each line is checked before np.loadtxt parses it: a line
+longer than the 2,567 characters of the longest row the writer writes,
+a blank line and a line past the MAX_STEPS + 1 rows a run logs at most
+are refused. numpy and `_native` are imported by the writer and the
+reader, not with the module, so `rules`, `--help` and a configuration
+error load neither.
 
 Exit codes: 0 success, 1 configuration error (an argument error
 included), 2 numerical blow-up.
@@ -132,22 +132,10 @@ _CSV_CHUNK_ROWS = 1024
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write a trajectory in the canonical byte-reproducible CSV format.
 
-    Every value is written as _fmt9 writes it: the exact value v * 10**9
-    rounded to an integer, ties to even, printed with nine fractional
-    digits. The writer formats a chunk of rows at a time. Where integer
-    arithmetic covers every value of the chunk, it gets that integer from
-    the arithmetic, which is exact: let x be v * 1e9 in float64 and
-    n = rint(x). If |x| < 2**52 and |x - n| != 0.5, n is the integer _fmt9
-    prints: ulp(x) <= 0.5, so x - n and 0.5 are both multiples of ulp(x)
-    and |x - n| <= 0.5 - ulp(x), while the exact product lies within
-    ulp(x) / 2 of x, hence strictly within 0.5 of n. A chunk that holds any
-    other value (not finite, |x| >= 2**52, or x on a tie) is formatted as a
-    whole by the format _fmt9 applies to each value.
-
-    The C formatter of `_native.format_rows`, where its library builds or
-    loads, does that arithmetic and reads the chunk in place; it refuses a
-    chunk that holds another value, which _csv_rows then formats, as it
-    formats every chunk where there is no library.
+    Every value is written as _fmt9 writes it, a chunk of rows at a
+    time: by the C formatter of `_native.format_rows` where its library
+    builds or loads, which refuses a chunk that holds a value its integer
+    arithmetic does not cover, and by _csv_rows otherwise.
     """
     from . import _native
 
@@ -165,66 +153,20 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 
 
 def _csv_rows(block: np.ndarray) -> bytes:
-    """The CSV rows of a non-empty (rows, columns) block of float64 values.
+    """The CSV rows of a (rows, columns) block of float64 values.
 
     This is the writer's Python path: the reference of the C formatter,
-    and what formats a chunk the C formatter refuses. If the arithmetic
-    does not cover every value (see write_trajectory_csv), one %-format of
-    all the values, each plus 0.0, writes the rows. Otherwise each value
-    has a slot of bytes: a sign, the whole part of |n| (at most 7 digits,
-    as |n| < 2**52), the point, 9 fraction digits and the separator. A
-    slot holds NUL for the leading zeros of the whole part and for the
-    sign of a value that is not below zero, so -0.0 prints unsigned and
-    -4e-10 as -0.000000000, as _fmt9 prints them. Dropping the NULs
-    leaves the rows.
+    and what formats a chunk the C formatter refuses. It is one %-format
+    of all the values, each plus 0.0, the format _fmt9 applies to each.
     """
-    import numpy as np
-
-    values = block.ravel()
-    with np.errstate(all="ignore"):
-        x = values * 1e9
-        n = np.rint(x)
-        exact = (np.abs(x) < 2.0**52) & (np.abs(x - n) != 0.5)
-    if not exact.all():
-        row = ",".join([_FIXED9] * block.shape[1]) + "\n"
-        return (row * block.shape[0] % tuple((values + 0.0).tolist())).encode("ascii")
-    scaled = np.abs(n).astype(np.int64)
-    whole = scaled // 10**9
-    frac = (scaled - whole * 10**9).astype(np.int32)
-    whole = whole.astype(np.int32)
-    whole_digits = len(str(int(whole.max())))
-    # Sign, whole digits, point, 9 fraction digits, separator.
-    width = whole_digits + 12
-    buf = np.zeros((len(values), width), np.uint8)
-    buf[:, -1] = ord(",")
-    buf[block.shape[1] - 1 :: block.shape[1], -1] = ord("\n")
-    pos = width - 1
-    for _ in range(9):
-        pos -= 1
-        q = frac // 10
-        buf[:, pos] = frac - q * 10 + ord("0")
-        frac = q
-    pos -= 1
-    buf[:, pos] = ord(".")
-    for k in range(whole_digits):
-        pos -= 1
-        q = whole // 10
-        digit = whole - q * 10 + ord("0")
-        if k:
-            # A leading zero stays NUL; the ones digit is always written.
-            digit *= whole != 0
-        buf[:, pos] = digit
-        whole = q
-    buf[:, 0] = (values < 0) * ord("-")
-    return buf[buf != 0].tobytes()
+    row = ",".join([_FIXED9] * block.shape[1]) + "\n"
+    return (row * block.shape[0] % tuple((block.ravel() + 0.0).tolist())).encode("ascii")
 
 
-# _line_batches reads about this many characters at a time, about 170 rows
-# of a written CSV, so that the work per line stays in C: checking each
-# line in Python made the benchmark's pid_disturbance_cli scenario about
-# 4% slower (2-core Xeon). _canonical_rows reads as many bytes at a time,
-# so that it too holds about one read when it refuses a long line.
-_LINE_BATCH_CHARS = 2**14
+# _canonical_rows reads the file this many bytes at a time, about 170 rows
+# of a written CSV, so that it holds about one read when it refuses a long
+# line.
+_READ_BYTES = 2**14
 
 # The longest row write_trajectory_csv writes: one value per column and a
 # comma between two. A finite value prints as at most 320 characters, a
@@ -232,45 +174,30 @@ _LINE_BATCH_CHARS = 2**14
 _MAX_ROW_CHARS = len(COLUMNS) * 320 + len(COLUMNS) - 1
 
 
-def _line_batches(fh: TextIO) -> Iterator[list[str]]:
-    """The lines of an open text file without their ends, a batch per read.
-
-    A line longer than _MAX_ROW_CHARS is refused at the first read that
-    takes it past that length, so the reader holds at most one read and
-    the part of a line before it.
-    """
-    tail = ""
-    while chunk := fh.read(_LINE_BATCH_CHARS):
-        lines = (tail + chunk).split("\n")
-        if max(map(len, lines)) > _MAX_ROW_CHARS:
-            raise ConfigError(f"trajectory file has a line longer than {_MAX_ROW_CHARS} characters")
-        tail = lines.pop()
-        yield lines
-    if tail:
-        yield [tail]
-
-
 def _data_lines(fh: TextIO) -> Iterator[str]:
-    """The data lines of an open trajectory file, checked as they are read.
+    """The data lines of an open trajectory file without their ends,
+    checked as they are read.
 
-    A blank line is refused: np.loadtxt would skip it, and it is the only
-    line that np.loadtxt skips with comments=None. So is a line past
-    MAX_STEPS + 1, the most rows a run logs, before np.loadtxt parses any
-    line of its batch. After the last line, fewer than two lines are
-    refused.
+    Each line is one readline of at most _MAX_ROW_CHARS + 1 characters,
+    so a line longer than _MAX_ROW_CHARS is refused once that much of it
+    is read, and the reader holds at most that much of a line. A blank
+    line is refused: np.loadtxt would skip it, and it is the only line
+    that np.loadtxt skips with comments=None. So is a line past
+    MAX_STEPS + 1, the most rows a run logs. After the last line, fewer
+    than two lines are refused.
     """
     most = MAX_STEPS + 1
     n = 0
-    for lines in _line_batches(fh):
-        n += len(lines)
+    while line := fh.readline(_MAX_ROW_CHARS + 1):
+        line = line.removesuffix("\n")
+        if len(line) > _MAX_ROW_CHARS:
+            raise ConfigError(f"trajectory file has a line longer than {_MAX_ROW_CHARS} characters")
+        if not line:
+            raise ConfigError("trajectory file must have no blank lines")
+        n += 1
         if n > most:
             raise ConfigError(f"trajectory file exceeds the bound of {most} data rows")
-        if "" in lines:
-            # The lines ahead of it are parsed first, so a malformed row
-            # among them is reported, as it is when the lines come one by one.
-            yield from lines[: lines.index("")]
-            raise ConfigError("trajectory file must have no blank lines")
-        yield from lines
+        yield line
     if n < 2:
         raise ConfigError("trajectory file needs at least two data rows to define dt")
 
@@ -287,12 +214,13 @@ def _canonical_rows(fh: BinaryIO) -> np.ndarray | None:
     len(COLUMNS) fields, each an optional '-', one to seven whole digits,
     the point and nine fraction digits, with the integer of all its digits
     below 2**53, joined by commas and ended by LF. The C parser of
-    `_native.parse_rows` reads them from reads of _LINE_BATCH_CHARS bytes
+    `_native.parse_rows` reads them from reads of _READ_BYTES bytes
     into an array that grows in place up to the rows the file could hold,
     min(size // _MIN_ROW_BYTES + 1, MAX_STEPS + 1). Where there is no C
     parser, or a byte, line or row count of the file differs from that
     form, None is returned with part of the file read, for the caller to
-    read it again from the start with np.loadtxt (_parsed_rows).
+    read it again from the start with np.loadtxt (_parsed_rows). A file
+    whose last byte is not LF is refused before C parses any row of it.
     """
     import numpy as np
 
@@ -301,11 +229,15 @@ def _canonical_rows(fh: BinaryIO) -> np.ndarray | None:
     parse = _native.parse_rows()
     if parse is None or fh.read(len(_HEADER_LINE)) != _HEADER_LINE:
         return None
-    most = min(os.fstat(fh.fileno()).st_size // _MIN_ROW_BYTES + 1, MAX_STEPS + 1)
+    size = os.fstat(fh.fileno()).st_size
+    # pread leaves the read offset where the header read put it.
+    if os.pread(fh.fileno(), 1, size - 1) != b"\n":
+        return None
+    most = min(size // _MIN_ROW_BYTES + 1, MAX_STEPS + 1)
     data = np.empty((min(512, most), len(COLUMNS)))
     n = 0
     text = b""
-    while chunk := fh.read(_LINE_BATCH_CHARS):
+    while chunk := fh.read(_READ_BYTES):
         text += chunk
         # Room for every row text could begin, unless the file cannot hold them.
         room = min(n + len(text) // _MIN_ROW_BYTES + 1, most)

@@ -172,7 +172,7 @@ def fma(x, y, z):
     return float(Fraction(x) * Fraction(y) + Fraction(z))
 
 
-READ, LINES, BATCHES = cli.read_trajectory_csv, cli._data_lines, cli._line_batches
+READ, LINES = cli.read_trajectory_csv, cli._data_lines
 
 # The in-place mutant of `plant.step`: each next state entry written over
 # the state, where the following rows read it.
@@ -237,8 +237,8 @@ MUTANTS = {
         ),
         order_16_map,
     ),
-    # The trajectory reader: `cli.read_trajectory_csv`, the line checks of
-    # `cli._data_lines` and the line reads of `cli._line_batches`.
+    # The trajectory reader: `cli.read_trajectory_csv` and the line reads
+    # and checks of `cli._data_lines`.
     "interval-tolerance-3e-9": (READ, sub("tol = 2e-9 +", "tol = 3e-9 +"), reader_cases),
     "interval-tolerance-6-ulp": (READ, sub(" 4.0 * np.spacing", " 6.0 * np.spacing"), reader_cases),
     "interval-tolerance-minus-4-ulp": (READ, sub("2e-9 + 4.0", "2e-9 - 4.0"), reader_cases),
@@ -247,40 +247,34 @@ MUTANTS = {
     "dt-zero-accepted": (READ, sub("dt > 0", "dt >= 0"), reader_cases),
     "two-rows-refused": (LINES, sub("n < 2", "n < 3"), reader_cases),
     "count-starts-at-1": (LINES, sub("n = 0\n", "n = 1\n"), reader_cases),
-    "batches-counted-not-lines": (LINES, sub("n += len(lines)", "n += 1"), reader_cases),
-    "blank-check-inverted": (LINES, sub('"" in lines', '"" not in lines'), reader_cases),
-    "blank-line-refused-before-the-lines-ahead": (
-        LINES, sub('yield from lines[: lines.index("")]', "pass"), reader_cases
-    ),
-    "blank-line-refused-after-one-line-less": (
-        LINES, sub('lines.index("")]', 'lines.index("") - 1]'), reader_cases
-    ),
+    "blank-check-inverted": (LINES, sub("if not line:", "if line:"), reader_cases),
     # A blank line as it reads in binary mode, CR before the LF split off:
     # the file is read as text, which ends every line in LF, so no blank
     # line is caught.
-    "blank-line-as-crlf": (LINES, sub('"" in lines', '"\\r" in lines'), reader_cases),
+    "blank-line-as-crlf": (LINES, sub("if not line:", 'if line == "\\r":'), reader_cases),
     "row-bound-minus-one": (LINES, sub("MAX_STEPS + 1", "MAX_STEPS"), reader_cases),
     "row-bound-plus-half": (LINES, sub("MAX_STEPS + 1", "MAX_STEPS + 1.5"), reader_cases),
     "row-bound-plus-one": (LINES, sub("MAX_STEPS + 1", "MAX_STEPS + 2"), reader_cases),
     "row-bound-refused": (LINES, sub("n > most", "n >= most"), reader_cases),
-    "longest-row-refused": (BATCHES, sub("> _MAX_ROW_CHARS", ">= _MAX_ROW_CHARS"), reader_cases),
+    "longest-row-refused": (LINES, sub("> _MAX_ROW_CHARS", ">= _MAX_ROW_CHARS"), reader_cases),
     "row-length-bound-plus-one": (
-        BATCHES, sub("> _MAX_ROW_CHARS", "> _MAX_ROW_CHARS + 1"), reader_cases
+        LINES, sub("> _MAX_ROW_CHARS", "> _MAX_ROW_CHARS + 1"), reader_cases
     ),
-    "last-line-without-end-dropped": (BATCHES, sub("yield [tail]", "pass"), unended_last_line),
-    # The CSV writer, `cli._csv_rows`. The first three widen what the
-    # integer arithmetic formats, and a chunk of values it covers but one
-    # of _FMT9_VALUES kills each.
-    "bound-3-to-the-52": (cli._csv_rows, sub("< 2.0**52", "< 3.0**52"), writer_cases),
-    "tie-distance-0.75": (cli._csv_rows, sub("!= 0.5", "!= 0.75"), writer_cases),
-    "tie-distance-from-sum": (cli._csv_rows, sub("np.abs(x - n)", "np.abs(x + n)"), writer_cases),
-    # Only a chunk of ties takes the arithmetic, which the row of ties kills.
-    "ties-only-exact": (cli._csv_rows, sub("!= 0.5", "== 0.5"), writer_cases),
-    "sign-byte-divided": (
-        cli._csv_rows, sub('(values < 0) * ord("-")', '(values < 0) / ord("-")'), writer_cases
+    # A read of one character less splits the longest row the writer
+    # writes from its LF, which then reads as a blank line.
+    "readline-limit-one-less": (
+        LINES, sub("readline(_MAX_ROW_CHARS + 1)", "readline(_MAX_ROW_CHARS)"), reader_cases
     ),
-    "minus-zero-signed": (cli._csv_rows, sub("(values < 0)", "(values <= 0)"), writer_cases),
-    "fallback-keeps-minus-zero": (cli._csv_rows, sub("values + 0.0", "values - 0.0"), writer_cases),
+    "last-line-without-end-dropped": (
+        LINES,
+        sub("while line := fh.readline(_MAX_ROW_CHARS + 1):",
+            'while (line := fh.readline(_MAX_ROW_CHARS + 1)).endswith("\\n"):'),
+        unended_last_line,
+    ),
+    # The CSV writer's Python path, `cli._csv_rows`: -0.0 must print unsigned.
+    "fallback-keeps-minus-zero": (
+        cli._csv_rows, sub("ravel() + 0.0", "ravel() - 0.0"), writer_cases
+    ),
     # The command line's value rule, `cli._attach_values`.
     "single-dash-token-left-apart": (
         cli._attach_values, sub('startswith("--")', 'startswith("-")'), value_cases
@@ -342,21 +336,6 @@ EQUIVALENT = {
     "map-entry-without-leading-zero": (
         "it changes only the sign of an entry that is zero, and a zero's sign never "
         "reaches Phi or Gamma, whose sums start at +0.0 or 1.0"
-    ),
-    # writer: the bound `np.abs(x) < 2.0**52` as `np.abs(x) < 2.0**53`.
-    "writer-bound-2-to-the-53": (
-        "floats in [2**52, 2**53) are the integers, so there x = n and x is the "
-        "exact product rounded to an integer, ties to even, as _fmt9 rounds it; "
-        "the whole part stays below 10**7"
-    ),
-    # writer: the same bound as `np.abs(x) <= 2.0**52`.
-    "writer-bound-at-2-to-the-52": (
-        "an exact product whose float is 2**52 lies in [2**52 - 0.25, 2**52 + 0.5], "
-        "which rounds to the integer 2**52, ties to even"
-    ),
-    # writer: the slot width `whole_digits + 12` as `whole_digits + 13`.
-    "writer-slot-one-byte-wider": (
-        "the extra byte, before the sign, stays NUL and is dropped with the others"
     ),
     # quantize: the clamp `x < UNIVERSE_MIN` as `x <= UNIVERSE_MIN`.
     "quantize-clamps-at-minimum": "at x = -6.0 both branches return -6.0, with the same bits",
