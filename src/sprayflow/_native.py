@@ -31,7 +31,6 @@ from collections.abc import Callable
 from itertools import chain
 from pathlib import Path
 
-from .adaptive import FuzzyPidController
 from .fuzzy import _P_SUMS, _R_SUMS
 from .plant import MAX_ORDER
 
@@ -44,7 +43,12 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", f"-DMAX_ORDER={MAX_ORDE
 def loop() -> Callable[..., int] | None:
     """The C loop, with the arguments and result of `harness._plain_loop`, or None.
 
-    The first call builds or loads the library (see the module docstring).
+    It takes the resting gains and the fuzzy-PID controller, or None for
+    a fixed-gain PID, as `harness.run_closed_loop` resolves them, and
+    passes the factors and the rule labels of the fuzzy one to C. It
+    refuses a plant step whose order is not from 1 to MAX_ORDER or whose
+    rows are not of its shape. The first call builds or loads the library
+    (see the module docstring).
     """
     import ctypes
 
@@ -71,7 +75,7 @@ def loop() -> Callable[..., int] | None:
     r_sums = array(ctypes.c_double, chain.from_iterable(_R_SUMS))
 
     def c_loop(n_rows, dt, r, u_dists, y_dists, u_log, y_log, kp_log, ki_log, kd_log,
-               rows, c, ctrl):
+               rows, c, base, fuzzy):
         order = len(rows)
         flat = array(ctypes.c_double, chain.from_iterable(rows))
         if not 1 <= order <= MAX_ORDER or len(flat) != order * (order + 1) or len(c) != order:
@@ -79,14 +83,12 @@ def loop() -> Callable[..., int] | None:
         # Each log is a writable buffer of n_rows doubles, which from_buffer checks.
         logs = [(ctypes.c_double * n_rows).from_buffer(log)
                 for log in (u_log, y_log, kp_log, ki_log, kd_log)]
-        fuzzy = isinstance(ctrl, FuzzyPidController)
-        base = ctrl.base if fuzzy else ctrl.gains
         factors = cells = None
         if fuzzy:
-            f = ctrl.factors
+            f = fuzzy.factors
             factors = array(ctypes.c_double, (f.ke, f.kec, f.kup, f.kui, f.kud))
             # The label of output out of the rule (e, ec) at 3 * (7 * e + ec) + out.
-            cells = bytes(label for row in ctrl.table.cells for triple in row for label in triple)
+            cells = bytes(label for row in fuzzy.table.cells for triple in row for label in triple)
         return run(
             n_rows, dt, r,
             len(u_dists), array(ctypes.c_int64, (s for s, _ in u_dists)),

@@ -10,13 +10,15 @@ both including any active disturbances, so e = r - y holds row-wise.
 
 The loop is called once per run with the scenario's values: the plant
 step that `plant.rk4_zoh` precomputes once per scenario from its plant
-and dt as (rows, c), kept as `SimScenario.rk4_step`, the disturbances
-and the controller. `_loop` alone picks its engine: the C loop of
-`_native` wherever its library builds or loads (see there), otherwise
-`_plain_loop`, which calls the functions that step a loop by hand:
-`plant.step`, `pid.pid_law`, and for fuzzy-PID `fuzzy.infer` and
-`adaptive.floored_gains`. The C loop performs their operations in the
-same order, so both engines give the same bits.
+and dt as (rows, c), kept as `SimScenario.rk4_step`, the disturbances,
+the resting gains, and the fuzzy-PID controller or None for a fixed-gain
+PID. `run_closed_loop` alone tells the two controllers apart, and `_loop`
+alone picks the engine: the C loop of `_native` wherever its library
+builds or loads (see there), otherwise `_plain_loop`, which calls the
+functions that step a loop by hand: `plant.step`, `pid.pid_law`, and for
+fuzzy-PID `fuzzy.infer` and `adaptive.floored_gains`. The C loop
+performs their operations in the same order, so both engines give the
+same bits.
 
 A run's trajectory is the rows of one float64 array, in `COLUMNS` order,
 and the loop logs through memoryviews of its rows u to kd. It holds the
@@ -203,7 +205,9 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     overflows is such a step (see the module docstring).
 
     The whole loop is one call of the engine that `_loop` picks, with the
-    scenario's values: its `rk4_step` and its controller.
+    scenario's values: its `rk4_step`, its resting gains, and its
+    controller where that is a fuzzy-PID, else None. This is the one
+    place that tells the two controllers apart.
     """
     import numpy as np
 
@@ -212,8 +216,8 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     dt = scenario.dt
     r = float(scenario.setpoint)
     rows, c = scenario.rk4_step
-    fuzzy = isinstance(controller, FuzzyPidController)
-    rest = controller.base if fuzzy else controller.gains
+    fuzzy = controller if isinstance(controller, FuzzyPidController) else None
+    rest = fuzzy.base if fuzzy else controller.gains
     # One float64 array holds the run, one row per column in COLUMNS order.
     # The gain rows are float64 whatever the type of the gains: the fuzzy
     # loop writes its adapted gains into them.
@@ -238,7 +242,7 @@ def run_closed_loop(scenario: SimScenario) -> Trajectory:
     # loop writes the same 8 bytes through them as numpy's item assignment
     # at about half the cost, and the C loop writes to their buffers.
     logs = map(memoryview, (u_log, y_log, kp_log, ki_log, kd_log))
-    n_logged = _loop()(n_rows, dt, r, u_dists, y_dists, *logs, rows, c, controller)
+    n_logged = _loop()(n_rows, dt, r, u_dists, y_dists, *logs, rows, c, rest, fuzzy)
     np.subtract(r, y_log, out=e_log)
     return Trajectory(block[:, :n_logged], blown_up=n_logged < n_rows)
 
@@ -254,24 +258,24 @@ def _loop() -> Callable[..., int]:
 
 
 def _plain_loop(
-    n_rows, dt, r, u_dists, y_dists, u_log, y_log, kp_log, ki_log, kd_log, rows, c, ctrl
+    n_rows, dt, r, u_dists, y_dists, u_log, y_log, kp_log, ki_log, kd_log, rows, c, base, fuzzy
 ) -> int:
     """Log rows 0 to n_rows - 1 of a run and return the number of rows logged.
 
     u_log and y_log (and, for fuzzy-PID, kp_log, ki_log and kd_log, the
     gains) are writable float64 buffers such as memoryviews of arrays.
-    rows and c are the plant step (see `plant.rk4_zoh`), ctrl the
-    scenario's controller, and u_dists and y_dists hold the (first step,
-    magnitude) pairs of each port, added in declaration order. The one
-    check is that of the error: step k returns k, before logging row k,
-    when its error is not finite. Where the error rate overflows, the
-    step runs on: `fuzzy.locate` places it at an edge of the universe,
-    and u and then the error are not finite, so the step returns the k
-    that a rate check would have (see the module docstring).
+    rows and c are the plant step (see `plant.rk4_zoh`), base the resting
+    gains, fuzzy the fuzzy-PID controller or None for a fixed-gain PID,
+    and u_dists and y_dists hold the (first step, magnitude) pairs of each
+    port, added in declaration order. A plant step whose rows do not match
+    its state raises ValueError (`plant.dot`). The run's one check is that
+    of the error: step k returns k, before logging row k, when its error
+    is not finite. Where the error rate overflows, the step runs on:
+    `fuzzy.locate` places it at an edge of the universe, and u and then
+    the error are not finite, so the step returns the k that a rate check
+    would have (see the module docstring).
     """
-    fuzzy = isinstance(ctrl, FuzzyPidController)
-    base = ctrl.base if fuzzy else ctrl.gains
-    f = ctrl.factors if fuzzy else None
+    f = fuzzy.factors if fuzzy else None
     kp, ki, kd = base.kp, base.ki, base.kd
     x = (0.0,) * len(rows)
     y = 0.0
@@ -290,7 +294,7 @@ def _plain_loop(
         rate = (e - e_prev) / dt
         e_prev = e
         if fuzzy:
-            deltas = infer(e * f.ke, rate * f.kec, ctrl.table.cells)
+            deltas = infer(e * f.ke, rate * f.kec, fuzzy.table.cells)
             kp, ki, kd = floored_gains(base, f, *deltas)
             kp_log[k] = kp
             ki_log[k] = ki

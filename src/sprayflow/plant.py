@@ -12,13 +12,14 @@ neither on the interpreter nor on a BLAS build. It hands them over, with
 the output row, as tuples of plain floats, and rejects a step that is
 not finite. This module imports no numpy.
 `step` advances the state by one step on plain floats, each entry and
-the output one left-to-right dot product (`dot`), and checks nothing: a
-caller that must stop at a blow-up checks the output, which is not
-finite whenever any state entry is not. The closed loop
-(`harness.run_closed_loop`) calls it, and the C loop (`_loop.c`)
-performs its operations in the same order. The shipped pipeline model
-has a pure integrator and a 3.7 ms lag, so the default step of 1e-4 s
-resolves its fast pole. A plant's order is bounded by MAX_ORDER.
+the output one left-to-right dot product (`dot`). It refuses a state
+of another length than the step's, and checks no value: a caller that
+must stop at a blow-up checks the output, which is not finite whenever
+any state entry is not. The plain loop (`harness._plain_loop`) calls
+it, and the C loop (`_loop.c`) performs its operations in the same
+order. The shipped pipeline model has a pure integrator and a 3.7 ms
+lag, so the default step of 1e-4 s resolves its fast pole. A plant's
+order is bounded by MAX_ORDER.
 """
 from __future__ import annotations
 
@@ -159,10 +160,11 @@ def dot(a: Sequence[float], x: Sequence[float]) -> float:
     from CPython 3.12 on the builtin sum() of floats is compensated. No
     path whose bits are pinned may use sum, math.fsum, math.sumprod or a
     numpy reduction; the C loop's `dot` adds the same terms in the same
-    order. The leading 0.0 turns a sum of -0.0 terms into 0.0.
+    order. The leading 0.0 turns a sum of -0.0 terms into 0.0. a and x
+    must be of one length; otherwise zip raises ValueError.
     """
     acc = 0.0
-    for p, q in zip(a, x):
+    for p, q in zip(a, x, strict=True):
         acc += p * q
     return acc
 
@@ -173,7 +175,9 @@ def step(
     """One precomputed RK4 step (see rk4_zoh): the next state, a tuple, and the output.
 
     Entry i of the next state is row i dotted with the state followed by
-    u, and the output is c dotted with the next state. Plain arithmetic,
+    u, and the output is c dotted with the next state, so each row holds
+    one entry more than the state and c one entry per row; a step or
+    state of another shape raises ValueError (`dot`). Plain arithmetic,
     with no finiteness check. y is not finite whenever some x_i is not,
     even where c_i = 0 (0 * inf is nan), so checking y covers the state;
     a non-finite u makes every x_i non-finite.

@@ -288,7 +288,7 @@ class TestRunClosedLoop:
         assert_equals_hand_stepped(scenario)
 
     def test_rewritten_suspect_cells_change_the_step(self):
-        # So the non-default case above runs different plans.
+        # So the non-default case above runs a different table.
         default = run_closed_loop(FUZZY_RUNS["step"])
         rewritten = run_closed_loop(FUZZY_RUNS["suspects-rewritten"])
         assert not np.array_equal(default.ki, rewritten.ki)

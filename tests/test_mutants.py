@@ -44,6 +44,7 @@ import sprayflow
 from sprayflow import _native, cli, fuzzy, harness, plant
 from sprayflow.plant import MAX_ORDER
 
+import test_bits
 import test_cli
 import test_fuzzy
 import test_harness
@@ -144,8 +145,18 @@ def value_cases(tmp_path, capsys, monkeypatch):
     test_cli.test_config_error_exits_1(tmp_path, capsys, argv, files, message)
 
 
+# The groups of runs of the bit manifest, cheapest first, since a group's
+# digest is compared once all its runs are done. Without the CSV files and
+# the sweep, which take about 1 s per mutant through the plain loop.
+RUN_GROUPS = ("blow-ups", "integer-gains", "plant-orders", "disturbances", "presets")
+
+
 def engines():
-    """`test_native::test_engines_give_the_same_bytes`, every group."""
+    """`test_bits::test_group_keeps_its_bits` on the groups of runs but the
+    sweep, through the engine that `harness._loop` picks, then
+    `test_native::test_engines_give_the_same_bytes`, every group."""
+    for group in RUN_GROUPS:
+        test_bits.test_group_keeps_its_bits(group)
     for group in test_native.SCENARIOS:
         test_native.test_engines_give_the_same_bytes(group)
 
@@ -205,7 +216,10 @@ MUTANTS = {
         plant.step, sub(_NEXT_STATE, _IN_PLACE), engines_on("pid-order-3", "fuzzy-order-3")
     ),
     # The twin of c-dot-right-to-left.
-    "dot-right-to-left": (plant.dot, sub("in zip(a, x)", "in reversed(list(zip(a, x)))"), engines),
+    "dot-right-to-left": (
+        plant.dot, sub("in zip(a, x, strict=True)", "in reversed(list(zip(a, x, strict=True)))"),
+        engines,
+    ),
     # The inference, `fuzzy.infer`: the degrees of one input's two labels
     # exchanged, and a label clipped at the smallest strength of the rules
     # that name it, not the largest. test_cell_interiors fires every rule,

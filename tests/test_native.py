@@ -2,8 +2,10 @@
 
 `harness._loop` picks the engine: the C loop where its library builds or
 loads, otherwise `harness._plain_loop`. Both must give the same bytes.
-The CSV writer and reader take their C paths from the same library;
-`test_cli` compares them with the Python paths.
+`test_bits` checks every group of the bit manifest through each engine;
+this module compares the engines on every plant order, which the
+manifest does not cover. The CSV writer and reader take their C paths
+from the same library; `test_cli` compares them with the Python paths.
 """
 import json
 import os
@@ -62,14 +64,9 @@ def _every_order():
             yield bits._case(controller, plant=plant)
 
 
-# The scenarios of every group of the bit manifest but the CSV files and
-# the sweep, and every plant order.
+# Scenarios that no group of the bit manifest holds, which `test_bits`
+# checks through each engine.
 SCENARIOS = {
-    "presets": bits._presets,
-    "disturbances-0-to-40": bits._disturbances,
-    "blow-ups": bits._blow_ups,
-    "plant-orders": bits._plant_orders,
-    "integer-gains": bits._integer_gains,
     "orders-1-to-16": _every_order,
 }
 
@@ -265,8 +262,13 @@ def test_second_process_loads_the_cached_library(tmp_path):
 )
 def test_c_loop_refuses_a_step_of_another_shape(rows, c):
     # Its state holds MAX_ORDER entries, and it reads order * (order + 1)
-    # entries of rows and order of c.
+    # entries of rows and order of c. The plain loop refuses a step whose
+    # rows do not match its state (`plant.dot`); a step of order 0 is a
+    # consistent one, which only the C loop's bound refuses.
     logs = [memoryview(np.zeros(3)) for _ in range(5)]
-    ctrl = presets.default_pid_config()
+    rest = presets.default_pid_config().gains
+    if rows:
+        with pytest.raises(ValueError):
+            harness._plain_loop(3, 1e-4, 1.0, [], [], *logs, rows, c, rest, None)
     with pytest.raises(ValueError, match="not a plant step"):
-        c_loop()(3, 1e-4, 1.0, [], [], *logs, rows, c, ctrl)
+        c_loop()(3, 1e-4, 1.0, [], [], *logs, rows, c, rest, None)

@@ -188,6 +188,14 @@ class TestPlantStep:
             assert not any(map(math.isfinite, x_next))
             assert not math.isfinite(y)
 
+    @pytest.mark.parametrize("x", [(0.0,), (0.0, 0.0, 0.0)], ids=["short-state", "long-state"])
+    def test_state_of_another_length_raises(self, x):
+        # A short state would read u as a state entry and drop the Gamma
+        # column; a long one would take a state entry for u.
+        rows, c = rk4_zoh(PIPELINE_TF, 1e-4)
+        with pytest.raises(ValueError):
+            plant.step(rows, c, x, 1.0)
+
     def test_state_overflow_gives_non_finite_output(self):
         # One step of 1/(s - 1000) at dt = 0.1 multiplies the state by about 4e6.
         step = stepper(TransferFunction(num=(1.0,), den=(1.0, -1000.0)), 0.1)
